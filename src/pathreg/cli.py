@@ -30,6 +30,7 @@ from .sampling import (
     Axis,
     Grid,
     PathSamples,
+    _write_grid_csv,
     read_samples_csv,
     sample_paths,
     write_samples_csv,
@@ -234,16 +235,8 @@ def _cmd_report(args) -> int:
 
 def _write_surface(expr: Kernel, grid: Grid, path: str) -> None:
     """Kernel values against the grid centre, one grid point per row."""
-    pts = grid.points()
     centre = np.array([(a.start + a.stop) / 2.0 for a in grid.axes])
-    values = pairwise(expr, pts, centre[None, :])[:, 0]
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow((["x"] if grid.dim == 1 else ["x", "y"]) + ["k"])
-        for r in range(pts.shape[0]):
-            w.writerow([f"{v:.17g}" for v in pts[r]] + [f"{values[r]:.17g}"])
-    os.replace(tmp, path)
+    _write_grid_csv(path, grid, ["k"], pairwise(expr, grid.points(), centre[None, :]))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -3,10 +3,12 @@
 Draws are rows L z where L is the jittered Cholesky factor of the Gram
 matrix and z comes from a counter-based generator: draw i of seed s uses a
 Philox4x64 bit generator keyed by SeedSequence(entropy=s, spawn_key=(i,))
-feeding numpy's standard normal.  The per-draw keying makes output
-independent of evaluation order, so parallel and serial generation agree
-bitwise, and identical (seed, kernel, grid, count) inputs reproduce the same
-matrix on one platform.
+feeding numpy's standard normal.  Draws are made in fixed blocks of
+_DRAW_BLOCK indices [kB, (k+1)B), one BLAS product per block; the last
+block is padded past the requested count with normals that are discarded.
+Every product therefore sees the same inputs whatever the count, so a
+draw is independent of draw order and count, and identical (seed, kernel,
+grid) inputs reproduce it bitwise on one platform and BLAS.
 
 Top-level tensor-product kernels on matching 2-D grids are factorised per
 axis: the Gram is the Kronecker product of the per-axis Grams, so its
@@ -18,7 +20,6 @@ not fit the acceptance-time budget on one core.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import dataclass, field
@@ -46,6 +47,7 @@ __all__ = [
 
 MAX_GRID_POINTS = 128 * 128
 _GRAM_BLOCK_ROWS = 1024
+_DRAW_BLOCK = 50
 
 
 class FactorizationError(KernelError):
@@ -188,6 +190,17 @@ def _draw_normals(seed: int, index: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.Philox(ss)).standard_normal(n)
 
 
+def _draw_rows(seed: int, count: int, n: int, apply) -> np.ndarray:
+    """Draws 0..count-1; apply maps a (_DRAW_BLOCK, n) block of normals to
+    its draws.  The block is fixed, not count, because the leading rows of
+    a BLAS product are not bitwise those of a shorter product."""
+    rows = np.empty((count, n))
+    for lo in range(0, count, _DRAW_BLOCK):
+        z = np.stack([_draw_normals(seed, i, n) for i in range(lo, lo + _DRAW_BLOCK)])
+        rows[lo:lo + _DRAW_BLOCK] = apply(z)[: count - lo]
+    return rows
+
+
 def _tensor_factors(expr: Kernel, grid: Grid):
     # exact per-axis factorisation applies to a top-level tensor product of
     # 1-D factors on a matching 2-D grid
@@ -206,32 +219,20 @@ def sample_paths(expr: Kernel, grid: Grid, count: int, seed: int) -> PathSamples
     if count < 1:
         raise ValueError("count must be >= 1")
     factors = _tensor_factors(expr, grid)
+    n = grid.n_points
     if factors is not None:
-        subgrids = [Grid((axis,)) for axis in grid.axes]
-        ls = []
-        jitters = []
-        for f, g in zip(factors, subgrids):
-            l, j = cholesky_with_jitter(build_gram(f, g))
-            ls.append(l)
-            jitters.append(j)
         n1, n2 = grid.shape
-        rows = np.empty((count, n1 * n2))
-        for i in range(count):
-            z = _draw_normals(seed, i, n1 * n2).reshape(n1, n2)
-            rows[i] = (ls[0] @ z @ ls[1].T).ravel()
-        return PathSamples(
-            grid=grid,
-            samples=rows,
-            kernel=print_kernel(expr),
-            seed=int(seed),
-            jitter_used=max(jitters),
+        (l1, j1), (l2, j2) = (
+            cholesky_with_jitter(build_gram(f, Grid((axis,))))
+            for f, axis in zip(factors, grid.axes)
         )
-    gram = build_gram(expr, grid)
-    lower, jitter = cholesky_with_jitter(gram)
-    n = gram.shape[0]
-    rows = np.empty((count, n))
-    for i in range(count):
-        rows[i] = lower @ _draw_normals(seed, i, n)
+        rows = _draw_rows(
+            seed, count, n, lambda z: (l1 @ z.reshape(-1, n1, n2) @ l2.T).reshape(-1, n)
+        )
+        jitter = max(j1, j2)
+    else:
+        lower, jitter = cholesky_with_jitter(build_gram(expr, grid))
+        rows = _draw_rows(seed, count, n, lambda z: z @ lower.T)
     return PathSamples(
         grid=grid,
         samples=rows,
@@ -267,13 +268,9 @@ def sample_derivative_paths(
     gram = derivative_kernel_matrix(expr, alpha, grid.points(), step=step)
     gram = np.triu(gram) + np.triu(gram, 1).T
     lower, jitter = cholesky_with_jitter(gram)
-    n = gram.shape[0]
-    rows = np.empty((count, n))
-    for i in range(count):
-        rows[i] = lower @ _draw_normals(seed, i, n)
     return PathSamples(
         grid=grid,
-        samples=rows,
+        samples=_draw_rows(seed, count, gram.shape[0], lambda z: z @ lower.T),
         kernel=print_kernel(expr),
         seed=int(seed),
         jitter_used=jitter,
@@ -285,23 +282,20 @@ def sample_derivative_paths(
 
 
 def write_samples_csv(samples: PathSamples, path: str) -> None:
-    """CSV with one grid point per row: coordinates, then one column per draw.
+    """CSV with one grid point per row: coordinates, then one column per draw."""
+    names = [f"s{i}" for i in range(samples.count)]
+    _write_grid_csv(path, samples.grid, names, samples.samples.T)
 
-    Floats carry 17 significant digits so values round-trip exactly.
-    Written atomically (temp file + rename).
-    """
-    pts = samples.grid.points()
-    header = (["x"] if samples.grid.dim == 1 else ["x", "y"]) + [
-        f"s{i}" for i in range(samples.count)
-    ]
+
+def _write_grid_csv(path: str, grid: Grid, names: list[str], values: np.ndarray) -> None:
+    """One grid point per row: coordinates, then the named value columns.
+    Floats carry 17 significant digits so values round-trip exactly; rows
+    end in CRLF.  Written atomically (temp file + rename)."""
+    header = ",".join(["x", "y"][: grid.dim] + names)
     tmp = f"{path}.tmp"
     with open(tmp, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in range(pts.shape[0]):
-            row = [f"{v:.17g}" for v in pts[r]]
-            row.extend(f"{v:.17g}" for v in samples.samples[:, r])
-            writer.writerow(row)
+        np.savetxt(fh, np.column_stack([grid.points(), values]), fmt="%.17g", delimiter=",",
+                   newline="\r\n", header=header, comments="")
     os.replace(tmp, path)
 
 
@@ -331,20 +325,25 @@ def read_samples_csv(path: str) -> PathSamples:
     """Rebuild PathSamples from a CSV written by write_samples_csv.
 
     The grid is reconstructed from the coordinate columns, which must form
-    a uniform row-major 1-D or 2-D grid.
+    a uniform row-major 1-D or 2-D grid.  Provenance (kernel, seed, jitter,
+    derivative multi-index) comes from the sidecar ``<stem>.json`` when one
+    exists, and its grid must match the CSV's; without a sidecar the seed
+    reads -1 and the jitter NaN.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = np.array([[float(v) for v in row] for row in reader])
-    if header[:2] == ["x", "y"]:
-        coord_cols = 2
-    elif header[:1] == ["x"]:
-        coord_cols = 1
-    else:
-        raise ValueError(f"unrecognised samples header {header[:2]}")
-    if data.size == 0:
-        raise ValueError("samples file contains no rows")
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header[:2] == ["x", "y"]:
+            coord_cols = 2
+        elif header[:1] == ["x"]:
+            coord_cols = 1
+        else:
+            raise ValueError(f"unrecognised samples header {header[:2]}")
+        # np.loadtxt only warns on empty input
+        start = fh.tell()
+        if not fh.readline().strip():
+            raise ValueError("samples file contains no rows")
+        fh.seek(start)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     coords = data[:, :coord_cols]
     values = data[:, coord_cols:].T.copy()
     if coord_cols == 1:
@@ -363,13 +362,19 @@ def read_samples_csv(path: str) -> PathSamples:
         expected = grid.points()
         if not np.allclose(expected, coords, rtol=0, atol=1e-9):
             raise ValueError("coordinates do not form a row-major grid")
-    return PathSamples(
-        grid=grid,
-        samples=values,
-        kernel="",
-        seed=-1,
-        jitter_used=float("nan"),
-    )
+    try:
+        with open(f"{os.path.splitext(path)[0]}.json") as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        return PathSamples(grid=grid, samples=values, kernel="", seed=-1, jitter_used=float("nan"))
+    try:
+        same_grid = Grid(tuple(Axis(**a) for a in meta["grid"]["axes"])) == grid
+        provenance = {k: meta[k] for k in ("kernel", "seed", "jitter_used", "alpha")}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed samples sidecar: {exc!r}") from None
+    if not same_grid:
+        raise ValueError("the samples sidecar describes another grid than the CSV")
+    return PathSamples(grid=grid, samples=values, **provenance)
 
 
 def _axis_from_ticks(ticks: np.ndarray) -> Axis:

@@ -172,6 +172,20 @@ class TestEstimate:
         assert code == 0
         assert payload["s_hat"] == pytest.approx(0.5, abs=0.1)
 
+    def test_file_estimate_equals_inline(self, capsys, tmp_path):
+        # the sidecar carries the jitter that sets the estimator's noise floor;
+        # without it the smooth se() paths get a finite s_hat
+        draw = ["-k", "se()", "--grid", "0.25:1.25:257", "--count", "50", "--seed", "42"]
+        out = tmp_path / "se.csv"
+        assert main(["sample", *draw, "--out", str(out)]) == 0
+        capsys.readouterr()
+        _, from_file, _ = run_json(capsys, "estimate", "--samples", str(out))
+        _, inline, _ = run_json(capsys, "estimate", *draw)
+        assert from_file.pop("samples") == str(out)
+        assert inline.pop("kernel") == "se()"
+        assert from_file == inline
+        assert "lower_bound" in inline
+
     def test_degenerate_constant_file(self, capsys, tmp_path):
         path = tmp_path / "const.csv"
         header = "x," + ",".join(f"s{i}" for i in range(60))

@@ -1,6 +1,7 @@
 """Gram assembly, jittered factorisation, reproducible draws, serialisation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from pathreg.dsl import parse_kernel
 from pathreg.kernels import DomainError, KernelError
 from pathreg.sampling import (
+    _DRAW_BLOCK,
     Axis,
     FactorizationError,
     Grid,
@@ -98,12 +100,29 @@ class TestSamplePaths:
         c = sample_paths(expr, grid, 4, 124)
         assert not np.array_equal(a.samples, c.samples)
 
-    def test_draws_keyed_independently_of_count(self):
-        grid = Grid((Axis(0.0, 1.0, 33),))
-        expr = parse_kernel("se()")
-        few = sample_paths(expr, grid, 2, 9)
-        many = sample_paths(expr, grid, 5, 9)
+    # n >= 257 and counts on both sides of a block boundary: a product's
+    # leading rows are not bitwise those of a shorter product there
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda c: sample_paths(parse_kernel("se()"), Grid((Axis(0.0, 1.0, 257),)), c, 9),
+            lambda c: sample_paths(
+                parse_kernel("tensor(se(), matern(nu=1.5))"),
+                Grid((Axis(0.0, 1.0, 17), Axis(0.0, 1.0, 16))),
+                c,
+                9,
+            ),
+            lambda c: sample_derivative_paths(
+                parse_kernel("se()"), 1, Grid((Axis(0.0, 1.0, 257),)), c, 9
+            ),
+        ],
+        ids=["dense", "kronecker", "derivative"],
+    )
+    def test_draws_keyed_independently_of_count(self, draw):
+        few = draw(2)
+        many = draw(_DRAW_BLOCK + 3)
         assert np.array_equal(few.samples, many.samples[:2])
+        assert np.array_equal(draw(_DRAW_BLOCK + 1).samples, many.samples[: _DRAW_BLOCK + 1])
 
     def test_empirical_covariance_matches_gram(self):
         grid = Grid((Axis(0.0, 1.0, 257),))
@@ -169,18 +188,53 @@ class TestSerialisation:
         loaded = read_samples_csv(path)
         assert np.array_equal(loaded.samples, samples.samples)
         assert loaded.grid.axes[0] == grid.axes[0]
+        # no sidecar: provenance is unknown
+        assert loaded.seed == -1
+        assert math.isnan(loaded.jitter_used)
 
     def test_csv_header_and_precision(self, tmp_path):
         grid = Grid((Axis(0.0, 1.0, 3), Axis(0.0, 1.0, 3)))
         samples = sample_paths(parse_kernel("tensor(se(), se())"), grid, 2, 5)
         path = str(tmp_path / "field.csv")
         write_samples_csv(samples, path)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        with open(path, "rb") as fh:
+            raw = fh.read().decode()
+        assert raw.endswith("\r\n")
+        lines = raw.split("\r\n")[:-1]
+        assert not any("\n" in line or "\r" in line for line in lines)
         assert lines[0] == "x,y,s0,s1"
         assert len(lines) == 1 + 9
-        value = lines[1].split(",")[2]
-        assert float(value) == samples.samples[0, 0]
+        table = np.column_stack([grid.points(), samples.samples.T])
+        for line, row in zip(lines[1:], table):
+            assert line.split(",") == [f"{v:.17g}" for v in row]
+
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("x,s0,s1\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="samples file contains no rows"):
+                read_samples_csv(str(path))
+
+    def test_sidecar_round_trip(self, tmp_path):
+        grid = Grid((Axis(0.25, 1.25, 33),))
+        samples = sample_derivative_paths(parse_kernel("se()"), 1, grid, 3, 5)
+        write_samples_csv(samples, str(tmp_path / "d.csv"))
+        write_sidecar(samples, str(tmp_path / "d.json"))
+        loaded = read_samples_csv(str(tmp_path / "d.csv"))
+        assert loaded.grid == grid
+        assert (loaded.kernel, loaded.seed, loaded.alpha) == ("se()", 5, (1,))
+        assert loaded.jitter_used == samples.jitter_used
+        assert np.array_equal(loaded.samples, samples.samples)
+
+    def test_sidecar_grid_must_match(self, tmp_path):
+        grid = Grid((Axis(0.0, 1.0, 17),))
+        samples = sample_paths(parse_kernel("se()"), grid, 2, 5)
+        write_samples_csv(samples, str(tmp_path / "p.csv"))
+        other = sample_paths(parse_kernel("se()"), Grid((Axis(0.0, 1.0, 9),)), 2, 5)
+        write_sidecar(other, str(tmp_path / "p.json"))
+        with pytest.raises(ValueError, match="grid"):
+            read_samples_csv(str(tmp_path / "p.csv"))
 
     def test_sidecar_contents(self, tmp_path):
         import json
