@@ -525,12 +525,6 @@ def _pairwise(expr: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if isinstance(expr, (Matern, Wendland, SquaredExponential, RationalQuadratic)):
         diff = X[:, None, :] - Y[None, :, :]
         r = np.sqrt(np.sum(diff * diff, axis=-1))
-        if isinstance(expr, Matern) and r.size > 65536:
-            # Matern evaluation is the expensive leaf; grids produce many
-            # repeated distances, and the profile is a pure function, so
-            # evaluating unique values and gathering is exact.
-            vals, inverse = np.unique(r.ravel(), return_inverse=True)
-            return _radial_profile(expr, vals)[inverse].reshape(r.shape)
         return _radial_profile(expr, r)
     if isinstance(expr, Periodic):
         return _stationary_profile(expr, X[:, None, :] - Y[None, :, :])

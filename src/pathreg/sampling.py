@@ -10,6 +10,14 @@ Every product therefore sees the same inputs whatever the count, so a
 draw is independent of draw order and count, and identical (seed, kernel,
 grid) inputs reproduce it bitwise on one platform and BLAS.
 
+The Gram of a stationary expression depends on p_i - p_j alone, and on a
+uniform grid that difference runs over a lattice of lags, so the kernel is
+evaluated once per lag (h and -h sharing one value) and the dense
+(block-)Toeplitz Gram is gathered from the table: exactly symmetric, with
+no per-entry distance or kernel evaluation.  Derivative paths of a
+stationary expression gather their finite-difference Gram the same way.
+Non-stationary expressions are evaluated point by point in row blocks.
+
 Top-level tensor-product kernels on matching 2-D grids are factorised per
 axis: the Gram is the Kronecker product of the per-axis Grams, so its
 Cholesky factor is the Kronecker product of the per-axis factors and a draw
@@ -21,13 +29,15 @@ not fit the acceptance-time budget on one core.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsl import print_kernel
-from .kernels import Kernel, KernelError, TensorProduct, pairwise
+from .kernels import Kernel, KernelError, Stationary, TensorProduct, classify, pairwise
 from .regularity import infer_regularity
 from .verify import derivative_kernel_matrix, _as_multiindex
 
@@ -140,21 +150,53 @@ class PathSamples:
 def build_gram(expr: Kernel, grid: Grid) -> np.ndarray:
     """Gram matrix G[i, j] = k(p_i, p_j) on the grid points.
 
-    Assembled in row blocks to bound temporary memory; the strict upper
-    triangle is mirrored so symmetry is exact bitwise.
+    A stationary expression is evaluated once per lag of the grid's lag
+    lattice and the (block-)Toeplitz Gram is gathered from that table; lags
+    h and -h share one value, so symmetry is exact bitwise by construction.
+    Other expressions are evaluated pointwise in row blocks, which bounds
+    temporary memory, and their strict upper triangle is mirrored.
     """
     if expr.dim != grid.dim:
         raise KernelError(
             f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D"
         )
+    return _assemble_gram(expr, grid, lambda X, Y: pairwise(expr, X, Y))
+
+
+def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
+    # cross(X, Y) is the matrix of a covariance between point sets X and Y;
+    # it is a function of X - Y alone whenever expr is stationary
+    if isinstance(classify(expr), Stationary):
+        return _lag_gram(grid, lambda lags: cross(lags, np.zeros((1, grid.dim)))[:, 0])
     pts = grid.points()
     n = pts.shape[0]
     gram = np.empty((n, n))
     for lo in range(0, n, _GRAM_BLOCK_ROWS):
         hi = min(lo + _GRAM_BLOCK_ROWS, n)
-        gram[lo:hi] = pairwise(expr, pts[lo:hi], pts)
-    upper = np.triu(gram)
-    return upper + np.triu(gram, 1).T
+        gram[lo:hi] = cross(pts[lo:hi], pts)
+    return np.triu(gram) + np.triu(gram, 1).T
+
+
+def _lag_gram(grid: Grid, lag_values) -> np.ndarray:
+    """Gram of a stationary covariance from its values at the grid lags.
+
+    The lag lattice has steps k_a in (-n_a, n_a) per axis.  Flattened
+    row-major it is symmetric about its centre, so lag_values (lags of shape
+    (m, dim) -> m values) is called on the half from the centre on and the
+    other half is its mirror image: table[k] == table[-k] bitwise.  Then
+    G[i, j] = table[n - 1 + i - j] = table[n - 1 - i + j], which is entry
+    (n - 1 - i, j) of the table's sliding windows of the grid's shape; the
+    same view serves 1-D and 2-D grids.
+    """
+    shape = tuple(2 * n - 1 for n in grid.shape)
+    size = math.prod(shape)
+    centre = size // 2
+    steps = np.unravel_index(np.arange(centre, size), shape)
+    lags = np.column_stack([(k - (a.count - 1)) * a.spacing for k, a in zip(steps, grid.axes)])
+    half = lag_values(lags)
+    table = np.concatenate([half[:0:-1], half]).reshape(shape)
+    windows = sliding_window_view(table, grid.shape)[(slice(None, None, -1),) * grid.dim]
+    return np.ascontiguousarray(windows).reshape(grid.n_points, grid.n_points)
 
 
 def cholesky_with_jitter(matrix: np.ndarray, max_rel_jitter: float = 1e-6):
@@ -265,8 +307,9 @@ def sample_derivative_paths(
         )
     if expr.dim != grid.dim:
         raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
-    gram = derivative_kernel_matrix(expr, alpha, grid.points(), step=step)
-    gram = np.triu(gram) + np.triu(gram, 1).T
+    gram = _assemble_gram(
+        expr, grid, lambda X, Y: derivative_kernel_matrix(expr, alpha, X, step=step, Y=Y)
+    )
     lower, jitter = cholesky_with_jitter(gram)
     return PathSamples(
         grid=grid,

@@ -106,14 +106,16 @@ def _series_noninteger(nu: float, rho: np.ndarray) -> np.ndarray:
     tm = (rho / 2.0) ** (-nu) / gamma(1.0 - nu)
     sp = tp.copy()
     sm = tm.copy()
+    active = np.ones(rho.shape, dtype=bool)
     for j in range(1, _SERIES_MAX_TERMS):
         tp = tp * q / (j * (j + nu))
         tm = tm * q / (j * (j - nu))
-        sp += tp
-        sm += tm
-        bound = max(np.max(np.abs(tp)), np.max(np.abs(tm)))
-        scale = max(np.max(np.abs(sp)), np.max(np.abs(sm)))
-        if bound < _SERIES_RTOL * scale:
+        sp += np.where(active, tp, 0.0)
+        sm += np.where(active, tm, 0.0)
+        active &= np.maximum(np.abs(tp), np.abs(tm)) >= _SERIES_RTOL * np.maximum(
+            np.abs(sp), np.abs(sm)
+        )
+        if not active.any():
             break
     return (math.pi / 2.0) * (sm - sp) / math.sin(nu * math.pi)
 
@@ -139,15 +141,17 @@ def _series_integer(n: int, rho: np.ndarray) -> np.ndarray:
     t_psi = np.full_like(rho, 1.0 / math.factorial(n))
     c_psi = digamma_int(1) + digamma_int(n + 1)
     s_psi = c_psi * t_psi
+    active = np.ones(rho.shape, dtype=bool)
     for j in range(1, _SERIES_MAX_TERMS):
         t_i = t_i * q / (j * (j + n))
-        s_i += t_i
+        s_i += np.where(active, t_i, 0.0)
         t_psi = t_psi * q / (j * (j + n))
         c_psi += 1.0 / j + 1.0 / (n + j)
-        s_psi += c_psi * t_psi
-        if np.max(np.abs(t_i)) < _SERIES_RTOL * np.max(np.abs(s_i)) and np.max(
-            np.abs(c_psi * t_psi)
-        ) < _SERIES_RTOL * max(np.max(np.abs(s_psi)), 1e-300):
+        s_psi += np.where(active, c_psi * t_psi, 0.0)
+        active &= (np.abs(t_i) >= _SERIES_RTOL * np.abs(s_i)) | (
+            np.abs(c_psi * t_psi) >= _SERIES_RTOL * np.maximum(np.abs(s_psi), 1e-300)
+        )
+        if not active.any():
             break
 
     sign = -1.0 if n % 2 == 0 else 1.0  # (-1)^(n+1)
@@ -156,19 +160,21 @@ def _series_integer(n: int, rho: np.ndarray) -> np.ndarray:
 
 def _asymptotic(nu: float, rho: np.ndarray) -> np.ndarray:
     # K_nu(rho) ~ sqrt(pi/(2 rho)) e^{-rho} sum_k a_k, a_0 = 1,
-    # a_k = a_{k-1} (4 nu^2 - (2k-1)^2) / (8 rho k); stop at the smallest term.
+    # a_k = a_{k-1} (4 nu^2 - (2k-1)^2) / (8 rho k); each element stops at
+    # its smallest term, adding it only when it fell below the previous one.
     four_nu2 = 4.0 * nu * nu
     acc = np.ones_like(rho)
     term = np.ones_like(rho)
-    prev = np.inf
+    prev = np.full_like(rho, np.inf)
+    active = np.ones(rho.shape, dtype=bool)
     for k in range(1, 80):
         term = term * (four_nu2 - (2 * k - 1) ** 2) / (8.0 * rho * k)
-        size = np.max(np.abs(term))
-        if size >= prev or size < 1e-18:
-            if size < prev:
-                acc = acc + term
+        size = np.abs(term)
+        active &= size < prev
+        acc += np.where(active, term, 0.0)
+        active &= size >= 1e-18
+        if not active.any():
             break
-        acc = acc + term
         prev = size
     return np.sqrt(math.pi / (2.0 * rho)) * np.exp(-rho) * acc
 

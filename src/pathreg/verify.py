@@ -722,7 +722,9 @@ def verify_regularity(
     )
 
 
-def derivative_kernel_matrix(expr: Kernel, alpha, X, step: float | None = None) -> np.ndarray:
+def derivative_kernel_matrix(
+    expr: Kernel, alpha, X, step: float | None = None, Y=None
+) -> np.ndarray:
     """Gram matrix of the derivative kernel d^(alpha,alpha) k on points X.
 
     Built from single-level central differences over shifted copies of the
@@ -730,12 +732,14 @@ def derivative_kernel_matrix(expr: Kernel, alpha, X, step: float | None = None) 
     it is deliberately not obtained by differencing sampled paths).  The
     default step widens with the total derivative order: the entries suffer
     cancellation of size step^(2|alpha|), and too small a step leaves
-    rounding noise that makes the matrix indefinite.
+    rounding noise that makes the matrix indefinite.  With Y given, the
+    cross matrix between X and Y is returned instead.
     """
     alpha = _as_multiindex(alpha, expr.dim)
     if step is None:
         step = _BASE_STEPS[min(2 * int(alpha.sum()), MAX_RADIAL_ORDER)]
     X = np.asarray(X, dtype=float)
+    Y = X if Y is None else np.asarray(Y, dtype=float)
     terms = [(np.zeros(expr.dim), 1.0)]
     npow = 0
     for i, a in enumerate(alpha):
@@ -750,11 +754,11 @@ def derivative_kernel_matrix(expr: Kernel, alpha, X, step: float | None = None) 
             if w != 0.0
         ]
     if npow == 0:
-        return pairwise(expr, X, X)
+        return pairwise(expr, X, Y)
     acc = None
     for off_a, ca in terms:
         for off_b, cb in terms:
-            block = ca * cb * pairwise(expr, X + off_a * step, X + off_b * step)
+            block = ca * cb * pairwise(expr, X + off_a * step, Y + off_b * step)
             acc = block if acc is None else acc + block
     return acc / step ** (2 * npow)
 

@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from pathreg import sampling
 from pathreg.dsl import parse_kernel
-from pathreg.kernels import DomainError, KernelError
+from pathreg.kernels import DomainError, KernelError, pairwise
 from pathreg.sampling import (
     _DRAW_BLOCK,
     Axis,
@@ -21,6 +22,7 @@ from pathreg.sampling import (
     write_samples_csv,
     write_sidecar,
 )
+from pathreg.verify import derivative_kernel_matrix
 
 
 class TestGrid:
@@ -56,6 +58,37 @@ class TestBuildGram:
     def test_bitwise_symmetry(self):
         grid = Grid((Axis(0.1, 2.0, 40),))
         gram = build_gram(parse_kernel("matern(nu=1.5) + wiener()"), grid)
+        assert np.array_equal(gram, gram.T)
+
+    # stationary Grams are gathered from a lag table; the pointwise
+    # evaluation of the same expression is the reference
+    @pytest.mark.parametrize(
+        "text, grid",
+        [
+            (text, grid)
+            for text in (
+                "matern(nu=0.5)",
+                "matern(nu=2.5)",
+                "matern(nu=3.5)",
+                "wendland(d=1,n=1)",
+                "se(lengthscale=0.3)",
+                "rq(a=2)",
+                "periodic(lengthscale=0.7)",
+                "matern(nu=0.5) + 2*wendland(d=1,n=2)",
+                "matern(nu=1.5) * periodic()",
+            )
+            for grid in (
+                Grid((Axis(0.25, 1.25, 1025),)),
+                Grid((Axis(0.0, 3.0, 700),)),
+            )
+        ]
+        + [("matern(nu=1.5,dim=2)", Grid((Axis(0.0, 1.0, 9), Axis(-1.0, 2.0, 7))))],
+    )
+    def test_lag_table_matches_pairwise(self, text, grid):
+        expr = parse_kernel(text)
+        gram = build_gram(expr, grid)
+        pts = grid.points()
+        assert np.max(np.abs(gram - pairwise(expr, pts, pts))) <= 1e-12
         assert np.array_equal(gram, gram.T)
 
     def test_domain_violation_propagates(self):
@@ -161,6 +194,24 @@ class TestSamplePaths:
 
 
 class TestDerivativePaths:
+    @pytest.mark.parametrize("text, alpha", [("matern(nu=1.5)", 1), ("se()", 2)])
+    def test_lag_table_matches_derivative_kernel_matrix(self, text, alpha, monkeypatch):
+        gather = sampling._lag_gram
+        grams = []
+
+        def keep(grid, lag_values):
+            grams.append(gather(grid, lag_values))
+            return grams[-1]
+
+        monkeypatch.setattr(sampling, "_lag_gram", keep)
+        expr = parse_kernel(text)
+        grid = Grid((Axis(0.25, 1.25, 257),))
+        sample_derivative_paths(expr, alpha, grid, 1, 0)
+        (gram,) = grams
+        reference = derivative_kernel_matrix(expr, alpha, grid.points())
+        assert np.max(np.abs(gram - reference)) <= 1e-8
+        assert np.array_equal(gram, gram.T)
+
     def test_engine_gate_blocks_rough_kernels(self):
         grid = Grid((Axis(0.25, 1.25, 17),))
         with pytest.raises(KernelError):

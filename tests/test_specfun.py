@@ -107,6 +107,15 @@ class TestBesselK:
         for r, v in zip(rho, vec):
             assert v == specfun.bessel_k(1.5, float(r))
 
+    # a mixed small/large argument array is what a Gram lag table feeds in;
+    # a convergence test over the whole array stops large arguments early
+    @pytest.mark.parametrize("nu", [0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.5])
+    def test_mixed_array_matches_scalar_elementwise(self, nu):
+        rho = np.geomspace(1e-6, 80.0, 400)
+        for f in (specfun.bessel_k, specfun.matern_radial):
+            scalar = np.array([f(nu, float(r)) for r in rho])
+            np.testing.assert_allclose(f(nu, rho), scalar, rtol=1e-12, atol=0.0)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             specfun.bessel_k(-1.0, 1.0)
