@@ -205,26 +205,36 @@ def cholesky_with_jitter(matrix: np.ndarray, max_rel_jitter: float = 1e-6):
     Tries jitter lambda in {0, l0, 10 l0, ...} with l0 = 1e-12 trace/N and
     fails once lambda would exceed max_rel_jitter * trace/N, which signals a
     kernel or domain bug rather than ordinary rounding indefiniteness.
-    Returns (lower factor, jitter_used).
+    Returns (lower factor, jitter_used).  The jitter is added to the
+    diagonal in place and taken off again, so the caller's matrix is
+    unchanged on return, also when ``FactorizationError`` is raised; no
+    other thread may read it during the call.  A read-only matrix is
+    copied first.
     """
     matrix = np.asarray(matrix, dtype=float)
+    if not matrix.flags.writeable:
+        matrix = matrix.copy()
     n = matrix.shape[0]
     scale = float(np.trace(matrix)) / n
     if scale <= 0.0:
         raise FactorizationError("matrix has non-positive trace; not a Gram matrix")
     base = 1e-12 * scale
+    diag = matrix.diagonal().copy()
     jitter = 0.0
-    while True:
-        try:
-            shifted = matrix if jitter == 0.0 else matrix + jitter * np.eye(n)
-            return np.linalg.cholesky(shifted), jitter
-        except np.linalg.LinAlgError:
-            jitter = base if jitter == 0.0 else 10.0 * jitter
-            if jitter > max_rel_jitter * scale:
-                raise FactorizationError(
-                    f"jitter budget exceeded ({jitter:.3e} > {max_rel_jitter * scale:.3e}); "
-                    "matrix is effectively indefinite"
-                ) from None
+    try:
+        while True:
+            try:
+                return np.linalg.cholesky(matrix), jitter
+            except np.linalg.LinAlgError:
+                jitter = base if jitter == 0.0 else 10.0 * jitter
+                if jitter > max_rel_jitter * scale:
+                    raise FactorizationError(
+                        f"jitter budget exceeded ({jitter:.3e} > {max_rel_jitter * scale:.3e}); "
+                        "matrix is effectively indefinite"
+                    ) from None
+                np.fill_diagonal(matrix, diag + jitter)
+    finally:
+        np.fill_diagonal(matrix, diag)
 
 
 def _draw_normals(seed: int, index: int, n: int) -> np.ndarray:

@@ -121,6 +121,25 @@ class TestCholeskyWithJitter:
         bad = np.array([[1.0, 0.0], [0.0, -1.0]])
         with pytest.raises(FactorizationError):
             cholesky_with_jitter(bad)
+        assert np.array_equal(bad, [[1.0, 0.0], [0.0, -1.0]])
+
+    # the jitter goes onto the diagonal in place instead of into a shifted
+    # copy; the factor must be that of the copy and the input left as it was
+    def test_jittered_factor_equals_shifted_copy(self):
+        gram = build_gram(parse_kernel("se()"), Grid((Axis(0.0, 1.0, 129),)))
+        before = gram.copy()
+        lower, jitter = cholesky_with_jitter(gram)
+        assert jitter > 0.0
+        assert np.array_equal(gram, before)
+        expected = np.linalg.cholesky(before + jitter * np.eye(len(before)))
+        assert np.array_equal(lower, expected)
+
+    def test_read_only_input(self):
+        ones = np.ones((3, 3))
+        ones.setflags(write=False)
+        lower, jitter = cholesky_with_jitter(ones)
+        assert jitter > 0.0
+        assert np.array_equal(lower, np.linalg.cholesky(ones + jitter * np.eye(3)))
 
 
 class TestSamplePaths:

@@ -35,27 +35,6 @@ class TestGamma:
                 specfun.gamma(x)
 
 
-class TestDigammaInt:
-    def test_psi1_is_minus_euler(self):
-        assert specfun.digamma_int(1) == pytest.approx(-0.5772156649, abs=1e-9)
-
-    def test_psi2(self):
-        assert specfun.digamma_int(2) == pytest.approx(0.4227843351, abs=1e-9)
-
-    def test_recurrence_exact(self):
-        assert abs((specfun.digamma_int(5) - specfun.digamma_int(4)) - 0.25) <= 1e-14
-
-    def test_against_mpmath(self):
-        for m in range(1, 40):
-            assert specfun.digamma_int(m) == pytest.approx(
-                float(mpmath.digamma(m)), abs=1e-14
-            )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            specfun.digamma_int(0)
-
-
 class TestBesselK:
     def test_half_order_closed_form(self):
         # K_{1/2}(rho) = sqrt(pi / (2 rho)) e^{-rho}
@@ -116,6 +95,21 @@ class TestBesselK:
             scalar = np.array([f(nu, float(r)) for r in rho])
             np.testing.assert_allclose(f(nu, rho), scalar, rtol=1e-12, atol=0.0)
 
+    # the whole argument range at once, including large orders at large
+    # arguments, where the terms of the large-argument expansion grow before
+    # they shrink (4 nu^2 > (2k - 1)^2) and a stop at the first growing term
+    # is off by a relative 0.74 at bessel_k(12, 26)
+    @pytest.mark.parametrize(
+        "nu,rtol",
+        [(nu, 1e-13) for nu in (0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.5, 4.5)]
+        + [(nu, 1e-12) for nu in (8.3, 12.0, 20.0)],
+    )
+    def test_matches_oracle_over_full_range(self, nu, rtol):
+        rho = np.geomspace(1e-6, 700.0, 300)
+        with mpmath.workdps(20):  # mpmath guards its own cancellation
+            ref = np.array([mp_besselk(nu, r) for r in rho])
+        np.testing.assert_allclose(specfun.bessel_k(nu, rho), ref, rtol=rtol, atol=0.0)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             specfun.bessel_k(-1.0, 1.0)
@@ -145,6 +139,18 @@ class TestMaternRadial:
         assert specfun.matern_radial(1.5, 1.0) == pytest.approx(0.4833577245965, abs=1e-9)
         expected = (1 + math.sqrt(5) * 0.7 + 5 / 3 * 0.49) * math.exp(-math.sqrt(5) * 0.7)
         assert specfun.matern_radial(2.5, 0.7) == pytest.approx(expected, rel=1e-9)
+
+    def test_large_order_beyond_former_asymptotic_radius(self):
+        nu = 12.0
+        r = np.geomspace(25.5 / math.sqrt(2 * nu), 140.0, 60)
+        with mpmath.workdps(20):
+            ref = [
+                2 ** (1 - mpmath.mpf(nu)) / mpmath.gamma(nu) * x**nu * mpmath.besselk(nu, x)
+                for x in (mpmath.sqrt(2 * nu) * mpmath.mpf(v) for v in r)
+            ]
+        np.testing.assert_allclose(
+            specfun.matern_radial(nu, r), np.array(ref, dtype=float), rtol=1e-12, atol=0.0
+        )
 
     def test_continuity_near_zero(self):
         for nu in [0.5, 1.0, 2.5]:
