@@ -18,6 +18,15 @@ no per-entry distance or kernel evaluation.  Derivative paths of a
 stationary expression gather their finite-difference Gram the same way.
 Non-stationary expressions are evaluated point by point in row blocks.
 
+On a 1-D grid that Gram is Toeplitz, and sampling never builds it: the
+kernel is evaluated at the lags k * spacing, k = 0..n-1 (the Gram's first
+column), and the Cholesky factor comes from that column by the generalised
+Schur algorithm in O(n^2), one contiguous row of the upper factor R at a
+time, with the mixed-form hyperbolic rotations of Bojanczyk, Brent, de Hoog
+and Sweet (1995, SIAM J. Matrix Anal. Appl. 16:40), which are stable for
+positive definite Toeplitz matrices.  It shares the dense factorisation's
+jitter ladder.  Every other Gram is factorised densely by LAPACK.
+
 Top-level tensor-product kernels on matching 2-D grids are factorised per
 axis: the Gram is the Kronecker product of the per-axis Grams, so its
 Cholesky factor is the Kronecker product of the per-axis factors and a draw
@@ -32,6 +41,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -58,6 +68,7 @@ __all__ = [
 MAX_GRID_POINTS = 128 * 128
 _GRAM_BLOCK_ROWS = 1024
 _DRAW_BLOCK = 50
+_MAX_REL_JITTER = 1e-6
 
 
 class FactorizationError(KernelError):
@@ -167,7 +178,7 @@ def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
     # cross(X, Y) is the matrix of a covariance between point sets X and Y;
     # it is a function of X - Y alone whenever expr is stationary
     if isinstance(classify(expr), Stationary):
-        return _lag_gram(grid, lambda lags: cross(lags, np.zeros((1, grid.dim)))[:, 0])
+        return _lag_gram(grid, _lag_function(cross, grid.dim))
     pts = grid.points()
     n = pts.shape[0]
     gram = np.empty((n, n))
@@ -175,6 +186,22 @@ def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
         hi = min(lo + _GRAM_BLOCK_ROWS, n)
         gram[lo:hi] = cross(pts[lo:hi], pts)
     return np.triu(gram) + np.triu(gram, 1).T
+
+
+def _lag_function(cross, dim: int):
+    # a stationary covariance as a function of the lag alone
+    return lambda lags: cross(lags, np.zeros((1, dim)))[:, 0]
+
+
+def _half_lag_table(grid: Grid, lag_values) -> np.ndarray:
+    """lag_values at the half of the grid's lag lattice from its centre on,
+    row-major; on a 1-D grid these are the lags k * spacing, k = 0..n-1,
+    whose values are the Toeplitz Gram's first column."""
+    shape = tuple(2 * n - 1 for n in grid.shape)
+    size = math.prod(shape)
+    steps = np.unravel_index(np.arange(size // 2, size), shape)
+    lags = np.column_stack([(k - (a.count - 1)) * a.spacing for k, a in zip(steps, grid.axes)])
+    return lag_values(lags)
 
 
 def _lag_gram(grid: Grid, lag_values) -> np.ndarray:
@@ -188,18 +215,13 @@ def _lag_gram(grid: Grid, lag_values) -> np.ndarray:
     (n - 1 - i, j) of the table's sliding windows of the grid's shape; the
     same view serves 1-D and 2-D grids.
     """
-    shape = tuple(2 * n - 1 for n in grid.shape)
-    size = math.prod(shape)
-    centre = size // 2
-    steps = np.unravel_index(np.arange(centre, size), shape)
-    lags = np.column_stack([(k - (a.count - 1)) * a.spacing for k, a in zip(steps, grid.axes)])
-    half = lag_values(lags)
-    table = np.concatenate([half[:0:-1], half]).reshape(shape)
+    half = _half_lag_table(grid, lag_values)
+    table = np.concatenate([half[:0:-1], half]).reshape(tuple(2 * n - 1 for n in grid.shape))
     windows = sliding_window_view(table, grid.shape)[(slice(None, None, -1),) * grid.dim]
     return np.ascontiguousarray(windows).reshape(grid.n_points, grid.n_points)
 
 
-def cholesky_with_jitter(matrix: np.ndarray, max_rel_jitter: float = 1e-6):
+def cholesky_with_jitter(matrix: np.ndarray, max_rel_jitter: float = _MAX_REL_JITTER):
     """Cholesky factorisation with an escalating diagonal jitter.
 
     Tries jitter lambda in {0, l0, 10 l0, ...} with l0 = 1e-12 trace/N and
@@ -214,27 +236,89 @@ def cholesky_with_jitter(matrix: np.ndarray, max_rel_jitter: float = 1e-6):
     matrix = np.asarray(matrix, dtype=float)
     if not matrix.flags.writeable:
         matrix = matrix.copy()
-    n = matrix.shape[0]
-    scale = float(np.trace(matrix)) / n
+    diag = matrix.diagonal().copy()
+
+    def factor(jitter):
+        np.fill_diagonal(matrix, diag + jitter)
+        return np.linalg.cholesky(matrix)
+
+    try:
+        return _jitter_ladder(factor, float(np.trace(matrix)) / matrix.shape[0], max_rel_jitter)
+    finally:
+        np.fill_diagonal(matrix, diag)
+
+
+def _jitter_ladder(factor, scale: float, max_rel_jitter: float):
+    """(factor(jitter), jitter) for the first jitter in {0, l0, 10 l0, ...},
+    l0 = 1e-12 scale, at which factor does not raise LinAlgError; scale is
+    trace/N of the matrix being factorised."""
     if scale <= 0.0:
         raise FactorizationError("matrix has non-positive trace; not a Gram matrix")
     base = 1e-12 * scale
-    diag = matrix.diagonal().copy()
     jitter = 0.0
-    try:
-        while True:
-            try:
-                return np.linalg.cholesky(matrix), jitter
-            except np.linalg.LinAlgError:
-                jitter = base if jitter == 0.0 else 10.0 * jitter
-                if jitter > max_rel_jitter * scale:
-                    raise FactorizationError(
-                        f"jitter budget exceeded ({jitter:.3e} > {max_rel_jitter * scale:.3e}); "
-                        "matrix is effectively indefinite"
-                    ) from None
-                np.fill_diagonal(matrix, diag + jitter)
-    finally:
-        np.fill_diagonal(matrix, diag)
+    while True:
+        try:
+            return factor(jitter), jitter
+        except np.linalg.LinAlgError:
+            jitter = base if jitter == 0.0 else 10.0 * jitter
+            if jitter > max_rel_jitter * scale:
+                raise FactorizationError(
+                    f"jitter budget exceeded ({jitter:.3e} > {max_rel_jitter * scale:.3e}); "
+                    "matrix is effectively indefinite"
+                ) from None
+
+
+def _toeplitz_cholesky(column: np.ndarray):
+    """cholesky_with_jitter of the symmetric Toeplitz matrix with first
+    column ``column``, computed from the column alone in O(n^2)."""
+    n = column.shape[0]
+    # trace/N as np.trace sums the diagonal of the dense matrix, so the
+    # ladder's rungs are bitwise those of the dense path
+    scale = float(np.full(n, column[0]).sum()) / n
+    return _jitter_ladder(lambda jitter: _schur(column, jitter), scale, _MAX_REL_JITTER)
+
+
+def _schur(column: np.ndarray, jitter: float) -> np.ndarray:
+    """Lower Cholesky factor of T + jitter I, T the symmetric Toeplitz matrix
+    with first column ``column``, by the generalised Schur algorithm.
+
+    T - Z T Z^T = u u^T - v v^T with u = (t0, t1, ...) / sqrt(t0) and v = u
+    with v[0] = 0 (Z the down shift).  Row 0 of the upper factor R is u;
+    for k >= 1 the generator pair (Z u, v) is rotated hyperbolically so that
+    v[k] vanishes, and the rotated u is row k of R.  In mixed form (stable
+    for positive definite T) the rotation by rho = v[k] / u[k-1] reads
+    u' = (Z u - rho v) / c, v' = c v - rho u', c = sqrt((1 - rho)(1 + rho)).
+    Raises LinAlgError when T + jitter I is not positive definite: then t0
+    <= 0 or some |rho| >= 1.
+    """
+    n = column.shape[0]
+    t0 = column[0] + jitter
+    if not t0 > 0.0:
+        raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
+    upper = np.zeros((n, n))
+    u = upper[0]
+    u[0] = t0
+    u[1:] = column[1:]
+    u /= math.sqrt(t0)
+    v = u.copy()
+    v[0] = 0.0
+    work = np.empty(n)
+    for k in range(1, n):
+        shifted = upper[k - 1, k - 1:n - 1]
+        vk = v[k:]
+        rho = vk[0] / shifted[0]
+        if not abs(rho) < 1.0:
+            raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
+        c = math.sqrt((1.0 - rho) * (1.0 + rho))
+        row = upper[k, k:]
+        w = work[: n - k]
+        np.multiply(vk, rho, out=w)
+        np.subtract(shifted, w, out=row)
+        np.divide(row, c, out=row)
+        np.multiply(row, rho, out=w)
+        np.multiply(vk, c, out=vk)
+        np.subtract(vk, w, out=vk)
+    return upper.T
 
 
 def _draw_normals(seed: int, index: int, n: int) -> np.ndarray:
@@ -266,24 +350,41 @@ def _tensor_factors(expr: Kernel, grid: Grid):
     return None
 
 
+def _factorise(expr: Kernel, grid: Grid, cross, dense_gram):
+    """(lower factor, jitter_used) of the covariance cross(X, Y) on the grid.
+
+    A stationary expression on a 1-D grid is factored by the Schur algorithm
+    from its values at the lags k * spacing alone; anything else is
+    cholesky_with_jitter(dense_gram()).
+    """
+    if expr.dim != grid.dim:
+        raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
+    if grid.dim == 1 and isinstance(classify(expr), Stationary):
+        return _toeplitz_cholesky(_half_lag_table(grid, _lag_function(cross, 1)))
+    return cholesky_with_jitter(dense_gram())
+
+
 def sample_paths(expr: Kernel, grid: Grid, count: int, seed: int) -> PathSamples:
     """Draw centred GP sample paths on the grid; rows are independent draws."""
     if count < 1:
         raise ValueError("count must be >= 1")
+
+    def factorise(e: Kernel, g: Grid):
+        return _factorise(e, g, partial(pairwise, e), partial(build_gram, e, g))
+
     factors = _tensor_factors(expr, grid)
     n = grid.n_points
     if factors is not None:
         n1, n2 = grid.shape
         (l1, j1), (l2, j2) = (
-            cholesky_with_jitter(build_gram(f, Grid((axis,))))
-            for f, axis in zip(factors, grid.axes)
+            factorise(f, Grid((axis,))) for f, axis in zip(factors, grid.axes)
         )
         rows = _draw_rows(
             seed, count, n, lambda z: (l1 @ z.reshape(-1, n1, n2) @ l2.T).reshape(-1, n)
         )
         jitter = max(j1, j2)
     else:
-        lower, jitter = cholesky_with_jitter(build_gram(expr, grid))
+        lower, jitter = factorise(expr, grid)
         rows = _draw_rows(seed, count, n, lambda z: z @ lower.T)
     return PathSamples(
         grid=grid,
@@ -315,15 +416,14 @@ def sample_derivative_paths(
             f"derivative order |alpha|={total} is not below the sample-path order "
             f"{report.order}; the derivative process does not exist"
         )
-    if expr.dim != grid.dim:
-        raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
-    gram = _assemble_gram(
-        expr, grid, lambda X, Y: derivative_kernel_matrix(expr, alpha, X, step=step, Y=Y)
-    )
-    lower, jitter = cholesky_with_jitter(gram)
+
+    def cross(X, Y):
+        return derivative_kernel_matrix(expr, alpha, X, step=step, Y=Y)
+
+    lower, jitter = _factorise(expr, grid, cross, partial(_assemble_gram, expr, grid, cross))
     return PathSamples(
         grid=grid,
-        samples=_draw_rows(seed, count, gram.shape[0], lambda z: z @ lower.T),
+        samples=_draw_rows(seed, count, grid.n_points, lambda z: z @ lower.T),
         kernel=print_kernel(expr),
         seed=int(seed),
         jitter_used=jitter,

@@ -58,6 +58,24 @@ class TestExitCodes:
         assert code == 3
         assert "positive" in err
 
+    def test_kernel_dimension_mismatch_is_3(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "sample",
+            "-k",
+            "se(dim=2)",
+            "--grid",
+            "0:1:17",
+            "--count",
+            "2",
+            "--seed",
+            "1",
+            "--out",
+            str(tmp_path / "s.csv"),
+        )
+        assert code == 3
+        assert "kernel has dimension 2 but the grid is 1-D" in err
+
     def test_verify_pass_is_0(self, capsys):
         code, payload, _ = run_json(capsys, "verify", "-k", "matern(nu=1.5)")
         assert code == 0

@@ -142,6 +142,103 @@ class TestCholeskyWithJitter:
         assert np.array_equal(lower, np.linalg.cholesky(ones + jitter * np.eye(3)))
 
 
+class TestToeplitzCholesky:
+    # the Schur factor of the lag column against the gathered Toeplitz Gram
+    @pytest.mark.parametrize(
+        "text, grid",
+        [
+            (text.format(ls), grid)
+            for text in (
+                "matern(nu=0.5,lengthscale={})",
+                "matern(nu=1.5,lengthscale={})",
+                "matern(nu=2,lengthscale={})",
+                "matern(nu=2.5,lengthscale={})",
+                "wendland(d=1,n=1,lengthscale={})",
+                "se(lengthscale={})",
+                "rq(a=2,lengthscale={})",
+                "periodic(lengthscale={})",
+                "matern(nu=0.5,lengthscale={0}) + 2*wendland(d=1,n=2,lengthscale={0})",
+                "matern(nu=1.5,lengthscale={0}) * periodic(lengthscale={0})",
+            )
+            for ls in ("0.1", "1", "10")
+            for grid in (
+                Grid((Axis(0.25, 1.25, 1025),)),
+                Grid((Axis(0.0, 3.0, 700),)),
+                Grid((Axis(0.0, 1.0, 257),)),
+            )
+        ],
+    )
+    def test_residual_within_first_jitter_rung(self, text, grid):
+        gram = build_gram(parse_kernel(text), grid)
+        lower, jitter = sampling._toeplitz_cholesky(gram[:, 0])
+        assert np.array_equal(lower, np.tril(lower))
+        shifted = gram + jitter * np.eye(grid.n_points)
+        assert np.max(np.abs(lower @ lower.T - shifted)) <= 1e-12 * gram[0, 0]
+
+    # the benchmark's stationary kernels keep the dense path's jitter
+    @pytest.mark.parametrize(
+        "text, grid",
+        [
+            (text, Grid((Axis(0.25, 1.25, 4097),)))
+            for text in ("matern(nu=0.5)", "matern(nu=2.5)", "se()")
+        ]
+        + [
+            (text, Grid((Axis(0.25, 1.25, 1025),)))
+            for text in ("matern(nu=1.5,lengthscale=0.1)", "matern(nu=2,lengthscale=0.1)")
+        ]
+        + [
+            (text, Grid((Axis(0.0, 1.0, 128),)))
+            for text in (
+                "wendland(d=1,n=0)",
+                "wendland(d=1,n=1)",
+                "matern(nu=0.5)",
+                "matern(nu=1.5)",
+            )
+        ],
+    )
+    def test_jitter_equals_dense(self, text, grid):
+        expr = parse_kernel(text)
+        _lower, jitter = cholesky_with_jitter(build_gram(expr, grid))
+        assert sample_paths(expr, grid, 1, 0).jitter_used == jitter
+
+    def test_derivative_jitter_equals_dense(self):
+        expr = parse_kernel("matern(nu=1.5)")
+        grid = Grid((Axis(0.25, 1.25, 2049),))
+        gram = sampling._assemble_gram(
+            expr, grid, lambda X, Y: derivative_kernel_matrix(expr, 1, X, Y=Y)
+        )
+        _lower, jitter = cholesky_with_jitter(gram)
+        assert sample_derivative_paths(expr, 1, grid, 1, 0).jitter_used == jitter
+
+    @pytest.mark.parametrize("column", [[1.0, 2.0], [-1.0, 0.5], [1.0, 0.9, 0.9, -0.9]])
+    def test_indefinite_column_raises_dense_message(self, column):
+        toeplitz = np.array([[column[abs(i - j)] for j in range(len(column))]
+                             for i in range(len(column))])
+        with pytest.raises(FactorizationError) as dense:
+            cholesky_with_jitter(toeplitz)
+        with pytest.raises(FactorizationError) as schur:
+            sampling._toeplitz_cholesky(np.array(column))
+        assert str(schur.value) == str(dense.value)
+
+    # the 1-D stationary paths factor the lag column; a dense Gram is waste
+    def test_no_dense_gram(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense Gram built")
+
+        monkeypatch.setattr(sampling, "build_gram", refuse)
+        monkeypatch.setattr(sampling, "_assemble_gram", refuse)
+        monkeypatch.setattr(sampling, "cholesky_with_jitter", refuse)
+        grid = Grid((Axis(0.25, 1.25, 65),))
+        sample_paths(parse_kernel("matern(nu=1.5)"), grid, 2, 1)
+        sample_derivative_paths(parse_kernel("se()"), 1, grid, 2, 1)
+        sample_paths(
+            parse_kernel("tensor(se(), matern(nu=0.5))"),
+            Grid((Axis(0.0, 1.0, 9), Axis(0.0, 1.0, 7))),
+            2,
+            1,
+        )
+
+
 class TestSamplePaths:
     def test_bitwise_reproducibility(self):
         grid = Grid((Axis(0.0, 1.0, 65),))
@@ -195,6 +292,11 @@ class TestSamplePaths:
         samples = sample_paths(parse_kernel("matern(nu=0.5)"), grid, 1, 42)
         assert 0.7 <= float(np.var(samples.samples[0])) <= 1.3
 
+    # the guard build_gram gives the dense path; the Toeplitz path keeps it
+    def test_dimension_mismatch(self):
+        with pytest.raises(KernelError, match="kernel has dimension 2 but the grid is 1-D"):
+            sample_paths(parse_kernel("se(dim=2)"), Grid((Axis(0.0, 1.0, 5),)), 2, 1)
+
     def test_tensor_factorisation_matches_dense_gram(self):
         expr = parse_kernel("tensor(wendland(d=1,n=0), wendland(d=1,n=1))")
         grid = Grid((Axis(0.0, 1.0, 9), Axis(0.0, 1.0, 7)))
@@ -213,23 +315,25 @@ class TestSamplePaths:
 
 
 class TestDerivativePaths:
+    # 1-D derivative paths are factored from the lag column without a Gram;
+    # the factor, jitter taken off, must reproduce the pointwise matrix
     @pytest.mark.parametrize("text, alpha", [("matern(nu=1.5)", 1), ("se()", 2)])
     def test_lag_table_matches_derivative_kernel_matrix(self, text, alpha, monkeypatch):
-        gather = sampling._lag_gram
-        grams = []
+        factorise = sampling._factorise
+        factors = []
 
-        def keep(grid, lag_values):
-            grams.append(gather(grid, lag_values))
-            return grams[-1]
+        def keep(*args):
+            factors.append(factorise(*args))
+            return factors[-1]
 
-        monkeypatch.setattr(sampling, "_lag_gram", keep)
+        monkeypatch.setattr(sampling, "_factorise", keep)
         expr = parse_kernel(text)
         grid = Grid((Axis(0.25, 1.25, 257),))
         sample_derivative_paths(expr, alpha, grid, 1, 0)
-        (gram,) = grams
+        ((lower, jitter),) = factors
+        covariance = lower @ lower.T - jitter * np.eye(grid.n_points)
         reference = derivative_kernel_matrix(expr, alpha, grid.points())
-        assert np.max(np.abs(gram - reference)) <= 1e-8
-        assert np.array_equal(gram, gram.T)
+        assert np.max(np.abs(covariance - reference)) <= 1e-8
 
     def test_engine_gate_blocks_rough_kernels(self):
         grid = Grid((Axis(0.25, 1.25, 17),))
