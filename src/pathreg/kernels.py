@@ -514,6 +514,11 @@ def _stationary_profile(expr: Kernel, h: np.ndarray) -> np.ndarray:
     raise StructureError(f"{type(expr).__name__} node has no stationary form")
 
 
+def _check_wiener_domain(X: np.ndarray) -> None:
+    if np.any(X <= 0.0):
+        raise DomainError("the Wiener kernel is defined on strictly positive inputs")
+
+
 def pairwise(expr: Kernel, X, Y) -> np.ndarray:
     """Matrix of kernel values k(X[i], Y[j]) for point arrays of shape (n, d)."""
     X = _as_points(X, expr.dim)
@@ -529,8 +534,8 @@ def _pairwise(expr: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if isinstance(expr, Periodic):
         return _stationary_profile(expr, X[:, None, :] - Y[None, :, :])
     if isinstance(expr, Wiener):
-        if np.any(X <= 0.0) or np.any(Y <= 0.0):
-            raise DomainError("the Wiener kernel is defined on strictly positive inputs")
+        _check_wiener_domain(X)
+        _check_wiener_domain(Y)
         return np.minimum(X[:, 0][:, None], Y[:, 0][None, :])
     if isinstance(expr, Linear):
         return X @ Y.T

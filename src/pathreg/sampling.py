@@ -16,7 +16,11 @@ evaluated once per lag (h and -h sharing one value) and the dense
 (block-)Toeplitz Gram is gathered from the table: exactly symmetric, with
 no per-entry distance or kernel evaluation.  Derivative paths of a
 stationary expression gather their finite-difference Gram the same way.
-Non-stationary expressions are evaluated point by point in row blocks.
+A non-stationary conic combination or product is assembled from its
+children's Grams (weighted sum, elementwise product), so its stationary
+terms take the lag table too; derivative Grams are not split, since the
+derivative covariance of a product is not the product of the children's.
+Other non-stationary expressions are evaluated point by point in row blocks.
 
 On a 1-D grid that Gram is Toeplitz, and sampling never builds it: the
 kernel is evaluated at the lags k * spacing, k = 0..n-1 (the Gram's first
@@ -25,7 +29,9 @@ Schur algorithm in O(n^2), one contiguous row of the upper factor R at a
 time, with the mixed-form hyperbolic rotations of Bojanczyk, Brent, de Hoog
 and Sweet (1995, SIAM J. Matrix Anal. Appl. 16:40), which are stable for
 positive definite Toeplitz matrices.  It shares the dense factorisation's
-jitter ladder.  Every other Gram is factorised densely by LAPACK.
+jitter ladder.  The Wiener kernel min(s, t) has the exact factor
+L[i, j] = sqrt(p_j - p_(j-1)), j <= i, p_(-1) = 0, and needs neither its
+Gram nor a jitter.  Every other Gram is factorised densely by LAPACK.
 
 Top-level tensor-product kernels on matching 2-D grids are factorised per
 axis: the Gram is the Kronecker product of the per-axis Grams, so its
@@ -47,7 +53,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsl import print_kernel
-from .kernels import Kernel, KernelError, Stationary, TensorProduct, classify, pairwise
+from .kernels import (
+    Conic,
+    Kernel,
+    KernelError,
+    Product,
+    Stationary,
+    TensorProduct,
+    Wiener,
+    _check_wiener_domain,
+    classify,
+    pairwise,
+)
 from .regularity import infer_regularity
 from .verify import derivative_kernel_matrix, _as_multiindex
 
@@ -164,14 +181,36 @@ def build_gram(expr: Kernel, grid: Grid) -> np.ndarray:
     A stationary expression is evaluated once per lag of the grid's lag
     lattice and the (block-)Toeplitz Gram is gathered from that table; lags
     h and -h share one value, so symmetry is exact bitwise by construction.
-    Other expressions are evaluated pointwise in row blocks, which bounds
-    temporary memory, and their strict upper triangle is mirrored.
+    A non-stationary conic combination or product is assembled term by
+    term: the weighted sum or the elementwise product of its children's
+    Grams, combined in the order ``pairwise`` combines their values, so a
+    stationary child still takes its lag table.  Other expressions are
+    evaluated pointwise in row blocks, which bounds temporary memory, and
+    their strict upper triangle is mirrored.
     """
     if expr.dim != grid.dim:
         raise KernelError(
             f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D"
         )
-    return _assemble_gram(expr, grid, lambda X, Y: pairwise(expr, X, Y))
+    return _kernel_gram(expr, grid)
+
+
+def _kernel_gram(expr: Kernel, grid: Grid) -> np.ndarray:
+    # kernel values only: the derivative covariance of a product is not the
+    # product of its children's derivative covariances
+    if not isinstance(expr, (Conic, Product)) or isinstance(classify(expr), Stationary):
+        return _assemble_gram(expr, grid, partial(pairwise, expr))
+    grams = (_kernel_gram(c, grid) for c in expr.children)
+    acc = next(grams)
+    if isinstance(expr, Conic):
+        acc *= expr.weights[0]
+        for w, gram in zip(expr.weights[1:], grams):
+            gram *= w
+            acc += gram
+    else:
+        for gram in grams:
+            acc *= gram
+    return acc
 
 
 def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
@@ -321,6 +360,18 @@ def _schur(column: np.ndarray, jitter: float) -> np.ndarray:
     return upper.T
 
 
+def _brownian_factor(ticks: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of min(p_i, p_j) on increasing points p > 0.
+
+    min(p_i, p_j) is the sum of the increments p_k - p_(k-1), p_(-1) = 0,
+    over k <= min(i, j), so L[i, j] = sqrt(p_j - p_(j-1)) for j <= i; it is
+    exact, and needs no jitter.
+    """
+    _check_wiener_domain(ticks)
+    steps = np.sqrt(np.diff(ticks, prepend=0.0))
+    return np.tril(np.broadcast_to(steps, (ticks.shape[0], ticks.shape[0])))
+
+
 def _draw_normals(seed: int, index: int, n: int) -> np.ndarray:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     return np.random.Generator(np.random.Philox(ss)).standard_normal(n)
@@ -354,11 +405,15 @@ def _factorise(expr: Kernel, grid: Grid, cross, dense_gram):
     """(lower factor, jitter_used) of the covariance cross(X, Y) on the grid.
 
     A stationary expression on a 1-D grid is factored by the Schur algorithm
-    from its values at the lags k * spacing alone; anything else is
+    from its values at the lags k * spacing alone, and the Wiener kernel by
+    its exact Brownian factor; anything else is
     cholesky_with_jitter(dense_gram()).
     """
     if expr.dim != grid.dim:
         raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
+    # the Wiener kernel admits only alpha = 0, where cross is the kernel
+    if isinstance(expr, Wiener):
+        return _brownian_factor(grid.axes[0].ticks()), 0.0
     if grid.dim == 1 and isinstance(classify(expr), Stationary):
         return _toeplitz_cholesky(_half_lag_table(grid, _lag_function(cross, 1)))
     return cholesky_with_jitter(dense_gram())

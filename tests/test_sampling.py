@@ -91,6 +91,32 @@ class TestBuildGram:
         assert np.max(np.abs(gram - pairwise(expr, pts, pts))) <= 1e-12
         assert np.array_equal(gram, gram.T)
 
+    # non-stationary composites are assembled from their children's Grams;
+    # the pointwise evaluation of the whole expression is the reference
+    @pytest.mark.parametrize(
+        "text, grid",
+        [
+            (text, grid)
+            for text in (
+                "matern(nu=1.5) + wiener()",
+                "matern(nu=0.5) * wiener()",
+                "(se() + wiener()) * matern(nu=1.5)",
+                "2*se() + linear()",
+            )
+            for grid in (
+                Grid((Axis(0.25, 1.25, 1025),)),
+                Grid((Axis(0.1, 3.0, 700),)),
+            )
+        ],
+    )
+    def test_per_term_gram_matches_pairwise(self, text, grid):
+        expr = parse_kernel(text)
+        gram = build_gram(expr, grid)
+        pts = grid.points()
+        reference = pairwise(expr, pts, pts)
+        assert np.max(np.abs(gram - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert np.array_equal(gram, gram.T)
+
     def test_domain_violation_propagates(self):
         with pytest.raises(DomainError):
             build_gram(parse_kernel("wiener()"), Grid((Axis(0.0, 1.0, 5),)))
@@ -220,7 +246,25 @@ class TestToeplitzCholesky:
             sampling._toeplitz_cholesky(np.array(column))
         assert str(schur.value) == str(dense.value)
 
-    # the 1-D stationary paths factor the lag column; a dense Gram is waste
+    # the Wiener kernel's exact factor against LAPACK's on its dense Gram:
+    # bitwise where every increment is a power of two
+    @pytest.mark.parametrize(
+        "grid, rel",
+        [
+            (Grid((Axis(0.25, 1.25, 4097),)), 0.0),
+            (Grid((Axis(0.1, 3.0, 700),)), 1e-13),
+            (Grid((Axis(0.5, 40.0, 1000),)), 1e-13),
+        ],
+    )
+    def test_brownian_factor_matches_dense(self, grid, rel):
+        expr = parse_kernel("wiener()")
+        lower, jitter = sampling._factorise(expr, grid, None, None)
+        dense, dense_jitter = cholesky_with_jitter(build_gram(expr, grid))
+        assert jitter == dense_jitter == 0.0
+        assert np.max(np.abs(lower - dense)) <= rel * np.max(np.abs(dense))
+
+    # the 1-D stationary paths factor the lag column and the Wiener kernel
+    # has an exact factor; a dense Gram is waste
     def test_no_dense_gram(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("dense Gram built")
@@ -234,6 +278,13 @@ class TestToeplitzCholesky:
         sample_paths(
             parse_kernel("tensor(se(), matern(nu=0.5))"),
             Grid((Axis(0.0, 1.0, 9), Axis(0.0, 1.0, 7))),
+            2,
+            1,
+        )
+        sample_paths(parse_kernel("wiener()"), grid, 2, 1)
+        sample_paths(
+            parse_kernel("tensor(wiener(), se())"),
+            Grid((Axis(0.5, 1.0, 9), Axis(0.0, 1.0, 7))),
             2,
             1,
         )
@@ -264,8 +315,11 @@ class TestSamplePaths:
             lambda c: sample_derivative_paths(
                 parse_kernel("se()"), 1, Grid((Axis(0.0, 1.0, 257),)), c, 9
             ),
+            lambda c: sample_paths(
+                parse_kernel("wiener()"), Grid((Axis(0.1, 3.0, 257),)), c, 9
+            ),
         ],
-        ids=["dense", "kronecker", "derivative"],
+        ids=["dense", "kronecker", "derivative", "wiener"],
     )
     def test_draws_keyed_independently_of_count(self, draw):
         few = draw(2)
@@ -297,6 +351,14 @@ class TestSamplePaths:
         with pytest.raises(KernelError, match="kernel has dimension 2 but the grid is 1-D"):
             sample_paths(parse_kernel("se(dim=2)"), Grid((Axis(0.0, 1.0, 5),)), 2, 1)
 
+    # the exact Wiener factor keeps the kernel's domain check
+    def test_wiener_domain(self):
+        with pytest.raises(DomainError) as raised:
+            sample_paths(parse_kernel("wiener()"), Grid((Axis(0.0, 1.0, 9),)), 2, 1)
+        with pytest.raises(DomainError) as reference:
+            pairwise(parse_kernel("wiener()"), [0.0], [1.0])
+        assert str(raised.value) == str(reference.value)
+
     def test_tensor_factorisation_matches_dense_gram(self):
         expr = parse_kernel("tensor(wendland(d=1,n=0), wendland(d=1,n=1))")
         grid = Grid((Axis(0.0, 1.0, 9), Axis(0.0, 1.0, 7)))
@@ -317,7 +379,12 @@ class TestSamplePaths:
 class TestDerivativePaths:
     # 1-D derivative paths are factored from the lag column without a Gram;
     # the factor, jitter taken off, must reproduce the pointwise matrix
-    @pytest.mark.parametrize("text, alpha", [("matern(nu=1.5)", 1), ("se()", 2)])
+    # a non-stationary sum and product keep the pointwise derivative Gram:
+    # the derivative covariance of a product is not a product of Grams
+    @pytest.mark.parametrize(
+        "text, alpha",
+        [("matern(nu=1.5)", 1), ("se()", 2), ("linear() + se()", 1), ("linear() * se()", 1)],
+    )
     def test_lag_table_matches_derivative_kernel_matrix(self, text, alpha, monkeypatch):
         factorise = sampling._factorise
         factors = []
