@@ -538,11 +538,11 @@ def _pairwise(expr: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         _check_wiener_domain(Y)
         return np.minimum(X[:, 0][:, None], Y[:, 0][None, :])
     if isinstance(expr, Linear):
-        return X @ Y.T
+        return _inner(X, Y)
     if isinstance(expr, Polynomial):
-        return (1.0 + X @ Y.T) ** expr.m
+        return (1.0 + _inner(X, Y)) ** expr.m
     if isinstance(expr, Feature):
-        return expr.feature_map(X) @ expr.feature_map(Y).T
+        return _inner(expr.feature_map(X), expr.feature_map(Y))
     if isinstance(expr, Conic):
         acc = expr.weights[0] * _pairwise(expr.terms[0], X, Y)
         for w, c in zip(expr.weights[1:], expr.terms[1:]):
@@ -564,6 +564,16 @@ def _pairwise(expr: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     if isinstance(expr, Warp):
         return _pairwise(expr.child, expr.apply(X), expr.apply(Y))
     raise TypeError(f"not a kernel expression: {expr!r}")
+
+
+def _inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # A @ B.T summed one column at a time, so an entry does not depend on
+    # the shape of the block it sits in: BLAS picks dot, gemv or gemm by
+    # shape, and these round differently
+    acc = A[:, 0, None] * B[None, :, 0]
+    for j in range(1, A.shape[1]):
+        acc += A[:, j, None] * B[None, :, j]
+    return acc
 
 
 def eval_kernel(expr: Kernel, x, y) -> float:

@@ -186,7 +186,7 @@ def build_gram(expr: Kernel, grid: Grid) -> np.ndarray:
     Grams, combined in the order ``pairwise`` combines their values, so a
     stationary child still takes its lag table.  Other expressions are
     evaluated pointwise in row blocks, which bounds temporary memory, and
-    their strict upper triangle is mirrored.
+    their strict upper triangle is mirrored in place.
     """
     if expr.dim != grid.dim:
         raise KernelError(
@@ -224,7 +224,14 @@ def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
     for lo in range(0, n, _GRAM_BLOCK_ROWS):
         hi = min(lo + _GRAM_BLOCK_ROWS, n)
         gram[lo:hi] = cross(pts[lo:hi], pts)
-    return np.triu(gram) + np.triu(gram, 1).T
+        # mirror the strict upper triangle in place: the rows above this
+        # block hold its left part, its own rows the diagonal block's
+        gram[lo:hi, :lo] = gram[:lo, lo:hi].T
+        for i in range(lo + 1, hi):
+            gram[i, lo:i] = gram[lo:i, i]
+    # adding +0.0 turns -0.0 into +0.0, as the triangle sum this replaced did
+    np.add(gram, 0.0, out=gram)
+    return gram
 
 
 def _lag_function(cross, dim: int):

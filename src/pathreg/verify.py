@@ -25,10 +25,20 @@ step widened for higher orders to balance truncation against rounding.
 Scales whose estimated rounding noise pollutes the deviation are dropped,
 as is the small end of the window while the fit residual exceeds the
 configured cap.
+
+Stationary and isotropic kernels reduce to one lag profile.  General
+(non-stationary) kernels are checked at fixed probe points, and their
+kernel values come in blocks: each finite-difference stencil, each
+diagonal second difference and each difference-quotient lattice is one
+``pairwise`` call over its distinct points, whose entries equal the
+single-point values bitwise.  Each probe's deviation series is computed
+once; the all-probe series is their elementwise maximum, and the same
+per-probe series give the probe slopes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -215,7 +225,8 @@ def kernel_derivative(
 
     alpha acts on the first argument, beta on the second.  Returns
     (value, stable, spread) where stable means two successive Richardson
-    refinements agreed to the configured relative tolerance.
+    refinements agreed to the configured relative tolerance.  Each
+    refinement level evaluates its stencil as one ``pairwise`` block.
     """
     alpha = _as_multiindex(alpha, expr.dim)
     beta = _as_multiindex(beta, expr.dim)
@@ -230,40 +241,57 @@ def kernel_derivative(
         return eval_kernel(expr, x, y), True, 0.0
     if step is None:
         step = _BASE_STEPS[min(npow, MAX_RADIAL_ORDER)]
-
-    terms = [(np.zeros_like(x), np.zeros_like(y), 1.0)]
-    for i, a in enumerate(alpha):
-        if a == 0:
-            continue
-        offsets, weights = _STENCILS[int(a)]
-        terms = [
-            (ox + o * _unit(expr.dim, i), oy, c * w)
-            for ox, oy, c in terms
-            for o, w in zip(offsets, weights)
-            if w != 0.0
-        ]
-    for i, b in enumerate(beta):
-        if b == 0:
-            continue
-        offsets, weights = _STENCILS[int(b)]
-        terms = [
-            (ox, oy + o * _unit(expr.dim, i), c * w)
-            for ox, oy, c in terms
-            for o, w in zip(offsets, weights)
-            if w != 0.0
-        ]
-
-    off_x = np.stack([ox for ox, _oy, _c in terms])
-    off_y = np.stack([oy for _ox, oy, _c in terms])
-    coeffs = np.array([c for _ox, _oy, c in terms])
+    off_x, off_y, coeffs = _stencil_terms(tuple(alpha.tolist()), tuple(beta.tolist()))
 
     def sample(s: float) -> float:
-        vals = np.array(
-            [eval_kernel(expr, x + off_x[t] * s, y + off_y[t] * s) for t in range(len(coeffs))]
-        )
+        # term t pairs x offset t // len(off_y) with y offset t % len(off_y),
+        # so the raveled block lists the term values in coefficient order
+        vals = pairwise(expr, x + off_x * s, y + off_y * s).ravel()
         return float(np.dot(coeffs, vals)) / s**npow
 
     return _richardson(sample, step, 1e-4)
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_terms(alpha: tuple[int, ...], beta: tuple[int, ...]):
+    """Distinct x offsets, distinct y offsets and term coefficients of the
+    nested central differences for d^(alpha, beta).
+
+    The terms are the Cartesian product of the per-axis stencils, alpha's
+    axes first and each axis varying fastest within the one before it, so
+    the x offsets times the y offsets enumerate them in order.  Arrays are
+    read-only because the cache shares them.
+    """
+    dim = len(alpha)
+    terms = [(np.zeros(dim), np.zeros(dim), 1.0)]
+    for i, a in enumerate(alpha):
+        if a == 0:
+            continue
+        offsets, weights = _STENCILS[a]
+        terms = [
+            (ox + o * _unit(dim, i), oy, c * w)
+            for ox, oy, c in terms
+            for o, w in zip(offsets, weights)
+            if w != 0.0
+        ]
+    n_x = len(terms)
+    for i, b in enumerate(beta):
+        if b == 0:
+            continue
+        offsets, weights = _STENCILS[b]
+        terms = [
+            (ox, oy + o * _unit(dim, i), c * w)
+            for ox, oy, c in terms
+            for o, w in zip(offsets, weights)
+            if w != 0.0
+        ]
+    n_y = len(terms) // n_x
+    off_x = np.stack([ox for ox, _oy, _c in terms[::n_y]])
+    off_y = np.stack([oy for _ox, oy, _c in terms[:n_y]])
+    coeffs = np.array([c for _ox, _oy, c in terms])
+    for arr in (off_x, off_y, coeffs):
+        arr.setflags(write=False)
+    return off_x, off_y, coeffs
 
 
 def _unit(dim: int, i: int) -> np.ndarray:
@@ -296,15 +324,11 @@ def second_difference(expr: Kernel, x, h, alpha) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     h = np.asarray(h, dtype=float).reshape(-1)
     alpha = _as_multiindex(alpha, expr.dim)
-    if alpha.sum() == 0:
-        xh = x + h
-        return (
-            eval_kernel(expr, xh, xh)
-            - eval_kernel(expr, xh, x)
-            - eval_kernel(expr, x, xh)
-            + eval_kernel(expr, x, x)
-        )
     xh = x + h
+    if alpha.sum() == 0:
+        pts = np.stack([xh, x])
+        (k_hh, k_h0), (k_0h, k_00) = pairwise(expr, pts, pts).tolist()
+        return k_hh - k_h0 - k_0h + k_00
     corners = [(xh, xh, 1.0), (xh, x, -1.0), (x, xh, -1.0), (x, x, 1.0)]
     acc = 0.0
     for a, b, sign in corners:
@@ -443,12 +467,13 @@ def _ms_quotient_1d(profile, n: int, h: float) -> tuple[float, float]:
 def _ms_quotient_general(expr: Kernel, x: np.ndarray, axis: int, n: int, h: float):
     w = _binom_weights(n)
     e = _unit(expr.dim, axis)
-    pts = [x + j * h * e for j in range(n + 1)]
+    pts = np.stack([x + j * h * e for j in range(n + 1)])
+    block = pairwise(expr, pts, pts).tolist()
     acc = 0.0
     kmax = 0.0
     for j in range(n + 1):
         for k in range(n + 1):
-            val = eval_kernel(expr, pts[j], pts[k])
+            val = block[j][k]
             kmax = max(kmax, abs(val))
             acc += w[j] * w[k] * val
     noise = (float(np.sum(np.abs(w))) ** 2) * _EPS * max(1.0, kmax)
@@ -570,19 +595,29 @@ def _deviation_series(expr: Kernel, n: int, cfg: VerifyConfig, x: np.ndarray | N
                 worst_noise = max(worst_noise, n0 + nh)
             rows.append((h, best, worst_noise))
         return rows
-    xs = [x] if x is not None else list(_probe_points(expr, cfg))
+    if x is None:
+        return _max_series(
+            [_deviation_series(expr, n, cfg, x=base) for base in _probe_points(expr, cfg)]
+        )
     corner_noise = 4.0 * _fd_noise(2 * n, _BASE_STEPS[min(2 * n, MAX_RADIAL_ORDER)]) if n else 4.0 * _EPS
     for h in hs:
         best = 0.0
-        for base in xs:
-            for axis in range(expr.dim):
-                alpha = np.zeros(expr.dim, dtype=int)
-                alpha[axis] = n
-                val = second_difference(expr, base, h * _unit(expr.dim, axis), alpha)
-                if math.isfinite(val):
-                    best = max(best, abs(val))
+        for axis in range(expr.dim):
+            alpha = np.zeros(expr.dim, dtype=int)
+            alpha[axis] = n
+            val = second_difference(expr, x, h * _unit(expr.dim, axis), alpha)
+            if math.isfinite(val):
+                best = max(best, abs(val))
         rows.append((h, best, corner_noise))
     return rows
+
+
+def _max_series(per_probe: list[list[tuple[float, float, float]]]):
+    # the all-probe deviation at each lag is the largest per-probe one; the
+    # general path's noise estimate does not depend on the probe
+    return [
+        (rows[0][0], max(r[1] for r in rows), rows[0][2]) for rows in zip(*per_probe)
+    ]
 
 
 def _stationary_axis_derivative(
@@ -619,7 +654,12 @@ def estimate_diagonal_exponent(
     """
     cfg = cfg or VerifyConfig()
     base = None if x is None else np.asarray(x, dtype=float).reshape(-1)
-    rows = _deviation_series(expr, n, cfg, x=base)
+    return _fit_series(_deviation_series(expr, n, cfg, x=base), n, cfg)
+
+
+def _fit_series(rows, n: int, cfg: VerifyConfig) -> ExponentFit:
+    """Fit of a deviation series: drop noisy or underflowing scales, then
+    trim the small end while the residual exceeds the cap."""
     floor = 50.0 * _EPS
     pts = [(h, v) for h, v, noise in rows if v > max(cfg.snr_min * noise, floor)]
     if not pts:
@@ -673,9 +713,17 @@ def verify_regularity(
             smooth_to_order=cfg.max_order if n_hat >= cfg.max_order else None,
         )
 
+    # the all-probe series of a non-stationary kernel is the elementwise max
+    # of the per-probe series, which also give the probe slopes below
+    per_probe = []
+    if isinstance(cls, Stationary):
+        rows = _deviation_series(expr, n_hat, cfg)
+    else:
+        per_probe = [_deviation_series(expr, n_hat, cfg, x=b) for b in _probe_points(expr, cfg)]
+        rows = _max_series(per_probe)
     saturated_cap = False
     try:
-        fit = estimate_diagonal_exponent(expr, n_hat, cfg)
+        fit = _fit_series(rows, n_hat, cfg)
         total = n_hat + fit.slope / 2.0
     except SmoothToOrder:
         fit = None
@@ -702,12 +750,11 @@ def verify_regularity(
         ok = abs(total - float(target)) <= tol
 
     probe_slopes: tuple[float, ...] = ()
-    if not isinstance(cls, Stationary) and fit is not None:
+    if per_probe and fit is not None:
         slopes = []
-        for base in _probe_points(expr, cfg):
+        for series in per_probe:
             try:
-                pfit = estimate_diagonal_exponent(expr, n_hat, cfg, x=base)
-                slopes.append(pfit.slope)
+                slopes.append(_fit_series(series, n_hat, cfg).slope)
             except (SmoothToOrder, KernelError, ValueError):
                 continue
         probe_slopes = tuple(slopes)

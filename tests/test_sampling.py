@@ -1,6 +1,7 @@
 """Gram assembly, jittered factorisation, reproducible draws, serialisation."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from pathreg import sampling
 from pathreg.dsl import parse_kernel
-from pathreg.kernels import DomainError, KernelError, pairwise
+from pathreg.kernels import DomainError, KernelError, Stationary, classify, pairwise
 from pathreg.sampling import (
     _DRAW_BLOCK,
     Axis,
@@ -59,6 +60,58 @@ class TestBuildGram:
         grid = Grid((Axis(0.1, 2.0, 40),))
         gram = build_gram(parse_kernel("matern(nu=1.5) + wiener()"), grid)
         assert np.array_equal(gram, gram.T)
+
+    # the pointwise path mirrors its strict upper triangle in place; the
+    # reference is the triangle sum it replaced, over the same row blocks.
+    # Across the origin the linear kernel has -0.0 entries, which that sum
+    # turned into +0.0
+    @pytest.mark.parametrize("text", ["linear()", "2*se() + linear()"])
+    @pytest.mark.parametrize("grid", [Grid((Axis(0.25, 1.25, 1025),)), Grid((Axis(-1.0, 1.0, 1025),))])
+    def test_pointwise_mirror_matches_triangle_sum(self, text, grid, monkeypatch):
+        expr = parse_kernel(text)
+        gram = build_gram(expr, grid)
+        assemble = sampling._assemble_gram
+
+        def triangle_sum(expr, grid, cross):
+            if isinstance(classify(expr), Stationary):
+                return assemble(expr, grid, cross)
+            pts = grid.points()
+            n = pts.shape[0]
+            full = np.empty((n, n))
+            for lo in range(0, n, sampling._GRAM_BLOCK_ROWS):
+                full[lo : lo + sampling._GRAM_BLOCK_ROWS] = cross(
+                    pts[lo : lo + sampling._GRAM_BLOCK_ROWS], pts
+                )
+            return np.triu(full) + np.triu(full, 1).T
+
+        monkeypatch.setattr(sampling, "_assemble_gram", triangle_sum)
+        assert gram.tobytes() == build_gram(expr, grid).tobytes()
+
+    def test_pointwise_mirror_copies_upper_triangle(self):
+        # kernel values are symmetric bitwise, so an asymmetric cross shows
+        # which triangle is kept, across three row blocks
+        grid = Grid((Axis(-1.0, 1.0, 2 * sampling._GRAM_BLOCK_ROWS + 52),))
+        pts = grid.points()
+
+        def cross(X, Y):
+            return X[:, 0, None] - 2.0 * Y[None, :, 0]
+
+        full = cross(pts, pts)
+        gram = sampling._assemble_gram(parse_kernel("linear()"), grid, cross)
+        assert gram.tobytes() == (np.triu(full) + np.triu(full, 1).T).tobytes()
+
+    def test_pointwise_gram_peak_memory(self):
+        # the Gram plus one block of _GRAM_BLOCK_ROWS rows (a quarter of the
+        # rows here); the triangle sum peaked at over three Gram sizes
+        grid = Grid((Axis(0.25, 1.25, 4097),))
+        expr = parse_kernel("linear()")
+        tracemalloc.start()
+        try:
+            gram = build_gram(expr, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * gram.nbytes
 
     # stationary Grams are gathered from a lag table; the pointwise
     # evaluation of the same expression is the reference

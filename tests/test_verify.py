@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from pathreg import verify as V
 from pathreg.dsl import parse_kernel
-from pathreg.kernels import KernelError
+from pathreg.kernels import KernelError, eval_kernel
 from pathreg.verify import (
     SmoothToOrder,
     VerifyConfig,
@@ -238,3 +239,181 @@ class TestVerifyRegularity:
         tight = VerifyConfig(tol=1e-6)
         report = verify_regularity(parse_kernel("matern(nu=1.5)"), cfg=tight)
         assert report.verdict == "fail"
+
+
+# --- batched evaluation against per-term scalar references -----------------
+
+
+def _scalar_kernel_derivative(expr, x, y, alpha, beta):
+    # one eval_kernel call per stencil term, as the batched path replaced
+    alpha = V._as_multiindex(alpha, expr.dim)
+    beta = V._as_multiindex(beta, expr.dim)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    npow = int(alpha.sum() + beta.sum())
+    if npow == 0:
+        return eval_kernel(expr, x, y), True, 0.0
+    step = V._BASE_STEPS[min(npow, V.MAX_RADIAL_ORDER)]
+    terms = [(np.zeros_like(x), np.zeros_like(y), 1.0)]
+    for which, index in ((0, alpha), (1, beta)):
+        for i, a in enumerate(index):
+            if a == 0:
+                continue
+            offsets, weights = V._STENCILS[int(a)]
+            terms = [
+                (ox + o * V._unit(expr.dim, i), oy, c * w) if which == 0
+                else (ox, oy + o * V._unit(expr.dim, i), c * w)
+                for ox, oy, c in terms
+                for o, w in zip(offsets, weights)
+                if w != 0.0
+            ]
+    coeffs = np.array([c for _ox, _oy, c in terms])
+
+    def sample(s):
+        vals = np.array([eval_kernel(expr, x + ox * s, y + oy * s) for ox, oy, _c in terms])
+        return float(np.dot(coeffs, vals)) / s**npow
+
+    return V._richardson(sample, step, 1e-4)
+
+
+def _scalar_second_difference(expr, x, h, alpha):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    xh = x + np.asarray(h, dtype=float).reshape(-1)
+    if V._as_multiindex(alpha, expr.dim).sum() == 0:
+        return (
+            eval_kernel(expr, xh, xh)
+            - eval_kernel(expr, xh, x)
+            - eval_kernel(expr, x, xh)
+            + eval_kernel(expr, x, x)
+        )
+    acc = 0.0
+    for a, b, sign in [(xh, xh, 1.0), (xh, x, -1.0), (x, xh, -1.0), (x, x, 1.0)]:
+        acc += sign * _scalar_kernel_derivative(expr, a, b, alpha, alpha)[0]
+    return acc
+
+
+def _scalar_cross_difference_bound(expr, x, h, alpha, beta):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    xh = x + np.asarray(h, dtype=float).reshape(-1)
+    cross = 0.0
+    for a, b, sign in [(xh, xh, 1.0), (xh, x, -1.0), (x, xh, -1.0), (x, x, 1.0)]:
+        cross += sign * _scalar_kernel_derivative(expr, a, b, alpha, beta)[0]
+    diag_a = _scalar_second_difference(expr, x, h, alpha)
+    diag_b = _scalar_second_difference(expr, x, h, beta)
+    return abs(cross), math.sqrt(max(diag_a, 0.0) * max(diag_b, 0.0))
+
+
+def _scalar_ms_quotient(expr, x, axis, n, h):
+    w = V._binom_weights(n)
+    e = V._unit(expr.dim, axis)
+    pts = [x + j * h * e for j in range(n + 1)]
+    acc = 0.0
+    kmax = 0.0
+    for j in range(n + 1):
+        for k in range(n + 1):
+            val = eval_kernel(expr, pts[j], pts[k])
+            kmax = max(kmax, abs(val))
+            acc += w[j] * w[k] * val
+    noise = (float(np.sum(np.abs(w))) ** 2) * V._EPS * max(1.0, kmax)
+    return acc / h ** (2 * n), noise / h ** (2 * n)
+
+
+GENERAL_1D = [
+    "warp(matern(nu=1.5), abs_power(beta=0.5))",
+    "feature(family=trig,degree=2)",
+    "poly(m=2)",
+    "wiener() + linear()",
+]
+TENSOR_2D = "tensor(matern(nu=0.5), matern(nu=1.5))"
+ORDERS_2D = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 3), (2, 1), (1, 2)]
+
+
+class TestBatchedStencils:
+    """The general path evaluates each stencil as one pairwise block; every
+    value must equal the per-term scalar evaluation bitwise."""
+
+    @pytest.mark.parametrize("text", GENERAL_1D)
+    def test_kernel_derivative_1d(self, text):
+        expr = parse_kernel(text)
+        for x, y in [(0.4, 0.7), (0.6, 0.6)]:
+            for a in range(4):
+                for b in range(4):
+                    got = kernel_derivative(expr, x, y, a, b)
+                    assert got == _scalar_kernel_derivative(expr, x, y, a, b), (x, y, a, b)
+
+    def test_kernel_derivative_tensor(self):
+        expr = parse_kernel(TENSOR_2D)
+        x, y = [0.4, 0.55], [0.7, 0.3]
+        for a in ORDERS_2D:
+            for b in ORDERS_2D:
+                got = kernel_derivative(expr, x, y, a, b)
+                assert got == _scalar_kernel_derivative(expr, x, y, a, b), (a, b)
+
+    @pytest.mark.parametrize("text", GENERAL_1D)
+    def test_second_difference_and_quotient_1d(self, text):
+        expr = parse_kernel(text)
+        x = np.array([0.45])
+        for h in [2.0**-4, 2.0**-9]:
+            for a in range(4):
+                assert second_difference(expr, x, h, a) == _scalar_second_difference(
+                    expr, x, h, a
+                ), (h, a)
+            for n in range(1, 4):
+                assert V._ms_quotient_general(expr, x, 0, n, h) == _scalar_ms_quotient(
+                    expr, x, 0, n, h
+                ), (h, n)
+
+    def test_second_difference_and_quotient_tensor(self):
+        expr = parse_kernel(TENSOR_2D)
+        x = np.array([0.4, 0.55])
+        for h in [[2.0**-4, 0.0], [0.0, 2.0**-7], [2.0**-5, 2.0**-5]]:
+            for a in ORDERS_2D:
+                assert second_difference(expr, x, h, a) == _scalar_second_difference(
+                    expr, x, h, a
+                ), (h, a)
+        for axis in range(2):
+            for n in range(1, 4):
+                assert V._ms_quotient_general(expr, x, axis, n, 2.0**-6) == _scalar_ms_quotient(
+                    expr, x, axis, n, 2.0**-6
+                ), (axis, n)
+
+
+class TestSingleProbePass:
+    """verify_regularity computes each probe's deviation series once; its
+    fit and probe slopes must equal the per-probe estimates."""
+
+    @pytest.mark.parametrize("text", ["warp(matern(nu=1.5), abs_power(beta=0.5))", "wiener()"])
+    def test_probe_slopes_and_fit(self, text):
+        expr = parse_kernel(text)
+        report = verify_regularity(expr, cfg=CFG)
+        n = report.detected_order_n
+        expected = [
+            estimate_diagonal_exponent(expr, n, CFG, x=b).slope
+            for b in V._probe_points(expr, CFG)
+        ]
+        assert len(expected) == CFG.n_probes
+        assert list(report.probe_slopes) == expected
+        assert report.exponent_fit == estimate_diagonal_exponent(expr, n, CFG)
+        # the all-probe series against one max over every probe and axis
+        lo, hi = CFG.window
+        hs = [2.0**-j for j in range(lo, hi + 1)]
+        series = V._deviation_series(expr, n, CFG)
+        assert len(series) == len(hs)
+        for row, h in zip(series, hs):
+            best = 0.0
+            for base in V._probe_points(expr, CFG):
+                for axis in range(expr.dim):
+                    alpha = np.zeros(expr.dim, dtype=int)
+                    alpha[axis] = n
+                    val = second_difference(expr, base, h * V._unit(expr.dim, axis), alpha)
+                    if math.isfinite(val):
+                        best = max(best, abs(val))
+            assert row[:2] == (h, best)
+
+    @pytest.mark.parametrize("text", ["warp(matern(nu=1.5), abs_power(beta=0.5))", "wiener()"])
+    def test_cross_difference_bound_matches_scalar(self, text):
+        expr = parse_kernel(text)
+        for h in [0.25, 2.0**-6]:
+            for a, b in [(0, 1), (1, 2), (0, 3)]:
+                got = V.cross_difference_bound(expr, 0.5, h, a, b)
+                assert got == _scalar_cross_difference_bound(expr, 0.5, h, a, b), (h, a, b)
