@@ -67,6 +67,7 @@ from .structure import (
     structure_function,
 )
 from .verify import (
+    BeyondProbeRange,
     ExponentFit,
     SmoothToOrder,
     VerifyConfig,

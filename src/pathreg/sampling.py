@@ -83,6 +83,7 @@ __all__ = [
 ]
 
 MAX_GRID_POINTS = 128 * 128
+# rows per pointwise Gram fill block, at most an eighth of the Gram's rows
 _GRAM_BLOCK_ROWS = 1024
 _DRAW_BLOCK = 50
 _MAX_REL_JITTER = 1e-6
@@ -221,8 +222,9 @@ def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
     pts = grid.points()
     n = pts.shape[0]
     gram = np.empty((n, n))
-    for lo in range(0, n, _GRAM_BLOCK_ROWS):
-        hi = min(lo + _GRAM_BLOCK_ROWS, n)
+    rows = min(_GRAM_BLOCK_ROWS, -(-n // 8))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         gram[lo:hi] = cross(pts[lo:hi], pts)
         # mirror the strict upper triangle in place: the rows above this
         # block hold its left part, its own rows the diagonal block's

@@ -33,10 +33,18 @@ __all__ = [
 # t = 0 node is the full-line rule: no cancellation, geometric convergence.
 # The log-integrand peaks near t* = asinh(nu/rho) with curvature about
 # hypot(rho, nu); the nodes stop where a Gaussian of that curvature has
-# fallen by e^{-_K_TAIL}.  Step and cut-off depend only on (nu, rho_i), so
-# an element's value does not depend on the array it arrives in.
+# fallen by e^{-_K_TAIL}.  Beyond the peak the integrand decays
+# double-exponentially (its logarithm drops by at least
+# kappa (e^s - 1 - s) a distance s past the peak), so the curvature is
+# floored at _K_KAPPA_MIN: that bounds the cut-off as nu and rho both go to
+# zero (K_0 at small rho), where the nodes then reach sqrt(800) ~ 28 past
+# the peak and that drop exceeds _K_TAIL for any kappa above 1e-10, and
+# never binds for nu >= _K_KAPPA_MIN.  Step and
+# cut-off depend only on (nu, rho_i), so an element's value does not depend
+# on the array it arrives in.
 _K_NODES = 128
 _K_TAIL = 40.0
+_K_KAPPA_MIN = 0.1
 _K_CHUNK = 512  # arguments per (chunk, node) temporary
 
 
@@ -55,8 +63,8 @@ def gamma(x: float) -> float:
 
 
 def _validate_bessel_args(nu: float, rho: np.ndarray) -> None:
-    if not math.isfinite(nu) or nu <= 0.0:
-        raise ValueError(f"bessel_k: order must be a positive finite real, got {nu!r}")
+    if not math.isfinite(nu) or nu < 0.0:
+        raise ValueError(f"bessel_k: order must be a non-negative finite real, got {nu!r}")
     if rho.size and (not np.all(np.isfinite(rho)) or np.any(rho <= 0.0)):
         raise ValueError("bessel_k: argument must be positive and finite")
 
@@ -64,9 +72,10 @@ def _validate_bessel_args(nu: float, rho: np.ndarray) -> None:
 def bessel_k(nu: float, rho):
     """Modified Bessel function of the second kind, K_nu(rho).
 
-    nu must be positive; rho positive (scalar or ndarray).  Relative error
-    is at or below 1e-13 for nu in [0.1, 20] and rho in [1e-6, 700] (near
-    1e-14 for nu <= 12); beyond rho ~ 705 the value underflows to zero.
+    nu must be non-negative; rho positive (scalar or ndarray).  Relative
+    error is at or below 1e-13 for nu in [0, 20] and rho in [1e-6, 700]
+    (near 1e-14 for nu <= 12); beyond rho ~ 705 the value underflows to
+    zero.
     """
     nu = float(nu)
     arr = np.asarray(rho, dtype=float)
@@ -76,9 +85,8 @@ def bessel_k(nu: float, rho):
     k = np.arange(_K_NODES)
     for lo in range(0, flat.size, _K_CHUNK):
         r = flat[lo:lo + _K_CHUNK, None]
-        step = (np.arcsinh(nu / r) + np.sqrt(2.0 * _K_TAIL / np.hypot(r, nu))) / (
-            _K_NODES - 1
-        )
+        kappa = np.maximum(np.hypot(r, nu), _K_KAPPA_MIN)
+        step = (np.arcsinh(nu / r) + np.sqrt(2.0 * _K_TAIL / kappa)) / (_K_NODES - 1)
         t = step * k
         a = -2.0 * r * np.sinh(0.5 * t) ** 2  # -rho (cosh t - 1)
         f = np.exp(a + nu * t) + np.exp(a - nu * t)  # 2 cosh(nu t) e^a

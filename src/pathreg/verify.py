@@ -2,10 +2,11 @@
 
 Turns the kernel-side characterisation into executable checks: the diagonal
 second difference k(x+h,x+h) - k(x+h,x) - k(x,x+h) + k(x,x) (equal to
-E(f(x+h) - f(x))^2), finite-difference kernel derivatives with Richardson
-extrapolation, detection of the deepest stable derivative order, and a
-log-log regression of the order-n diagonal deviation against the lag, whose
-slope estimates twice the fractional part of the sample-path order.
+E(f(x+h) - f(x))^2), kernel derivatives (exact for stationary kernels,
+finite differences otherwise), detection of the deepest stable derivative
+order, and a log-log regression of the order-n diagonal deviation against
+the lag, whose slope estimates twice the fractional part of the
+sample-path order.
 
 Order detection deliberately avoids finite-difference steps: it tracks the
 mean-square difference quotients
@@ -18,22 +19,37 @@ diagonal derivatives of the kernel exist and are continuous.  A divergent or
 non-Cauchy quotient sequence (the integer-order Matern case drifts
 logarithmically) rejects the order.
 
-Derivative values for the exponent regression are exact for Wendland
-subtrees (differentiating the stored rational polynomial, with parity
-accounting at the origin) and finite differences elsewhere, with the base
-step widened for higher orders to balance truncation against rounding.
+The lags are h = l_min 2^-j, l_min being the expression's smallest
+lengthscale (1 when it has none), and quotients and deviations are taken in
+units of l_min, so a lengthscale moves neither the window nor the noise
+floors relative to the kernel.
+
+Stationary and isotropic kernels reduce to one lag profile phi(t) =
+k(t e_1, 0): every stationary expression is isotropic or 1-D.  Its
+quotient lattice {d h} for one order comes from one array call, and the
+deviation |phi^(2n)(h) - phi^(2n)(0)| from exact derivatives: each leaf
+differentiates its profile in closed form (Matern through the Bessel order
+recursion, SE and RQ in u = a t^2, Wendland its stored rational polynomial,
+periodic as e^-u with u = sin^2(pi t / l)), conic combinations sum the
+children's derivatives and products combine them by Leibniz's rule, and
+each derivative carries the magnitude of the terms summed into it, which
+sets its rounding-noise estimate, and whether it exists at the origin.
+
+General (non-stationary) kernels are checked at fixed probe points with
+finite-difference kernel derivatives and Richardson extrapolation, the
+base step widened for higher orders to balance truncation against
+rounding.  Their kernel values come in blocks: each finite-difference
+stencil, each diagonal second difference and each difference-quotient
+lattice is one ``pairwise`` call over its distinct points, whose entries
+equal the single-point values bitwise.  Each probe's deviation series is
+computed once; the all-probe series is their elementwise maximum, and the
+same per-probe series give the probe slopes.
+
 Scales whose estimated rounding noise pollutes the deviation are dropped,
 as is the small end of the window while the fit residual exceeds the
-configured cap.
-
-Stationary and isotropic kernels reduce to one lag profile.  General
-(non-stationary) kernels are checked at fixed probe points, and their
-kernel values come in blocks: each finite-difference stencil, each
-diagonal second difference and each difference-quotient lattice is one
-``pairwise`` call over its distinct points, whose entries equal the
-single-point values bitwise.  Each probe's deviation series is computed
-once; the all-probe series is their elementwise maximum, and the same
-per-probe series give the probe slopes.
+configured cap.  A deviation that cannot be fitted inside the window (too
+few usable scales, or no order-2n lag derivative at the origin) gives a
+failing verdict with a "beyond probe range" note rather than an error.
 """
 
 from __future__ import annotations
@@ -44,18 +60,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import specfun
 from .kernels import (
     Conic,
     DomainError,
     Isotropic,
     Kernel,
     KernelError,
+    Matern,
+    Periodic,
+    Product,
+    RationalQuadratic,
+    SquaredExponential,
     Stationary,
     Wendland,
     classify,
     eval_kernel,
-    eval_radial,
-    eval_stationary,
     pairwise,
 )
 from .regularity import RegularityReport, infer_regularity, report_to_dict
@@ -65,6 +85,7 @@ __all__ = [
     "ExponentFit",
     "VerifyReport",
     "SmoothToOrder",
+    "BeyondProbeRange",
     "loglog_fit",
     "second_difference",
     "cross_difference_bound",
@@ -97,17 +118,21 @@ class SmoothToOrder(KernelError):
         self.n = n
 
 
+class BeyondProbeRange(KernelError):
+    """Raised when the order-n deviation cannot be fitted inside the probe
+    window: too few usable scales, or no order-2n lag derivative at the
+    origin.  ``verify_regularity`` reports it as a failing verdict."""
+
+
 @dataclass(frozen=True)
 class VerifyConfig:
-    window: tuple[int, int] = (4, 12)  # dyadic lags h = 2^-j, j in [lo, hi]
+    window: tuple[int, int] = (4, 12)  # dyadic lags h = l_min 2^-j, j in [lo, hi]
     tol: float = 0.15
     log_tol: float = 0.25
     max_order: int = 3
     n_probes: int = 8
     probe_low: float = 0.25
     probe_span: float = 1.0
-    fd_step: float = 1e-3
-    stab_rtol: float = 1e-4
     seq_ratio: float = 0.75
     residual_cap: float = 0.1
     snr_min: float = 10.0
@@ -132,6 +157,7 @@ class VerifyReport:
     verdict: str  # 'pass' | 'fail' | 'log-flagged'
     probe_slopes: tuple[float, ...] = field(default=())
     smooth_to_order: int | None = None
+    note: str | None = None
 
     @property
     def detected_total(self) -> float | None:
@@ -185,14 +211,6 @@ def _central_stencil(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _STENCILS = {m: _central_stencil(m) for m in range(0, MAX_RADIAL_ORDER + 1)}
-
-
-def _fd_1d(f, t: float, m: int, step: float) -> float:
-    if m == 0:
-        return f(t)
-    offsets, weights = _STENCILS[m]
-    vals = [f(t + o * step) for o in offsets]
-    return math.fsum(w * v for w, v in zip(weights, vals)) / step**m
 
 
 def _richardson(sample, step: float, rtol: float) -> tuple[float, bool, float]:
@@ -362,84 +380,164 @@ def cross_difference_bound(expr: Kernel, x, h, alpha, beta) -> tuple[float, floa
     return abs(cross), bound
 
 
-# --- radial derivatives ----------------------------------------------------
+# --- exact lag-profile derivatives ------------------------------------------
 
 
-def _wendland_radial_exact(expr: Kernel, order: int, r: float):
-    """Exact radial derivative for Wendland leaves and conic combinations of
-    them; returns None when the subtree has no exact path."""
-    if isinstance(expr, Wendland):
-        poly = expr.polynomial
-        ell = expr.lengthscale
-        rho = r / ell
-        if rho >= 1.0:
-            return (0.0, True)
-        deriv = poly
-        for _ in range(order):
-            deriv = deriv.derivative()
-        value = deriv(rho) / ell**order
-        if r == 0.0:
-            # k_r(x) = P(|x|): the derivative exists at 0 only if no odd
-            # power of exponent <= order survives in the polynomial
-            exists = all(
-                poly.coeffs[i] == 0 for i in range(1, min(order, poly.degree) + 1, 2)
-            )
-            return (value, exists)
-        return (value, True)
-    if isinstance(expr, Conic):
-        parts = [_wendland_radial_exact(c, order, r) for c in expr.terms]
-        if any(p is None for p in parts):
-            return None
-        value = math.fsum(w * p[0] for w, p in zip(expr.weights, parts))
-        return (value, all(p[1] for p in parts))
-    return None
+def _lag_derivatives(expr: Kernel, t, m: int):
+    """Derivatives of orders 0..m of a stationary expression's lag profile
+    phi(t) = k(t e_1, 0) at lags t >= 0.
 
-
-def _radial_derivative_diag(
-    expr: Kernel, order: int, r: float, cfg: VerifyConfig, local: bool = False
-) -> tuple[float, bool, float, float]:
-    """(value, stable, spread, noise) of k_r^(order) at r.
-
-    ``local`` additionally caps the step by a fraction of r so the stencil
-    never spans the origin, where radial profiles may lose smoothness.
+    Returns (values, scale, exists): ``values[j]`` holds phi^(j) at each
+    lag, ``scale[j]`` the sum of the magnitudes of the terms that make it
+    (so eps * scale bounds its rounding), and ``exists[j]`` whether phi^(j)
+    exists at the origin; where it does not, its origin value is NaN.  Every
+    stationary expression is isotropic or 1-D (periodic has one input), so
+    the profile along the first axis stands for every axis.
     """
-    exact = _wendland_radial_exact(expr, order, r)
-    if exact is not None:
-        return exact[0], exact[1], 0.0, 0.0
-    if order == 0:
-        return float(eval_radial(expr, r)), True, 0.0, _EPS
+    t = np.asarray(t, dtype=float)
+    values, scale, exists = _lag_terms(expr, t, m)
+    values[np.ix_(~exists, t == 0.0)] = np.nan
+    return values, scale, exists
 
-    def f(t: float) -> float:
-        return float(eval_radial(expr, abs(t)))  # radial profiles are even
 
-    step = _BASE_STEPS[order] * max(1.0, abs(r))
-    if local and r > 0.0:
-        # keep the whole stencil (half-width p * step) on one side of the
-        # origin, where radial profiles may lose smoothness
-        p = (order + 1) // 2
-        step = min(step, r / p)
-    value, stable, spread = _richardson(
-        lambda s: _fd_1d(f, r, order, s), step, cfg.stab_rtol
-    )
-    return value, stable, spread, _fd_noise(order, step)
+def _lag_terms(expr: Kernel, t: np.ndarray, m: int):
+    if isinstance(expr, (Matern, SquaredExponential, RationalQuadratic)):
+        return _quadratic_inner(expr, t, m)
+    if isinstance(expr, Wendland):
+        return _wendland_terms(expr, t, m)
+    if isinstance(expr, Periodic):
+        return _periodic_terms(expr, t, m)
+    parts = [_lag_terms(c, t, m) for c in expr.children]
+    exists = np.logical_and.reduce([e for _v, _s, e in parts])
+    if isinstance(expr, Conic):
+        values = sum(w * v for w, (v, _s, _e) in zip(expr.weights, parts))
+        scale = sum(w * s for w, (_v, s, _e) in zip(expr.weights, parts))
+        return values, scale, exists
+    if isinstance(expr, Product):
+        values, scale, _e = parts[0]
+        for v, s, _e in parts[1:]:
+            values, scale = _leibniz(values, v), _leibniz(scale, s)
+        return values, scale, exists
+    raise KernelError(f"{type(expr).__name__} node has no lag profile")
+
+
+def _leibniz(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # derivatives of a product from those of its factors
+    return np.stack([
+        sum(math.comb(j, k) * f[k] * g[j - k] for k in range(j + 1)) for j in range(len(f))
+    ])
+
+
+def _quadratic_inner(expr: Kernel, t: np.ndarray, m: int):
+    """Leaves phi(t) = G(a t^2), through
+    d^j/dt^j G(a t^2) = sum_i j!/(i! (j-2i)!) (2at)^(j-2i) a^i G^(j-i)(a t^2);
+    at the origin only the term with j = 2i survives."""
+    a, g, exists = _profile_u_derivatives(expr, t, m)
+    x = 2.0 * a * t
+    values = np.zeros((m + 1,) + t.shape)
+    scale = np.zeros_like(values)
+    zero = t == 0.0
+    with np.errstate(invalid="ignore"):
+        for j in range(m + 1):
+            for i in range(j // 2 + 1):
+                p = j - 2 * i
+                coef = math.factorial(j) / (math.factorial(i) * math.factorial(p)) * a**i
+                term = coef * x**p * g[j - i]
+                if p:
+                    term[zero] = 0.0
+                values[j] += term
+                scale[j] += np.abs(term)
+    return values, scale, exists
+
+
+def _profile_u_derivatives(expr: Kernel, t: np.ndarray, m: int):
+    """(a, [G^(k)(a t^2) for k = 0..m], exists) of a leaf phi(t) = G(a t^2).
+
+    Matern: G(u) = c z^nu K_nu(z) with u = z^2 / 2, so by DLMF 10.29.4
+    G^(k)(u) = c (-1)^k z^(nu-k) K_(nu-k)(z), with K_(-mu) = K_mu, one
+    Bessel call per distinct order; at the origin it is the limit
+    c (-1)^k 2^(nu-k-1) Gamma(nu-k), finite for k < nu, and phi^(j) exists
+    there exactly when nu > j/2.
+    """
+    ell2 = expr.lengthscale**2
+    if isinstance(expr, SquaredExponential):
+        e = np.exp(-(t * t) / ell2)
+        return 1.0 / ell2, [(-1.0) ** k * e for k in range(m + 1)], np.ones(m + 1, bool)
+    if isinstance(expr, RationalQuadratic):
+        base = 1.0 + t * t / ell2
+        g, rising = [], 1.0
+        for k in range(m + 1):
+            g.append(rising * base ** (-expr.a - k))
+            rising *= -expr.a - k
+        return 1.0 / ell2, g, np.ones(m + 1, bool)
+    nu = expr.nu
+    z = math.sqrt(2.0 * nu) * t / expr.lengthscale
+    pos = z > 0.0
+    c = 2.0 ** (1.0 - nu) / specfun.gamma(nu)
+    bessel: dict[float, np.ndarray] = {}
+    g = []
+    for k in range(m + 1):
+        order = abs(nu - k)
+        if order not in bessel:
+            bessel[order] = specfun.bessel_k(order, z[pos])
+        gk = np.full_like(t, np.inf)
+        gk[pos] = (-1.0) ** k * c * z[pos] ** (nu - k) * bessel[order]
+        if k < nu:
+            gk[~pos] = (-1.0) ** k * c * 2.0 ** (nu - k - 1.0) * math.gamma(nu - k)
+        g.append(gk)
+    return nu / ell2, g, np.array([nu > j / 2.0 for j in range(m + 1)])
+
+
+def _wendland_terms(expr: Wendland, t: np.ndarray, m: int):
+    """phi(t) = P(t / ell) from the stored rational polynomial, zero from
+    the support radius on.  phi is even, so phi^(j) exists at the origin
+    only if no odd power of exponent <= j survives in P."""
+    ell = expr.lengthscale
+    rho = t / ell
+    poly = expr.polynomial
+    values, scale = [], []
+    for j in range(m + 1):
+        values.append(poly(rho) / ell**j)
+        magnitude = specfun.PiecewisePolynomial(tuple(abs(c) for c in poly.coeffs))
+        scale.append(magnitude(rho) / ell**j)
+        poly = poly.derivative()
+    odd = [expr.polynomial.coeffs[i] != 0 for i in range(1, len(expr.polynomial.coeffs), 2)]
+    exists = np.array([not any(odd[: (j + 1) // 2]) for j in range(m + 1)])
+    return np.stack(values), np.stack(scale), exists
+
+
+def _periodic_terms(expr: Periodic, t: np.ndarray, m: int):
+    """phi(t) = e^(-u) with u = sin^2(w t / 2), w = 2 pi / ell, by
+    (e^(-u))^(j) = -sum_i C(j-1, i) u^(i+1) (e^(-u))^(j-1-i), where
+    u^(k) = -(w^k / 2) cos^(k)(w t) for k >= 1."""
+    w = 2.0 * math.pi / expr.lengthscale
+    s = np.sin(math.pi * (t / expr.lengthscale))
+    cos, sin = np.cos(w * t), np.sin(w * t)
+    # cos^(k) cycles through cos, -sin, -cos, sin
+    du = [None] + [-0.5 * w**k * (cos, -sin, -cos, sin)[k % 4] for k in range(1, m + 1)]
+    values = [np.exp(-(s * s))]
+    scale = [values[0]]
+    for j in range(1, m + 1):
+        weights = [math.comb(j - 1, i) * du[i + 1] for i in range(j)]
+        values.append(-sum(w * values[j - 1 - i] for i, w in enumerate(weights)))
+        scale.append(sum(np.abs(w) * scale[j - 1 - i] for i, w in enumerate(weights)))
+    return np.stack(values), np.stack(scale), np.ones(m + 1, bool)
 
 
 def radial_derivative(
     expr: Kernel, order: int, r: float, cfg: VerifyConfig | None = None
 ) -> float:
-    """Derivative k_r^(order)(r) of an isotropic expression.
-
-    Wendland subtrees are differentiated exactly from their stored
-    polynomials; otherwise central finite differences with two Richardson
-    extrapolation levels are used.
-    """
+    """Derivative k_r^(order)(r) of an isotropic expression, exact up to
+    rounding and the special functions' accuracy; NaN at r = 0 when the
+    derivative does not exist there.  ``cfg`` is not used."""
     if order != int(order) or order < 0 or order > MAX_RADIAL_ORDER:
         raise KernelError(f"radial derivative order must lie in 0..{MAX_RADIAL_ORDER}")
     if not isinstance(classify(expr), Isotropic):
         raise KernelError("radial_derivative needs an isotropic expression")
-    cfg = cfg or VerifyConfig()
-    value, _st, _sp, _noise = _radial_derivative_diag(expr, int(order), float(r), cfg)
-    return value
+    if r < 0.0:
+        raise DomainError("radial distance must be >= 0")
+    values, _scale, _exists = _lag_derivatives(expr, np.array([float(r)]), int(order))
+    return float(values[int(order), 0])
 
 
 # --- order detection via mean-square difference quotients ------------------
@@ -449,26 +547,11 @@ def _binom_weights(n: int) -> np.ndarray:
     return np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
 
 
-def _ms_quotient_1d(profile, n: int, h: float) -> tuple[float, float]:
-    """(E[(Delta_h^n f)^2] / h^(2n), rounding-noise estimate) from a lag
-    profile k_delta restricted to one axis (an even function of the lag)."""
+def _ms_quotient(block, n: int, h: float) -> tuple[float, float]:
+    """(E[(Delta_h^n f)^2] / h^(2n), rounding-noise estimate) from the
+    lattice block[j][k] = k(x + j h, x + k h), j, k = 0..n, with h in the
+    units the quotient is taken in."""
     w = _binom_weights(n)
-    acc = 0.0
-    kmax = 0.0
-    for j in range(n + 1):
-        for k in range(n + 1):
-            val = profile(abs(j - k) * h)
-            kmax = max(kmax, abs(val))
-            acc += w[j] * w[k] * val
-    noise = (float(np.sum(np.abs(w))) ** 2) * _EPS * max(1.0, kmax)
-    return acc / h ** (2 * n), noise / h ** (2 * n)
-
-
-def _ms_quotient_general(expr: Kernel, x: np.ndarray, axis: int, n: int, h: float):
-    w = _binom_weights(n)
-    e = _unit(expr.dim, axis)
-    pts = np.stack([x + j * h * e for j in range(n + 1)])
-    block = pairwise(expr, pts, pts).tolist()
     acc = 0.0
     kmax = 0.0
     for j in range(n + 1):
@@ -478,6 +561,15 @@ def _ms_quotient_general(expr: Kernel, x: np.ndarray, axis: int, n: int, h: floa
             acc += w[j] * w[k] * val
     noise = (float(np.sum(np.abs(w))) ** 2) * _EPS * max(1.0, kmax)
     return acc / h ** (2 * n), noise / h ** (2 * n)
+
+
+def _ms_quotient_general(
+    expr: Kernel, x: np.ndarray, axis: int, n: int, s: float, ell: float = 1.0
+):
+    # the lattice x + j (ell s) e_axis, quotient in units of ell
+    e = _unit(expr.dim, axis)
+    pts = np.stack([x + j * (ell * s) * e for j in range(n + 1)])
+    return _ms_quotient(pairwise(expr, pts, pts).tolist(), n, s)
 
 
 def _sequence_converges(seq: list[tuple[float, float]], cfg: VerifyConfig) -> bool:
@@ -514,29 +606,51 @@ def _order_exists(expr: Kernel, n: int, cfg: VerifyConfig) -> bool:
     """
     if n == 0:
         return True
-    cls = classify(expr)
-    lo = cfg.window[0]
-    js = range(lo, lo + 9)
-    if isinstance(cls, Isotropic):
-        seq = [_ms_quotient_1d(lambda t: float(eval_radial(expr, t)), n, 2.0**-j) for j in js]
-        return _sequence_converges(_trim_noisy(seq), cfg)
-    if isinstance(cls, Stationary):
-        for axis in range(expr.dim):
-            def profile(t: float, a=axis) -> float:
-                hvec = np.zeros(expr.dim)
-                hvec[a] = t
-                return float(eval_stationary(expr, hvec))
+    return all(
+        _sequence_converges(_trim_noisy(seq), cfg) for seq in _quotient_sequences(expr, n, cfg)
+    )
 
-            seq = [_ms_quotient_1d(profile, n, 2.0**-j) for j in js]
-            if not _sequence_converges(_trim_noisy(seq), cfg):
-                return False
-        return True
-    for x in _probe_points(expr, cfg):
-        for axis in range(expr.dim):
-            seq = [_ms_quotient_general(expr, x, axis, n, 2.0**-j) for j in js]
-            if not _sequence_converges(_trim_noisy(seq), cfg):
-                return False
-    return True
+
+def _quotient_sequences(expr: Kernel, n: int, cfg: VerifyConfig):
+    """The order-n quotient sequences over the lags h = l_min s,
+    s = 2^-j for j = lo..lo+8, in units of l_min (divided by s^(2n), not
+    h^(2n)), so that a lengthscale moves neither the lags nor the noise
+    floors relative to the kernel.  A stationary expression has one
+    sequence, whose whole lattice {d h} comes from one lag-profile call;
+    a general one has one per probe point and axis."""
+    ell = _min_lengthscale(expr)
+    steps = [2.0**-j for j in range(cfg.window[0], cfg.window[0] + 9)]
+    if isinstance(classify(expr), Stationary):
+        lags = np.array([d * (ell * s) for s in steps for d in range(n + 1)])
+        rows = _lag_profile(expr, lags).reshape(len(steps), n + 1).tolist()
+        return [[
+            _ms_quotient([[row[abs(j - k)] for k in range(n + 1)] for j in range(n + 1)], n, s)
+            for s, row in zip(steps, rows)
+        ]]
+    return [
+        [_ms_quotient_general(expr, x, axis, n, s, ell) for s in steps]
+        for x in _probe_points(expr, cfg)
+        for axis in range(expr.dim)
+    ]
+
+
+def _lag_profile(expr: Kernel, t: np.ndarray) -> np.ndarray:
+    # k(t e_1, 0), as in _lag_derivatives; its entries equal eval_radial(t)
+    # (eval_stationary for 1-D) bitwise, since sqrt(t*t) == t
+    return pairwise(expr, np.outer(t, _unit(expr.dim, 0)), np.zeros((1, expr.dim)))[:, 0]
+
+
+def _min_lengthscale(expr: Kernel) -> float:
+    """Smallest lengthscale in the expression, or 1 when it has none: the
+    probe lags scale with it, so a lengthscale never moves the window."""
+    scales = []
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if hasattr(node, "lengthscale"):
+            scales.append(node.lengthscale)
+        stack.extend(node.children)
+    return min(scales, default=1.0)
 
 
 def _trim_noisy(seq: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -574,32 +688,32 @@ def _probe_points(expr: Kernel, cfg: VerifyConfig) -> np.ndarray:
 
 def _deviation_series(expr: Kernel, n: int, cfg: VerifyConfig, x: np.ndarray | None = None):
     """Rows (h, deviation, noise) of the order-n diagonal deviation over the
-    dyadic window."""
-    cls = classify(expr)
+    dyadic window h = l_min 2^-j, the deviation in units of l_min (times
+    l_min^(2n)), so the underflow floor does not move with the lengthscale.
+
+    A stationary expression's deviation is |phi^(2n)(h) - phi^(2n)(0)| from
+    one exact lag-derivative call over every h and the origin, with noise
+    eps times the magnitudes summed into the two values.  General kernels
+    take the largest diagonal second difference over the axes at each
+    probe point.
+    """
     lo, hi = cfg.window
-    hs = [2.0 ** (-j) for j in range(lo, hi + 1)]
-    rows = []
-    if isinstance(cls, Isotropic):
-        v0, _s0, _sp0, noise0 = _radial_derivative_diag(expr, 2 * n, 0.0, cfg)
-        for h in hs:
-            v, _st, _sp, noise = _radial_derivative_diag(expr, 2 * n, h, cfg, local=True)
-            rows.append((h, abs(v - v0), noise + noise0))
-        return rows
-    if isinstance(cls, Stationary):
-        for h in hs:
-            best, worst_noise = 0.0, 0.0
-            for axis in range(expr.dim):
-                v0, n0 = _stationary_axis_derivative(expr, axis, 2 * n, 0.0, cfg)
-                v, nh = _stationary_axis_derivative(expr, axis, 2 * n, h, cfg)
-                best = max(best, abs(v - v0))
-                worst_noise = max(worst_noise, n0 + nh)
-            rows.append((h, best, worst_noise))
-        return rows
+    ell = _min_lengthscale(expr)
+    unit = ell ** (2 * n)
+    hs = [ell * 2.0 ** (-j) for j in range(lo, hi + 1)]
+    if isinstance(classify(expr), Stationary):
+        values, scale, exists = _lag_derivatives(expr, np.array([0.0, *hs]), 2 * n)
+        if not exists[2 * n]:
+            raise BeyondProbeRange(f"no order-{2 * n} lag derivative at the origin")
+        d = (unit * values[2 * n]).tolist()
+        noise = (unit * _EPS * (scale[2 * n] + scale[2 * n, 0])).tolist()
+        return [(h, abs(d[i] - d[0]), noise[i]) for i, h in enumerate(hs, start=1)]
     if x is None:
         return _max_series(
             [_deviation_series(expr, n, cfg, x=base) for base in _probe_points(expr, cfg)]
         )
     corner_noise = 4.0 * _fd_noise(2 * n, _BASE_STEPS[min(2 * n, MAX_RADIAL_ORDER)]) if n else 4.0 * _EPS
+    rows = []
     for h in hs:
         best = 0.0
         for axis in range(expr.dim):
@@ -608,7 +722,7 @@ def _deviation_series(expr: Kernel, n: int, cfg: VerifyConfig, x: np.ndarray | N
             val = second_difference(expr, x, h * _unit(expr.dim, axis), alpha)
             if math.isfinite(val):
                 best = max(best, abs(val))
-        rows.append((h, best, corner_noise))
+        rows.append((h, unit * best, unit * corner_noise))
     return rows
 
 
@@ -618,29 +732,6 @@ def _max_series(per_probe: list[list[tuple[float, float, float]]]):
     return [
         (rows[0][0], max(r[1] for r in rows), rows[0][2]) for rows in zip(*per_probe)
     ]
-
-
-def _stationary_axis_derivative(
-    expr: Kernel, axis: int, order: int, t: float, cfg: VerifyConfig
-) -> tuple[float, float]:
-    if order == 0:
-        hvec = np.zeros(expr.dim)
-        hvec[axis] = t
-        return float(eval_stationary(expr, hvec)), _EPS
-
-    def f(s: float) -> float:
-        hvec = np.zeros(expr.dim)
-        hvec[axis] = s
-        return float(eval_stationary(expr, hvec))
-
-    step = _BASE_STEPS[min(order, MAX_RADIAL_ORDER)] * max(1.0, abs(t))
-    if t != 0.0:
-        p = (order + 1) // 2
-        step = min(step, abs(t) / p)
-    value, _stable, _spread = _richardson(
-        lambda s: _fd_1d(f, t, order, s), step, cfg.stab_rtol
-    )
-    return value, _fd_noise(order, step)
 
 
 def estimate_diagonal_exponent(
@@ -665,7 +756,7 @@ def _fit_series(rows, n: int, cfg: VerifyConfig) -> ExponentFit:
     if not pts:
         raise SmoothToOrder(n)
     if len(pts) < 4:
-        raise KernelError(
+        raise BeyondProbeRange(
             f"only {len(pts)} usable scales at order {n}; deviation too small or too noisy"
         )
     fit = loglog_fit(pts)
@@ -716,19 +807,27 @@ def verify_regularity(
     # the all-probe series of a non-stationary kernel is the elementwise max
     # of the per-probe series, which also give the probe slopes below
     per_probe = []
-    if isinstance(cls, Stationary):
-        rows = _deviation_series(expr, n_hat, cfg)
-    else:
-        per_probe = [_deviation_series(expr, n_hat, cfg, x=b) for b in _probe_points(expr, cfg)]
-        rows = _max_series(per_probe)
     saturated_cap = False
     try:
+        if isinstance(cls, Stationary):
+            rows = _deviation_series(expr, n_hat, cfg)
+        else:
+            per_probe = [_deviation_series(expr, n_hat, cfg, x=b) for b in _probe_points(expr, cfg)]
+            rows = _max_series(per_probe)
         fit = _fit_series(rows, n_hat, cfg)
         total = n_hat + fit.slope / 2.0
     except SmoothToOrder:
         fit = None
         total = float(n_hat + 1)
         saturated_cap = True
+    except BeyondProbeRange as exc:
+        return VerifyReport(
+            detected_order_n=n_hat,
+            exponent_fit=None,
+            predicted=predicted,
+            verdict="fail",
+            note=f"beyond probe range: {exc}",
+        )
     tol = cfg.log_tol if log_flag else cfg.tol
     if (
         fit is not None
@@ -830,4 +929,6 @@ def verify_to_dict(report: VerifyReport) -> dict:
         out["detected"]["total"] = report.detected_total
     if report.smooth_to_order is not None:
         out["smooth_to_order"] = report.smooth_to_order
+    if report.note is not None:
+        out["note"] = report.note
     return out

@@ -92,6 +92,27 @@ class TestExitCodes:
         assert code == 0
         assert payload["verdict"] == "log-flagged"
 
+    # both exited 3 ("only N usable scales") before exact lag derivatives
+    @pytest.mark.parametrize("kernel", ["matern(nu=3)", "matern(nu=2,lengthscale=10)"])
+    def test_verify_integer_matern_is_0(self, capsys, kernel):
+        code, payload, _ = run_json(capsys, "verify", "-k", kernel)
+        assert code == 0
+        assert payload["verdict"] == "log-flagged"
+        assert "note" not in payload
+
+    def test_verify_beyond_probe_range_is_1(self, capsys, monkeypatch):
+        import functools
+
+        import pathreg.cli
+        from pathreg.verify import VerifyConfig
+
+        narrow = functools.partial(VerifyConfig, window=(4, 6))
+        monkeypatch.setattr(pathreg.cli, "VerifyConfig", narrow)
+        code, payload, _ = run_json(capsys, "verify", "-k", "matern(nu=2.5)")
+        assert code == 1
+        assert payload["verdict"] == "fail"
+        assert payload["note"].startswith("beyond probe range: ")
+
 
 class TestAnalyzeExamples:
     def test_wiener(self, capsys):

@@ -89,7 +89,7 @@ class TestBuildGram:
 
     def test_pointwise_mirror_copies_upper_triangle(self):
         # kernel values are symmetric bitwise, so an asymmetric cross shows
-        # which triangle is kept, across three row blocks
+        # which triangle is kept, across several row blocks
         grid = Grid((Axis(-1.0, 1.0, 2 * sampling._GRAM_BLOCK_ROWS + 52),))
         pts = grid.points()
 
@@ -101,8 +101,8 @@ class TestBuildGram:
         assert gram.tobytes() == (np.triu(full) + np.triu(full, 1).T).tobytes()
 
     def test_pointwise_gram_peak_memory(self):
-        # the Gram plus one block of _GRAM_BLOCK_ROWS rows (a quarter of the
-        # rows here); the triangle sum peaked at over three Gram sizes
+        # the Gram plus one fill block (an eighth of the rows here); the
+        # triangle sum peaked at over three Gram sizes
         grid = Grid((Axis(0.25, 1.25, 4097),))
         expr = parse_kernel("linear()")
         tracemalloc.start()
@@ -112,6 +112,18 @@ class TestBuildGram:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * gram.nbytes
+
+    def test_pointwise_gram_block_is_an_eighth(self):
+        # below 8 * _GRAM_BLOCK_ROWS points the fill block is capped at n/8
+        # rows; a block of _GRAM_BLOCK_ROWS rows made this 2.0 Gram sizes
+        grid = Grid((Axis(0.25, 1.25, 1025),))
+        tracemalloc.start()
+        try:
+            gram = build_gram(parse_kernel("linear()"), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * gram.nbytes
 
     # stationary Grams are gathered from a lag table; the pointwise
     # evaluation of the same expression is the reference

@@ -110,9 +110,38 @@ class TestBesselK:
             ref = np.array([mp_besselk(nu, r) for r in rho])
         np.testing.assert_allclose(specfun.bessel_k(nu, rho), ref, rtol=rtol, atol=0.0)
 
+    # order 0: the integrand is flat out to t ~ log(1/rho) and then falls
+    # double-exponentially, so the Gaussian cut-off sqrt(80 / rho) would
+    # spread the nodes over thousands of units at small rho
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    def test_small_orders(self, nu):
+        rho = np.array([1e-6, 1e-3, 1e-2, 1.0, 30.0, 700.0])
+        with mpmath.workdps(20):
+            ref = np.array([mp_besselk(nu, r) for r in rho])
+        np.testing.assert_allclose(specfun.bessel_k(nu, rho), ref, rtol=1e-13, atol=0.0)
+
+    def test_cutoff_floor_inactive_from_order_0_1(self):
+        # the curvature floor never binds for nu >= 0.1, so those values
+        # are those of the unfloored rule bitwise
+        rho = np.geomspace(1e-6, 700.0, 50)
+        for nu in (0.1, 0.5, 2.5):
+            r = rho[:, None]
+            k = np.arange(specfun._K_NODES)
+            step = (np.arcsinh(nu / r) + np.sqrt(2.0 * specfun._K_TAIL / np.hypot(r, nu))) / (
+                specfun._K_NODES - 1
+            )
+            t = step * k
+            a = -2.0 * r * np.sinh(0.5 * t) ** 2
+            f = np.exp(a + nu * t) + np.exp(a - nu * t)
+            f[:, 0] *= 0.5
+            unfloored = 0.5 * step[:, 0] * np.exp(-rho) * f.sum(axis=1)
+            assert specfun.bessel_k(nu, rho).tobytes() == unfloored.tobytes()
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             specfun.bessel_k(-1.0, 1.0)
+        with pytest.raises(ValueError):
+            specfun.bessel_k(-1e-300, 1.0)
         with pytest.raises(ValueError):
             specfun.bessel_k(1.0, 0.0)
         with pytest.raises(ValueError):
@@ -120,6 +149,12 @@ class TestBesselK:
 
 
 class TestMaternRadial:
+    def test_rejects_non_positive_order(self):
+        # bessel_k accepts order 0, the Matern profile does not
+        for nu in (0.0, -0.5):
+            with pytest.raises(ValueError):
+                specfun.matern_radial(nu, 1.0)
+
     def test_value_at_zero_exact(self):
         for nu in [0.5, 1.0, 1.7, 2.5]:
             assert specfun.matern_radial(nu, 0.0) == 1.0

@@ -19,7 +19,6 @@ from pathreg.verify import (
     second_difference,
     verify_regularity,
     verify_to_dict,
-    _radial_derivative_diag,
 )
 
 CFG = VerifyConfig()
@@ -125,13 +124,14 @@ class TestRadialDerivative:
                 )
 
     def test_matern_half_kink_flagged_near_zero(self):
-        # e^{-r} has one-sided slope -1 at 0+ and +1 at 0-; the stencil at the
-        # spec's base step spans the kink and never settles
+        # e^{-r} has one-sided slope -1 at 0+ and +1 at 0-, so no derivative
+        # of the even lag profile exists at the origin
         expr = parse_kernel("matern(nu=0.5)")
-        value, stable, _spread, _noise = _radial_derivative_diag(expr, 1, 1e-9, CFG)
-        assert not stable
-        v0, s0, _sp, _n = _radial_derivative_diag(expr, 2, 0.0, CFG)
-        assert not s0
+        values, _scale, exists = V._lag_derivatives(expr, np.array([0.0, 1e-9]), 2)
+        assert exists.tolist() == [True, False, False]
+        assert np.isnan(values[1:, 0]).all()
+        assert values[1, 1] == pytest.approx(-1.0, rel=1e-8)
+        assert math.isnan(radial_derivative(expr, 2, 0.0))
 
     def test_requires_isotropic(self):
         with pytest.raises(KernelError):
@@ -417,3 +417,223 @@ class TestSingleProbePass:
             for a, b in [(0, 1), (1, 2), (0, 3)]:
                 got = V.cross_difference_bound(expr, 0.5, h, a, b)
                 assert got == _scalar_cross_difference_bound(expr, 0.5, h, a, b), (h, a, b)
+
+
+# --- exact lag-profile derivatives and the stationary path -----------------
+
+STATIONARY_LEAVES = (
+    [(f"matern(nu={nu},", float(nu), nu in ("1", "2", "3")) for nu in ("0.5", "1", "1.5", "2", "2.5", "3", "3.5")]
+    + [(f"wendland(d=1,n={n},", n + 0.5, False) for n in (0, 1, 2)]
+    + [(leaf, math.inf, False) for leaf in ("se(", "rq(a=1,", "periodic(")]
+)
+
+
+class TestStationarySweep:
+    """Every stationary leaf at every catalogue lengthscale gets the verdict
+    and order it promises; none raises."""
+
+    @pytest.mark.parametrize("ell", ["0.1", "1", "10"])
+    @pytest.mark.parametrize("leaf, order, log", STATIONARY_LEAVES)
+    def test_promised_verdict(self, leaf, order, log, ell):
+        report = verify_regularity(parse_kernel(f"{leaf}lengthscale={ell})"))
+        assert report.note is None
+        assert report.verdict == ("log-flagged" if log else "pass")
+        if order == math.inf:
+            assert report.smooth_to_order == CFG.max_order
+        else:
+            tol = CFG.log_tol if log else CFG.tol
+            assert report.detected_total == pytest.approx(order, abs=tol)
+
+    @pytest.mark.parametrize("leaf, order, log", STATIONARY_LEAVES)
+    def test_lengthscale_invariant(self, leaf, order, log):
+        # the window, quotients and deviations are in units of the
+        # lengthscale, so it changes the detected order only by rounding
+        totals = [
+            verify_regularity(parse_kernel(f"{leaf}lengthscale={ell})")).detected_total
+            for ell in ("0.1", "1", "10")
+        ]
+        if order != math.inf:
+            assert max(totals) - min(totals) <= 1e-10
+
+
+def _mp_profile(expr):
+    # the lag profile phi(t) of a stationary expression in mpmath
+    import mpmath as mp
+
+    from pathreg import kernels as K
+
+    if isinstance(expr, K.Matern):
+        nu, ell = mp.mpf(expr.nu), mp.mpf(expr.lengthscale)
+        if nu == int(nu):
+            # mpmath differentiates integer-order K slowly; an order 1e-25
+            # away changes the profile by about 1e-24 relative
+            nu += mp.mpf(10) ** -25
+        c = 2 ** (1 - nu) / mp.gamma(nu)
+
+        def matern(t):
+            z = mp.sqrt(2 * nu) * t / ell
+            return c * z**nu * mp.besselk(nu, z)
+
+        return matern
+    if isinstance(expr, K.Wendland):
+        coeffs = [mp.mpf(c.numerator) / c.denominator for c in expr.polynomial.coeffs]
+        return lambda t: mp.polyval(coeffs[::-1], t / expr.lengthscale) if t < expr.lengthscale else 0
+    if isinstance(expr, K.SquaredExponential):
+        return lambda t: mp.exp(-((t / expr.lengthscale) ** 2))
+    if isinstance(expr, K.RationalQuadratic):
+        return lambda t: (1 + (t / expr.lengthscale) ** 2) ** (-mp.mpf(expr.a))
+    if isinstance(expr, K.Periodic):
+        return lambda t: mp.exp(-mp.sin(mp.pi * t / expr.lengthscale) ** 2)
+    parts = [_mp_profile(c) for c in expr.children]
+    if isinstance(expr, K.Conic):
+        return lambda t: mp.fsum(w * f(t) for w, f in zip(expr.weights, parts))
+    return lambda t: mp.fprod(f(t) for f in parts)
+
+
+LAG_DERIVATIVE_CASES = [
+    "matern(nu=0.5,lengthscale=0.7)",
+    "matern(nu=1)",
+    "matern(nu=1.5,lengthscale=2)",
+    "matern(nu=2)",
+    "matern(nu=2.5)",
+    "matern(nu=3,lengthscale=0.3)",
+    "matern(nu=3.5,lengthscale=10)",
+    "wendland(d=1,n=0)",
+    "wendland(d=1,n=2,lengthscale=1.5)",
+    "wendland(d=3,n=1)",
+    "se(lengthscale=0.8)",
+    "rq(a=1.5,lengthscale=0.6)",
+    "periodic(lengthscale=2)",
+    "matern(nu=2.5) * periodic()",
+    "2*se(lengthscale=0.5) + matern(nu=3.5)",
+    "2*matern(nu=1.5) + wendland(d=1,n=1)",
+]
+
+
+class TestLagDerivatives:
+    @pytest.mark.parametrize("text", LAG_DERIVATIVE_CASES)
+    def test_match_mpmath(self, text):
+        # orders 0..6 at lags across the verify window and beyond; relative
+        # 1e-12 up to order 2 nu of each Matern leaf.  Past that, a
+        # half-integer Matern's profile e^-z poly(z) is smooth while the
+        # Bessel terms it sums diverge as t -> 0, so the error is relative
+        # to the summed magnitudes `scale` (the deviation noise estimate)
+        import mpmath as mp
+
+        from pathreg.kernels import Matern
+
+        expr = parse_kernel(text)
+        ell = V._min_lengthscale(expr)
+        nus = [c.nu for c in [expr, *expr.children] if isinstance(c, Matern)]
+        lags = [ell * s for s in (2.0**-12, 2.0**-8, 2.0**-4, 0.3, 0.7, 1.3)]
+        values, scale, _exists = V._lag_derivatives(expr, np.array(lags), 6)
+        with mp.workdps(40):
+            phi = _mp_profile(expr)
+            for i, t in enumerate(lags):
+                for m in range(7):
+                    ref = mp.diff(phi, mp.mpf(t), m)
+                    err = float(abs(values[m, i] - ref))
+                    assert err <= 1e-14 * scale[m, i], (t, m)
+                    if all(m <= 2 * nu for nu in nus):
+                        assert err <= 1e-12 * float(abs(ref)), (t, m)
+
+    @pytest.mark.parametrize("text", LAG_DERIVATIVE_CASES)
+    def test_origin(self, text):
+        # an even derivative that exists at the origin is the limit of its
+        # values at lags approaching it; the odd ones vanish there
+        expr = parse_kernel(text)
+        ell = V._min_lengthscale(expr)
+        values, _scale, exists = V._lag_derivatives(expr, np.array([0.0, ell * 1e-9]), 6)
+        for m in range(7):
+            if not exists[m]:
+                assert math.isnan(values[m, 0])
+            elif m % 2:
+                assert values[m, 0] == 0.0
+            else:
+                assert values[m, 0] == pytest.approx(values[m, 1], rel=1e-3, abs=1e-12)
+
+    def test_existence_rules(self):
+        def exists(text):
+            return V._lag_derivatives(parse_kernel(text), np.array([0.0]), 6)[2].tolist()
+
+        assert exists("matern(nu=1.5)") == [True] * 3 + [False] * 4
+        assert exists("matern(nu=3)") == [True] * 6 + [False]
+        # Wendland (1,1) is 1 - 6r^2 + 8r^3 - 3r^4: the r^3 term breaks order 3
+        assert exists("wendland(d=1,n=1)") == [True] * 3 + [False] * 4
+        assert exists("se() * periodic()") == [True] * 7
+        assert exists("se() + matern(nu=0.5)") == [True] + [False] * 6
+
+    def test_radial_derivative_matches_helper(self):
+        expr = parse_kernel("matern(nu=2.5,lengthscale=0.4) * rq(a=2)")
+        values, _s, _e = V._lag_derivatives(expr, np.array([0.0, 0.3]), 4)
+        for order in range(5):
+            assert radial_derivative(expr, order, 0.3) == values[order, 1]
+            assert radial_derivative(expr, order, 0.0) == values[order, 0]
+
+
+def _scalar_quotients(expr, n, cfg):
+    # the per-lag scalar loop the batched lattice replaced: one eval_radial
+    # (eval_stationary for 1-D) call per lattice entry
+    from pathreg.kernels import Isotropic, classify, eval_radial, eval_stationary
+
+    if isinstance(classify(expr), Isotropic):
+        profile = lambda t: float(eval_radial(expr, t))  # noqa: E731
+    else:
+        profile = lambda t: float(eval_stationary(expr, np.array([t])))  # noqa: E731
+    ell = V._min_lengthscale(expr)
+    w = V._binom_weights(n)
+    seq = []
+    for j in range(cfg.window[0], cfg.window[0] + 9):
+        s = 2.0**-j
+        acc = 0.0
+        kmax = 0.0
+        for a in range(n + 1):
+            for b in range(n + 1):
+                val = profile(abs(a - b) * (ell * s))
+                kmax = max(kmax, abs(val))
+                acc += w[a] * w[b] * val
+        noise = (float(np.sum(np.abs(w))) ** 2) * V._EPS * max(1.0, kmax)
+        seq.append((acc / s ** (2 * n), noise / s ** (2 * n)))
+    return seq
+
+
+class TestBatchedQuotients:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "matern(nu=2.5)",
+            "matern(nu=3,lengthscale=0.1)",
+            "matern(nu=1.5,lengthscale=10,dim=2)",
+            "wendland(d=1,n=2,lengthscale=0.1)",
+            "rq(a=1,lengthscale=10)",
+            "periodic(lengthscale=0.1)",
+            "periodic() * se()",
+            "matern(nu=0.5) + 2*wendland(d=1,n=1)",
+        ],
+    )
+    def test_lattice_matches_scalar_loop(self, text):
+        expr = parse_kernel(text)
+        for n in range(1, 4):
+            assert V._quotient_sequences(expr, n, CFG) == [_scalar_quotients(expr, n, CFG)], n
+
+
+class TestBeyondProbeRange:
+    def test_narrow_window_gives_explicit_fail(self):
+        narrow = VerifyConfig(window=(4, 6))
+        report = verify_regularity(parse_kernel("matern(nu=1.5)"), cfg=narrow)
+        assert report.verdict == "fail"
+        assert report.exponent_fit is None
+        assert report.note.startswith("beyond probe range: only 3 usable scales at order 1")
+        payload = verify_to_dict(report)
+        assert payload["note"] == report.note
+        assert payload["detected"]["slope"] is None
+        assert "total" not in payload["detected"]
+
+    def test_note_absent_by_default(self):
+        assert "note" not in verify_to_dict(verify_regularity(parse_kernel("matern(nu=1.5)")))
+
+    def test_missing_origin_derivative(self):
+        # order 1 needs the second lag derivative at the origin, which
+        # e^-r lacks
+        with pytest.raises(V.BeyondProbeRange):
+            estimate_diagonal_exponent(parse_kernel("matern(nu=0.5)"), 1)
