@@ -39,6 +39,15 @@ Cholesky factor is the Kronecker product of the per-axis factors and a draw
 is the two-sided product L1 Z L2^T.  This is an exact algebraic identity,
 not an approximation; it exists because a dense 16384^2 factorisation does
 not fit the acceptance-time budget on one core.
+
+Sample and surface CSVs hold ``'%.17g'`` text, byte for byte what
+``np.savetxt`` writes, but formatted in numpy blocks of _CSV_BLOCK values
+instead of one value at a time.  A finite value with |v| in [1e-4, 1e16)
+(fixed notation) takes its 17 significant digits from an exactly rounded
+integer product (Dekker's two-product with an exact power of ten), its
+digit bytes from a table of 4-digit groups and its layout from a byte
+template whose unused slots are deleted; any other value (zero, subnormal,
+tiny, huge, inf, NaN) is formatted by ``'%.17g'`` itself.
 """
 
 from __future__ import annotations
@@ -506,14 +515,142 @@ def write_samples_csv(samples: PathSamples, path: str) -> None:
 
 def _write_grid_csv(path: str, grid: Grid, names: list[str], values: np.ndarray) -> None:
     """One grid point per row: coordinates, then the named value columns.
-    Floats carry 17 significant digits so values round-trip exactly; rows
-    end in CRLF.  Written atomically (temp file + rename)."""
+    Floats carry 17 significant digits (``'%.17g'``) so values round-trip
+    exactly; rows end in CRLF.  Written atomically (temp file + rename)."""
     header = ",".join(["x", "y"][: grid.dim] + names)
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        np.savetxt(fh, np.column_stack([grid.points(), values]), fmt="%.17g", delimiter=",",
-                   newline="\r\n", header=header, comments="")
+    with open(tmp, "wb") as fh:
+        fh.write(header.encode() + b"\r\n")
+        for chunk in _format_rows(grid.points(), values):
+            fh.write(chunk)
     os.replace(tmp, path)
+
+
+def _format_rows(*columns: np.ndarray):
+    """The CSV rows of the float table np.column_stack(columns), as
+    ``np.savetxt`` writes them with fmt="%.17g", delimiter="," and
+    newline="\\r\\n", yielded in blocks of whole rows, at most _CSV_BLOCK
+    values or one row each; the table is never built whole."""
+    cols = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    rows = max(1, _CSV_BLOCK // cols)
+    ends = np.arange(rows * cols) % cols == cols - 1
+    for lo in range(0, columns[0].shape[0], rows):
+        block = np.column_stack([c[lo:lo + rows] for c in columns]).ravel()
+        yield _format_block(block, ends[: block.size])
+
+
+# values per formatted block: bounds the formatter's temporaries
+_CSV_BLOCK = 16384
+# 10^p for p = 0..22, each an exact double (products of exact powers of ten)
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+# the ASCII digits of 0..9999, four per row, as one 4-byte word per number,
+# and the trailing zero count of each number (4 for 0); built from byte
+# arrays, so import leaves no large temporaries behind in the heap
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_QUAD_DIGITS = np.stack([np.tile(np.repeat(_DIGITS, 10**k), 10**(3 - k)) for k in (3, 2, 1, 0)], 1)
+_QUADS = _QUAD_DIGITS.view(np.uint32).ravel()
+_TRAILING = np.cumprod(_QUAD_DIGITS[:, ::-1] == ord("0"), axis=1, dtype=np.uint8).sum(axis=1)
+# the slots "0.000" ahead of the digits of |v| < 1, and the largest decimal
+# exponent at which each is used: 0.1 -> "0.", 0.01 -> "0.0", ...
+_PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
+_PREFIX_MAX_EXP = np.array([-1, -1, -2, -3, -4])[:, None]
+# slots per value: sign, prefix, 17 digits each followed by a decimal-point
+# slot but the last, and a two-byte separator
+_SLOTS = 1 + 5 + 33 + 2
+_FALLBACK = 1  # sign-slot marker of a value formatted by '%.17g' itself
+
+
+def _format_block(values: np.ndarray, ends: np.ndarray) -> bytes:
+    """The bytes of ``'%.17g' % v`` for each value, each followed by ","
+    or, where ``ends`` is True, by CRLF.
+
+    Finite |v| in [1e-4, 1e16), always fixed notation under %.17g, are
+    formatted here.  Each value is laid out in a column of a (slot, value)
+    byte template: sign, the "0.000" ahead of |v| < 1, 17 digits with a
+    decimal-point slot after each but the last, and the separator.  Unused
+    slots hold 0 and are deleted with ``bytes.translate``.  Every other
+    value (0, subnormal, tiny, huge, inf, NaN) leaves a marker that is
+    replaced by ``'%.17g' % v``.
+    """
+    m = values.shape[0]
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e16)
+    slots = np.empty((_SLOTS, m), np.uint8)
+    digits = slots[6:39:2]
+    # the rest take a harmless stand-in, so log10 and the split stay finite
+    e, last = _significant_digits(np.where(fast, a, 1.0), digits)
+    # keep digits up to the last significant one and up to the units digit
+    last = np.maximum(last, e)
+    last[~fast] = -1
+    digits *= np.arange(17)[:, None] <= last
+    slots[0] = (values < 0.0) * np.uint8(ord("-"))
+    slots[0, ~fast] = _FALLBACK
+    slots[1:6] = _PREFIX * ((e <= _PREFIX_MAX_EXP) & fast)
+    # a decimal point follows the units digit when a significant digit follows it
+    slots[7:38:2] = ((np.arange(16)[:, None] == e) & (last > e)) * np.uint8(ord("."))
+    slots[39] = np.where(ends, np.uint8(ord("\r")), np.uint8(ord(",")))
+    slots[40] = ends * np.uint8(ord("\n"))
+    text = slots.T.tobytes().translate(None, b"\0")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        parts = text.split(bytes([_FALLBACK]))
+        parts[1:] = [b"%.17g" % v + p for v, p in zip(values[slow].tolist(), parts[1:])]
+        text = b"".join(parts)
+    return text
+
+
+def _significant_digits(a: np.ndarray, out: np.ndarray):
+    """Write the 17 significant decimal digits of each a in [1e-4, 1e16),
+    correctly rounded, as ASCII down the rows of ``out`` (17 rows); return
+    the decimal exponents E and the index of each last non-zero digit.
+
+    With E = floor(log10 a) the digits are N = round-half-even(a 10^(16-E)),
+    where the product is exact as hi + lo (10^(16-E) is an exact double and
+    Dekker's two-product splits the rounding error off).  E from log10 may
+    be one off near a power of ten, so it is fixed by exact comparisons of
+    hi + lo with 10^16 and 10^17.  hi >= 10^16 > 2^53 is then an even
+    integer and |lo| <= 8, so N = hi + rint(lo) exactly, in int64.
+    """
+    e = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _two_product(a, _POW10[16 - e])
+    shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))).astype(np.intp)
+    shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    if shift.any():
+        e += shift
+        hi, lo = _two_product(a, _POW10[16 - e])
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # rounding up to 10^17 carries into the exponent; the digit split below
+    # needs exactly 17 digits
+    carry = n == 10**17
+    n[carry] = 10**16
+    e += carry
+
+    upper, lower = np.divmod(n, 10**8)
+    lead, rest = np.divmod(upper, 10**8)
+    high, mid_high = np.divmod(rest, 10**4)
+    mid_low, low = np.divmod(lower, 10**4)
+    out[0] = lead + ord("0")
+    quads = np.take(_QUADS, np.stack([high, mid_high, mid_low, low])).view(np.uint8)
+    out[1:] = quads.reshape(4, -1, 4).transpose(0, 2, 1).reshape(16, -1)
+    tz_high = np.where(mid_high == 0, 4 + _TRAILING[high], _TRAILING[mid_high])
+    tz_low = np.where(low == 0, 4 + _TRAILING[mid_low], _TRAILING[low])
+    return e, 16 - np.where(lower == 0, 8 + tz_high, tz_low)
+
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """(hi, lo) with hi = fl(a b) and hi + lo == a b exactly (Dekker)."""
+    hi = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi, lo
+
+
+def _split(a: np.ndarray):
+    # Veltkamp's split into two halves of at most 26 significant bits
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def write_sidecar(samples: PathSamples, path: str) -> None:

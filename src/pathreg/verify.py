@@ -33,7 +33,8 @@ recursion, SE and RQ in u = a t^2, Wendland its stored rational polynomial,
 periodic as e^-u with u = sin^2(pi t / l)), conic combinations sum the
 children's derivatives and products combine them by Leibniz's rule, and
 each derivative carries the magnitude of the terms summed into it, which
-sets its rounding-noise estimate, and whether it exists at the origin.
+sets its rounding-noise estimate.  Whether a derivative exists at the
+origin follows from the leaves' rules alone, and caps the detected order.
 
 General (non-stationary) kernels are checked at fixed probe points with
 finite-difference kernel derivatives and Richardson extrapolation, the
@@ -395,9 +396,32 @@ def _lag_derivatives(expr: Kernel, t, m: int):
     the profile along the first axis stands for every axis.
     """
     t = np.asarray(t, dtype=float)
-    values, scale, exists = _lag_terms(expr, t, m)
+    exists = _lag_exists(expr, m)
+    values, scale = _lag_terms(expr, t, m)
     values[np.ix_(~exists, t == 0.0)] = np.nan
     return values, scale, exists
+
+
+def _lag_exists(expr: Kernel, m: int) -> np.ndarray:
+    """Whether each derivative of orders 0..m of a stationary expression's
+    lag profile exists at the origin.
+
+    Matern: phi^(j) exists there exactly when nu > j/2.  Wendland: phi is
+    even, so phi^(j) exists only if no odd power of exponent <= j survives
+    in its polynomial.  The other leaves are smooth, and a sum or product
+    has a derivative where all its terms have.
+    """
+    if isinstance(expr, Matern):
+        return np.array([expr.nu > j / 2.0 for j in range(m + 1)])
+    if isinstance(expr, Wendland):
+        coeffs = expr.polynomial.coeffs
+        odd = [coeffs[i] != 0 for i in range(1, len(coeffs), 2)]
+        return np.array([not any(odd[: (j + 1) // 2]) for j in range(m + 1)])
+    if isinstance(expr, (SquaredExponential, RationalQuadratic, Periodic)):
+        return np.ones(m + 1, bool)
+    if isinstance(expr, (Conic, Product)):
+        return np.logical_and.reduce([_lag_exists(c, m) for c in expr.children])
+    raise KernelError(f"{type(expr).__name__} node has no lag profile")
 
 
 def _lag_terms(expr: Kernel, t: np.ndarray, m: int):
@@ -408,16 +432,15 @@ def _lag_terms(expr: Kernel, t: np.ndarray, m: int):
     if isinstance(expr, Periodic):
         return _periodic_terms(expr, t, m)
     parts = [_lag_terms(c, t, m) for c in expr.children]
-    exists = np.logical_and.reduce([e for _v, _s, e in parts])
     if isinstance(expr, Conic):
-        values = sum(w * v for w, (v, _s, _e) in zip(expr.weights, parts))
-        scale = sum(w * s for w, (_v, s, _e) in zip(expr.weights, parts))
-        return values, scale, exists
+        values = sum(w * v for w, (v, _s) in zip(expr.weights, parts))
+        scale = sum(w * s for w, (_v, s) in zip(expr.weights, parts))
+        return values, scale
     if isinstance(expr, Product):
-        values, scale, _e = parts[0]
-        for v, s, _e in parts[1:]:
+        values, scale = parts[0]
+        for v, s in parts[1:]:
             values, scale = _leibniz(values, v), _leibniz(scale, s)
-        return values, scale, exists
+        return values, scale
     raise KernelError(f"{type(expr).__name__} node has no lag profile")
 
 
@@ -432,7 +455,7 @@ def _quadratic_inner(expr: Kernel, t: np.ndarray, m: int):
     """Leaves phi(t) = G(a t^2), through
     d^j/dt^j G(a t^2) = sum_i j!/(i! (j-2i)!) (2at)^(j-2i) a^i G^(j-i)(a t^2);
     at the origin only the term with j = 2i survives."""
-    a, g, exists = _profile_u_derivatives(expr, t, m)
+    a, g = _profile_u_derivatives(expr, t, m)
     x = 2.0 * a * t
     values = np.zeros((m + 1,) + t.shape)
     scale = np.zeros_like(values)
@@ -447,29 +470,28 @@ def _quadratic_inner(expr: Kernel, t: np.ndarray, m: int):
                     term[zero] = 0.0
                 values[j] += term
                 scale[j] += np.abs(term)
-    return values, scale, exists
+    return values, scale
 
 
 def _profile_u_derivatives(expr: Kernel, t: np.ndarray, m: int):
-    """(a, [G^(k)(a t^2) for k = 0..m], exists) of a leaf phi(t) = G(a t^2).
+    """(a, [G^(k)(a t^2) for k = 0..m]) of a leaf phi(t) = G(a t^2).
 
     Matern: G(u) = c z^nu K_nu(z) with u = z^2 / 2, so by DLMF 10.29.4
     G^(k)(u) = c (-1)^k z^(nu-k) K_(nu-k)(z), with K_(-mu) = K_mu, one
     Bessel call per distinct order; at the origin it is the limit
-    c (-1)^k 2^(nu-k-1) Gamma(nu-k), finite for k < nu, and phi^(j) exists
-    there exactly when nu > j/2.
+    c (-1)^k 2^(nu-k-1) Gamma(nu-k), finite for k < nu.
     """
     ell2 = expr.lengthscale**2
     if isinstance(expr, SquaredExponential):
         e = np.exp(-(t * t) / ell2)
-        return 1.0 / ell2, [(-1.0) ** k * e for k in range(m + 1)], np.ones(m + 1, bool)
+        return 1.0 / ell2, [(-1.0) ** k * e for k in range(m + 1)]
     if isinstance(expr, RationalQuadratic):
         base = 1.0 + t * t / ell2
         g, rising = [], 1.0
         for k in range(m + 1):
             g.append(rising * base ** (-expr.a - k))
             rising *= -expr.a - k
-        return 1.0 / ell2, g, np.ones(m + 1, bool)
+        return 1.0 / ell2, g
     nu = expr.nu
     z = math.sqrt(2.0 * nu) * t / expr.lengthscale
     pos = z > 0.0
@@ -485,13 +507,12 @@ def _profile_u_derivatives(expr: Kernel, t: np.ndarray, m: int):
         if k < nu:
             gk[~pos] = (-1.0) ** k * c * 2.0 ** (nu - k - 1.0) * math.gamma(nu - k)
         g.append(gk)
-    return nu / ell2, g, np.array([nu > j / 2.0 for j in range(m + 1)])
+    return nu / ell2, g
 
 
 def _wendland_terms(expr: Wendland, t: np.ndarray, m: int):
     """phi(t) = P(t / ell) from the stored rational polynomial, zero from
-    the support radius on.  phi is even, so phi^(j) exists at the origin
-    only if no odd power of exponent <= j survives in P."""
+    the support radius on."""
     ell = expr.lengthscale
     rho = t / ell
     poly = expr.polynomial
@@ -501,9 +522,7 @@ def _wendland_terms(expr: Wendland, t: np.ndarray, m: int):
         magnitude = specfun.PiecewisePolynomial(tuple(abs(c) for c in poly.coeffs))
         scale.append(magnitude(rho) / ell**j)
         poly = poly.derivative()
-    odd = [expr.polynomial.coeffs[i] != 0 for i in range(1, len(expr.polynomial.coeffs), 2)]
-    exists = np.array([not any(odd[: (j + 1) // 2]) for j in range(m + 1)])
-    return np.stack(values), np.stack(scale), exists
+    return np.stack(values), np.stack(scale)
 
 
 def _periodic_terms(expr: Periodic, t: np.ndarray, m: int):
@@ -521,7 +540,7 @@ def _periodic_terms(expr: Periodic, t: np.ndarray, m: int):
         weights = [math.comb(j - 1, i) * du[i + 1] for i in range(j)]
         values.append(-sum(w * values[j - 1 - i] for i, w in enumerate(weights)))
         scale.append(sum(np.abs(w) * scale[j - 1 - i] for i, w in enumerate(weights)))
-    return np.stack(values), np.stack(scale), np.ones(m + 1, bool)
+    return np.stack(values), np.stack(scale)
 
 
 def radial_derivative(
@@ -602,10 +621,14 @@ def _order_exists(expr: Kernel, n: int, cfg: VerifyConfig) -> bool:
     """Do the order-n diagonal derivatives of k exist near the diagonal?
 
     Probes the mean-square difference quotients over halving lags; the
-    noise floor eps/h^(2n) bounds how deep each order can be probed.
+    noise floor eps/h^(2n) bounds how deep each order can be probed.  A
+    stationary expression whose lag profile has no order-2n derivative at
+    the origin has no order-n derivative, whatever its quotients show.
     """
     if n == 0:
         return True
+    if isinstance(classify(expr), Stationary) and not _lag_exists(expr, 2 * n)[2 * n]:
+        return False
     return all(
         _sequence_converges(_trim_noisy(seq), cfg) for seq in _quotient_sequences(expr, n, cfg)
     )

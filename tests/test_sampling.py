@@ -1,13 +1,19 @@
 """Gram assembly, jittered factorisation, reproducible draws, serialisation."""
 
+import io
 import math
+import struct
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathreg import sampling
+from pathreg.cli import main
 from pathreg.dsl import parse_kernel
 from pathreg.kernels import DomainError, KernelError, Stationary, classify, pairwise
 from pathreg.sampling import (
@@ -556,3 +562,101 @@ class TestSerialisation:
         assert meta["grid"]["axes"][0]["count"] == 5
         assert meta["jitter_used"] == samples.jitter_used
         assert meta["alpha"] == [0]
+
+
+def _percent_bytes(values, ends) -> bytes:
+    # the reference: '%.17g' one value at a time
+    return "".join(
+        "%.17g" % v + ("\r\n" if end else ",") for v, end in zip(values, ends)
+    ).encode()
+
+
+def _savetxt_bytes(table: np.ndarray, header: str | None = None) -> bytes:
+    buf = io.StringIO()
+    np.savetxt(buf, table, fmt="%.17g", delimiter=",", newline="\r\n",
+               header=header or "", comments="")
+    return buf.getvalue().encode()
+
+
+def _check_block(values) -> None:
+    values = np.array(values, dtype=float)
+    ends = np.arange(values.size) % 3 == 2
+    assert sampling._format_block(values, ends) == _percent_bytes(values.tolist(), ends)
+
+
+def _decimal_ties() -> list[float]:
+    """Doubles v = c / 2^(q+1), c odd, whose 17-digit rounding is an exact
+    tie: v 10^q is a half-integer of 17 digits, for every fixed-notation
+    exponent E = 16 - q from 15 down to -4."""
+    ties = []
+    for q in range(1, 21):
+        low = -(-(2 ** (q + 1) * 10**16) // 10**q) | 1
+        for c in range(low, low + 40, 2):
+            v = c / 2 ** (q + 1)
+            assert (Fraction(v) * 10**q).denominator == 2
+            ties.append(v)
+    return ties
+
+
+def _edge_values() -> list[float]:
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.5, 0.1]
+    # each power of ten with both neighbours; the largest double below one is
+    # where N would carry to 10^17 if the rounding were off
+    for p in [1e-4] + [float(f"1e{k}") for k in range(-6, 18)]:
+        values += [float(np.nextafter(p, 0.0)), p, float(np.nextafter(p, math.inf))]
+    values += _decimal_ties()
+    values += [(2 * k + 1) / 2.0**j for j in range(1, 60) for k in range(8)]
+    return values + [-v for v in values]
+
+
+_bit_floats = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
+_fast_range = st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+class TestCsvWriter:
+    """The block formatter against '%.17g', and written files against np.savetxt."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), _bit_floats, _fast_range), min_size=1, max_size=40))
+    def test_block_matches_percent_format(self, values):
+        _check_block(values)
+
+    def test_edge_values(self):
+        _check_block(_edge_values())
+
+    @pytest.mark.parametrize("cols", [1, 7, 202, sampling._CSV_BLOCK + 6])
+    def test_tables_across_blocks(self, cols):
+        rows = 2 * sampling._CSV_BLOCK // cols + 3
+        rng = np.random.default_rng(cols)
+        table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-6, 18, (rows, cols))
+        table.flat[::97] = 0.0
+        assert (rows * cols) % sampling._CSV_BLOCK != 0
+        assert b"".join(sampling._format_rows(table)) == _savetxt_bytes(table)
+
+    @pytest.mark.parametrize(
+        "text,axes",
+        [
+            ("matern(nu=1.5)", (Axis(0.0, 1.0, 257),)),
+            ("tensor(matern(nu=0.5), se())", (Axis(0.0, 1.0, 33), Axis(-1.0, 2.0, 17))),
+        ],
+    )
+    def test_samples_file_matches_savetxt(self, tmp_path, text, axes):
+        grid = Grid(axes)
+        samples = sample_paths(parse_kernel(text), grid, 5, 9)
+        path = tmp_path / "s.csv"
+        write_samples_csv(samples, str(path))
+        header = ",".join(["x", "y"][: grid.dim] + [f"s{i}" for i in range(5)])
+        table = np.column_stack([grid.points(), samples.samples.T])
+        assert path.read_bytes() == _savetxt_bytes(table, header)
+
+    def test_report_surface_with_exact_zeros(self, capsys, tmp_path):
+        prefix = str(tmp_path / "w")
+        argv = ["report", "-k", "wendland(d=1,n=1)", "--grid", "0:4:129", "--count", "50",
+                "--seed", "3", "--out", prefix]
+        assert main(argv) == 0
+        capsys.readouterr()
+        grid = Grid((Axis(0.0, 4.0, 129),))
+        values = pairwise(parse_kernel("wendland(d=1,n=1)"), grid.points(), np.array([[2.0]]))
+        assert (values == 0.0).sum() > 10
+        expected = _savetxt_bytes(np.column_stack([grid.points(), values]), "x,k")
+        assert (tmp_path / "w_surface.csv").read_bytes() == expected

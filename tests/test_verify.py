@@ -186,6 +186,22 @@ class TestDetectOrder:
     def test_catalogue(self, text, expected):
         assert detect_order(parse_kernel(text)) == expected
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "matern(nu=2.5) * periodic()",
+            "matern(nu=2.5) * periodic(lengthscale=0.5)",
+            "matern(nu=2.5,lengthscale=0.1) * periodic(lengthscale=0.1)",
+        ],
+    )
+    def test_no_order_past_the_lag_derivatives(self, text):
+        # the profile has no sixth derivative at the origin, so no order 3,
+        # however the smooth factor shapes the order-3 quotients
+        report = verify_regularity(parse_kernel(text))
+        assert report.detected_order_n == 2
+        assert report.verdict == "pass"
+        assert report.note is None
+
 
 class TestDiagonalExponent:
     def test_matern_half_slope_one(self):
