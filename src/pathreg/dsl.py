@@ -10,34 +10,31 @@ Grammar (whitespace-insensitive)::
             | 'warp(' expr ',' warpname ['(' kwargs ')'] ')'
     kwargs := name '=' (number | name) (',' name '=' (number | name))*
 
-Leaf names: matern, wendland, se, rq, periodic, wiener, linear, poly,
-feature.  A leading ``number '*'`` on a term is a conic weight and must be
-positive; numeric literals are not kernels on their own.  ``parse_kernel``
-and ``print_kernel`` round-trip: parsing the printed form reproduces a
-structurally equal tree.
+Leaf names are those of the classes in ``kernels.LEAVES`` (matern,
+wendland, se, rq, periodic, wiener, linear, poly, feature), and a leaf's
+parameters are its fields.  A leading ``number '*'`` on a term is a conic
+weight and must be positive and finite; numeric literals are not kernels
+on their own.  ``parse_kernel`` and ``print_kernel`` round-trip: parsing
+the printed form reproduces a structurally equal tree.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 from .kernels import (
+    LEAVES,
+    WARPS,
     Conic,
-    Feature,
     Kernel,
-    Linear,
-    Matern,
+    Leaf,
     ParameterError,
-    Periodic,
-    Polynomial,
     Product,
-    RationalQuadratic,
-    SquaredExponential,
     TensorProduct,
     Warp,
-    Wendland,
-    Wiener,
+    leaf_params,
 )
 
 __all__ = ["ParseError", "parse_kernel", "print_kernel"]
@@ -83,80 +80,43 @@ def _tokenize(src: str) -> list[_Token]:
     return tokens
 
 
-_LEAF_PARAMS = {
-    # name -> (required, optional-with-defaults, name-valued params)
-    "matern": (("nu",), ("lengthscale", "dim"), ()),
-    "wendland": (("d", "n"), ("lengthscale",), ()),
-    "se": ((), ("lengthscale", "dim"), ()),
-    "rq": (("a",), ("lengthscale", "dim"), ()),
-    "periodic": ((), ("lengthscale",), ()),
-    "wiener": ((), (), ()),
-    "linear": ((), ("dim",), ()),
-    "poly": (("m",), ("dim",), ()),
-    "feature": (("family", "degree"), (), ("family",)),
-}
-
-_WARP_PARAMS = {
-    "affine": ("a", "b"),
-    "abs_power": ("beta",),
-}
+_LEAVES = {cls.name: cls for cls in LEAVES}
 
 
-def _build_leaf(name: str, kwargs: dict[str, tuple], name_pos: int) -> Kernel:
-    required, optional, nameval = _LEAF_PARAMS[name]
-    allowed = set(required) | set(optional)
+def _build_leaf(cls, kwargs: dict[str, tuple], name_pos: int) -> Kernel:
+    # parameters are the leaf's fields under their DSL names; str fields
+    # take identifiers, int fields integers, the others numbers
+    name = cls.name
+    params = leaf_params(cls)
     for key, (_value, pos, kind) in kwargs.items():
-        if key not in allowed:
+        if key not in params:
             raise ParseError(f"unknown parameter {key!r} for {name}", pos)
-        want_name = key in nameval
+        want_name = params[key].type == "str"
         if want_name != (kind == "name"):
             expected = "an identifier" if want_name else "a number"
             raise ParseError(f"parameter {key!r} of {name} expects {expected}", pos)
-    for key in required:
-        if key not in kwargs:
+    for key, f in params.items():
+        if f.default is MISSING and key not in kwargs:
             raise ParseError(f"{name} requires parameter {key!r}", name_pos)
+    args = {}
+    for key, f in params.items():
+        if key in kwargs:
+            value, pos, _kind = kwargs[key]
+            args[f.name] = _coerce_int(value, key, pos) if f.type == "int" else value
+    return _construct(lambda: cls(**args), kwargs, name_pos)
 
-    def val(key, default=None):
-        return kwargs[key][0] if key in kwargs else default
 
-    def ival(key, default=None):
-        if key not in kwargs:
-            return default
-        value, pos, _kind = kwargs[key]
-        return _coerce_int(value, key, pos)
-
+def _construct(build, kwargs: dict[str, tuple], pos: int) -> Kernel:
+    # a rejected parameter is reported at its value, other errors at pos
     try:
-        if name == "matern":
-            return Matern(val("nu"), lengthscale=val("lengthscale", 1.0), input_dim=ival("dim", 1))
-        if name == "wendland":
-            return Wendland(ival("d"), ival("n"), lengthscale=val("lengthscale", 1.0))
-        if name == "se":
-            return SquaredExponential(lengthscale=val("lengthscale", 1.0), input_dim=ival("dim", 1))
-        if name == "rq":
-            return RationalQuadratic(val("a"), lengthscale=val("lengthscale", 1.0), input_dim=ival("dim", 1))
-        if name == "periodic":
-            return Periodic(lengthscale=val("lengthscale", 1.0))
-        if name == "wiener":
-            return Wiener()
-        if name == "linear":
-            return Linear(input_dim=ival("dim", 1))
-        if name == "poly":
-            return Polynomial(ival("m"), input_dim=ival("dim", 1))
-        if name == "feature":
-            return Feature(val("family"), ival("degree"))
-    except (ParameterError, ValueError) as exc:
-        offset = name_pos
-        m = re.match(r".*parameter (\w+)", str(exc))
-        if m:
-            dsl_key = {"input_dim": "dim"}.get(m.group(1), m.group(1))
-            if dsl_key in kwargs:
-                offset = kwargs[dsl_key][1]
+        return build()
+    except ParameterError as exc:
+        offset = kwargs[exc.param][1] if exc.param in kwargs else pos
         raise ParseError(str(exc), offset) from exc
-    raise AssertionError(name)
 
 
 def _coerce_int(value: float, key: str, pos: int) -> int:
-    if float(value) != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ParseError(f"parameter {key!r} must be an integer", pos)
     return int(value)
 
@@ -206,6 +166,8 @@ class _Parser:
             weight = float(tok.text)
             if weight <= 0.0:
                 raise ParseError("conic weight must be positive", tok.pos)
+            if weight == math.inf:
+                raise ParseError("conic weight must be finite", tok.pos)
             self.expect("*")
         factors = [self.parse_factor()]
         while self.peek().kind == "sym" and self.peek().text == "*":
@@ -250,7 +212,7 @@ class _Parser:
             if fam_tok.kind != "name":
                 raise ParseError("expected a warp family name", fam_tok.pos)
             self.advance()
-            if fam_tok.text not in _WARP_PARAMS:
+            if fam_tok.text not in WARPS:
                 raise ParseError(f"unknown warp family {fam_tok.text!r}", fam_tok.pos)
             kwargs = {}
             if self.peek().text == "(":
@@ -259,14 +221,14 @@ class _Parser:
                 self.expect(")")
             self.expect(")")
             return self._build_warp(child, fam_tok.text, kwargs, fam_tok.pos)
-        if name not in _LEAF_PARAMS:
+        if name not in _LEAVES:
             raise ParseError(f"unknown kernel name {name!r}", name_tok.pos)
         self.expect("(")
         kwargs = {}
         if self.peek().text != ")":
             kwargs = self.parse_kwargs()
         self.expect(")")
-        return _build_leaf(name, kwargs, name_tok.pos)
+        return _build_leaf(_LEAVES[name], kwargs, name_tok.pos)
 
     def parse_kwargs(self) -> dict[str, tuple]:
         kwargs = {}
@@ -292,7 +254,7 @@ class _Parser:
             self.advance()
 
     def _build_warp(self, child: Kernel, family: str, kwargs: dict, pos: int) -> Kernel:
-        order = _WARP_PARAMS[family]
+        order = WARPS[family].params
         for key, (_v, kpos, kind) in kwargs.items():
             if key not in order:
                 raise ParseError(f"unknown parameter {key!r} for warp {family}", kpos)
@@ -303,14 +265,7 @@ class _Parser:
             if key not in kwargs:
                 raise ParseError(f"warp {family} requires parameter {key!r}", pos)
             params.append(kwargs[key][0])
-        try:
-            return Warp(child, family, tuple(params))
-        except ParameterError as exc:
-            offset = pos
-            m = re.match(r".*parameter (\w+)", str(exc))
-            if m and m.group(1) in kwargs:
-                offset = kwargs[m.group(1)][1]
-            raise ParseError(str(exc), offset) from exc
+        return _construct(lambda: Warp(child, family, tuple(params)), kwargs, pos)
 
 
 def parse_kernel(text: str) -> Kernel:
@@ -335,47 +290,14 @@ def _print_factor(expr: Kernel) -> str:
 
 def print_kernel(expr: Kernel) -> str:
     """Canonical textual form; parse_kernel(print_kernel(e)) equals e."""
-    if isinstance(expr, Matern):
-        parts = [f"nu={_fmt(expr.nu)}"]
-        if expr.lengthscale != 1.0:
-            parts.append(f"lengthscale={_fmt(expr.lengthscale)}")
-        if expr.input_dim != 1:
-            parts.append(f"dim={expr.input_dim}")
-        return f"matern({', '.join(parts)})"
-    if isinstance(expr, Wendland):
-        parts = [f"d={expr.d}", f"n={expr.n}"]
-        if expr.lengthscale != 1.0:
-            parts.append(f"lengthscale={_fmt(expr.lengthscale)}")
-        return f"wendland({', '.join(parts)})"
-    if isinstance(expr, SquaredExponential):
+    if isinstance(expr, Leaf):
+        # required parameters always, the others when off their defaults
         parts = []
-        if expr.lengthscale != 1.0:
-            parts.append(f"lengthscale={_fmt(expr.lengthscale)}")
-        if expr.input_dim != 1:
-            parts.append(f"dim={expr.input_dim}")
-        return f"se({', '.join(parts)})"
-    if isinstance(expr, RationalQuadratic):
-        parts = [f"a={_fmt(expr.a)}"]
-        if expr.lengthscale != 1.0:
-            parts.append(f"lengthscale={_fmt(expr.lengthscale)}")
-        if expr.input_dim != 1:
-            parts.append(f"dim={expr.input_dim}")
-        return f"rq({', '.join(parts)})"
-    if isinstance(expr, Periodic):
-        if expr.lengthscale != 1.0:
-            return f"periodic(lengthscale={_fmt(expr.lengthscale)})"
-        return "periodic()"
-    if isinstance(expr, Wiener):
-        return "wiener()"
-    if isinstance(expr, Linear):
-        return f"linear(dim={expr.input_dim})" if expr.input_dim != 1 else "linear()"
-    if isinstance(expr, Polynomial):
-        parts = [f"m={expr.m}"]
-        if expr.input_dim != 1:
-            parts.append(f"dim={expr.input_dim}")
-        return f"poly({', '.join(parts)})"
-    if isinstance(expr, Feature):
-        return f"feature(family={expr.family}, degree={expr.degree})"
+        for key, f in leaf_params(type(expr)).items():
+            value = getattr(expr, f.name)
+            if f.default is MISSING or value != f.default:
+                parts.append(f"{key}={_fmt(value) if f.type == 'float' else value}")
+        return f"{expr.name}({', '.join(parts)})"
     if isinstance(expr, Conic):
         terms = []
         single = len(expr.terms) == 1
@@ -391,7 +313,7 @@ def print_kernel(expr: Kernel) -> str:
     if isinstance(expr, TensorProduct):
         return f"tensor({', '.join(print_kernel(c) for c in expr.factors)})"
     if isinstance(expr, Warp):
-        order = _WARP_PARAMS[expr.family]
+        order = WARPS[expr.family].params
         kw = ", ".join(f"{k}={_fmt(v)}" for k, v in zip(order, expr.params))
         return f"warp({print_kernel(expr.child)}, {expr.family}({kw}))"
     raise TypeError(f"not a kernel expression: {expr!r}")

@@ -1,24 +1,47 @@
 """Covariance kernel expression trees and their evaluation semantics.
 
-A kernel expression is an immutable tree of leaf kernels (Matern, Wendland,
-squared exponential, rational quadratic, periodic, Wiener, linear,
-polynomial, feature) and combinators (conic combination, product, tensor
-product, coordinate warp).  Trees are pure values: evaluation, structural
-classification and printing never mutate them, so they are safe to share
-across threads.
+A kernel expression is an immutable tree of leaf kernels and combinators
+(conic combination, product, tensor product, coordinate warp).  Trees are
+pure values: evaluation, structural classification and printing never
+mutate them, so they are safe to share across threads.
+
+Each leaf is one dataclass below, listed in ``LEAVES``, and that class is
+the only place the leaf is described.  It declares
+
+* its DSL name, ``name``;
+* its parameters, which are its fields: a field without a default is
+  required, an ``int`` field takes integers of at least its ``minimum``
+  metadata (1 when absent), a ``str`` field takes one of its ``choices``
+  and is an identifier in the DSL, and any other field takes a positive
+  real; the ``dsl`` metadata renames a field in the DSL (``input_dim`` is
+  ``dim`` there);
+* its structural class, ``structure``: ``Isotropic``, ``Stationary`` or
+  ``General``;
+* its sample-path order, ``path_order``: (order, sharp, log-corrected);
+* its value: ``radial(r)`` for an isotropic leaf, ``lag(h)`` for a
+  stationary one, ``cross(X, Y)`` for a general one (the base class builds
+  the other two forms from the one declared);
+* for a stationary leaf, which derivatives of its lag profile exist at the
+  origin (``lag_exists``) and those derivatives with the magnitudes of the
+  terms summed into them (``lag_terms``).
+
+The DSL's parser and printer, ``classify``, evaluation,
+``regularity.leaf_regularity`` and ``verify`` read these declarations.
+Warp families are rows of ``WARPS`` in the same way.
 
 Evaluation is exact recursion over the tree: a conic node is the weighted
 sum of its children, a product node the pointwise product, a tensor node the
 product over factor blocks of the input coordinates, and a warp node the
-child evaluated at the warped points.  Leaves delegate to
-:mod:`pathreg.specfun`.
+child evaluated at the warped points.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -30,6 +53,7 @@ __all__ = [
     "DomainError",
     "StructureError",
     "Kernel",
+    "Leaf",
     "Matern",
     "Wendland",
     "SquaredExponential",
@@ -39,10 +63,14 @@ __all__ = [
     "Linear",
     "Polynomial",
     "Feature",
+    "LEAVES",
+    "leaf_params",
     "Conic",
     "Product",
     "TensorProduct",
     "Warp",
+    "WarpFamily",
+    "WARPS",
     "StructureClass",
     "General",
     "Stationary",
@@ -63,7 +91,15 @@ class KernelError(Exception):
 
 
 class ParameterError(KernelError):
-    """A kernel parameter is outside its admissible range."""
+    """A kernel parameter is outside its admissible range.
+
+    ``param`` is the parameter at fault as the DSL spells it, or None when
+    the error is not about one parameter.
+    """
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 class DomainError(KernelError):
@@ -77,17 +113,48 @@ class StructureError(KernelError):
 def _check_positive(name: str, value) -> float:
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
-        raise ParameterError(f"parameter {name} must be positive, got {value!r}")
+        raise ParameterError(f"parameter {name} must be positive, got {value!r}", name)
     return value
 
 
 def _check_int(name: str, value, minimum: int) -> int:
-    if value != int(value):
-        raise ParameterError(f"parameter {name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < minimum:
-        raise ParameterError(f"parameter {name} must be >= {minimum}, got {value}")
-    return value
+    try:
+        integer = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        integer = None
+    if value != integer:
+        raise ParameterError(f"parameter {name} must be an integer, got {value!r}", name)
+    if integer < minimum:
+        raise ParameterError(f"parameter {name} must be >= {minimum}, got {integer}", name)
+    return integer
+
+
+# --- structural classes ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class StructureClass:
+    pass
+
+
+@dataclass(frozen=True)
+class General(StructureClass):
+    pass
+
+
+@dataclass(frozen=True)
+class Stationary(StructureClass):
+    pass
+
+
+@dataclass(frozen=True)
+class Isotropic(Stationary):
+    pass
+
+
+@dataclass(frozen=True)
+class Tensor(StructureClass):
+    factors: tuple[StructureClass, ...]
 
 
 @dataclass(frozen=True)
@@ -103,136 +170,299 @@ class Kernel:
         return ()
 
 
+# --- leaves -------------------------------------------------------------------
+
+
+def leaf_params(cls) -> dict:
+    """The fields of a leaf class keyed by their DSL names, in order.
+    Annotations are strings here (postponed evaluation), so a field's
+    ``type`` reads ``'int'``, ``'float'`` or ``'str'``."""
+    return {f.metadata.get("dsl", f.name): f for f in fields(cls)}
+
+
 @dataclass(frozen=True)
-class Matern(Kernel):
-    nu: float
-    lengthscale: float = 1.0
-    input_dim: int = 1
+class Leaf(Kernel):
+    """Base class of the leaf kernels; the module docstring lists what a
+    leaf declares."""
+
+    name: ClassVar[str]
+    structure: ClassVar[type[StructureClass]]
 
     def __post_init__(self):
-        object.__setattr__(self, "nu", _check_positive("nu", self.nu))
-        object.__setattr__(self, "lengthscale", _check_positive("lengthscale", self.lengthscale))
-        object.__setattr__(self, "input_dim", _check_int("dim", self.input_dim, 1))
+        # fields in declaration order, so the first bad one is reported
+        for key, f in leaf_params(type(self)).items():
+            value = getattr(self, f.name)
+            if f.type == "int":
+                value = _check_int(key, value, f.metadata.get("minimum", 1))
+            elif f.type == "str":
+                if value not in f.metadata["choices"]:
+                    raise ParameterError(
+                        f"unknown {self.name} {key} {value!r}; choose from {f.metadata['choices']}",
+                        key,
+                    )
+            else:
+                value = _check_positive(key, value)
+            object.__setattr__(self, f.name, value)
 
     @property
     def dim(self) -> int:
-        return self.input_dim
+        return getattr(self, "input_dim", 1)
+
+    def lag(self, h: np.ndarray) -> np.ndarray:
+        # lags h of shape (..., dim); an isotropic leaf's value at |h|
+        return self.radial(np.sqrt(np.sum(h * h, axis=-1)))
+
+    def cross(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        # the matrix k(X[i], Y[j]); a stationary leaf's value at X[i] - Y[j]
+        return self.lag(X[:, None, :] - Y[None, :, :])
+
+    def lag_exists(self, m: int) -> np.ndarray:
+        # whether phi^(j), j = 0..m, exists at the origin: smooth by default
+        return np.ones(m + 1, bool)
 
 
 @dataclass(frozen=True)
-class Wendland(Kernel):
+class Matern(Leaf):
+    nu: float
+    lengthscale: float = 1.0
+    input_dim: int = field(default=1, metadata={"dsl": "dim"})
+
+    name = "matern"
+    structure = Isotropic
+
+    @property
+    def path_order(self):
+        nu = Fraction(self.nu)
+        return (nu, True, nu.denominator == 1)
+
+    def radial(self, r):
+        return specfun.matern_radial(self.nu, r / self.lengthscale)
+
+    def lag_exists(self, m: int) -> np.ndarray:
+        return np.array([self.nu > j / 2.0 for j in range(m + 1)])
+
+    def lag_terms(self, t: np.ndarray, m: int):
+        """G(u) = c z^nu K_nu(z) with u = z^2 / 2, so by DLMF 10.29.4
+        G^(k)(u) = c (-1)^k z^(nu-k) K_(nu-k)(z), with K_(-mu) = K_mu, one
+        Bessel call per distinct order; at the origin it is the limit
+        c (-1)^k 2^(nu-k-1) Gamma(nu-k), finite for k < nu."""
+        nu = self.nu
+        z = math.sqrt(2.0 * nu) * t / self.lengthscale
+        pos = z > 0.0
+        c = 2.0 ** (1.0 - nu) / specfun.gamma(nu)
+        bessel: dict[float, np.ndarray] = {}
+        g = []
+        for k in range(m + 1):
+            order = abs(nu - k)
+            if order not in bessel:
+                bessel[order] = specfun.bessel_k(order, z[pos])
+            gk = np.full_like(t, np.inf)
+            gk[pos] = (-1.0) ** k * c * z[pos] ** (nu - k) * bessel[order]
+            if k < nu:
+                gk[~pos] = (-1.0) ** k * c * 2.0 ** (nu - k - 1.0) * math.gamma(nu - k)
+            g.append(gk)
+        return _quadratic_inner(nu / self.lengthscale**2, g, t)
+
+
+@dataclass(frozen=True)
+class Wendland(Leaf):
     d: int
-    n: int
+    n: int = field(metadata={"minimum": 0})
     lengthscale: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", _check_int("d", self.d, 1))
-        object.__setattr__(self, "n", _check_int("n", self.n, 0))
-        object.__setattr__(self, "lengthscale", _check_positive("lengthscale", self.lengthscale))
+    name = "wendland"
+    structure = Isotropic
 
     @property
     def dim(self) -> int:
         return self.d
 
     @property
-    def polynomial(self) -> specfun.PiecewisePolynomial:
-        return _wendland_poly_cached(self.d, self.n)
-
-
-_WENDLAND_CACHE: dict[tuple[int, int], specfun.PiecewisePolynomial] = {}
-
-
-def _wendland_poly_cached(d: int, n: int) -> specfun.PiecewisePolynomial:
-    key = (d, n)
-    if key not in _WENDLAND_CACHE:
-        _WENDLAND_CACHE[key] = specfun.wendland_polynomial(d, n)
-    return _WENDLAND_CACHE[key]
-
-
-@dataclass(frozen=True)
-class SquaredExponential(Kernel):
-    lengthscale: float = 1.0
-    input_dim: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "lengthscale", _check_positive("lengthscale", self.lengthscale))
-        object.__setattr__(self, "input_dim", _check_int("dim", self.input_dim, 1))
+    def path_order(self):
+        return (Fraction(self.n) + Fraction(1, 2), True, False)
 
     @property
-    def dim(self) -> int:
-        return self.input_dim
+    def polynomial(self) -> specfun.PiecewisePolynomial:
+        return _wendland_polynomial(self.d, self.n)
+
+    def radial(self, r):
+        return self.polynomial(r / self.lengthscale)
+
+    def lag_exists(self, m: int) -> np.ndarray:
+        # phi is even, so phi^(j) exists at the origin only if no odd power
+        # of exponent <= j survives in its polynomial
+        coeffs = self.polynomial.coeffs
+        odd = [coeffs[i] != 0 for i in range(1, len(coeffs), 2)]
+        return np.array([not any(odd[: (j + 1) // 2]) for j in range(m + 1)])
+
+    def lag_terms(self, t: np.ndarray, m: int):
+        # phi(t) = P(t / ell) from the stored rational polynomial, zero from
+        # the support radius on
+        ell = self.lengthscale
+        rho = t / ell
+        poly = self.polynomial
+        values, scale = [], []
+        for j in range(m + 1):
+            values.append(poly(rho) / ell**j)
+            magnitude = specfun.PiecewisePolynomial(tuple(abs(c) for c in poly.coeffs))
+            scale.append(magnitude(rho) / ell**j)
+            poly = poly.derivative()
+        return np.stack(values), np.stack(scale)
+
+
+_wendland_polynomial = functools.lru_cache(maxsize=None)(specfun.wendland_polynomial)
 
 
 @dataclass(frozen=True)
-class RationalQuadratic(Kernel):
+class SquaredExponential(Leaf):
+    lengthscale: float = 1.0
+    input_dim: int = field(default=1, metadata={"dsl": "dim"})
+
+    name = "se"
+    structure = Isotropic
+    path_order = (math.inf, True, False)
+
+    def radial(self, r):
+        q = r / self.lengthscale
+        return np.exp(-(q * q))
+
+    def lag_terms(self, t: np.ndarray, m: int):
+        # G(u) = e^-u, u = t^2 / ell^2
+        ell2 = self.lengthscale**2
+        e = np.exp(-(t * t) / ell2)
+        return _quadratic_inner(1.0 / ell2, [(-1.0) ** k * e for k in range(m + 1)], t)
+
+
+@dataclass(frozen=True)
+class RationalQuadratic(Leaf):
     a: float
     lengthscale: float = 1.0
-    input_dim: int = 1
+    input_dim: int = field(default=1, metadata={"dsl": "dim"})
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _check_positive("a", self.a))
-        object.__setattr__(self, "lengthscale", _check_positive("lengthscale", self.lengthscale))
-        object.__setattr__(self, "input_dim", _check_int("dim", self.input_dim, 1))
+    name = "rq"
+    structure = Isotropic
+    path_order = (math.inf, True, False)
 
-    @property
-    def dim(self) -> int:
-        return self.input_dim
+    def radial(self, r):
+        q = r / self.lengthscale
+        return (1.0 + q * q) ** (-self.a)
+
+    def lag_terms(self, t: np.ndarray, m: int):
+        # G(u) = (1 + u)^-a, u = t^2 / ell^2
+        ell2 = self.lengthscale**2
+        base = 1.0 + t * t / ell2
+        g, rising = [], 1.0
+        for k in range(m + 1):
+            g.append(rising * base ** (-self.a - k))
+            rising *= -self.a - k
+        return _quadratic_inner(1.0 / ell2, g, t)
+
+
+def _quadratic_inner(a: float, g: list, t: np.ndarray):
+    """Derivatives 0..m of phi(t) = G(a t^2) and their term magnitudes,
+    from g = [G^(k)(a t^2) for k = 0..m], through
+    d^j/dt^j G(a t^2) = sum_i j!/(i! (j-2i)!) (2at)^(j-2i) a^i G^(j-i)(a t^2);
+    at the origin only the term with j = 2i survives."""
+    m = len(g) - 1
+    x = 2.0 * a * t
+    values = np.zeros((m + 1,) + t.shape)
+    scale = np.zeros_like(values)
+    zero = t == 0.0
+    with np.errstate(invalid="ignore"):
+        for j in range(m + 1):
+            for i in range(j // 2 + 1):
+                p = j - 2 * i
+                coef = math.factorial(j) / (math.factorial(i) * math.factorial(p)) * a**i
+                term = coef * x**p * g[j - i]
+                if p:
+                    term[zero] = 0.0
+                values[j] += term
+                scale[j] += np.abs(term)
+    return values, scale
 
 
 @dataclass(frozen=True)
-class Periodic(Kernel):
+class Periodic(Leaf):
     """exp(-sin(pi (x - y) / lengthscale)^2) on the real line."""
 
     lengthscale: float = 1.0
 
-    def __post_init__(self):
-        object.__setattr__(self, "lengthscale", _check_positive("lengthscale", self.lengthscale))
+    name = "periodic"
+    structure = Stationary
+    path_order = (math.inf, True, False)
 
-    @property
-    def dim(self) -> int:
-        return 1
+    def lag(self, h):
+        q = h[..., 0] / self.lengthscale
+        s = np.sin(math.pi * q)
+        return np.exp(-(s * s))
+
+    def lag_terms(self, t: np.ndarray, m: int):
+        """phi(t) = e^(-u) with u = sin^2(w t / 2), w = 2 pi / ell, by
+        (e^(-u))^(j) = -sum_i C(j-1, i) u^(i+1) (e^(-u))^(j-1-i), where
+        u^(k) = -(w^k / 2) cos^(k)(w t) for k >= 1."""
+        w = 2.0 * math.pi / self.lengthscale
+        s = np.sin(math.pi * (t / self.lengthscale))
+        cos, sin = np.cos(w * t), np.sin(w * t)
+        # cos^(k) cycles through cos, -sin, -cos, sin
+        du = [None] + [-0.5 * w**k * (cos, -sin, -cos, sin)[k % 4] for k in range(1, m + 1)]
+        values = [np.exp(-(s * s))]
+        scale = [values[0]]
+        for j in range(1, m + 1):
+            weights = [math.comb(j - 1, i) * du[i + 1] for i in range(j)]
+            values.append(-sum(w * values[j - 1 - i] for i, w in enumerate(weights)))
+            scale.append(sum(np.abs(w) * scale[j - 1 - i] for i, w in enumerate(weights)))
+        return np.stack(values), np.stack(scale)
+
+
+def _check_wiener_domain(X: np.ndarray) -> None:
+    if np.any(X <= 0.0):
+        raise DomainError("the Wiener kernel is defined on strictly positive inputs")
 
 
 @dataclass(frozen=True)
-class Wiener(Kernel):
+class Wiener(Leaf):
     """min(x, y) on the open positive half-line."""
 
-    @property
-    def dim(self) -> int:
-        return 1
+    name = "wiener"
+    structure = General
+    path_order = (Fraction(1, 2), True, False)
+
+    def cross(self, X, Y):
+        _check_wiener_domain(X)
+        _check_wiener_domain(Y)
+        return np.minimum(X[:, 0][:, None], Y[:, 0][None, :])
 
 
 @dataclass(frozen=True)
-class Linear(Kernel):
-    input_dim: int = 1
+class Linear(Leaf):
+    input_dim: int = field(default=1, metadata={"dsl": "dim"})
 
-    def __post_init__(self):
-        object.__setattr__(self, "input_dim", _check_int("dim", self.input_dim, 1))
+    name = "linear"
+    structure = General
+    path_order = (math.inf, True, False)
 
-    @property
-    def dim(self) -> int:
-        return self.input_dim
+    def cross(self, X, Y):
+        return _inner(X, Y)
 
 
 @dataclass(frozen=True)
-class Polynomial(Kernel):
+class Polynomial(Leaf):
     m: int
-    input_dim: int = 1
+    input_dim: int = field(default=1, metadata={"dsl": "dim"})
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", _check_int("m", self.m, 1))
-        object.__setattr__(self, "input_dim", _check_int("dim", self.input_dim, 1))
+    name = "poly"
+    structure = General
+    path_order = (math.inf, True, False)
 
-    @property
-    def dim(self) -> int:
-        return self.input_dim
+    def cross(self, X, Y):
+        return (1.0 + _inner(X, Y)) ** self.m
 
 
 FEATURE_FAMILIES = ("monomials", "trig")
 
 
 @dataclass(frozen=True)
-class Feature(Kernel):
+class Feature(Leaf):
     """Explicit feature-map kernel phi(x)^T phi(y) over a built-in family.
 
     ``monomials`` maps x to (1, x, ..., x^degree); ``trig`` maps x to the
@@ -240,23 +470,12 @@ class Feature(Kernel):
     so the declared sample-path order is infinite (as a sufficient bound).
     """
 
-    family: str
+    family: str = field(metadata={"choices": FEATURE_FAMILIES})
     degree: int
 
-    def __post_init__(self):
-        if self.family not in FEATURE_FAMILIES:
-            raise ParameterError(
-                f"unknown feature family {self.family!r}; choose from {FEATURE_FAMILIES}"
-            )
-        object.__setattr__(self, "degree", _check_int("degree", self.degree, 1))
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    @property
-    def declared_order(self):
-        return math.inf
+    name = "feature"
+    structure = General
+    path_order = (math.inf, False, False)
 
     def feature_map(self, X: np.ndarray) -> np.ndarray:
         x = X[:, 0]
@@ -267,6 +486,28 @@ class Feature(Kernel):
             cols.append(np.cos(2.0 * math.pi * j * x))
             cols.append(np.sin(2.0 * math.pi * j * x))
         return np.stack(cols, axis=1)
+
+    def cross(self, X, Y):
+        return _inner(self.feature_map(X), self.feature_map(Y))
+
+
+def _inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # A @ B.T summed one column at a time, so an entry does not depend on
+    # the shape of the block it sits in: BLAS picks dot, gemv or gemm by
+    # shape, and these round differently
+    acc = A[:, 0, None] * B[None, :, 0]
+    for j in range(1, A.shape[1]):
+        acc += A[:, j, None] * B[None, :, j]
+    return acc
+
+
+LEAVES = (
+    Matern, Wendland, SquaredExponential, RationalQuadratic, Periodic,
+    Wiener, Linear, Polynomial, Feature,
+)
+
+
+# --- combinators ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -322,6 +563,8 @@ class Product(Kernel):
 class TensorProduct(Kernel):
     factors: tuple[Kernel, ...]
 
+    structure = General  # nested in another node; classify gives a top-level one Tensor
+
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         if len(self.factors) < 2:
@@ -335,39 +578,72 @@ class TensorProduct(Kernel):
     def children(self) -> tuple[Kernel, ...]:
         return self.factors
 
+    def cross(self, X, Y):
+        acc = None
+        offset = 0
+        for c in self.factors:
+            block = _pairwise(c, X[:, offset : offset + c.dim], Y[:, offset : offset + c.dim])
+            acc = block if acc is None else acc * block
+            offset += c.dim
+        return acc
 
-WARP_FAMILIES = ("affine", "abs_power")
+
+@dataclass(frozen=True)
+class WarpFamily:
+    """A coordinate warp family: its parameter names in order, a check
+    that raises ParameterError on bad parameters, the warp's declared
+    componentwise Holder order, and the warp itself."""
+
+    params: tuple[str, ...]
+    check: Callable[[tuple], None]
+    order: Callable[[tuple], object]
+    apply: Callable[[tuple, np.ndarray], np.ndarray]
+
+
+def _check_affine(params):
+    if len(params) != 2:
+        raise ParameterError("affine warp takes parameters (a, b)")
+    if not all(math.isfinite(p) for p in params):
+        raise ParameterError("affine warp parameters must be finite")
+
+
+def _check_abs_power(params):
+    if len(params) != 1:
+        raise ParameterError("abs_power warp takes a single parameter beta")
+    if not (0.0 < params[0] <= 1.0):
+        raise ParameterError(f"parameter beta must lie in (0, 1], got {params[0]!r}", "beta")
+
+
+WARPS = {
+    # x -> a x + b, smooth
+    "affine": WarpFamily(("a", "b"), _check_affine, lambda p: math.inf, lambda p, X: p[0] * X + p[1]),
+    # x -> |x|^beta, beta in (0, 1], of Holder order beta
+    "abs_power": WarpFamily(
+        ("beta",), _check_abs_power, lambda p: Fraction(p[0]), lambda p, X: np.abs(X) ** p[0]
+    ),
+}
+
+WARP_FAMILIES = tuple(WARPS)
 
 
 @dataclass(frozen=True)
 class Warp(Kernel):
-    """Child kernel evaluated at componentwise-warped inputs.
-
-    ``affine`` applies x -> a x + b (smooth); ``abs_power`` applies
-    x -> |x|^beta with beta in (0, 1], whose declared Holder order is beta.
-    """
+    """Child kernel evaluated at componentwise-warped inputs of one of the
+    ``WARPS`` families."""
 
     child: Kernel
     family: str
     params: tuple[float, ...] = field(default=())
 
+    structure = General
+
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.family == "affine":
-            if len(self.params) != 2:
-                raise ParameterError("affine warp takes parameters (a, b)")
-            if not all(math.isfinite(p) for p in self.params):
-                raise ParameterError("affine warp parameters must be finite")
-        elif self.family == "abs_power":
-            if len(self.params) != 1:
-                raise ParameterError("abs_power warp takes a single parameter beta")
-            beta = self.params[0]
-            if not (0.0 < beta <= 1.0):
-                raise ParameterError(f"parameter beta must lie in (0, 1], got {beta!r}")
-        else:
+        if self.family not in WARPS:
             raise ParameterError(
                 f"unknown warp family {self.family!r}; choose from {WARP_FAMILIES}"
             )
+        WARPS[self.family].check(self.params)
 
     @property
     def dim(self) -> int:
@@ -379,52 +655,25 @@ class Warp(Kernel):
 
     @property
     def declared_order(self):
-        if self.family == "affine":
-            return math.inf
-        return Fraction(self.params[0])
+        return WARPS[self.family].order(self.params)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        if self.family == "affine":
-            a, b = self.params
-            return a * X + b
-        return np.abs(X) ** self.params[0]
+        return WARPS[self.family].apply(self.params, X)
+
+    def cross(self, X, Y):
+        return _pairwise(self.child, self.apply(X), self.apply(Y))
 
 
 # --- structural classification ------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureClass:
-    pass
-
-
-@dataclass(frozen=True)
-class General(StructureClass):
-    pass
-
-
-@dataclass(frozen=True)
-class Stationary(StructureClass):
-    pass
-
-
-@dataclass(frozen=True)
-class Isotropic(Stationary):
-    pass
-
-
-@dataclass(frozen=True)
-class Tensor(StructureClass):
-    factors: tuple[StructureClass, ...]
-
-
 def classify(expr: Kernel) -> StructureClass:
     """Syntactic structural class of an expression.
 
-    Leaves come from a fixed table; conic combinations and products of
-    stationary (isotropic) children are stationary (isotropic); warps and
-    nested tensor products demote to general.  A ``Tensor`` class is
-    returned only for a top-level tensor product node.
+    Leaves declare theirs; conic combinations and products of stationary
+    (isotropic) children are stationary (isotropic); warps and nested
+    tensor products are general.  A ``Tensor`` class is returned only for
+    a top-level tensor product node.
     """
     if isinstance(expr, TensorProduct):
         return Tensor(tuple(_classify_inner(c) for c in expr.factors))
@@ -432,12 +681,6 @@ def classify(expr: Kernel) -> StructureClass:
 
 
 def _classify_inner(expr: Kernel) -> StructureClass:
-    if isinstance(expr, (Matern, Wendland, SquaredExponential, RationalQuadratic)):
-        return Isotropic()
-    if isinstance(expr, Periodic):
-        return Stationary()
-    if isinstance(expr, (Wiener, Linear, Polynomial, Feature)):
-        return General()
     if isinstance(expr, (Conic, Product)):
         classes = [_classify_inner(c) for c in expr.children]
         if all(isinstance(c, Isotropic) for c in classes):
@@ -445,12 +688,26 @@ def _classify_inner(expr: Kernel) -> StructureClass:
         if all(isinstance(c, Stationary) for c in classes):
             return Stationary()
         return General()
-    if isinstance(expr, (Warp, TensorProduct)):
-        return General()
-    raise TypeError(f"not a kernel expression: {expr!r}")
+    return expr.structure()
 
 
 # --- evaluation -----------------------------------------------------------
+
+
+def _fold(expr: Kernel, value):
+    """Value of an expression whose conic and product nodes combine the
+    values that ``value(node)`` gives for the other nodes beneath them."""
+    if isinstance(expr, Conic):
+        acc = expr.weights[0] * _fold(expr.terms[0], value)
+        for w, c in zip(expr.weights[1:], expr.terms[1:]):
+            acc = acc + w * _fold(c, value)
+        return acc
+    if isinstance(expr, Product):
+        acc = _fold(expr.factors[0], value)
+        for c in expr.factors[1:]:
+            acc = acc * _fold(c, value)
+        return acc
+    return value(expr)
 
 
 def _as_points(x, dim: int) -> np.ndarray:
@@ -469,56 +726,6 @@ def _as_points(x, dim: int) -> np.ndarray:
     return arr
 
 
-def _radial_profile(expr: Kernel, r: np.ndarray) -> np.ndarray:
-    if isinstance(expr, Matern):
-        return specfun.matern_radial(expr.nu, r / expr.lengthscale)
-    if isinstance(expr, Wendland):
-        return expr.polynomial(r / expr.lengthscale)
-    if isinstance(expr, SquaredExponential):
-        q = r / expr.lengthscale
-        return np.exp(-(q * q))
-    if isinstance(expr, RationalQuadratic):
-        q = r / expr.lengthscale
-        return (1.0 + q * q) ** (-expr.a)
-    if isinstance(expr, Conic):
-        acc = expr.weights[0] * _radial_profile(expr.terms[0], r)
-        for w, c in zip(expr.weights[1:], expr.terms[1:]):
-            acc = acc + w * _radial_profile(c, r)
-        return acc
-    if isinstance(expr, Product):
-        acc = _radial_profile(expr.factors[0], r)
-        for c in expr.factors[1:]:
-            acc = acc * _radial_profile(c, r)
-        return acc
-    raise StructureError(f"{type(expr).__name__} node has no radial form")
-
-
-def _stationary_profile(expr: Kernel, h: np.ndarray) -> np.ndarray:
-    # h has shape (..., dim); returns values of k_delta at each lag
-    if isinstance(expr, Periodic):
-        q = h[..., 0] / expr.lengthscale
-        s = np.sin(math.pi * q)
-        return np.exp(-(s * s))
-    if isinstance(expr, (Matern, Wendland, SquaredExponential, RationalQuadratic)):
-        return _radial_profile(expr, np.sqrt(np.sum(h * h, axis=-1)))
-    if isinstance(expr, Conic):
-        acc = expr.weights[0] * _stationary_profile(expr.terms[0], h)
-        for w, c in zip(expr.weights[1:], expr.terms[1:]):
-            acc = acc + w * _stationary_profile(c, h)
-        return acc
-    if isinstance(expr, Product):
-        acc = _stationary_profile(expr.factors[0], h)
-        for c in expr.factors[1:]:
-            acc = acc * _stationary_profile(c, h)
-        return acc
-    raise StructureError(f"{type(expr).__name__} node has no stationary form")
-
-
-def _check_wiener_domain(X: np.ndarray) -> None:
-    if np.any(X <= 0.0):
-        raise DomainError("the Wiener kernel is defined on strictly positive inputs")
-
-
 def pairwise(expr: Kernel, X, Y) -> np.ndarray:
     """Matrix of kernel values k(X[i], Y[j]) for point arrays of shape (n, d)."""
     X = _as_points(X, expr.dim)
@@ -527,53 +734,7 @@ def pairwise(expr: Kernel, X, Y) -> np.ndarray:
 
 
 def _pairwise(expr: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    if isinstance(expr, (Matern, Wendland, SquaredExponential, RationalQuadratic)):
-        diff = X[:, None, :] - Y[None, :, :]
-        r = np.sqrt(np.sum(diff * diff, axis=-1))
-        return _radial_profile(expr, r)
-    if isinstance(expr, Periodic):
-        return _stationary_profile(expr, X[:, None, :] - Y[None, :, :])
-    if isinstance(expr, Wiener):
-        _check_wiener_domain(X)
-        _check_wiener_domain(Y)
-        return np.minimum(X[:, 0][:, None], Y[:, 0][None, :])
-    if isinstance(expr, Linear):
-        return _inner(X, Y)
-    if isinstance(expr, Polynomial):
-        return (1.0 + _inner(X, Y)) ** expr.m
-    if isinstance(expr, Feature):
-        return _inner(expr.feature_map(X), expr.feature_map(Y))
-    if isinstance(expr, Conic):
-        acc = expr.weights[0] * _pairwise(expr.terms[0], X, Y)
-        for w, c in zip(expr.weights[1:], expr.terms[1:]):
-            acc = acc + w * _pairwise(c, X, Y)
-        return acc
-    if isinstance(expr, Product):
-        acc = _pairwise(expr.factors[0], X, Y)
-        for c in expr.factors[1:]:
-            acc = acc * _pairwise(c, X, Y)
-        return acc
-    if isinstance(expr, TensorProduct):
-        acc = None
-        offset = 0
-        for c in expr.factors:
-            block = _pairwise(c, X[:, offset : offset + c.dim], Y[:, offset : offset + c.dim])
-            acc = block if acc is None else acc * block
-            offset += c.dim
-        return acc
-    if isinstance(expr, Warp):
-        return _pairwise(expr.child, expr.apply(X), expr.apply(Y))
-    raise TypeError(f"not a kernel expression: {expr!r}")
-
-
-def _inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # A @ B.T summed one column at a time, so an entry does not depend on
-    # the shape of the block it sits in: BLAS picks dot, gemv or gemm by
-    # shape, and these round differently
-    acc = A[:, 0, None] * B[None, :, 0]
-    for j in range(1, A.shape[1]):
-        acc += A[:, j, None] * B[None, :, j]
-    return acc
+    return _fold(expr, lambda node: node.cross(X, Y))
 
 
 def eval_kernel(expr: Kernel, x, y) -> float:
@@ -594,7 +755,10 @@ def eval_radial(expr: Kernel, r):
     arr = np.asarray(r, dtype=float)
     if arr.size and np.any(arr < 0.0):
         raise DomainError("radial distance must be >= 0")
-    out = _radial_profile(expr, np.atleast_1d(arr))
+    # the leaves' radial forms at r itself: k(r e_1, 0) would take
+    # sqrt(r * r), which under- or overflows far from 1
+    r1 = np.atleast_1d(arr)
+    out = _fold(expr, lambda leaf: leaf.radial(r1))
     return float(out[0]) if arr.ndim == 0 else out.reshape(np.shape(r))
 
 
@@ -612,4 +776,4 @@ def eval_stationary(expr: Kernel, h):
         raise DomainError(
             f"expected a lag vector of dimension {expr.dim}, got shape {np.shape(h)}"
         )
-    return float(_stationary_profile(expr, arr[None, :])[0])
+    return float(_fold(expr, lambda leaf: leaf.lag(arr[None, :]))[0])

@@ -21,7 +21,8 @@ The inference is a recursive fold with the following rules:
   split as n + gamma and the warp order as n_w + delta (both with the
   fractional part in (0, 1]), the result is m + gamma' * delta' where
   m = min(n, n_w) and gamma', delta' are the orders above m clipped to 1;
-* feature leaves report their declared order as sufficient.
+* leaves report the order their class declares (``path_order``); feature
+  leaves declare theirs as sufficient only.
 
 A nonneg-integer Sobolev order (count of locally square-integrable weak
 derivatives) is reported alongside: the largest m with 2m strictly below
@@ -36,22 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .kernels import (
-    Conic,
-    Feature,
-    Kernel,
-    Linear,
-    Matern,
-    Periodic,
-    Polynomial,
-    Product,
-    RationalQuadratic,
-    SquaredExponential,
-    TensorProduct,
-    Warp,
-    Wendland,
-    Wiener,
-)
+from .kernels import Conic, Kernel, Leaf, Product, TensorProduct, Warp
 
 __all__ = [
     "Order",
@@ -103,19 +89,10 @@ class RegularityReport:
 
 
 def leaf_regularity(leaf: Kernel) -> Regularity:
-    """Table of sample-path orders for leaf kernels."""
-    if isinstance(leaf, Matern):
-        nu = Fraction(leaf.nu)
-        return Regularity(nu, sharp=True, log_corrected=(nu.denominator == 1))
-    if isinstance(leaf, Wendland):
-        return Regularity(Fraction(leaf.n) + Fraction(1, 2), sharp=True)
-    if isinstance(leaf, Wiener):
-        return Regularity(Fraction(1, 2), sharp=True)
-    if isinstance(leaf, (SquaredExponential, RationalQuadratic, Periodic, Linear, Polynomial)):
-        return Regularity(math.inf, sharp=True)
-    if isinstance(leaf, Feature):
-        return Regularity(leaf.declared_order, sharp=False)
-    raise TypeError(f"not a leaf kernel: {leaf!r}")
+    """Sample-path order a leaf kernel declares (its ``path_order``)."""
+    if not isinstance(leaf, Leaf):
+        raise TypeError(f"not a leaf kernel: {leaf!r}")
+    return Regularity(*leaf.path_order)
 
 
 def _split_order(order: Order) -> tuple:
@@ -189,7 +166,8 @@ def _infer(expr: Kernel, lines: list[str]) -> tuple[Regularity, ...]:
         gamma = min(Fraction(1), Fraction(child.order) - n) if child.order != math.inf else Fraction(1)
         delta = min(Fraction(1), Fraction(warp_order) - n) if warp_order != math.inf else Fraction(1)
         order = n + gamma * delta
-        log = child.log_corrected and expr.family == "affine"
+        # a smooth warp keeps the child's log correction
+        log = child.log_corrected and warp_order == math.inf
         lines.append(
             f"warp({expr.family}): n={n}, gamma={gamma}, delta={delta} -> "
             f"order {_order_str(order)}, sufficient-only"

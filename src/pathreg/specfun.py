@@ -46,6 +46,7 @@ _K_NODES = 128
 _K_TAIL = 40.0
 _K_KAPPA_MIN = 0.1
 _K_CHUNK = 512  # arguments per (chunk, node) temporary
+_MATERN_SMALL = 1e-10  # below this rho the Matern profile is its expansion
 
 
 def gamma(x: float) -> float:
@@ -99,7 +100,12 @@ def matern_radial(nu: float, r):
     """Matern radial profile 2^{1-nu}/Gamma(nu) (sqrt(2 nu) r)^nu K_nu(sqrt(2 nu) r).
 
     Normalised to 1 at r = 0 (the limit value, returned exactly).  r may be
-    a scalar or ndarray of non-negative values.
+    a scalar or ndarray of non-negative values.  Below rho = sqrt(2 nu) r =
+    _MATERN_SMALL the profile is its expansion at the origin,
+    1 - Gamma(1-nu)/Gamma(1+nu) rho^(2 nu) 2^(-2 nu) + rho^2 / (4 (1-nu))
+    for nu < 1 and 1 for nu >= 1, whose dropped terms are below rounding
+    there; the product form keeps rho^(2 nu) from underflowing with rho / 2
+    at subnormal rho.
     """
     nu = float(nu)
     if not math.isfinite(nu) or nu <= 0.0:
@@ -111,10 +117,15 @@ def matern_radial(nu: float, r):
     arr = np.atleast_1d(arr).copy()
     rho = math.sqrt(2.0 * nu) * arr
     out = np.ones_like(rho)
-    pos = rho > 0.0
-    if np.any(pos):
+    big = rho >= _MATERN_SMALL
+    if np.any(big):
         pref = 2.0 ** (1.0 - nu) / gamma(nu)
-        out[pos] = pref * rho[pos] ** nu * bessel_k(nu, rho[pos])
+        out[big] = pref * rho[big] ** nu * bessel_k(nu, rho[big])
+    small = (rho > 0.0) & ~big
+    if nu < 1.0 and np.any(small):
+        s = rho[small]
+        c = gamma(1.0 - nu) / gamma(1.0 + nu) * 2.0 ** (-2.0 * nu)
+        out[small] = 1.0 - c * s ** (2.0 * nu) + s * s / (4.0 * (1.0 - nu))
     return float(out[0]) if scalar else out.reshape(np.shape(r))
 
 

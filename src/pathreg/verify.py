@@ -28,9 +28,10 @@ Stationary and isotropic kernels reduce to one lag profile phi(t) =
 k(t e_1, 0): every stationary expression is isotropic or 1-D.  Its
 quotient lattice {d h} for one order comes from one array call, and the
 deviation |phi^(2n)(h) - phi^(2n)(0)| from exact derivatives: each leaf
-differentiates its profile in closed form (Matern through the Bessel order
-recursion, SE and RQ in u = a t^2, Wendland its stored rational polynomial,
-periodic as e^-u with u = sin^2(pi t / l)), conic combinations sum the
+class in :mod:`pathreg.kernels` differentiates its profile in closed form
+(Matern through the Bessel order recursion, SE and RQ in u = a t^2,
+Wendland its stored rational polynomial, periodic as e^-u with
+u = sin^2(pi t / l)), conic combinations sum the
 children's derivatives and products combine them by Leibniz's rule, and
 each derivative carries the magnitude of the terms summed into it, which
 sets its rounding-noise estimate.  Whether a derivative exists at the
@@ -61,20 +62,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import specfun
 from .kernels import (
     Conic,
     DomainError,
     Isotropic,
     Kernel,
     KernelError,
-    Matern,
-    Periodic,
     Product,
-    RationalQuadratic,
-    SquaredExponential,
     Stationary,
-    Wendland,
     classify,
     eval_kernel,
     pairwise,
@@ -404,44 +399,28 @@ def _lag_derivatives(expr: Kernel, t, m: int):
 
 def _lag_exists(expr: Kernel, m: int) -> np.ndarray:
     """Whether each derivative of orders 0..m of a stationary expression's
-    lag profile exists at the origin.
-
-    Matern: phi^(j) exists there exactly when nu > j/2.  Wendland: phi is
-    even, so phi^(j) exists only if no odd power of exponent <= j survives
-    in its polynomial.  The other leaves are smooth, and a sum or product
-    has a derivative where all its terms have.
-    """
-    if isinstance(expr, Matern):
-        return np.array([expr.nu > j / 2.0 for j in range(m + 1)])
-    if isinstance(expr, Wendland):
-        coeffs = expr.polynomial.coeffs
-        odd = [coeffs[i] != 0 for i in range(1, len(coeffs), 2)]
-        return np.array([not any(odd[: (j + 1) // 2]) for j in range(m + 1)])
-    if isinstance(expr, (SquaredExponential, RationalQuadratic, Periodic)):
-        return np.ones(m + 1, bool)
+    lag profile exists at the origin: each leaf declares its own
+    (``lag_exists``), and a sum or product has a derivative where all its
+    terms have."""
     if isinstance(expr, (Conic, Product)):
         return np.logical_and.reduce([_lag_exists(c, m) for c in expr.children])
-    raise KernelError(f"{type(expr).__name__} node has no lag profile")
+    return expr.lag_exists(m)
 
 
 def _lag_terms(expr: Kernel, t: np.ndarray, m: int):
-    if isinstance(expr, (Matern, SquaredExponential, RationalQuadratic)):
-        return _quadratic_inner(expr, t, m)
-    if isinstance(expr, Wendland):
-        return _wendland_terms(expr, t, m)
-    if isinstance(expr, Periodic):
-        return _periodic_terms(expr, t, m)
+    # leaves differentiate their own profiles (``lag_terms``); a sum adds
+    # its children's derivatives, a product combines them by Leibniz's rule
+    if not isinstance(expr, (Conic, Product)):
+        return expr.lag_terms(t, m)
     parts = [_lag_terms(c, t, m) for c in expr.children]
     if isinstance(expr, Conic):
         values = sum(w * v for w, (v, _s) in zip(expr.weights, parts))
         scale = sum(w * s for w, (_v, s) in zip(expr.weights, parts))
         return values, scale
-    if isinstance(expr, Product):
-        values, scale = parts[0]
-        for v, s in parts[1:]:
-            values, scale = _leibniz(values, v), _leibniz(scale, s)
-        return values, scale
-    raise KernelError(f"{type(expr).__name__} node has no lag profile")
+    values, scale = parts[0]
+    for v, s in parts[1:]:
+        values, scale = _leibniz(values, v), _leibniz(scale, s)
+    return values, scale
 
 
 def _leibniz(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -449,98 +428,6 @@ def _leibniz(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.stack([
         sum(math.comb(j, k) * f[k] * g[j - k] for k in range(j + 1)) for j in range(len(f))
     ])
-
-
-def _quadratic_inner(expr: Kernel, t: np.ndarray, m: int):
-    """Leaves phi(t) = G(a t^2), through
-    d^j/dt^j G(a t^2) = sum_i j!/(i! (j-2i)!) (2at)^(j-2i) a^i G^(j-i)(a t^2);
-    at the origin only the term with j = 2i survives."""
-    a, g = _profile_u_derivatives(expr, t, m)
-    x = 2.0 * a * t
-    values = np.zeros((m + 1,) + t.shape)
-    scale = np.zeros_like(values)
-    zero = t == 0.0
-    with np.errstate(invalid="ignore"):
-        for j in range(m + 1):
-            for i in range(j // 2 + 1):
-                p = j - 2 * i
-                coef = math.factorial(j) / (math.factorial(i) * math.factorial(p)) * a**i
-                term = coef * x**p * g[j - i]
-                if p:
-                    term[zero] = 0.0
-                values[j] += term
-                scale[j] += np.abs(term)
-    return values, scale
-
-
-def _profile_u_derivatives(expr: Kernel, t: np.ndarray, m: int):
-    """(a, [G^(k)(a t^2) for k = 0..m]) of a leaf phi(t) = G(a t^2).
-
-    Matern: G(u) = c z^nu K_nu(z) with u = z^2 / 2, so by DLMF 10.29.4
-    G^(k)(u) = c (-1)^k z^(nu-k) K_(nu-k)(z), with K_(-mu) = K_mu, one
-    Bessel call per distinct order; at the origin it is the limit
-    c (-1)^k 2^(nu-k-1) Gamma(nu-k), finite for k < nu.
-    """
-    ell2 = expr.lengthscale**2
-    if isinstance(expr, SquaredExponential):
-        e = np.exp(-(t * t) / ell2)
-        return 1.0 / ell2, [(-1.0) ** k * e for k in range(m + 1)]
-    if isinstance(expr, RationalQuadratic):
-        base = 1.0 + t * t / ell2
-        g, rising = [], 1.0
-        for k in range(m + 1):
-            g.append(rising * base ** (-expr.a - k))
-            rising *= -expr.a - k
-        return 1.0 / ell2, g
-    nu = expr.nu
-    z = math.sqrt(2.0 * nu) * t / expr.lengthscale
-    pos = z > 0.0
-    c = 2.0 ** (1.0 - nu) / specfun.gamma(nu)
-    bessel: dict[float, np.ndarray] = {}
-    g = []
-    for k in range(m + 1):
-        order = abs(nu - k)
-        if order not in bessel:
-            bessel[order] = specfun.bessel_k(order, z[pos])
-        gk = np.full_like(t, np.inf)
-        gk[pos] = (-1.0) ** k * c * z[pos] ** (nu - k) * bessel[order]
-        if k < nu:
-            gk[~pos] = (-1.0) ** k * c * 2.0 ** (nu - k - 1.0) * math.gamma(nu - k)
-        g.append(gk)
-    return nu / ell2, g
-
-
-def _wendland_terms(expr: Wendland, t: np.ndarray, m: int):
-    """phi(t) = P(t / ell) from the stored rational polynomial, zero from
-    the support radius on."""
-    ell = expr.lengthscale
-    rho = t / ell
-    poly = expr.polynomial
-    values, scale = [], []
-    for j in range(m + 1):
-        values.append(poly(rho) / ell**j)
-        magnitude = specfun.PiecewisePolynomial(tuple(abs(c) for c in poly.coeffs))
-        scale.append(magnitude(rho) / ell**j)
-        poly = poly.derivative()
-    return np.stack(values), np.stack(scale)
-
-
-def _periodic_terms(expr: Periodic, t: np.ndarray, m: int):
-    """phi(t) = e^(-u) with u = sin^2(w t / 2), w = 2 pi / ell, by
-    (e^(-u))^(j) = -sum_i C(j-1, i) u^(i+1) (e^(-u))^(j-1-i), where
-    u^(k) = -(w^k / 2) cos^(k)(w t) for k >= 1."""
-    w = 2.0 * math.pi / expr.lengthscale
-    s = np.sin(math.pi * (t / expr.lengthscale))
-    cos, sin = np.cos(w * t), np.sin(w * t)
-    # cos^(k) cycles through cos, -sin, -cos, sin
-    du = [None] + [-0.5 * w**k * (cos, -sin, -cos, sin)[k % 4] for k in range(1, m + 1)]
-    values = [np.exp(-(s * s))]
-    scale = [values[0]]
-    for j in range(1, m + 1):
-        weights = [math.comb(j - 1, i) * du[i + 1] for i in range(j)]
-        values.append(-sum(w * values[j - 1 - i] for i, w in enumerate(weights)))
-        scale.append(sum(np.abs(w) * scale[j - 1 - i] for i, w in enumerate(weights)))
-    return np.stack(values), np.stack(scale)
 
 
 def radial_derivative(

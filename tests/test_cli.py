@@ -36,6 +36,26 @@ class TestExitCodes:
         assert code == 2
         assert "offset" in err
 
+    # non-finite integers and weights once escaped the parser as an
+    # OverflowError (exit 1 with a traceback) or lost their offset
+    @pytest.mark.parametrize(
+        "kernel, offset",
+        [
+            ("matern(nu=1.5, dim=1e999)", 19),
+            ("wendland(d=1e999, n=1)", 11),
+            ("poly(m=1e999)", 7),
+            ("feature(family=trig, degree=1e999)", 28),
+            ("1e999*se()", 0),
+            ("feature(family=bogus, degree=2)", 15),
+        ],
+    )
+    def test_rejected_value_is_2_at_its_offset(self, capsys, kernel, offset):
+        code, out, err = run(capsys, "analyze", "-k", kernel)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(f" at offset {offset}\n")
+        assert "Traceback" not in err
+
     def test_usage_error_is_2(self, capsys):
         code, _, _ = run(capsys, "analyze")
         assert code == 2

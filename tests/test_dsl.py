@@ -1,17 +1,37 @@
 """Parser and canonical printer for the kernel DSL."""
 
+import dataclasses
+import json
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 
+from pathreg.cli import main
 from pathreg.dsl import ParseError, parse_kernel, print_kernel
 from pathreg.kernels import (
+    LEAVES,
     Conic,
+    DomainError,
+    Feature,
+    General,
+    Isotropic,
+    Linear,
     Matern,
+    ParameterError,
+    Periodic,
+    Polynomial,
     Product,
+    RationalQuadratic,
+    SquaredExponential,
+    Stationary,
     TensorProduct,
     Warp,
     Wendland,
+    classify,
 )
+from pathreg.regularity import Regularity, leaf_regularity
 
 from conftest import kernel_trees
 
@@ -108,6 +128,46 @@ class TestParseExamples:
             parse_kernel("poly(m=2.7)")
 
 
+class TestRejectedValues:
+    @pytest.mark.parametrize(
+        "source, offset",
+        [
+            ("matern(nu=1.5, dim=1e999)", 19),
+            ("wendland(d=1e999, n=1)", 11),
+            ("poly(m=1e999)", 7),
+            ("feature(family=trig, degree=1e999)", 28),
+        ],
+    )
+    def test_non_finite_integer_parameter(self, source, offset):
+        with pytest.raises(ParseError) as err:
+            parse_kernel(source)
+        assert err.value.offset == offset
+        assert "must be an integer" in str(err.value)
+
+    def test_non_finite_integer_in_the_library(self):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError) as err:
+                Matern(1.5, input_dim=value)
+            assert err.value.param == "dim"
+
+    def test_infinite_conic_weight(self):
+        with pytest.raises(ParseError) as err:
+            parse_kernel("1e999*se()")
+        assert err.value.offset == 0
+        assert str(err.value) == "conic weight must be finite at offset 0"
+        with pytest.raises(ParseError) as err:
+            parse_kernel("se() + 1e999*se()")
+        assert err.value.offset == 7
+
+    def test_feature_family_reported_at_its_value(self):
+        with pytest.raises(ParseError) as err:
+            parse_kernel("feature(family=bogus, degree=2)")
+        assert err.value.offset == 15
+        assert str(err.value) == (
+            "unknown feature family 'bogus'; choose from ('monomials', 'trig') at offset 15"
+        )
+
+
 class TestPrinter:
     def test_examples_print_canonically(self):
         assert print_kernel(parse_kernel("matern(nu=0.5)")) == "matern(nu=0.5)"
@@ -131,3 +191,190 @@ class TestPrinter:
 @given(kernel_trees())
 def test_print_parse_round_trip(expr):
     assert parse_kernel(print_kernel(expr)) == expr
+
+
+# Canonical print and `analyze` JSON of every leaf at its defaults and away
+# from them, both warp families and one composite: source text, printed
+# form, per-axis (order, sharp, log_corrected), Sobolev order, and the
+# derivation lines before the closing Sobolev line.
+GOLDEN_ANALYZE = [
+    ("matern(nu=1.5)", "matern(nu=1.5)", [(1.5, True, False)], 1, ["matern leaf: order 3/2, sharp"]),
+    ("wendland(d=1, n=0)", "wendland(d=1, n=0)", [(0.5, True, False)], 0, ["wendland leaf: order 1/2, sharp"]),
+    ("se()", "se()", [("inf", True, False)], "inf", ["squaredexponential leaf: order inf, sharp"]),
+    ("rq(a=2)", "rq(a=2)", [("inf", True, False)], "inf", ["rationalquadratic leaf: order inf, sharp"]),
+    ("periodic()", "periodic()", [("inf", True, False)], "inf", ["periodic leaf: order inf, sharp"]),
+    ("wiener()", "wiener()", [(0.5, True, False)], 0, ["wiener leaf: order 1/2, sharp"]),
+    ("linear()", "linear()", [("inf", True, False)], "inf", ["linear leaf: order inf, sharp"]),
+    ("poly(m=2)", "poly(m=2)", [("inf", True, False)], "inf", ["polynomial leaf: order inf, sharp"]),
+    ("feature(family=monomials, degree=2)", "feature(family=monomials, degree=2)",
+     [("inf", False, False)], "inf", ["feature leaf: order inf, sufficient-only"]),
+    ("matern(nu=2, lengthscale=0.5, dim=2)", "matern(nu=2, lengthscale=0.5, dim=2)",
+     [(2.0, True, True)], 1, ["matern leaf: order 2, sharp, log-corrected"]),
+    ("matern(nu=1e-05, lengthscale=1e+20)", "matern(nu=1e-05, lengthscale=1e+20)",
+     [(1e-05, True, False)], 0,
+     ["matern leaf: order 5902958103587057/590295810358705651712, sharp"]),
+    ("wendland(d=3, n=2, lengthscale=2.5)", "wendland(d=3, n=2, lengthscale=2.5)",
+     [(2.5, True, False)], 2, ["wendland leaf: order 5/2, sharp"]),
+    ("se(lengthscale=0.1, dim=3)", "se(lengthscale=0.1, dim=3)", [("inf", True, False)], "inf",
+     ["squaredexponential leaf: order inf, sharp"]),
+    ("rq(a=0.5, lengthscale=3, dim=2)", "rq(a=0.5, lengthscale=3, dim=2)", [("inf", True, False)],
+     "inf", ["rationalquadratic leaf: order inf, sharp"]),
+    ("periodic(lengthscale=0.25)", "periodic(lengthscale=0.25)", [("inf", True, False)], "inf",
+     ["periodic leaf: order inf, sharp"]),
+    ("linear(dim=2)", "linear(dim=2)", [("inf", True, False)], "inf", ["linear leaf: order inf, sharp"]),
+    ("poly(m=3, dim=2)", "poly(m=3, dim=2)", [("inf", True, False)], "inf",
+     ["polynomial leaf: order inf, sharp"]),
+    ("feature(family=trig, degree=3)", "feature(family=trig, degree=3)", [("inf", False, False)],
+     "inf", ["feature leaf: order inf, sufficient-only"]),
+    ("warp(matern(nu=1.5), affine(a=2, b=-0.5))", "warp(matern(nu=1.5), affine(a=2, b=-0.5))",
+     [(1.5, False, False)], 1,
+     ["matern leaf: order 3/2, sharp",
+      "warp(affine): n=1, gamma=1/2, delta=1 -> order 3/2, sufficient-only"]),
+    ("warp(wiener(), abs_power(beta=0.5))", "warp(wiener(), abs_power(beta=0.5))",
+     [(0.25, False, False)], 0,
+     ["wiener leaf: order 1/2, sharp",
+      "warp(abs_power): n=0, gamma=1/2, delta=1/2 -> order 1/4, sufficient-only"]),
+    ("warp(matern(nu=2.5), abs_power(beta=1))", "warp(matern(nu=2.5), abs_power(beta=1))",
+     [(1.0, False, False)], 0,
+     ["matern leaf: order 5/2, sharp",
+      "warp(abs_power): n=0, gamma=1, delta=1 -> order 1, sufficient-only"]),
+    ("tensor(2*matern(nu=0.5) * se() + wiener(), periodic())",
+     "tensor(2*(matern(nu=0.5) * se()) + wiener(), periodic())",
+     [(0.5, False, False), ("inf", True, False)], 0,
+     ["matern leaf: order 1/2, sharp",
+      "squaredexponential leaf: order inf, sharp",
+      "product: order = min of children = 1/2, sufficient-only",
+      "wiener leaf: order 1/2, sharp",
+      "conic: order = min of children = 1/2, sufficient-only",
+      "periodic leaf: order inf, sharp",
+      "tensor: per-axis orders [1/2, inf], sharpness preserved per axis"]),
+]
+
+
+@pytest.mark.parametrize("source, printed, axes, sobolev, derivation", GOLDEN_ANALYZE)
+def test_golden_print_and_analyze_bytes(capsys, source, printed, axes, sobolev, derivation):
+    assert print_kernel(parse_kernel(source)) == printed
+    assert main(["analyze", "-k", source]) == 0
+    expected = {
+        "kernel": printed,
+        "per_axis": [{"order": o, "sharp": s, "log_corrected": g} for o, s, g in axes],
+        "sobolev_order": sobolev,
+        "derivation": derivation
+        + [f"sobolev: largest m with 2m below diagonal differentiability -> {sobolev}"],
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+
+# Rejected sources: exception type and full message, offset included.
+GOLDEN_ERRORS = [
+    ("matern(nu=-1)", ParseError, "parameter nu must be positive, got -1.0 at offset 10"),
+    ("matern(nu=0.5, dim=0)", ParseError, "parameter dim must be >= 1, got 0 at offset 19"),
+    ("matern(nu=0.5, dim=1.5)", ParseError, "parameter 'dim' must be an integer at offset 19"),
+    ("matern(nu=1e999)", ParseError, "parameter nu must be positive, got inf at offset 10"),
+    ("wendland(d=1.5, n=0)", ParseError, "parameter 'd' must be an integer at offset 11"),
+    ("wendland(d=1, n=-1)", ParseError, "parameter n must be >= 0, got -1 at offset 16"),
+    ("wendland(d=1)", ParseError, "wendland requires parameter 'n' at offset 0"),
+    ("wendland(d=0, n=1)", ParseError, "parameter d must be >= 1, got 0 at offset 11"),
+    ("rq(a=0)", ParseError, "parameter a must be positive, got 0.0 at offset 5"),
+    ("se(lengthscale=monomials)", ParseError,
+     "parameter 'lengthscale' of se expects a number at offset 15"),
+    ("feature(family=5, degree=1)", ParseError,
+     "parameter 'family' of feature expects an identifier at offset 15"),
+    ("feature(family=trig, degree=0)", ParseError,
+     "parameter degree must be >= 1, got 0 at offset 28"),
+    ("feature(degree=1)", ParseError, "feature requires parameter 'family' at offset 0"),
+    ("poly(m=0)", ParseError, "parameter m must be >= 1, got 0 at offset 7"),
+    ("poly(m=2.5, dim=0.5)", ParseError, "parameter 'm' must be an integer at offset 7"),
+    ("matern(nu=0.5, colour=1)", ParseError, "unknown parameter 'colour' for matern at offset 22"),
+    ("periodic(dim=2)", ParseError, "unknown parameter 'dim' for periodic at offset 13"),
+    ("warp(se(), spiral(a=1))", ParseError, "unknown warp family 'spiral' at offset 11"),
+    ("warp(se(), affine(a=1))", ParseError, "warp affine requires parameter 'b' at offset 11"),
+    ("warp(se(), affine(a=1, b=x))", ParseError, "parameter 'b' expects a number at offset 25"),
+    ("warp(se(), affine(a=1, c=2))", ParseError,
+     "unknown parameter 'c' for warp affine at offset 25"),
+    ("warp(se(), abs_power(beta=2))", ParseError,
+     "parameter beta must lie in (0, 1], got 2.0 at offset 26"),
+    ("warp(se(), abs_power(beta=0))", ParseError,
+     "parameter beta must lie in (0, 1], got 0.0 at offset 26"),
+    ("warp(se(), affine(a=1e999, b=0))", ParseError,
+     "affine warp parameters must be finite at offset 11"),
+    ("0*se()", ParseError, "conic weight must be positive at offset 0"),
+    ("-2*se()", ParseError, "conic weight must be positive at offset 0"),
+    ("tensor(se())", ParseError, "tensor(...) needs at least two factors at offset 0"),
+    ("se() + wendland(d=2, n=0)", DomainError, "conic children disagree on input dimension: [1, 2]"),
+    ("matern(nu=0.5, nu=1)", ParseError, "duplicate parameter 'nu' at offset 15"),
+    ("matern(nu=-1, dim=1.5)", ParseError, "parameter 'dim' must be an integer at offset 18"),
+]
+
+
+@pytest.mark.parametrize("source, error, message", GOLDEN_ERRORS)
+def test_golden_parse_errors(source, error, message):
+    with pytest.raises(error) as err:
+        parse_kernel(source)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+_SE = SquaredExponential()
+
+# Constructor errors of the library API.
+GOLDEN_CONSTRUCTOR_ERRORS = [
+    (lambda: Matern(-1), "parameter nu must be positive, got -1.0"),
+    (lambda: Matern(1.5, input_dim=1.5), "parameter dim must be an integer, got 1.5"),
+    (lambda: Matern(1.5, input_dim=0), "parameter dim must be >= 1, got 0"),
+    (lambda: Wendland(1.5, 0), "parameter d must be an integer, got 1.5"),
+    (lambda: Wendland(1, -1), "parameter n must be >= 0, got -1"),
+    (lambda: Feature("bogus", 2), "unknown feature family 'bogus'; choose from ('monomials', 'trig')"),
+    (lambda: Feature("trig", 0), "parameter degree must be >= 1, got 0"),
+    (lambda: Polynomial(0), "parameter m must be >= 1, got 0"),
+    (lambda: Periodic(lengthscale=0), "parameter lengthscale must be positive, got 0.0"),
+    (lambda: RationalQuadratic(float("inf")), "parameter a must be positive, got inf"),
+    (lambda: Linear(input_dim=2.5), "parameter dim must be an integer, got 2.5"),
+    (lambda: Warp(_SE, "spiral"), "unknown warp family 'spiral'; choose from ('affine', 'abs_power')"),
+    (lambda: Warp(_SE, "affine", (1.0,)), "affine warp takes parameters (a, b)"),
+    (lambda: Warp(_SE, "affine", (1.0, float("inf"))), "affine warp parameters must be finite"),
+    (lambda: Warp(_SE, "abs_power", (0.5, 0.5)), "abs_power warp takes a single parameter beta"),
+    (lambda: Warp(_SE, "abs_power", (2,)), "parameter beta must lie in (0, 1], got 2.0"),
+    (lambda: Conic((_SE,), (0,)), "conic weights must be positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("build, message", GOLDEN_CONSTRUCTOR_ERRORS)
+def test_golden_constructor_errors(build, message):
+    with pytest.raises(ParameterError) as err:
+        build()
+    assert str(err.value) == message
+
+
+# The README leaf table: per DSL name, a source at the defaults, a source
+# with every parameter set, the structural class and the declared
+# (order, sharp, log-corrected).
+README_LEAVES = {
+    "matern": ("matern(nu=2.5)", "matern(nu=2.5, lengthscale=0.5, dim=2)", Isotropic,
+               (Fraction(5, 2), True, False)),
+    "wendland": ("wendland(d=1, n=1)", "wendland(d=3, n=1, lengthscale=4)", Isotropic,
+                 (Fraction(3, 2), True, False)),
+    "se": ("se()", "se(lengthscale=2, dim=3)", Isotropic, (math.inf, True, False)),
+    "rq": ("rq(a=1)", "rq(a=0.5, lengthscale=2, dim=2)", Isotropic, (math.inf, True, False)),
+    "periodic": ("periodic()", "periodic(lengthscale=0.5)", Stationary, (math.inf, True, False)),
+    "wiener": ("wiener()", "wiener()", General, (Fraction(1, 2), True, False)),
+    "linear": ("linear()", "linear(dim=2)", General, (math.inf, True, False)),
+    "poly": ("poly(m=2)", "poly(m=3, dim=2)", General, (math.inf, True, False)),
+    "feature": ("feature(family=monomials, degree=2)", "feature(family=trig, degree=1)",
+                General, (math.inf, False, False)),
+}
+
+
+def test_leaf_registry_matches_readme_table():
+    assert [cls.name for cls in LEAVES] == list(README_LEAVES)
+    for cls in LEAVES:
+        at_defaults, full, structure, order = README_LEAVES[cls.name]
+        for source in (at_defaults, full):
+            expr = parse_kernel(source)
+            assert type(expr) is cls
+            assert print_kernel(expr) == source
+            assert parse_kernel(print_kernel(expr)) == expr
+            assert type(classify(expr)) is structure
+            assert leaf_regularity(expr) == Regularity(*order)
+        # the full source names every parameter of the leaf
+        assert len(dataclasses.fields(cls)) == full.count("=")

@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 from pathreg import specfun
+from pathreg.kernels import Matern, eval_radial, pairwise
 
 mpmath.mp.dps = 50
 
@@ -192,6 +193,32 @@ class TestMaternRadial:
             vals = specfun.matern_radial(nu, np.array([1e-9, 1e-7, 1e-5]))
             assert np.all(np.abs(vals - 1.0) < 1e-3)
             assert np.all(np.diff(vals) <= 0)
+
+    def test_small_distances_against_oracle(self):
+        # below rho = 1e-10 the profile is its expansion at the origin; it
+        # must stay in [0, 1] and within rounding of the exact value, down
+        # to subnormal rho and for orders just either side of 1
+        nus = [*np.linspace(0.01, 20.0, 25), 0.5, 1.0, 1 - 1e-8, 1 + 1e-8, 1 - 1e-12, 1 + 1e-12]
+        rhos = [5e-324, 1e-310, 1e-200, 1e-160, 1e-50, 1e-20, 1e-14, 9.9e-11]
+        with mpmath.workdps(80):
+            for nu in nus:
+                scale = math.sqrt(2.0 * nu)
+                for rho in rhos:
+                    r = rho / scale
+                    got = specfun.matern_radial(nu, r)
+                    z = mpmath.mpf(scale * r)  # the rho the profile sees
+                    if z == 0:
+                        continue
+                    m = mpmath.mpf(nu)
+                    ref = 2 ** (1 - m) / mpmath.gamma(m) * z**m * mpmath.besselk(m, z)
+                    assert 0.0 <= got <= 1.0, (nu, rho, got)
+                    assert abs(got - float(ref)) <= 4e-16, (nu, rho, got, float(ref))
+
+    def test_small_distances_through_kernels(self):
+        assert pairwise(Matern(nu=0.5), [[1e-160]], [[0.0]])[0, 0] <= 1.0
+        assert eval_radial(Matern(nu=2.5), 1e-300) == 1.0
+        # far out the radial form still answers (pairwise would square r)
+        assert eval_radial(Matern(nu=1.5), 1e160) == 0.0
 
 
 def _k0(rho: float) -> float:
