@@ -40,6 +40,7 @@ from .kernels import (
     eval_radial,
     eval_stationary,
     pairwise,
+    partials,
 )
 from .regularity import (
     Regularity,

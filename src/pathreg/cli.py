@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -239,7 +240,10 @@ def _write_surface(expr: Kernel, grid: Grid, path: str) -> None:
     _write_grid_csv(path, grid, ["k"], pairwise(expr, grid.points(), centre[None, :]))
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing does not modify it, and building it
+    # costs more than a verify of a stationary leaf
     parser = argparse.ArgumentParser(
         prog="pathreg",
         description="Sample-path regularity of Gaussian processes from covariance kernels",

@@ -121,6 +121,17 @@ def _coerce_int(value: float, key: str, pos: int) -> int:
     return int(value)
 
 
+def _check_dims(children: list[Kernel], positions: list[int], what: str) -> None:
+    # a sum's terms and a product's factors share one input dimension; the
+    # first child that differs is reported at its offset
+    first = children[0].dim
+    for child, pos in zip(children[1:], positions[1:]):
+        if child.dim != first:
+            raise ParseError(
+                f"{what} of input dimension {child.dim} where the first has {first}", pos
+            )
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
@@ -149,12 +160,15 @@ class _Parser:
         return expr
 
     def parse_expr(self) -> Kernel:
+        positions = [self.peek().pos]
         terms = [self.parse_term()]
         while self.peek().kind == "sym" and self.peek().text == "+":
             self.advance()
+            positions.append(self.peek().pos)
             terms.append(self.parse_term())
         if len(terms) == 1 and terms[0][0] is None:
             return terms[0][1]
+        _check_dims([k for _, k in terms], positions, "term")
         weights = tuple(1.0 if w is None else w for w, _ in terms)
         return Conic(tuple(k for _, k in terms), weights)
 
@@ -169,10 +183,13 @@ class _Parser:
             if weight == math.inf:
                 raise ParseError("conic weight must be finite", tok.pos)
             self.expect("*")
+        positions = [self.peek().pos]
         factors = [self.parse_factor()]
         while self.peek().kind == "sym" and self.peek().text == "*":
             self.advance()
+            positions.append(self.peek().pos)
             factors.append(self.parse_factor())
+        _check_dims(factors, positions, "factor")
         kernel = factors[0] if len(factors) == 1 else Product(tuple(factors))
         return (weight, kernel)
 

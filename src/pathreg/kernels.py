@@ -23,7 +23,11 @@ the only place the leaf is described.  It declares
   the other two forms from the one declared);
 * for a stationary leaf, which derivatives of its lag profile exist at the
   origin (``lag_exists``) and those derivatives with the magnitudes of the
-  terms summed into them (``lag_terms``).
+  terms summed into them (``lag_terms``); an isotropic leaf declares them
+  through G^(k)(u), its profile as a function of u = a r^2
+  (``quadratic``);
+* its exact mixed partials d_x^a d_y^b k (``jet``), which a stationary leaf
+  takes from the declarations above.
 
 The DSL's parser and printer, ``classify``, evaluation,
 ``regularity.leaf_regularity`` and ``verify`` read these declarations.
@@ -33,6 +37,16 @@ Evaluation is exact recursion over the tree: a conic node is the weighted
 sum of its children, a product node the pointwise product, a tensor node the
 product over factor blocks of the input coordinates, and a warp node the
 child evaluated at the warped points.
+
+Mixed partials are exact recursion too.  A node's jet on point sets X and
+Y up to multi-indices (alpha, beta) maps every pair (a, b) with a <= alpha
+and b <= beta componentwise to the matrices of d_x^a d_y^b k(X[i], Y[j])
+and of the summed magnitudes of the terms that make each value (so
+eps * magnitude bounds its rounding); NaN marks a partial that does not
+exist there.  A conic node sums its children's jets, a product node
+combines them by the bivariate Leibniz rule, a tensor node multiplies its
+factors' jets over their coordinate blocks, and a warp node applies Faa di
+Bruno's formula per coordinate to its child's jet at the warped points.
 """
 
 from __future__ import annotations
@@ -81,6 +95,7 @@ __all__ = [
     "eval_radial",
     "eval_stationary",
     "pairwise",
+    "partials",
     "FEATURE_FAMILIES",
     "WARP_FAMILIES",
 ]
@@ -220,6 +235,19 @@ class Leaf(Kernel):
         # whether phi^(j), j = 0..m, exists at the origin: smooth by default
         return np.ones(m + 1, bool)
 
+    def lag_terms(self, t: np.ndarray, m: int):
+        # derivatives 0..m of an isotropic profile G(a t^2) from G's own
+        a, g, _magnitude = self.quadratic(t, m)
+        return _quadratic_inner(a, g, t)
+
+    def jet(self, X: np.ndarray, Y: np.ndarray, alpha: tuple, beta: tuple) -> dict:
+        # a stationary leaf's partials in the lag t = x - y: a 1-D leaf's
+        # from its lag profile, an isotropic one's from G^(k)
+        t = X[:, None, :] - Y[None, :, :]
+        if self.dim == 1:
+            return _lag_jet(self, t[..., 0], alpha[0], beta[0])
+        return _quadratic_jet(self, t, alpha, beta)
+
 
 @dataclass(frozen=True)
 class Matern(Leaf):
@@ -241,7 +269,7 @@ class Matern(Leaf):
     def lag_exists(self, m: int) -> np.ndarray:
         return np.array([self.nu > j / 2.0 for j in range(m + 1)])
 
-    def lag_terms(self, t: np.ndarray, m: int):
+    def quadratic(self, t: np.ndarray, m: int):
         """G(u) = c z^nu K_nu(z) with u = z^2 / 2, so by DLMF 10.29.4
         G^(k)(u) = c (-1)^k z^(nu-k) K_(nu-k)(z), with K_(-mu) = K_mu, one
         Bessel call per distinct order; at the origin it is the limit
@@ -261,7 +289,7 @@ class Matern(Leaf):
             if k < nu:
                 gk[~pos] = (-1.0) ** k * c * 2.0 ** (nu - k - 1.0) * math.gamma(nu - k)
             g.append(gk)
-        return _quadratic_inner(nu / self.lengthscale**2, g, t)
+        return nu / self.lengthscale**2, g, [np.abs(gk) for gk in g]
 
 
 @dataclass(frozen=True)
@@ -309,6 +337,27 @@ class Wendland(Leaf):
             poly = poly.derivative()
         return np.stack(values), np.stack(scale)
 
+    def quadratic(self, t: np.ndarray, m: int):
+        """G(u) = P(rho) with u = rho^2 / 2, rho = t / ell, so G^(k) is
+        (rho^-1 d/drho)^k P, which maps rho^i to i (i-2) ... (i-2k+2)
+        rho^(i-2k); zero from the support radius on, and infinite at the
+        origin where an odd power leaves a negative one."""
+        rho = t / self.lengthscale
+        inside = rho < 1.0
+        g, magnitude = [], []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(m + 1):
+                value, size = np.zeros_like(rho), np.zeros_like(rho)
+                for i, c in enumerate(self.polynomial.coeffs):
+                    c = float(c * math.prod(range(i, i - 2 * k, -2)))
+                    if c:
+                        term = c * rho ** (i - 2 * k)
+                        value += term
+                        size += np.abs(term)
+                g.append(np.where(inside, value, 0.0))
+                magnitude.append(np.where(inside, size, 0.0))
+        return 0.5 / self.lengthscale**2, g, magnitude
+
 
 _wendland_polynomial = functools.lru_cache(maxsize=None)(specfun.wendland_polynomial)
 
@@ -326,11 +375,11 @@ class SquaredExponential(Leaf):
         q = r / self.lengthscale
         return np.exp(-(q * q))
 
-    def lag_terms(self, t: np.ndarray, m: int):
+    def quadratic(self, t: np.ndarray, m: int):
         # G(u) = e^-u, u = t^2 / ell^2
         ell2 = self.lengthscale**2
         e = np.exp(-(t * t) / ell2)
-        return _quadratic_inner(1.0 / ell2, [(-1.0) ** k * e for k in range(m + 1)], t)
+        return 1.0 / ell2, [(-1.0) ** k * e for k in range(m + 1)], [e] * (m + 1)
 
 
 @dataclass(frozen=True)
@@ -347,7 +396,7 @@ class RationalQuadratic(Leaf):
         q = r / self.lengthscale
         return (1.0 + q * q) ** (-self.a)
 
-    def lag_terms(self, t: np.ndarray, m: int):
+    def quadratic(self, t: np.ndarray, m: int):
         # G(u) = (1 + u)^-a, u = t^2 / ell^2
         ell2 = self.lengthscale**2
         base = 1.0 + t * t / ell2
@@ -355,7 +404,7 @@ class RationalQuadratic(Leaf):
         for k in range(m + 1):
             g.append(rising * base ** (-self.a - k))
             rising *= -self.a - k
-        return _quadratic_inner(1.0 / ell2, g, t)
+        return 1.0 / ell2, g, [np.abs(gk) for gk in g]
 
 
 def _quadratic_inner(a: float, g: list, t: np.ndarray):
@@ -379,6 +428,70 @@ def _quadratic_inner(a: float, g: list, t: np.ndarray):
                 values[j] += term
                 scale[j] += np.abs(term)
     return values, scale
+
+
+def _lag_jet(leaf: Leaf, t: np.ndarray, alpha: int, beta: int) -> dict:
+    """Jet of a 1-D stationary leaf at lags t = x - y: d_x^a d_y^b phi(t)
+    = (-1)^b phi^(a+b)(t), and phi^(j)(t) = sign(t)^j psi^(j)(|t|) from the
+    derivatives psi^(j) that ``lag_terms`` gives at |t|; NaN at t = 0 where
+    the derivative does not exist at the origin (where it does, an odd one
+    is 0 there)."""
+    m = alpha + beta
+    values, scale = leaf.lag_terms(np.abs(t), m)
+    missing = (t == 0.0) & ~leaf.lag_exists(m)[:, None, None]
+    values, scale = np.where(missing, np.nan, values), np.where(missing, np.nan, scale)
+    negative = t < 0.0
+    jet = {}
+    for a in range(alpha + 1):
+        for b in range(beta + 1):
+            # (-1)^b sign(t)^(a+b) is (-1)^a where t < 0
+            sign = np.where(negative, (-1.0) ** a, (-1.0) ** b)
+            jet[(a,), (b,)] = (sign * values[a + b], scale[a + b])
+    return jet
+
+
+def _quadratic_jet(leaf: Leaf, t: np.ndarray, alpha: tuple, beta: tuple) -> dict:
+    """Jet of an isotropic leaf G(a |t|^2) at lags t = x - y of shape
+    (n, m, d): d_x^a d_y^b = (-1)^|b| d_t^c with c = a + b, and per axis
+    d_t^c G = sum_i prod_axis [c!/(i! (c-2i)!) (2a t)^(c-2i) a^i]
+    G^(|c|-|i|), the axiswise form of ``_quadratic_inner``."""
+    top = sum(alpha) + sum(beta)
+    r = np.sqrt(np.sum(t * t, axis=-1))
+    a, g, magnitude = leaf.quadratic(r, top)
+    x = 2.0 * a * t
+    origin = r == 0.0
+    exists = leaf.lag_exists(top)
+    jet = {}
+    with np.errstate(invalid="ignore"):
+        for key in _pairs(alpha, beta):
+            c = [p + q for p, q in zip(*key)]
+            values, scale = np.zeros_like(r), np.zeros_like(r)
+            for i in _indices([ci // 2 for ci in c]):
+                coef = math.prod(
+                    math.factorial(ci) / (math.factorial(ii) * math.factorial(ci - 2 * ii)) * a**ii
+                    for ci, ii in zip(c, i)
+                )
+                mono = math.prod(x[..., ax] ** (ci - 2 * ii) for ax, (ci, ii) in enumerate(zip(c, i)))
+                k = sum(c) - sum(i)
+                term = coef * mono * g[k]
+                size = np.abs(coef * mono) * magnitude[k]
+                if any(ci - 2 * ii for ci, ii in zip(c, i)):
+                    term[origin] = size[origin] = 0.0
+                values += term
+                scale += size
+            if not exists[sum(c)]:
+                values[origin] = scale[origin] = np.nan
+            jet[key] = ((-1.0) ** sum(key[1]) * values, scale)
+    return jet
+
+
+def _indices(alpha) -> list[tuple[int, ...]]:
+    # every multi-index a <= alpha componentwise
+    return list(np.ndindex(*(int(a) + 1 for a in alpha)))
+
+
+def _pairs(alpha, beta) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    return [(a, b) for a in _indices(alpha) for b in _indices(beta)]
 
 
 @dataclass(frozen=True)
@@ -432,21 +545,55 @@ class Wiener(Leaf):
         _check_wiener_domain(Y)
         return np.minimum(X[:, 0][:, None], Y[:, 0][None, :])
 
+    def jet(self, X, Y, alpha, beta):
+        # no partial derivative above order 0
+        k = self.cross(X, Y)
+        nan = np.full_like(k, np.nan)
+        return {
+            key: (k, np.abs(k)) if key == ((0,), (0,)) else (nan, nan)
+            for key in _pairs(alpha, beta)
+        }
+
+
+class _FeatureLeaf(Leaf):
+    """A general leaf k(x, y) = sum_j w_j f_j(x) f_j(y); it declares the
+    columns d^a f_j at points P (``features(P, a)``) and the weights w_j."""
+
+    weights = 1.0
+
+    def cross(self, X, Y):
+        zero = (0,) * self.dim
+        return _inner(self.weights * self.features(X, zero), self.features(Y, zero))
+
+    def jet(self, X, Y, alpha, beta):
+        fx = {a: self.weights * self.features(X, a) for a in _indices(alpha)}
+        fy = {b: self.features(Y, b) for b in _indices(beta)}
+        return {
+            (a, b): (_inner(A, B), _inner(np.abs(A), np.abs(B)))
+            for a, A in fx.items()
+            for b, B in fy.items()
+        }
+
 
 @dataclass(frozen=True)
-class Linear(Leaf):
+class Linear(_FeatureLeaf):
     input_dim: int = field(default=1, metadata={"dsl": "dim"})
 
     name = "linear"
     structure = General
     path_order = (math.inf, True, False)
 
-    def cross(self, X, Y):
-        return _inner(X, Y)
+    def features(self, P, a):
+        # f_j(x) = x_j: the points, a unit column, or zero
+        if sum(a) == 0:
+            return P
+        if sum(a) == 1:
+            return np.broadcast_to(np.array(a, float), P.shape)
+        return np.zeros_like(P)
 
 
 @dataclass(frozen=True)
-class Polynomial(Leaf):
+class Polynomial(_FeatureLeaf):
     m: int
     input_dim: int = field(default=1, metadata={"dsl": "dim"})
 
@@ -457,12 +604,35 @@ class Polynomial(Leaf):
     def cross(self, X, Y):
         return (1.0 + _inner(X, Y)) ** self.m
 
+    @property
+    def exponents(self) -> list[tuple[int, ...]]:
+        # (1 + x.y)^m = sum_kappa m!/((m-|kappa|)! kappa!) x^kappa y^kappa
+        return [k for k in _indices([self.m] * self.dim) if sum(k) <= self.m]
+
+    @property
+    def weights(self) -> np.ndarray:
+        f = math.factorial
+        return np.array([
+            f(self.m) / (f(self.m - sum(k)) * math.prod(f(ki) for ki in k)) for k in self.exponents
+        ])
+
+    def features(self, P, a):
+        cols = []
+        for kappa in self.exponents:
+            coef = math.prod(math.perm(k, ai) for k, ai in zip(kappa, a))
+            col = np.full(P.shape[0], float(coef))
+            if coef:
+                for axis, (k, ai) in enumerate(zip(kappa, a)):
+                    col = col * P[:, axis] ** (k - ai)
+            cols.append(col)
+        return np.stack(cols, axis=1)
+
 
 FEATURE_FAMILIES = ("monomials", "trig")
 
 
 @dataclass(frozen=True)
-class Feature(Leaf):
+class Feature(_FeatureLeaf):
     """Explicit feature-map kernel phi(x)^T phi(y) over a built-in family.
 
     ``monomials`` maps x to (1, x, ..., x^degree); ``trig`` maps x to the
@@ -477,18 +647,22 @@ class Feature(Leaf):
     structure = General
     path_order = (math.inf, False, False)
 
-    def feature_map(self, X: np.ndarray) -> np.ndarray:
-        x = X[:, 0]
+    def features(self, P, a):
+        (a,) = a
+        x = P[:, 0]
         if self.family == "monomials":
-            return np.stack([x**j for j in range(self.degree + 1)], axis=1)
+            return np.stack([
+                math.perm(j, a) * x ** (j - a) if j >= a else np.zeros_like(x)
+                for j in range(self.degree + 1)
+            ], axis=1)
         cols = []
         for j in range(1, self.degree + 1):
-            cols.append(np.cos(2.0 * math.pi * j * x))
-            cols.append(np.sin(2.0 * math.pi * j * x))
+            # cos^(a) and sin^(a) cycle through +-cos and +-sin
+            w = 2.0 * math.pi * j
+            c, s = np.cos(w * x), np.sin(w * x)
+            cols.append(w**a * (c, -s, -c, s)[a % 4])
+            cols.append(w**a * (s, c, -s, -c)[a % 4])
         return np.stack(cols, axis=1)
-
-    def cross(self, X, Y):
-        return _inner(self.feature_map(X), self.feature_map(Y))
 
 
 def _inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -537,6 +711,13 @@ class Conic(Kernel):
     def children(self) -> tuple[Kernel, ...]:
         return self.terms
 
+    def jet(self, X, Y, alpha, beta):
+        parts = [c.jet(X, Y, alpha, beta) for c in self.terms]
+        return {
+            key: tuple(sum(w * p[key][i] for w, p in zip(self.weights, parts)) for i in (0, 1))
+            for key in parts[0]
+        }
+
 
 @dataclass(frozen=True)
 class Product(Kernel):
@@ -557,6 +738,33 @@ class Product(Kernel):
     @property
     def children(self) -> tuple[Kernel, ...]:
         return self.factors
+
+    def jet(self, X, Y, alpha, beta):
+        return functools.reduce(_leibniz_jet, (c.jet(X, Y, alpha, beta) for c in self.factors))
+
+
+def _leibniz_jet(f: dict, g: dict) -> dict:
+    # the bivariate Leibniz rule: d_x^a d_y^b (f g) sums
+    # C(a, a') C(b, b') d^(a', b') f d^(a - a', b - b') g over a' <= a, b' <= b
+    out = {}
+    for a, b in f:
+        value = scale = 0.0
+        for a1 in _indices(a):
+            for b1 in _indices(b):
+                c = _binomial(a, a1) * _binomial(b, b1)
+                (fv, fs), (gv, gs) = f[a1, b1], g[_minus(a, a1), _minus(b, b1)]
+                value = value + c * fv * gv
+                scale = scale + c * fs * gs
+        out[a, b] = (value, scale)
+    return out
+
+
+def _binomial(a: tuple, b: tuple) -> int:
+    return math.prod(math.comb(p, q) for p, q in zip(a, b))
+
+
+def _minus(a: tuple, b: tuple) -> tuple:
+    return tuple(p - q for p, q in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -587,17 +795,32 @@ class TensorProduct(Kernel):
             offset += c.dim
         return acc
 
+    def jet(self, X, Y, alpha, beta):
+        # each factor's jet on its own block of coordinates, multiplied
+        blocks, offset = [], 0
+        for c in self.factors:
+            axes = slice(offset, offset + c.dim)
+            blocks.append((axes, c.jet(X[:, axes], Y[:, axes], alpha[axes], beta[axes])))
+            offset += c.dim
+        out = {}
+        for a, b in _pairs(alpha, beta):
+            parts = [jet[a[axes], b[axes]] for axes, jet in blocks]
+            out[a, b] = tuple(math.prod(p[i] for p in parts) for i in (0, 1))
+        return out
+
 
 @dataclass(frozen=True)
 class WarpFamily:
     """A coordinate warp family: its parameter names in order, a check
     that raises ParameterError on bad parameters, the warp's declared
-    componentwise Holder order, and the warp itself."""
+    componentwise Holder order, the warp itself, and its k-th derivative
+    (k >= 1) at coordinates z, NaN where it has none."""
 
     params: tuple[str, ...]
     check: Callable[[tuple], None]
     order: Callable[[tuple], object]
     apply: Callable[[tuple, np.ndarray], np.ndarray]
+    derivative: Callable[[tuple, np.ndarray, int], np.ndarray]
 
 
 def _check_affine(params):
@@ -614,12 +837,23 @@ def _check_abs_power(params):
         raise ParameterError(f"parameter beta must lie in (0, 1], got {params[0]!r}", "beta")
 
 
+def _abs_power_derivative(p, z, k):
+    # d^k |z|^beta = beta (beta-1) ... (beta-k+1) sign(z)^k |z|^(beta-k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = math.prod(p[0] - i for i in range(k)) * np.sign(z) ** k * np.abs(z) ** (p[0] - k)
+    return np.where(z == 0.0, np.nan, out)
+
+
 WARPS = {
     # x -> a x + b, smooth
-    "affine": WarpFamily(("a", "b"), _check_affine, lambda p: math.inf, lambda p, X: p[0] * X + p[1]),
+    "affine": WarpFamily(
+        ("a", "b"), _check_affine, lambda p: math.inf, lambda p, X: p[0] * X + p[1],
+        lambda p, z, k: np.full_like(z, p[0] if k == 1 else 0.0),
+    ),
     # x -> |x|^beta, beta in (0, 1], of Holder order beta
     "abs_power": WarpFamily(
-        ("beta",), _check_abs_power, lambda p: Fraction(p[0]), lambda p, X: np.abs(X) ** p[0]
+        ("beta",), _check_abs_power, lambda p: Fraction(p[0]), lambda p, X: np.abs(X) ** p[0],
+        _abs_power_derivative,
     ),
 }
 
@@ -662,6 +896,51 @@ class Warp(Kernel):
 
     def cross(self, X, Y):
         return _pairwise(self.child, self.apply(X), self.apply(Y))
+
+    def jet(self, X, Y, alpha, beta):
+        # Faa di Bruno on each coordinate of each argument in turn
+        jet = self.child.jet(self.apply(X), self.apply(Y), alpha, beta)
+        for side, (points, index) in enumerate(((X, alpha), (Y, beta))):
+            for axis, top in enumerate(index):
+                if top:
+                    z = points[:, axis].reshape((-1, 1) if side == 0 else (1, -1))
+                    dw = [WARPS[self.family].derivative(self.params, z, k) for k in range(1, top + 1)]
+                    jet = _chain_rule(jet, side, axis, dw)
+        return jet
+
+
+def _chain_rule(jet: dict, side: int, axis: int, dw: list) -> dict:
+    """Faa di Bruno's formula on one coordinate of one argument (side 0 is
+    x, 1 is y): d^j/dz^j F(w(z)) = sum_k B_(j,k)(w', w'', ...) F^(k)(w(z)),
+    B the partial Bell polynomials of the warp's derivatives dw."""
+    bell, bell_abs = _bell(dw), _bell([np.abs(d) for d in dw])
+    out = {}
+    for key, part in jet.items():
+        j = key[side][axis]
+        if j == 0:
+            out[key] = part
+            continue
+        value = scale = 0.0
+        for k in range(1, j + 1):
+            index = list(key[side])
+            index[axis] = k
+            source = (tuple(index), key[1]) if side == 0 else (key[0], tuple(index))
+            value = value + bell[j][k] * jet[source][0]
+            scale = scale + bell_abs[j][k] * jet[source][1]
+        out[key] = (value, scale)
+    return out
+
+
+def _bell(dw: list) -> list:
+    # B_(j,k) = sum_i C(j-1, i-1) w^(i) B_(j-i,k-1), B_(0,0) = 1
+    q = len(dw)
+    bell = [[1.0] + [0.0] * q] + [[0.0] * (q + 1) for _ in range(q)]
+    for j in range(1, q + 1):
+        for k in range(1, j + 1):
+            bell[j][k] = sum(
+                math.comb(j - 1, i - 1) * dw[i - 1] * bell[j - i][k - 1] for i in range(1, j - k + 2)
+            )
+    return bell
 
 
 # --- structural classification ------------------------------------------
@@ -735,6 +1014,20 @@ def pairwise(expr: Kernel, X, Y) -> np.ndarray:
 
 def _pairwise(expr: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _fold(expr, lambda node: node.cross(X, Y))
+
+
+def partials(expr: Kernel, X, Y, alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+    """Exact mixed partials d_x^alpha d_y^beta k(X[i], Y[j]) for point
+    arrays of shape (n, d) and multi-indices of length d, with the summed
+    magnitudes of the terms that make each value: returns (values, scale).
+    NaN marks a partial that does not exist at that entry."""
+    X = _as_points(X, expr.dim)
+    Y = _as_points(Y, expr.dim)
+    alpha = tuple(int(a) for a in alpha)
+    beta = tuple(int(b) for b in beta)
+    if len(alpha) != expr.dim or len(beta) != expr.dim or min(alpha + beta) < 0:
+        raise DomainError(f"multi-indices must be {expr.dim} non-negative integers")
+    return expr.jet(X, Y, alpha, beta)[alpha, beta]
 
 
 def eval_kernel(expr: Kernel, x, y) -> float:

@@ -15,7 +15,7 @@ uniform grid that difference runs over a lattice of lags, so the kernel is
 evaluated once per lag (h and -h sharing one value) and the dense
 (block-)Toeplitz Gram is gathered from the table: exactly symmetric, with
 no per-entry distance or kernel evaluation.  Derivative paths of a
-stationary expression gather their finite-difference Gram the same way.
+stationary expression gather their exact derivative Gram the same way.
 A non-stationary conic combination or product is assembled from its
 children's Grams (weighted sum, elementwise product), so its stationary
 terms take the lag table too; derivative Grams are not split, since the
@@ -475,8 +475,9 @@ def sample_derivative_paths(
 
     The sample-path order inferred for the kernel must exceed |alpha|, else
     the requested derivative outruns the differentiability of the paths.
-    The derivative kernel is built by finite differences on shifted grids,
-    not by differencing sampled paths.
+    The derivative kernel is the exact mixed partial d^(alpha,alpha) k of
+    ``derivative_kernel_matrix``, not a difference of sampled paths.
+    ``step`` is not used.
     """
     alpha = tuple(int(a) for a in np.atleast_1d(np.asarray(alpha, dtype=int)))
     _as_multiindex(alpha, expr.dim)
@@ -541,6 +542,8 @@ def _format_rows(*columns: np.ndarray):
 
 # values per formatted block: bounds the formatter's temporaries
 _CSV_BLOCK = 16384
+# rows per np.loadtxt call when reading a samples file
+_CSV_READ_ROWS = 512
 # 10^p for p = 0..22, each an exact double (products of exact powers of ten)
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
 # the ASCII digits of 0..9999, four per row, as one 4-byte word per number,
@@ -684,6 +687,9 @@ def read_samples_csv(path: str) -> PathSamples:
     exists, and its grid must match the CSV's; without a sidecar the seed
     reads -1 and the jitter NaN.
     """
+    with open(path, "rb") as fh:
+        fh.readline()
+        n_points = sum(1 for line in fh if not line.isspace())
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[:2] == ["x", "y"]:
@@ -693,13 +699,18 @@ def read_samples_csv(path: str) -> PathSamples:
         else:
             raise ValueError(f"unrecognised samples header {header[:2]}")
         # np.loadtxt only warns on empty input
-        start = fh.tell()
-        if not fh.readline().strip():
+        if not n_points:
             raise ValueError("samples file contains no rows")
-        fh.seek(start)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    coords = data[:, :coord_cols]
-    values = data[:, coord_cols:].T.copy()
+        # the draws are filled in from blocks of rows, so the whole table
+        # and its transpose are never held together
+        coords = np.empty((n_points, coord_cols))
+        values = np.empty((len(header) - coord_cols, n_points))
+        for lo in range(0, n_points, _CSV_READ_ROWS):
+            block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=_CSV_READ_ROWS)
+            if block.shape[1] != len(header):
+                raise ValueError(f"rows of {block.shape[1]} values under a header of {len(header)}")
+            coords[lo:lo + len(block)] = block[:, :coord_cols]
+            values[:, lo:lo + len(block)] = block[:, coord_cols:].T
     if coord_cols == 1:
         axis = _axis_from_ticks(coords[:, 0])
         grid = Grid((axis,))

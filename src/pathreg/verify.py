@@ -2,22 +2,21 @@
 
 Turns the kernel-side characterisation into executable checks: the diagonal
 second difference k(x+h,x+h) - k(x+h,x) - k(x,x+h) + k(x,x) (equal to
-E(f(x+h) - f(x))^2), kernel derivatives (exact for stationary kernels,
-finite differences otherwise), detection of the deepest stable derivative
-order, and a log-log regression of the order-n diagonal deviation against
-the lag, whose slope estimates twice the fractional part of the
-sample-path order.
+E(f(x+h) - f(x))^2), exact kernel derivatives, detection of the deepest
+stable derivative order, and a log-log regression of the order-n diagonal
+deviation against the lag, whose slope estimates twice the fractional part
+of the sample-path order.
 
-Order detection deliberately avoids finite-difference steps: it tracks the
-mean-square difference quotients
+Order detection uses kernel values only: it tracks the mean-square
+difference quotients
 
     E[(Delta_h^n f(x))^2] / h^(2n)
         = sum_{j,k} (-1)^(j+k) C(n,j) C(n,k) k(x + j h, x + k h) / h^(2n),
 
-which are exact kernel evaluations and converge precisely when the order-n
-diagonal derivatives of the kernel exist and are continuous.  A divergent or
-non-Cauchy quotient sequence (the integer-order Matern case drifts
-logarithmically) rejects the order.
+which converge precisely when the order-n diagonal derivatives of the
+kernel exist and are continuous.  A divergent or non-Cauchy quotient
+sequence (the integer-order Matern case drifts logarithmically) rejects
+the order.
 
 The lags are h = l_min 2^-j, l_min being the expression's smallest
 lengthscale (1 when it has none), and quotients and deviations are taken in
@@ -37,15 +36,15 @@ each derivative carries the magnitude of the terms summed into it, which
 sets its rounding-noise estimate.  Whether a derivative exists at the
 origin follows from the leaves' rules alone, and caps the detected order.
 
-General (non-stationary) kernels are checked at fixed probe points with
-finite-difference kernel derivatives and Richardson extrapolation, the
-base step widened for higher orders to balance truncation against
-rounding.  Their kernel values come in blocks: each finite-difference
-stencil, each diagonal second difference and each difference-quotient
-lattice is one ``pairwise`` call over its distinct points, whose entries
-equal the single-point values bitwise.  Each probe's deviation series is
-computed once; the all-probe series is their elementwise maximum, and the
-same per-probe series give the probe slopes.
+General (non-stationary) kernels are checked at fixed probe points, along
+each axis.  A probe's quotient lattices for one order are one ``pairwise``
+block over their union, and its deviation series is the second difference
+of the exact partials d^(n e, n e) k (:func:`pathreg.kernels.partials`)
+over the points x and x + h e, one block call for every lag; block entries
+equal the single-point values bitwise.  The noise estimate is eps times the
+magnitudes summed into the four corners, as on the stationary path.  Each
+probe's deviation series is computed once; the all-probe series is their
+elementwise maximum, and the same per-probe series give the probe slopes.
 
 Scales whose estimated rounding noise pollutes the deviation are dropped,
 as is the small end of the window while the fit residual exceeds the
@@ -56,7 +55,6 @@ failing verdict with a "beyond probe range" note rather than an error.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -73,6 +71,7 @@ from .kernels import (
     classify,
     eval_kernel,
     pairwise,
+    partials,
 )
 from .regularity import RegularityReport, infer_regularity, report_to_dict
 
@@ -84,7 +83,6 @@ __all__ = [
     "BeyondProbeRange",
     "loglog_fit",
     "second_difference",
-    "cross_difference_bound",
     "radial_derivative",
     "kernel_derivative",
     "estimate_diagonal_exponent",
@@ -94,13 +92,9 @@ __all__ = [
     "verify_to_dict",
 ]
 
-MAX_MIXED_ORDER = 4  # per-argument derivative depth of the stencil table
+MAX_MIXED_ORDER = 4  # per-argument derivative order of kernel_derivative
 MAX_RADIAL_ORDER = 8
 _EPS = float(np.finfo(float).eps)
-
-# base finite-difference steps per derivative order; higher orders need wider
-# stencils or rounding noise eps/step^m swamps the value
-_BASE_STEPS = {0: 1e-3, 1: 1e-3, 2: 1e-3, 3: 4e-3, 4: 2e-2, 5: 3e-2, 6: 5e-2, 7: 8e-2, 8: 1e-1}
 
 
 class SmoothToOrder(KernelError):
@@ -192,120 +186,35 @@ def loglog_fit(points) -> ExponentFit:
     )
 
 
-# --- finite-difference machinery ------------------------------------------
+# --- exact kernel derivatives ------------------------------------------------
 
 
-def _central_stencil(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # offsets and weights of the second-order central difference for the
-    # m-th derivative (weights to be divided by step**m)
-    p = (m + 1) // 2
-    offsets = np.arange(-p, p + 1, dtype=float)
-    v = np.vander(offsets, increasing=True).T  # v[q, j] = offsets[j]**q
-    rhs = np.zeros(len(offsets))
-    rhs[m] = math.factorial(m)
-    return offsets, np.linalg.solve(v, rhs)
-
-
-_STENCILS = {m: _central_stencil(m) for m in range(0, MAX_RADIAL_ORDER + 1)}
-
-
-def _richardson(sample, step: float, rtol: float) -> tuple[float, bool, float]:
-    # two Richardson levels over the second-order central differences:
-    # D(s), D(s/2), D(s/4) -> eliminates the s^2 and s^4 error terms
-    d0 = sample(step)
-    d1 = sample(step / 2.0)
-    d2 = sample(step / 4.0)
-    r1a = (4.0 * d1 - d0) / 3.0
-    r1b = (4.0 * d2 - d1) / 3.0
-    r2 = (16.0 * r1b - r1a) / 15.0
-    spread = abs(r2 - r1b)
-    stable = math.isfinite(r2) and spread <= max(rtol * abs(r2), 1e-12)
-    return r2, stable, spread
-
-
-def _fd_noise(order: int, step: float) -> float:
-    # rounding-noise estimate of the Richardson result: the finest level
-    # divides eps-sized evaluation errors by (step/4)^order
-    if order == 0:
-        return _EPS
-    weight_sum = float(np.sum(np.abs(_STENCILS[order][1])))
-    return 3.0 * weight_sum * _EPS / (step / 4.0) ** order
+def _check_order(*indices) -> None:
+    if max(int(np.sum(a)) for a in indices) > MAX_MIXED_ORDER:
+        raise KernelError(
+            f"mixed derivatives supported up to order {MAX_MIXED_ORDER} per argument"
+        )
 
 
 def kernel_derivative(
     expr: Kernel, x, y, alpha, beta, step: float | None = None
 ) -> tuple[float, bool, float]:
-    """Mixed partial derivative of k at (x, y) by nested central differences.
+    """Mixed partial derivative of k at (x, y), exact up to rounding.
 
     alpha acts on the first argument, beta on the second.  Returns
-    (value, stable, spread) where stable means two successive Richardson
-    refinements agreed to the configured relative tolerance.  Each
-    refinement level evaluates its stencil as one ``pairwise`` block.
+    (value, stable, spread): stable is False only where the derivative
+    does not exist (the value is then NaN), and the spread is 0.  ``step``
+    is not used.
     """
     alpha = _as_multiindex(alpha, expr.dim)
     beta = _as_multiindex(beta, expr.dim)
-    if max(alpha.sum(), beta.sum()) > MAX_MIXED_ORDER:
-        raise KernelError(
-            f"mixed derivatives supported up to order {MAX_MIXED_ORDER} per argument"
-        )
+    _check_order(alpha, beta)
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
-    npow = int(alpha.sum() + beta.sum())
-    if npow == 0:
+    if alpha.sum() + beta.sum() == 0:
         return eval_kernel(expr, x, y), True, 0.0
-    if step is None:
-        step = _BASE_STEPS[min(npow, MAX_RADIAL_ORDER)]
-    off_x, off_y, coeffs = _stencil_terms(tuple(alpha.tolist()), tuple(beta.tolist()))
-
-    def sample(s: float) -> float:
-        # term t pairs x offset t // len(off_y) with y offset t % len(off_y),
-        # so the raveled block lists the term values in coefficient order
-        vals = pairwise(expr, x + off_x * s, y + off_y * s).ravel()
-        return float(np.dot(coeffs, vals)) / s**npow
-
-    return _richardson(sample, step, 1e-4)
-
-
-@functools.lru_cache(maxsize=None)
-def _stencil_terms(alpha: tuple[int, ...], beta: tuple[int, ...]):
-    """Distinct x offsets, distinct y offsets and term coefficients of the
-    nested central differences for d^(alpha, beta).
-
-    The terms are the Cartesian product of the per-axis stencils, alpha's
-    axes first and each axis varying fastest within the one before it, so
-    the x offsets times the y offsets enumerate them in order.  Arrays are
-    read-only because the cache shares them.
-    """
-    dim = len(alpha)
-    terms = [(np.zeros(dim), np.zeros(dim), 1.0)]
-    for i, a in enumerate(alpha):
-        if a == 0:
-            continue
-        offsets, weights = _STENCILS[a]
-        terms = [
-            (ox + o * _unit(dim, i), oy, c * w)
-            for ox, oy, c in terms
-            for o, w in zip(offsets, weights)
-            if w != 0.0
-        ]
-    n_x = len(terms)
-    for i, b in enumerate(beta):
-        if b == 0:
-            continue
-        offsets, weights = _STENCILS[b]
-        terms = [
-            (ox, oy + o * _unit(dim, i), c * w)
-            for ox, oy, c in terms
-            for o, w in zip(offsets, weights)
-            if w != 0.0
-        ]
-    n_y = len(terms) // n_x
-    off_x = np.stack([ox for ox, _oy, _c in terms[::n_y]])
-    off_y = np.stack([oy for _ox, oy, _c in terms[:n_y]])
-    coeffs = np.array([c for _ox, _oy, c in terms])
-    for arr in (off_x, off_y, coeffs):
-        arr.setflags(write=False)
-    return off_x, off_y, coeffs
+    value = float(partials(expr, x[None, :], y[None, :], alpha, beta)[0][0, 0])
+    return value, math.isfinite(value), 0.0
 
 
 def _unit(dim: int, i: int) -> np.ndarray:
@@ -331,49 +240,28 @@ def _as_multiindex(alpha, dim: int) -> np.ndarray:
 def second_difference(expr: Kernel, x, h, alpha) -> float:
     """Diagonal second difference of the alpha-alpha derivative of k.
 
-    With alpha = 0 this is k(x+h,x+h) - k(x+h,x) - k(x,x+h) + k(x,x),
-    computed exactly from kernel evaluations; higher orders differentiate
-    numerically first.
+    With alpha = 0 this is k(x+h,x+h) - k(x+h,x) - k(x,x+h) + k(x,x); for
+    alpha > 0 the same combination of the exact partials d^(alpha,alpha) k.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     h = np.asarray(h, dtype=float).reshape(-1)
     alpha = _as_multiindex(alpha, expr.dim)
-    xh = x + h
-    if alpha.sum() == 0:
-        pts = np.stack([xh, x])
-        (k_hh, k_h0), (k_0h, k_00) = pairwise(expr, pts, pts).tolist()
-        return k_hh - k_h0 - k_0h + k_00
-    corners = [(xh, xh, 1.0), (xh, x, -1.0), (x, xh, -1.0), (x, x, 1.0)]
-    acc = 0.0
-    for a, b, sign in corners:
-        val, _stable, _spread = kernel_derivative(expr, a, b, alpha, alpha)
-        acc += sign * val
-    return acc
+    _check_order(alpha)
+    pts = np.stack([x + h, x])
+    (k_hh, k_h0), (k_0h, k_00) = _derivative_block(expr, pts, pts, alpha)[0].tolist()
+    return k_hh - k_h0 - k_0h + k_00
 
 
-def cross_difference_bound(expr: Kernel, x, h, alpha, beta) -> tuple[float, float]:
-    """Cross-derivative second difference and its Cauchy-Schwarz bound.
-
-    The alpha-beta diagonal combination is the covariance of two derivative
-    increments, so its magnitude is bounded by the geometric mean of the two
-    diagonal (alpha-alpha and beta-beta) combinations.  Verification probes
-    only the diagonal pairs; this check backs that choice up.  Returns
-    (|cross|, bound).
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    h = np.asarray(h, dtype=float).reshape(-1)
-    alpha = _as_multiindex(alpha, expr.dim)
-    beta = _as_multiindex(beta, expr.dim)
-    xh = x + h
-    corners = [(xh, xh, 1.0), (xh, x, -1.0), (x, xh, -1.0), (x, x, 1.0)]
-    cross = 0.0
-    for a, b, sign in corners:
-        val, _st, _sp = kernel_derivative(expr, a, b, alpha, beta)
-        cross += sign * val
-    diag_a = second_difference(expr, x, h, alpha)
-    diag_b = second_difference(expr, x, h, beta)
-    bound = math.sqrt(max(diag_a, 0.0) * max(diag_b, 0.0))
-    return abs(cross), bound
+def _derivative_block(expr: Kernel, X: np.ndarray, Y: np.ndarray, alpha):
+    """d^(alpha,alpha) k between the point sets X and Y, with its noise
+    scale: at alpha = 0 the kernel values of ``pairwise`` (which the exact
+    partials of order 0 need not equal bitwise), each scaled 1 as the
+    rounding of one evaluation; otherwise the exact partials with their
+    term magnitudes."""
+    if not np.any(alpha):
+        values = pairwise(expr, X, Y)
+        return values, np.ones_like(values)
+    return partials(expr, X, Y, alpha, alpha)
 
 
 # --- exact lag-profile derivatives ------------------------------------------
@@ -469,13 +357,22 @@ def _ms_quotient(block, n: int, h: float) -> tuple[float, float]:
     return acc / h ** (2 * n), noise / h ** (2 * n)
 
 
-def _ms_quotient_general(
-    expr: Kernel, x: np.ndarray, axis: int, n: int, s: float, ell: float = 1.0
-):
-    # the lattice x + j (ell s) e_axis, quotient in units of ell
+def _probe_quotients(expr: Kernel, x: np.ndarray, axis: int, n: int, steps, ell: float):
+    """One probe's order-n quotient sequence along one axis, over the
+    lattices x + j (ell s) e_axis, j = 0..n, one per step s, in units of
+    ell.  The lattices share points (2 ell s is the lattice point ell s' of
+    the step s' = 2 s), so one ``pairwise`` block over their union serves
+    them all; its entries equal the single-point values bitwise."""
     e = _unit(expr.dim, axis)
-    pts = np.stack([x + j * (ell * s) * e for j in range(n + 1)])
-    return _ms_quotient(pairwise(expr, pts, pts).tolist(), n, s)
+    offsets = sorted({j * (ell * s) for s in steps for j in range(n + 1)})
+    where = {o: i for i, o in enumerate(offsets)}
+    pts = np.stack([x + o * e for o in offsets])
+    block = pairwise(expr, pts, pts)
+    seq = []
+    for s in steps:
+        lattice = [where[j * (ell * s)] for j in range(n + 1)]
+        seq.append(_ms_quotient(block[np.ix_(lattice, lattice)].tolist(), n, s))
+    return seq
 
 
 def _sequence_converges(seq: list[tuple[float, float]], cfg: VerifyConfig) -> bool:
@@ -538,7 +435,7 @@ def _quotient_sequences(expr: Kernel, n: int, cfg: VerifyConfig):
             for s, row in zip(steps, rows)
         ]]
     return [
-        [_ms_quotient_general(expr, x, axis, n, s, ell) for s in steps]
+        _probe_quotients(expr, x, axis, n, steps, ell)
         for x in _probe_points(expr, cfg)
         for axis in range(expr.dim)
     ]
@@ -622,25 +519,27 @@ def _deviation_series(expr: Kernel, n: int, cfg: VerifyConfig, x: np.ndarray | N
         return _max_series(
             [_deviation_series(expr, n, cfg, x=base) for base in _probe_points(expr, cfg)]
         )
-    corner_noise = 4.0 * _fd_noise(2 * n, _BASE_STEPS[min(2 * n, MAX_RADIAL_ORDER)]) if n else 4.0 * _EPS
-    rows = []
-    for h in hs:
-        best = 0.0
-        for axis in range(expr.dim):
-            alpha = np.zeros(expr.dim, dtype=int)
-            alpha[axis] = n
-            val = second_difference(expr, x, h * _unit(expr.dim, axis), alpha)
+    best = [0.0] * len(hs)
+    noise = [0.0] * len(hs)
+    for axis in range(expr.dim):
+        e = _unit(expr.dim, axis)
+        pts = np.stack([x] + [x + h * e for h in hs])
+        values, scale = (b.tolist() for b in _derivative_block(expr, pts, pts, n * e))
+        for i in range(1, len(hs) + 1):
+            val = values[i][i] - values[i][0] - values[0][i] + values[0][0]
             if math.isfinite(val):
-                best = max(best, abs(val))
-        rows.append((h, unit * best, unit * corner_noise))
-    return rows
+                best[i - 1] = max(best[i - 1], abs(val))
+                corners = scale[i][i] + scale[i][0] + scale[0][i] + scale[0][0]
+                noise[i - 1] = max(noise[i - 1], _EPS * corners)
+    return [(h, unit * b, unit * e) for h, b, e in zip(hs, best, noise)]
 
 
 def _max_series(per_probe: list[list[tuple[float, float, float]]]):
-    # the all-probe deviation at each lag is the largest per-probe one; the
-    # general path's noise estimate does not depend on the probe
+    # the all-probe deviation and noise at each lag are the largest
+    # per-probe ones
     return [
-        (rows[0][0], max(r[1] for r in rows), rows[0][2]) for rows in zip(*per_probe)
+        (rows[0][0], max(r[1] for r in rows), max(r[2] for r in rows))
+        for rows in zip(*per_probe)
     ]
 
 
@@ -783,40 +682,18 @@ def derivative_kernel_matrix(
 ) -> np.ndarray:
     """Gram matrix of the derivative kernel d^(alpha,alpha) k on points X.
 
-    Built from single-level central differences over shifted copies of the
-    point set (the derivative-process law is tested against this matrix, so
-    it is deliberately not obtained by differencing sampled paths).  The
-    default step widens with the total derivative order: the entries suffer
-    cancellation of size step^(2|alpha|), and too small a step leaves
-    rounding noise that makes the matrix indefinite.  With Y given, the
-    cross matrix between X and Y is returned instead.
+    Its entries are the exact mixed partials of :func:`pathreg.kernels.partials`
+    (the derivative-process law is tested against this matrix, so it is
+    deliberately not obtained by differencing sampled paths).  For a
+    stationary kernel the entry at lag h is (-1)^|alpha| times the
+    derivative of order 2 alpha of the lag profile at h.  With Y given, the
+    cross matrix between X and Y is returned instead.  ``step`` is not
+    used.
     """
     alpha = _as_multiindex(alpha, expr.dim)
-    if step is None:
-        step = _BASE_STEPS[min(2 * int(alpha.sum()), MAX_RADIAL_ORDER)]
     X = np.asarray(X, dtype=float)
     Y = X if Y is None else np.asarray(Y, dtype=float)
-    terms = [(np.zeros(expr.dim), 1.0)]
-    npow = 0
-    for i, a in enumerate(alpha):
-        if a == 0:
-            continue
-        offsets, weights = _STENCILS[int(a)]
-        npow += int(a)
-        terms = [
-            (off + o * _unit(expr.dim, i), c * w)
-            for off, c in terms
-            for o, w in zip(offsets, weights)
-            if w != 0.0
-        ]
-    if npow == 0:
-        return pairwise(expr, X, Y)
-    acc = None
-    for off_a, ca in terms:
-        for off_b, cb in terms:
-            block = ca * cb * pairwise(expr, X + off_a * step, Y + off_b * step)
-            acc = block if acc is None else acc + block
-    return acc / step ** (2 * npow)
+    return _derivative_block(expr, X, Y, alpha)[0]
 
 
 def verify_to_dict(report: VerifyReport) -> dict:

@@ -47,6 +47,8 @@ class TestExitCodes:
             ("feature(family=trig, degree=1e999)", 28),
             ("1e999*se()", 0),
             ("feature(family=bogus, degree=2)", 15),
+            ("se() + wendland(d=2, n=0)", 7),
+            ("se() * wendland(d=2, n=0)", 7),
         ],
     )
     def test_rejected_value_is_2_at_its_offset(self, capsys, kernel, offset):

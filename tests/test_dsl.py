@@ -13,7 +13,6 @@ from pathreg.dsl import ParseError, parse_kernel, print_kernel
 from pathreg.kernels import (
     LEAVES,
     Conic,
-    DomainError,
     Feature,
     General,
     Isotropic,
@@ -301,7 +300,14 @@ GOLDEN_ERRORS = [
     ("0*se()", ParseError, "conic weight must be positive at offset 0"),
     ("-2*se()", ParseError, "conic weight must be positive at offset 0"),
     ("tensor(se())", ParseError, "tensor(...) needs at least two factors at offset 0"),
-    ("se() + wendland(d=2, n=0)", DomainError, "conic children disagree on input dimension: [1, 2]"),
+    ("se() + wendland(d=2, n=0)", ParseError,
+     "term of input dimension 2 where the first has 1 at offset 7"),
+    ("se() * wendland(d=2, n=0)", ParseError,
+     "factor of input dimension 2 where the first has 1 at offset 7"),
+    ("se(dim=2) + se(dim=2) + 2*linear()", ParseError,
+     "term of input dimension 1 where the first has 2 at offset 24"),
+    ("(se() + se()) * se(dim=3)", ParseError,
+     "factor of input dimension 3 where the first has 1 at offset 16"),
     ("matern(nu=0.5, nu=1)", ParseError, "duplicate parameter 'nu' at offset 15"),
     ("matern(nu=-1, dim=1.5)", ParseError, "parameter 'dim' must be an integer at offset 18"),
 ]

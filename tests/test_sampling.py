@@ -520,6 +520,42 @@ class TestSerialisation:
         for line, row in zip(lines[1:], table):
             assert line.split(",") == [f"{v:.17g}" for v in row]
 
+    @staticmethod
+    def _large_file(tmp_path):
+        # several read blocks of rows on a 2-D grid, 3.3 MB of draws
+        grid = Grid((Axis(0.0, 1.0, 64), Axis(0.0, 1.0, 64)))
+        samples = sample_paths(parse_kernel("tensor(se(), matern(nu=0.5))"), grid, 100, 3)
+        path = str(tmp_path / "large.csv")
+        write_samples_csv(samples, path)
+        return path, samples
+
+    def test_block_read_equals_whole_table(self, tmp_path):
+        path, samples = self._large_file(tmp_path)
+        assert samples.grid.n_points > sampling._CSV_READ_ROWS
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        loaded = read_samples_csv(path)
+        assert np.array_equal(loaded.samples, table[:, 2:].T)
+        assert np.array_equal(loaded.samples, samples.samples)
+        assert loaded.grid == samples.grid
+
+    def test_block_read_peak_memory(self, tmp_path):
+        # the draws plus one block of rows; the whole table and its
+        # transposed copy made this over 2 draw sizes
+        path, _samples = self._large_file(tmp_path)
+        tracemalloc.start()
+        try:
+            loaded = read_samples_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * loaded.samples.nbytes
+
+    def test_row_width_must_match_header(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("x,s0,s1\r\n0,1,2\r\n1,3\r\n")
+        with pytest.raises(ValueError):
+            read_samples_csv(str(path))
+
     def test_header_only_file_has_no_rows(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x,s0,s1\r\n")

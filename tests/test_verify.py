@@ -7,7 +7,7 @@ import pytest
 
 from pathreg import verify as V
 from pathreg.dsl import parse_kernel
-from pathreg.kernels import KernelError, eval_kernel
+from pathreg.kernels import KernelError, eval_kernel, partials
 from pathreg.verify import (
     SmoothToOrder,
     VerifyConfig,
@@ -145,26 +145,36 @@ class TestRadialDerivative:
 class TestKernelDerivative:
     def test_se_mixed_second_derivative_diag(self):
         # d^{2,2} e^{-(x-y)^2} at x = y equals 12
-        value, stable, _ = kernel_derivative(parse_kernel("se()"), 0.5, 0.5, 2, 2)
+        value, stable, spread = kernel_derivative(parse_kernel("se()"), 0.5, 0.5, 2, 2)
         assert stable
-        assert value == pytest.approx(12.0, rel=1e-4)
+        assert value == 12.0
+        assert spread == 0.0
 
-    def test_wiener_first_derivative_unstable(self):
-        _value, stable, _ = kernel_derivative(parse_kernel("wiener()"), 0.5, 0.5, 1, 1)
+    def test_wiener_has_no_first_derivative(self):
+        value, stable, _ = kernel_derivative(parse_kernel("wiener()"), 0.5, 0.5, 1, 1)
+        assert math.isnan(value)
         assert not stable
+
+    def test_order_cap(self):
+        with pytest.raises(KernelError):
+            kernel_derivative(parse_kernel("se()"), 0.5, 0.5, 5, 0)
 
     def test_cross_terms_bounded_by_diagonal(self):
         # the alpha != beta combinations never exceed the geometric mean of
         # the diagonal ones, so diagonal-only probing cannot miss them
-        from pathreg.verify import cross_difference_bound
-
+        corners = [(1, 1, 1.0), (1, 0, -1.0), (0, 1, -1.0), (0, 0, 1.0)]
         for text in ["se(dim=2)", "tensor(matern(nu=1.5), se())", "matern(nu=2.5, dim=2)"]:
             expr = parse_kernel(text)
+            x = np.array([0.4, 0.7])
             for h in [0.25, 0.0625]:
-                cross, bound = cross_difference_bound(
-                    expr, [0.4, 0.7], [h, h], [1, 0], [0, 1]
+                pts = [x + h, x]
+                cross = sum(
+                    sign * kernel_derivative(expr, pts[i], pts[j], [1, 0], [0, 1])[0]
+                    for i, j, sign in corners
                 )
-                assert cross <= bound * (1 + 1e-6) + 1e-9
+                diag = [second_difference(expr, x, [h, h], a) for a in ([1, 0], [0, 1])]
+                bound = math.sqrt(max(diag[0], 0.0) * max(diag[1], 0.0))
+                assert abs(cross) <= bound * (1 + 1e-6) + 1e-9
 
 
 class TestDetectOrder:
@@ -257,66 +267,7 @@ class TestVerifyRegularity:
         assert report.verdict == "fail"
 
 
-# --- batched evaluation against per-term scalar references -----------------
-
-
-def _scalar_kernel_derivative(expr, x, y, alpha, beta):
-    # one eval_kernel call per stencil term, as the batched path replaced
-    alpha = V._as_multiindex(alpha, expr.dim)
-    beta = V._as_multiindex(beta, expr.dim)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    npow = int(alpha.sum() + beta.sum())
-    if npow == 0:
-        return eval_kernel(expr, x, y), True, 0.0
-    step = V._BASE_STEPS[min(npow, V.MAX_RADIAL_ORDER)]
-    terms = [(np.zeros_like(x), np.zeros_like(y), 1.0)]
-    for which, index in ((0, alpha), (1, beta)):
-        for i, a in enumerate(index):
-            if a == 0:
-                continue
-            offsets, weights = V._STENCILS[int(a)]
-            terms = [
-                (ox + o * V._unit(expr.dim, i), oy, c * w) if which == 0
-                else (ox, oy + o * V._unit(expr.dim, i), c * w)
-                for ox, oy, c in terms
-                for o, w in zip(offsets, weights)
-                if w != 0.0
-            ]
-    coeffs = np.array([c for _ox, _oy, c in terms])
-
-    def sample(s):
-        vals = np.array([eval_kernel(expr, x + ox * s, y + oy * s) for ox, oy, _c in terms])
-        return float(np.dot(coeffs, vals)) / s**npow
-
-    return V._richardson(sample, step, 1e-4)
-
-
-def _scalar_second_difference(expr, x, h, alpha):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    xh = x + np.asarray(h, dtype=float).reshape(-1)
-    if V._as_multiindex(alpha, expr.dim).sum() == 0:
-        return (
-            eval_kernel(expr, xh, xh)
-            - eval_kernel(expr, xh, x)
-            - eval_kernel(expr, x, xh)
-            + eval_kernel(expr, x, x)
-        )
-    acc = 0.0
-    for a, b, sign in [(xh, xh, 1.0), (xh, x, -1.0), (x, xh, -1.0), (x, x, 1.0)]:
-        acc += sign * _scalar_kernel_derivative(expr, a, b, alpha, alpha)[0]
-    return acc
-
-
-def _scalar_cross_difference_bound(expr, x, h, alpha, beta):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    xh = x + np.asarray(h, dtype=float).reshape(-1)
-    cross = 0.0
-    for a, b, sign in [(xh, xh, 1.0), (xh, x, -1.0), (x, xh, -1.0), (x, x, 1.0)]:
-        cross += sign * _scalar_kernel_derivative(expr, a, b, alpha, beta)[0]
-    diag_a = _scalar_second_difference(expr, x, h, alpha)
-    diag_b = _scalar_second_difference(expr, x, h, beta)
-    return abs(cross), math.sqrt(max(diag_a, 0.0) * max(diag_b, 0.0))
+# --- batched evaluation against single-point references ----------------------
 
 
 def _scalar_ms_quotient(expr, x, axis, n, h):
@@ -344,54 +295,57 @@ TENSOR_2D = "tensor(matern(nu=0.5), matern(nu=1.5))"
 ORDERS_2D = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 3), (2, 1), (1, 2)]
 
 
-class TestBatchedStencils:
-    """The general path evaluates each stencil as one pairwise block; every
-    value must equal the per-term scalar evaluation bitwise."""
+class TestBatchedBlocks:
+    """The general path evaluates kernel values and exact partials in
+    blocks; every entry must equal the single-point evaluation bitwise."""
+
+    @staticmethod
+    def _assert_blocks_match(expr, pts, orders):
+        for a in orders:
+            for b in orders:
+                values, scale = partials(expr, pts, pts, a, b)
+                for i, p in enumerate(pts):
+                    for j, q in enumerate(pts):
+                        single = partials(expr, p[None], q[None], a, b)
+                        np.testing.assert_array_equal(values[i, j], single[0][0, 0])
+                        np.testing.assert_array_equal(scale[i, j], single[1][0, 0])
 
     @pytest.mark.parametrize("text", GENERAL_1D)
-    def test_kernel_derivative_1d(self, text):
-        expr = parse_kernel(text)
-        for x, y in [(0.4, 0.7), (0.6, 0.6)]:
-            for a in range(4):
-                for b in range(4):
-                    got = kernel_derivative(expr, x, y, a, b)
-                    assert got == _scalar_kernel_derivative(expr, x, y, a, b), (x, y, a, b)
+    def test_partials_1d(self, text):
+        pts = np.array([[0.4], [0.7], [0.45], [0.45 + 2.0**-9]])
+        self._assert_blocks_match(parse_kernel(text), pts, [(a,) for a in range(4)])
 
-    def test_kernel_derivative_tensor(self):
-        expr = parse_kernel(TENSOR_2D)
-        x, y = [0.4, 0.55], [0.7, 0.3]
-        for a in ORDERS_2D:
-            for b in ORDERS_2D:
-                got = kernel_derivative(expr, x, y, a, b)
-                assert got == _scalar_kernel_derivative(expr, x, y, a, b), (a, b)
+    def test_partials_tensor(self):
+        pts = np.array([[0.4, 0.55], [0.7, 0.3], [0.4 + 2.0**-6, 0.55]])
+        self._assert_blocks_match(parse_kernel(TENSOR_2D), pts, ORDERS_2D)
 
-    @pytest.mark.parametrize("text", GENERAL_1D)
-    def test_second_difference_and_quotient_1d(self, text):
+    @pytest.mark.parametrize("text", [*GENERAL_1D, TENSOR_2D])
+    def test_quotient_lattices(self, text):
+        # one block over the union of a probe's lattices, against one
+        # eval_kernel call per lattice entry
         expr = parse_kernel(text)
-        x = np.array([0.45])
+        steps = [2.0**-j for j in range(CFG.window[0], CFG.window[0] + 9)]
+        for x in V._probe_points(expr, CFG)[:3]:
+            for axis in range(expr.dim):
+                for n in range(1, 4):
+                    assert V._probe_quotients(expr, x, axis, n, steps, 1.0) == [
+                        _scalar_ms_quotient(expr, x, axis, n, s) for s in steps
+                    ], (x, axis, n)
+
+    @pytest.mark.parametrize("text", [*GENERAL_1D, TENSOR_2D])
+    def test_second_difference(self, text):
+        expr = parse_kernel(text)
+        x = np.full(expr.dim, 0.45)
         for h in [2.0**-4, 2.0**-9]:
-            for a in range(4):
-                assert second_difference(expr, x, h, a) == _scalar_second_difference(
-                    expr, x, h, a
-                ), (h, a)
-            for n in range(1, 4):
-                assert V._ms_quotient_general(expr, x, 0, n, h) == _scalar_ms_quotient(
-                    expr, x, 0, n, h
-                ), (h, n)
-
-    def test_second_difference_and_quotient_tensor(self):
-        expr = parse_kernel(TENSOR_2D)
-        x = np.array([0.4, 0.55])
-        for h in [[2.0**-4, 0.0], [0.0, 2.0**-7], [2.0**-5, 2.0**-5]]:
-            for a in ORDERS_2D:
-                assert second_difference(expr, x, h, a) == _scalar_second_difference(
-                    expr, x, h, a
-                ), (h, a)
-        for axis in range(2):
-            for n in range(1, 4):
-                assert V._ms_quotient_general(expr, x, axis, n, 2.0**-6) == _scalar_ms_quotient(
-                    expr, x, axis, n, 2.0**-6
-                ), (axis, n)
+            for axis in range(expr.dim):
+                xh = x + h * V._unit(expr.dim, axis)
+                expected = (
+                    eval_kernel(expr, xh, xh)
+                    - eval_kernel(expr, xh, x)
+                    - eval_kernel(expr, x, xh)
+                    + eval_kernel(expr, x, x)
+                )
+                assert second_difference(expr, x, xh - x, 0) == expected, (h, axis)
 
 
 class TestSingleProbePass:
@@ -426,13 +380,38 @@ class TestSingleProbePass:
                         best = max(best, abs(val))
             assert row[:2] == (h, best)
 
-    @pytest.mark.parametrize("text", ["warp(matern(nu=1.5), abs_power(beta=0.5))", "wiener()"])
-    def test_cross_difference_bound_matches_scalar(self, text):
-        expr = parse_kernel(text)
-        for h in [0.25, 2.0**-6]:
-            for a, b in [(0, 1), (1, 2), (0, 3)]:
-                got = V.cross_difference_bound(expr, 0.5, h, a, b)
-                assert got == _scalar_cross_difference_bound(expr, 0.5, h, a, b), (h, a, b)
+
+# the verify-catalogue kernels past the stationary 1-D leaves, with the
+# detected order n each is promised; a smooth one is probed to the cap
+CATALOGUE_COMPOSITES = [
+    ("wiener()", 0),
+    ("linear()", 3),
+    ("poly(m=2)", 3),
+    ("feature(family=monomials,degree=2)", 3),
+    ("feature(family=trig,degree=2)", 3),
+    ("matern(nu=0.5) + 2*wendland(d=1,n=1)", 0),
+    ("matern(nu=1.5) * se()", 1),
+    ("warp(matern(nu=1.5), abs_power(beta=0.5))", 1),
+    ("warp(wiener(), affine(a=2,b=0.5))", 0),
+    ("wiener() + linear()", 0),
+    ("matern(nu=2.5,dim=2)", 2),
+    ("wendland(d=3,n=1)", 1),
+    ("tensor(wendland(d=1,n=0), wendland(d=1,n=1))", 0),
+    ("tensor(matern(nu=0.5), matern(nu=1.5))", 0),
+]
+
+
+class TestCatalogueComposites:
+    @pytest.mark.parametrize("text, n", CATALOGUE_COMPOSITES)
+    def test_promised_verdict_and_order(self, text, n):
+        report = verify_regularity(parse_kernel(text))
+        assert report.verdict == "pass"
+        assert report.note is None
+        assert report.detected_order_n == n
+        if n == CFG.max_order:
+            assert report.smooth_to_order == CFG.max_order
+        else:
+            assert report.detected_total is not None
 
 
 # --- exact lag-profile derivatives and the stationary path -----------------
