@@ -3,12 +3,15 @@
 Draws are rows L z where L is the jittered Cholesky factor of the Gram
 matrix and z comes from a counter-based generator: draw i of seed s uses a
 Philox4x64 bit generator keyed by SeedSequence(entropy=s, spawn_key=(i,))
-feeding numpy's standard normal.  Draws are made in fixed blocks of
-_DRAW_BLOCK indices [kB, (k+1)B), one BLAS product per block; the last
-block is padded past the requested count with normals that are discarded.
-Every product therefore sees the same inputs whatever the count, so a
-draw is independent of draw order and count, and identical (seed, kernel,
-grid) inputs reproduce it bitwise on one platform and BLAS.
+feeding numpy's standard normal.  The normals are drawn for whole blocks
+of _DRAW_BLOCK indices [kB, (k+1)B), the last block padded past the
+requested count with normals that are discarded, and every BLAS product
+takes one such block.  Every product therefore sees the same inputs
+whatever the count, so a draw is independent of draw order and count, and
+identical (seed, kernel, grid) inputs reproduce it bitwise on one platform
+and BLAS.  A factorisation is a draw operator, mapping a table of normals
+to its draws and the jitter used; a matrix factor, where one is needed, is
+the operator's draws of the identity, exactly.
 
 The Gram of a stationary expression depends on p_i - p_j alone, and on a
 uniform grid that difference runs over a lattice of lags, so the kernel is
@@ -22,16 +25,20 @@ terms take the lag table too; derivative Grams are not split, since the
 derivative covariance of a product is not the product of the children's.
 Other non-stationary expressions are evaluated point by point in row blocks.
 
-On a 1-D grid that Gram is Toeplitz, and sampling never builds it: the
-kernel is evaluated at the lags k * spacing, k = 0..n-1 (the Gram's first
-column), and the Cholesky factor comes from that column by the generalised
-Schur algorithm in O(n^2), one contiguous row of the upper factor R at a
-time, with the mixed-form hyperbolic rotations of Bojanczyk, Brent, de Hoog
-and Sweet (1995, SIAM J. Matrix Anal. Appl. 16:40), which are stable for
-positive definite Toeplitz matrices.  It shares the dense factorisation's
-jitter ladder.  The Wiener kernel min(s, t) has the exact factor
-L[i, j] = sqrt(p_j - p_(j-1)), j <= i, p_(-1) = 0, and needs neither its
-Gram nor a jitter.  Every other Gram is factorised densely by LAPACK.
+On a 1-D grid that Gram is Toeplitz, and sampling never builds it, nor its
+factor: the kernel is evaluated at the lags k * spacing, k = 0..n-1 (the
+Gram's first column), and the upper Cholesky factor R comes from that
+column by the generalised Schur algorithm in O(n^2), one contiguous row at
+a time, with the mixed-form hyperbolic rotations of Bojanczyk, Brent, de
+Hoog and Sweet (1995, SIAM J. Matrix Anal. Appl. 16:40), which are stable
+for positive definite Toeplitz matrices.  The rows are added into the draws
+_SCHUR_BLOCK at a time and their buffer reused, so a draw holds the normals,
+the draws and that buffer, never an n x n array.  The whole streamed draw is
+one attempt of the dense factorisation's jitter ladder.  The Wiener kernel
+min(s, t) has the exact factor L[i, j] = sqrt(p_j - p_(j-1)), j <= i,
+p_(-1) = 0, so its draws are running sums of the scaled normals, in
+O(count n), with neither its Gram nor a jitter.  Every other Gram is
+factorised densely by LAPACK.
 
 Top-level tensor-product kernels on matching 2-D grids are factorised per
 axis: the Gram is the Kronecker product of the per-axis Grams, so its
@@ -95,6 +102,8 @@ MAX_GRID_POINTS = 128 * 128
 # rows per pointwise Gram fill block, at most an eighth of the Gram's rows
 _GRAM_BLOCK_ROWS = 1024
 _DRAW_BLOCK = 50
+# rows of the Schur factor held between draw products
+_SCHUR_BLOCK = 256
 _MAX_REL_JITTER = 1e-6
 
 
@@ -325,26 +334,30 @@ def _jitter_ladder(factor, scale: float, max_rel_jitter: float):
                 ) from None
 
 
-def _toeplitz_cholesky(column: np.ndarray):
-    """cholesky_with_jitter of the symmetric Toeplitz matrix with first
-    column ``column``, computed from the column alone in O(n^2)."""
+def _toeplitz_draws(column: np.ndarray):
+    """Draw operator of the symmetric Toeplitz matrix with first column
+    ``column``: each call streams its draws from the Schur rows, as one
+    attempt of the jitter ladder per rung."""
     n = column.shape[0]
     # trace/N as np.trace sums the diagonal of the dense matrix, so the
     # ladder's rungs are bitwise those of the dense path
     scale = float(np.full(n, column[0]).sum()) / n
-    return _jitter_ladder(lambda jitter: _schur(column, jitter), scale, _MAX_REL_JITTER)
+    return lambda z: _jitter_ladder(partial(_schur, column, z=z), scale, _MAX_REL_JITTER)
 
 
-def _schur(column: np.ndarray, jitter: float) -> np.ndarray:
-    """Lower Cholesky factor of T + jitter I, T the symmetric Toeplitz matrix
-    with first column ``column``, by the generalised Schur algorithm.
+def _schur(column: np.ndarray, jitter: float, z: np.ndarray) -> np.ndarray:
+    """z R for a table z of normals, R the upper Cholesky factor of
+    T + jitter I (T = R^T R), T the symmetric Toeplitz matrix with first
+    column ``column``, by the generalised Schur algorithm.
 
     T - Z T Z^T = u u^T - v v^T with u = (t0, t1, ...) / sqrt(t0) and v = u
-    with v[0] = 0 (Z the down shift).  Row 0 of the upper factor R is u;
-    for k >= 1 the generator pair (Z u, v) is rotated hyperbolically so that
-    v[k] vanishes, and the rotated u is row k of R.  In mixed form (stable
-    for positive definite T) the rotation by rho = v[k] / u[k-1] reads
+    with v[0] = 0 (Z the down shift).  Row 0 of R is u; for k >= 1 the
+    generator pair (Z u, v) is rotated hyperbolically so that v[k]
+    vanishes, and the rotated u is row k of R.  In mixed form (stable for
+    positive definite T) the rotation by rho = v[k] / u[k-1] reads
     u' = (Z u - rho v) / c, v' = c v - rho u', c = sqrt((1 - rho)(1 + rho)).
+    R is never held whole: a buffer of _SCHUR_BLOCK rows is added into the
+    draws each time it fills, as z[:, k0:k1] R[k0:k1, k0:], and reused.
     Raises LinAlgError when T + jitter I is not positive definite: then t0
     <= 0 or some |rho| >= 1.
     """
@@ -352,8 +365,10 @@ def _schur(column: np.ndarray, jitter: float) -> np.ndarray:
     t0 = column[0] + jitter
     if not t0 > 0.0:
         raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
-    upper = np.zeros((n, n))
-    u = upper[0]
+    draws = np.zeros(z.shape)
+    size = min(_SCHUR_BLOCK, n)
+    rows = np.zeros((size, n))
+    u = rows[0]
     u[0] = t0
     u[1:] = column[1:]
     u /= math.sqrt(t0)
@@ -361,13 +376,18 @@ def _schur(column: np.ndarray, jitter: float) -> np.ndarray:
     v[0] = 0.0
     work = np.empty(n)
     for k in range(1, n):
-        shifted = upper[k - 1, k - 1:n - 1]
+        i = k % size
+        if i == 0:
+            _add_rows(draws, z, rows, k - size)
+        shifted = rows[i - 1, k - 1:n - 1]
         vk = v[k:]
         rho = vk[0] / shifted[0]
         if not abs(rho) < 1.0:
             raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
         c = math.sqrt((1.0 - rho) * (1.0 + rho))
-        row = upper[k, k:]
+        # the buffer row's part left of R's diagonal holds a row of the last block
+        rows[i, k - i:k] = 0.0
+        row = rows[i, k:]
         w = work[: n - k]
         np.multiply(vk, rho, out=w)
         np.subtract(shifted, w, out=row)
@@ -375,19 +395,45 @@ def _schur(column: np.ndarray, jitter: float) -> np.ndarray:
         np.multiply(row, rho, out=w)
         np.multiply(vk, c, out=vk)
         np.subtract(vk, w, out=vk)
-    return upper.T
+    k0 = (n - 1) // size * size
+    _add_rows(draws, z, rows[: n - k0], k0)
+    return draws
 
 
-def _brownian_factor(ticks: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of min(p_i, p_j) on increasing points p > 0.
+def _add_rows(draws: np.ndarray, z: np.ndarray, rows: np.ndarray, k0: int) -> None:
+    # rows k0.. of R, zero left of the diagonal, one product per draw block
+    k1 = k0 + rows.shape[0]
+    for lo in range(0, z.shape[0], _DRAW_BLOCK):
+        draws[lo:lo + _DRAW_BLOCK, k0:] += z[lo:lo + _DRAW_BLOCK, k0:k1] @ rows[:, k0:]
+
+
+def _brownian_draws(ticks: np.ndarray):
+    """Draw operator of min(p_i, p_j) on increasing points p > 0.
 
     min(p_i, p_j) is the sum of the increments p_k - p_(k-1), p_(-1) = 0,
-    over k <= min(i, j), so L[i, j] = sqrt(p_j - p_(j-1)) for j <= i; it is
-    exact, and needs no jitter.
+    over k <= min(i, j), so its Cholesky factor is L[i, j] =
+    sqrt(p_j - p_(j-1)) for j <= i, and z L^T is the running sum of
+    z_j sqrt(p_j - p_(j-1)); it is exact, and needs no jitter.
     """
     _check_wiener_domain(ticks)
     steps = np.sqrt(np.diff(ticks, prepend=0.0))
-    return np.tril(np.broadcast_to(steps, (ticks.shape[0], ticks.shape[0])))
+    return lambda z: (_by_block(z, lambda b: np.cumsum(b * steps, axis=1)), 0.0)
+
+
+def _by_block(z: np.ndarray, apply) -> np.ndarray:
+    """z with each block of _DRAW_BLOCK rows replaced by apply(block).  The
+    block is fixed, not the row count, because the leading rows of a BLAS
+    product are not bitwise those of a shorter product."""
+    for lo in range(0, z.shape[0], _DRAW_BLOCK):
+        z[lo:lo + _DRAW_BLOCK] = apply(z[lo:lo + _DRAW_BLOCK])
+    return z
+
+
+def _lower_factor(draw, n: int):
+    """(L, jitter_used) of a draw operator, from its draws of the identity:
+    every product with an off-diagonal zero of I is an exact zero."""
+    upper, jitter = draw(np.eye(n))
+    return upper.T, jitter
 
 
 def _draw_normals(seed: int, index: int, n: int) -> np.ndarray:
@@ -395,15 +441,15 @@ def _draw_normals(seed: int, index: int, n: int) -> np.ndarray:
     return np.random.Generator(np.random.Philox(ss)).standard_normal(n)
 
 
-def _draw_rows(seed: int, count: int, n: int, apply) -> np.ndarray:
-    """Draws 0..count-1; apply maps a (_DRAW_BLOCK, n) block of normals to
-    its draws.  The block is fixed, not count, because the leading rows of
-    a BLAS product are not bitwise those of a shorter product."""
-    rows = np.empty((count, n))
-    for lo in range(0, count, _DRAW_BLOCK):
-        z = np.stack([_draw_normals(seed, i, n) for i in range(lo, lo + _DRAW_BLOCK)])
-        rows[lo:lo + _DRAW_BLOCK] = apply(z)[: count - lo]
-    return rows
+def _draw_rows(seed: int, count: int, n: int, draw):
+    """(draws 0..count-1, jitter_used) of a draw operator.  The normals are
+    padded to whole blocks of _DRAW_BLOCK draws, which the operators
+    combine one block at a time, so a draw does not depend on count."""
+    z = np.empty((-(-count // _DRAW_BLOCK) * _DRAW_BLOCK, n))
+    for i in range(z.shape[0]):
+        z[i] = _draw_normals(seed, i, n)
+    rows, jitter = draw(z)
+    return rows[:count], jitter
 
 
 def _tensor_factors(expr: Kernel, grid: Grid):
@@ -420,45 +466,52 @@ def _tensor_factors(expr: Kernel, grid: Grid):
 
 
 def _factorise(expr: Kernel, grid: Grid, cross, dense_gram):
-    """(lower factor, jitter_used) of the covariance cross(X, Y) on the grid.
+    """Draw operator of the covariance cross(X, Y) on the grid: a function
+    of an (m, n) table z of standard normals, which it may overwrite, that
+    returns (z L^T, jitter_used), L the lower Cholesky factor of the
+    jittered Gram.
 
-    A stationary expression on a 1-D grid is factored by the Schur algorithm
-    from its values at the lags k * spacing alone, and the Wiener kernel by
-    its exact Brownian factor; anything else is
+    A stationary expression on a 1-D grid streams its draws from the Schur
+    rows of its values at the lags k * spacing alone, and the Wiener kernel
+    takes running sums of its Brownian increments; neither holds an n x n
+    array.  Anything else is z L^T with L from
     cholesky_with_jitter(dense_gram()).
     """
     if expr.dim != grid.dim:
         raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
     # the Wiener kernel admits only alpha = 0, where cross is the kernel
     if isinstance(expr, Wiener):
-        return _brownian_factor(grid.axes[0].ticks()), 0.0
+        return _brownian_draws(grid.axes[0].ticks())
     if grid.dim == 1 and isinstance(classify(expr), Stationary):
-        return _toeplitz_cholesky(_half_lag_table(grid, _lag_function(cross, 1)))
-    return cholesky_with_jitter(dense_gram())
+        return _toeplitz_draws(_half_lag_table(grid, _lag_function(cross, 1)))
+    lower, jitter = cholesky_with_jitter(dense_gram())
+    return lambda z: (_by_block(z, lambda b: b @ lower.T), jitter)
+
+
+def _kernel_draws(expr: Kernel, grid: Grid):
+    """Draw operator of the kernel on the grid.  A top-level tensor product
+    takes the Kronecker product of its axes' factors, each the draws of
+    the identity, and a draw is the two-sided product L1 Z L2^T."""
+    factors = _tensor_factors(expr, grid)
+    if factors is None:
+        return _factorise(expr, grid, partial(pairwise, expr), partial(build_gram, expr, grid))
+    (l1, j1), (l2, j2) = (
+        _lower_factor(_kernel_draws(f, Grid((axis,))), axis.count)
+        for f, axis in zip(factors, grid.axes)
+    )
+    n1, n2 = grid.shape
+
+    def apply(block):
+        return (l1 @ block.reshape(-1, n1, n2) @ l2.T).reshape(-1, n1 * n2)
+
+    return lambda z: (_by_block(z, apply), max(j1, j2))
 
 
 def sample_paths(expr: Kernel, grid: Grid, count: int, seed: int) -> PathSamples:
     """Draw centred GP sample paths on the grid; rows are independent draws."""
     if count < 1:
         raise ValueError("count must be >= 1")
-
-    def factorise(e: Kernel, g: Grid):
-        return _factorise(e, g, partial(pairwise, e), partial(build_gram, e, g))
-
-    factors = _tensor_factors(expr, grid)
-    n = grid.n_points
-    if factors is not None:
-        n1, n2 = grid.shape
-        (l1, j1), (l2, j2) = (
-            factorise(f, Grid((axis,))) for f, axis in zip(factors, grid.axes)
-        )
-        rows = _draw_rows(
-            seed, count, n, lambda z: (l1 @ z.reshape(-1, n1, n2) @ l2.T).reshape(-1, n)
-        )
-        jitter = max(j1, j2)
-    else:
-        lower, jitter = factorise(expr, grid)
-        rows = _draw_rows(seed, count, n, lambda z: z @ lower.T)
+    rows, jitter = _draw_rows(seed, count, grid.n_points, _kernel_draws(expr, grid))
     return PathSamples(
         grid=grid,
         samples=rows,
@@ -494,10 +547,11 @@ def sample_derivative_paths(
     def cross(X, Y):
         return derivative_kernel_matrix(expr, alpha, X, step=step, Y=Y)
 
-    lower, jitter = _factorise(expr, grid, cross, partial(_assemble_gram, expr, grid, cross))
+    draw = _factorise(expr, grid, cross, partial(_assemble_gram, expr, grid, cross))
+    rows, jitter = _draw_rows(seed, count, grid.n_points, draw)
     return PathSamples(
         grid=grid,
-        samples=_draw_rows(seed, count, grid.n_points, lambda z: z @ lower.T),
+        samples=rows,
         kernel=print_kernel(expr),
         seed=int(seed),
         jitter_used=jitter,
@@ -687,9 +741,15 @@ def read_samples_csv(path: str) -> PathSamples:
     exists, and its grid must match the CSV's; without a sidecar the seed
     reads -1 and the jitter NaN.
     """
+    # every non-blank line is a row: np.loadtxt below reads with
+    # comments=None, so the buffers it fills are exactly those counted here
+    n_points = 0
     with open(path, "rb") as fh:
         fh.readline()
-        n_points = sum(1 for line in fh if not line.isspace())
+        for number, line in enumerate(fh, 2):
+            if line.lstrip().startswith(b"#"):
+                raise ValueError(f"line {number} of the samples file is a comment, not a row")
+            n_points += not line.isspace()
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header[:2] == ["x", "y"]:
@@ -705,12 +765,16 @@ def read_samples_csv(path: str) -> PathSamples:
         # and its transpose are never held together
         coords = np.empty((n_points, coord_cols))
         values = np.empty((len(header) - coord_cols, n_points))
-        for lo in range(0, n_points, _CSV_READ_ROWS):
-            block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=_CSV_READ_ROWS)
+        filled = 0
+        while filled < n_points:
+            block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=_CSV_READ_ROWS, comments=None)
+            if not len(block):
+                raise ValueError(f"read {filled} of the {n_points} rows of the samples file")
             if block.shape[1] != len(header):
                 raise ValueError(f"rows of {block.shape[1]} values under a header of {len(header)}")
-            coords[lo:lo + len(block)] = block[:, :coord_cols]
-            values[:, lo:lo + len(block)] = block[:, coord_cols:].T
+            coords[filled:filled + len(block)] = block[:, :coord_cols]
+            values[:, filled:filled + len(block)] = block[:, coord_cols:].T
+            filled += len(block)
     if coord_cols == 1:
         axis = _axis_from_ticks(coords[:, 0])
         grid = Grid((axis,))

@@ -258,6 +258,16 @@ class TestEstimate:
         assert code == 0
         assert payload["degenerate"] is True
 
+    @pytest.mark.parametrize("middle", [True, False])
+    def test_comment_line_in_file_is_3(self, capsys, tmp_path, middle):
+        path = tmp_path / "noted.csv"
+        rows = ["x,s0,s1"] + [f"{i / 8:.17g},{i},{-i}" for i in range(9)]
+        rows.insert(5 if middle else len(rows), "# note")
+        path.write_text("\n".join(rows) + "\n")
+        code, _, err = run(capsys, "estimate", "--samples", str(path))
+        assert code == 3
+        assert f"line {6 if middle else 11} of the samples file is a comment" in err
+
     def test_requires_source(self, capsys):
         code, _, err = run(capsys, "estimate")
         assert code == 2

@@ -31,6 +31,8 @@ from pathreg.sampling import (
 )
 from pathreg.verify import derivative_kernel_matrix
 
+_DESK_GRID = Grid((Axis(0.25, 1.25, 4097),))
+
 
 class TestGrid:
     def test_validation(self):
@@ -239,8 +241,49 @@ class TestCholeskyWithJitter:
         assert np.array_equal(lower, np.linalg.cholesky(ones + jitter * np.eye(3)))
 
 
+def _dense_schur(column, jitter):
+    """The reference: the generalised Schur algorithm holding its whole
+    upper factor, returned as the lower factor of T + jitter I."""
+    n = column.shape[0]
+    t0 = column[0] + jitter
+    if not t0 > 0.0:
+        raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
+    upper = np.zeros((n, n))
+    u = upper[0]
+    u[0] = t0
+    u[1:] = column[1:]
+    u /= math.sqrt(t0)
+    v = u.copy()
+    v[0] = 0.0
+    work = np.empty(n)
+    for k in range(1, n):
+        shifted = upper[k - 1, k - 1:n - 1]
+        vk = v[k:]
+        rho = vk[0] / shifted[0]
+        if not abs(rho) < 1.0:
+            raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
+        c = math.sqrt((1.0 - rho) * (1.0 + rho))
+        row = upper[k, k:]
+        w = work[: n - k]
+        np.multiply(vk, rho, out=w)
+        np.subtract(shifted, w, out=row)
+        np.divide(row, c, out=row)
+        np.multiply(row, rho, out=w)
+        np.multiply(vk, c, out=vk)
+        np.subtract(vk, w, out=vk)
+    return upper.T
+
+
+def _dense_toeplitz_cholesky(column):
+    scale = float(np.full(column.shape[0], column[0]).sum()) / column.shape[0]
+    return sampling._jitter_ladder(
+        lambda jitter: _dense_schur(column, jitter), scale, sampling._MAX_REL_JITTER
+    )
+
+
 class TestToeplitzCholesky:
-    # the Schur factor of the lag column against the gathered Toeplitz Gram
+    # the streamed Schur draws of the lag column against the dense Schur
+    # factor and the gathered Toeplitz Gram; 60 draws end in a short block
     @pytest.mark.parametrize(
         "text, grid",
         [
@@ -267,7 +310,14 @@ class TestToeplitzCholesky:
     )
     def test_residual_within_first_jitter_rung(self, text, grid):
         gram = build_gram(parse_kernel(text), grid)
-        lower, jitter = sampling._toeplitz_cholesky(gram[:, 0])
+        draw = sampling._toeplitz_draws(gram[:, 0])
+        lower, jitter = sampling._lower_factor(draw, grid.n_points)
+        reference, reference_jitter = _dense_toeplitz_cholesky(gram[:, 0])
+        assert jitter == reference_jitter
+        assert np.array_equal(lower, reference)
+        z = np.random.default_rng(grid.n_points).standard_normal((60, grid.n_points))
+        draws, _jitter = draw(z.copy())
+        assert np.max(np.abs(draws - z @ reference.T)) <= 1e-12 * np.max(np.abs(draws))
         assert np.array_equal(lower, np.tril(lower))
         shifted = gram + jitter * np.eye(grid.n_points)
         assert np.max(np.abs(lower @ lower.T - shifted)) <= 1e-12 * gram[0, 0]
@@ -314,11 +364,12 @@ class TestToeplitzCholesky:
         with pytest.raises(FactorizationError) as dense:
             cholesky_with_jitter(toeplitz)
         with pytest.raises(FactorizationError) as schur:
-            sampling._toeplitz_cholesky(np.array(column))
+            sampling._toeplitz_draws(np.array(column))(np.eye(len(column)))
         assert str(schur.value) == str(dense.value)
 
-    # the Wiener kernel's exact factor against LAPACK's on its dense Gram:
-    # bitwise where every increment is a power of two
+    # the Wiener kernel's exact factor, its running sums of the identity,
+    # against LAPACK's on its dense Gram: bitwise where every increment is a
+    # power of two.  Draws sum in another order than a BLAS product does
     @pytest.mark.parametrize(
         "grid, rel",
         [
@@ -329,10 +380,14 @@ class TestToeplitzCholesky:
     )
     def test_brownian_factor_matches_dense(self, grid, rel):
         expr = parse_kernel("wiener()")
-        lower, jitter = sampling._factorise(expr, grid, None, None)
+        draw = sampling._factorise(expr, grid, None, None)
+        lower, jitter = sampling._lower_factor(draw, grid.n_points)
         dense, dense_jitter = cholesky_with_jitter(build_gram(expr, grid))
         assert jitter == dense_jitter == 0.0
         assert np.max(np.abs(lower - dense)) <= rel * np.max(np.abs(dense))
+        z = np.random.default_rng(grid.n_points).standard_normal((60, grid.n_points))
+        draws, _jitter = draw(z.copy())
+        assert np.max(np.abs(draws - z @ dense.T)) <= 1e-13 * np.max(np.abs(draws))
 
     # the 1-D stationary paths factor the lag column and the Wiener kernel
     # has an exact factor; a dense Gram is waste
@@ -397,6 +452,30 @@ class TestSamplePaths:
         many = draw(_DRAW_BLOCK + 3)
         assert np.array_equal(few.samples, many.samples[:2])
         assert np.array_equal(draw(_DRAW_BLOCK + 1).samples, many.samples[: _DRAW_BLOCK + 1])
+
+    # the normals and the draws, plus a block of Schur rows on the Schur
+    # path; a stored factor and Gram made this 11-22 draw tables
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: sample_paths(parse_kernel("matern(nu=2.5)"), _DESK_GRID, 200, 42),
+            lambda: sample_paths(parse_kernel("wiener()"), _DESK_GRID, 200, 42),
+            lambda: sample_paths(parse_kernel("se()"), _DESK_GRID, 200, 42),
+            lambda: sample_derivative_paths(
+                parse_kernel("matern(nu=1.5)"), 1, Grid((Axis(0.25, 1.25, 2049),)), 200, 42
+            ),
+        ],
+        ids=["matern2.5", "wiener", "se", "derivative"],
+    )
+    def test_draw_peak_memory(self, draw):
+        tracemalloc.start()
+        try:
+            samples = draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        padded = -(-samples.count // _DRAW_BLOCK) * _DRAW_BLOCK
+        assert peak <= 6 * padded * samples.grid.n_points * 8
 
     def test_empirical_covariance_matches_gram(self):
         grid = Grid((Axis(0.0, 1.0, 257),))
@@ -468,7 +547,8 @@ class TestDerivativePaths:
         expr = parse_kernel(text)
         grid = Grid((Axis(0.25, 1.25, 257),))
         sample_derivative_paths(expr, alpha, grid, 1, 0)
-        ((lower, jitter),) = factors
+        (draw,) = factors
+        lower, jitter = sampling._lower_factor(draw, grid.n_points)
         covariance = lower @ lower.T - jitter * np.eye(grid.n_points)
         reference = derivative_kernel_matrix(expr, alpha, grid.points())
         assert np.max(np.abs(covariance - reference)) <= 1e-8
@@ -562,6 +642,20 @@ class TestSerialisation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="samples file contains no rows"):
+                read_samples_csv(str(path))
+
+    # np.loadtxt would skip a '#' line that the row count takes for a row,
+    # leaving the last rows' buffers unfilled
+    @pytest.mark.parametrize("at, line", [(4, 5), (10, 11)])
+    def test_comment_line_is_rejected(self, tmp_path, at, line):
+        path = tmp_path / "noted.csv"
+        write_samples_csv(sample_paths(parse_kernel("se()"), Grid((Axis(0.0, 1.0, 9),)), 2, 5), str(path))
+        lines = path.read_bytes().split(b"\r\n")
+        lines.insert(at, b"# note")
+        path.write_bytes(b"\r\n".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"line {line} of the samples file is a comment"):
                 read_samples_csv(str(path))
 
     def test_sidecar_round_trip(self, tmp_path):
