@@ -60,7 +60,6 @@ from .sampling import (
     sample_paths,
 )
 from .structure import (
-    EstimateConfig,
     EstimateResult,
     StructureFunction,
     axiswise_regularity,

@@ -32,17 +32,13 @@ from .sampling import (
     Grid,
     PathSamples,
     _write_grid_csv,
+    _write_json,
     read_samples_csv,
     sample_paths,
     write_samples_csv,
     write_sidecar,
 )
-from .structure import (
-    EstimateConfig,
-    EstimateResult,
-    axiswise_regularity,
-    estimate_path_regularity,
-)
+from .structure import EstimateResult, axiswise_regularity, estimate_path_regularity
 from .verify import VerifyConfig, verify_regularity, verify_to_dict
 
 __all__ = ["main"]
@@ -88,14 +84,6 @@ def _flatten(obj, prefix=""):
     return rows
 
 
-def _atomic_json(payload: dict, path: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
 def _analyze_payload(expr: Kernel) -> dict:
     return {"kernel": print_kernel(expr), **report_to_dict(infer_regularity(expr))}
 
@@ -120,10 +108,10 @@ def _estimate_payload(result: EstimateResult, axis=None) -> dict:
     return out
 
 
-def _estimate_samples(samples: PathSamples, cfg: EstimateConfig) -> dict:
+def _estimate_samples(samples: PathSamples) -> dict:
     if samples.grid.dim == 1:
-        return _estimate_payload(estimate_path_regularity(samples, cfg))
-    first, second = axiswise_regularity(samples, cfg)
+        return _estimate_payload(estimate_path_regularity(samples))
+    first, second = axiswise_regularity(samples)
     return {
         "axes": [_estimate_payload(first, axis=0), _estimate_payload(second, axis=1)]
     }
@@ -186,10 +174,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    cfg = EstimateConfig()
     if args.samples is not None:
         samples = read_samples_csv(args.samples)
-        payload = {"samples": args.samples, **_estimate_samples(samples, cfg)}
+        payload = {"samples": args.samples, **_estimate_samples(samples)}
     else:
         if args.kernel is None:
             raise _UsageError("estimate needs --samples or --kernel with a grid request")
@@ -197,7 +184,7 @@ def _cmd_estimate(args) -> int:
         _desk_defaults(args, expr)
         _require(args, ["grid", "count", "seed"])
         samples = sample_paths(expr, _parse_grid(args.grid), args.count, args.seed)
-        payload = {"kernel": print_kernel(expr), **_estimate_samples(samples, cfg)}
+        payload = {"kernel": print_kernel(expr), **_estimate_samples(samples)}
     _emit(payload, args.format)
     return 0
 
@@ -221,7 +208,7 @@ def _cmd_report(args) -> int:
         _require(args, ["grid", "count", "seed"])
         grid = _parse_grid(args.grid)
         samples = sample_paths(expr, grid, args.count, args.seed)
-        payload["estimate"] = _estimate_samples(samples, EstimateConfig())
+        payload["estimate"] = _estimate_samples(samples)
         samples_csv = f"{prefix}_samples.csv"
         write_samples_csv(samples, samples_csv)
         write_sidecar(samples, f"{prefix}_samples.json")
@@ -229,7 +216,7 @@ def _cmd_report(args) -> int:
         files["surface"] = f"{prefix}_surface.csv"
         _write_surface(expr, grid, files["surface"])
     payload["files"] = files
-    _atomic_json(payload, f"{prefix}.json")
+    _write_json(payload, f"{prefix}.json")
     _emit(payload, args.format)
     return 0 if vreport.verdict in ("pass", "log-flagged") else 1
 

@@ -104,6 +104,7 @@ _GRAM_BLOCK_ROWS = 1024
 _DRAW_BLOCK = 50
 # rows of the Schur factor held between draw products
 _SCHUR_BLOCK = 256
+# the jitter ladder gives up above this multiple of trace/N
 _MAX_REL_JITTER = 1e-6
 
 
@@ -287,11 +288,11 @@ def _lag_gram(grid: Grid, lag_values) -> np.ndarray:
     return np.ascontiguousarray(windows).reshape(grid.n_points, grid.n_points)
 
 
-def cholesky_with_jitter(matrix: np.ndarray, max_rel_jitter: float = _MAX_REL_JITTER):
+def cholesky_with_jitter(matrix: np.ndarray):
     """Cholesky factorisation with an escalating diagonal jitter.
 
     Tries jitter lambda in {0, l0, 10 l0, ...} with l0 = 1e-12 trace/N and
-    fails once lambda would exceed max_rel_jitter * trace/N, which signals a
+    fails once lambda would exceed 1e-6 trace/N, which signals a
     kernel or domain bug rather than ordinary rounding indefiniteness.
     Returns (lower factor, jitter_used).  The jitter is added to the
     diagonal in place and taken off again, so the caller's matrix is
@@ -309,12 +310,12 @@ def cholesky_with_jitter(matrix: np.ndarray, max_rel_jitter: float = _MAX_REL_JI
         return np.linalg.cholesky(matrix)
 
     try:
-        return _jitter_ladder(factor, float(np.trace(matrix)) / matrix.shape[0], max_rel_jitter)
+        return _jitter_ladder(factor, float(np.trace(matrix)) / matrix.shape[0])
     finally:
         np.fill_diagonal(matrix, diag)
 
 
-def _jitter_ladder(factor, scale: float, max_rel_jitter: float):
+def _jitter_ladder(factor, scale: float):
     """(factor(jitter), jitter) for the first jitter in {0, l0, 10 l0, ...},
     l0 = 1e-12 scale, at which factor does not raise LinAlgError; scale is
     trace/N of the matrix being factorised."""
@@ -327,9 +328,9 @@ def _jitter_ladder(factor, scale: float, max_rel_jitter: float):
             return factor(jitter), jitter
         except np.linalg.LinAlgError:
             jitter = base if jitter == 0.0 else 10.0 * jitter
-            if jitter > max_rel_jitter * scale:
+            if jitter > _MAX_REL_JITTER * scale:
                 raise FactorizationError(
-                    f"jitter budget exceeded ({jitter:.3e} > {max_rel_jitter * scale:.3e}); "
+                    f"jitter budget exceeded ({jitter:.3e} > {_MAX_REL_JITTER * scale:.3e}); "
                     "matrix is effectively indefinite"
                 ) from None
 
@@ -342,7 +343,7 @@ def _toeplitz_draws(column: np.ndarray):
     # trace/N as np.trace sums the diagonal of the dense matrix, so the
     # ladder's rungs are bitwise those of the dense path
     scale = float(np.full(n, column[0]).sum()) / n
-    return lambda z: _jitter_ladder(partial(_schur, column, z=z), scale, _MAX_REL_JITTER)
+    return lambda z: _jitter_ladder(partial(_schur, column, z=z), scale)
 
 
 def _schur(column: np.ndarray, jitter: float, z: np.ndarray) -> np.ndarray:
@@ -521,16 +522,13 @@ def sample_paths(expr: Kernel, grid: Grid, count: int, seed: int) -> PathSamples
     )
 
 
-def sample_derivative_paths(
-    expr: Kernel, alpha, grid: Grid, count: int, seed: int, step: float | None = None
-) -> PathSamples:
+def sample_derivative_paths(expr: Kernel, alpha, grid: Grid, count: int, seed: int) -> PathSamples:
     """Draw from the derivative process GP(0, d^(alpha,alpha) k).
 
     The sample-path order inferred for the kernel must exceed |alpha|, else
     the requested derivative outruns the differentiability of the paths.
     The derivative kernel is the exact mixed partial d^(alpha,alpha) k of
     ``derivative_kernel_matrix``, not a difference of sampled paths.
-    ``step`` is not used.
     """
     alpha = tuple(int(a) for a in np.atleast_1d(np.asarray(alpha, dtype=int)))
     _as_multiindex(alpha, expr.dim)
@@ -545,7 +543,7 @@ def sample_derivative_paths(
         )
 
     def cross(X, Y):
-        return derivative_kernel_matrix(expr, alpha, X, step=step, Y=Y)
+        return derivative_kernel_matrix(expr, alpha, X, Y=Y)
 
     draw = _factorise(expr, grid, cross, partial(_assemble_gram, expr, grid, cross))
     rows, jitter = _draw_rows(seed, count, grid.n_points, draw)
@@ -725,9 +723,15 @@ def write_sidecar(samples: PathSamples, path: str) -> None:
         "jitter_used": samples.jitter_used,
         "alpha": list(samples.alpha),
     }
+    _write_json(meta, path)
+
+
+def _write_json(payload: dict, path: str) -> None:
+    """Indented JSON with a final newline, written atomically (temp file +
+    rename)."""
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(meta, fh, indent=2)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -736,13 +740,15 @@ def read_samples_csv(path: str) -> PathSamples:
     """Rebuild PathSamples from a CSV written by write_samples_csv.
 
     The grid is reconstructed from the coordinate columns, which must form
-    a uniform row-major 1-D or 2-D grid.  Provenance (kernel, seed, jitter,
+    a uniform row-major 1-D or 2-D grid; blank lines (ASCII whitespace) are
+    skipped, and a ``#`` line is an error, not a comment.  Provenance (kernel, seed, jitter,
     derivative multi-index) comes from the sidecar ``<stem>.json`` when one
     exists, and its grid must match the CSV's; without a sidecar the seed
     reads -1 and the jitter NaN.
     """
-    # every non-blank line is a row: np.loadtxt below reads with
-    # comments=None, so the buffers it fills are exactly those counted here
+    # every non-blank line is a row: np.loadtxt below reads the non-blank
+    # lines with comments=None, and both passes split and test the same
+    # bytes, so the buffers it fills are exactly those counted here
     n_points = 0
     with open(path, "rb") as fh:
         fh.readline()
@@ -750,8 +756,8 @@ def read_samples_csv(path: str) -> PathSamples:
             if line.lstrip().startswith(b"#"):
                 raise ValueError(f"line {number} of the samples file is a comment, not a row")
             n_points += not line.isspace()
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
+    with open(path, "rb") as fh:
+        header = fh.readline().decode().rstrip("\r\n").split(",")
         if header[:2] == ["x", "y"]:
             coord_cols = 2
         elif header[:1] == ["x"]:
@@ -765,9 +771,10 @@ def read_samples_csv(path: str) -> PathSamples:
         # and its transpose are never held together
         coords = np.empty((n_points, coord_cols))
         values = np.empty((len(header) - coord_cols, n_points))
+        rows = (line for line in fh if not line.isspace())
         filled = 0
         while filled < n_points:
-            block = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=_CSV_READ_ROWS, comments=None)
+            block = np.loadtxt(rows, delimiter=",", ndmin=2, max_rows=_CSV_READ_ROWS, comments=None)
             if not len(block):
                 raise ValueError(f"read {filled} of the {n_points} rows of the samples file")
             if block.shape[1] != len(header):

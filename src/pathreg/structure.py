@@ -7,6 +7,13 @@ slope against h estimates 2 min(s, m), where s is the sample-path order.
 The estimator raises the difference order m until the fitted slope leaves
 the saturation band near 2m, then reports half the slope; paths smoother
 than every probed order yield a lower bound instead of a point estimate.
+
+The calibration is fixed: at least 50 draws, difference orders m up to 4,
+at least four lags per fit (the fit itself is ``verify``'s trimmed log-log
+fit), and order m counts as saturated when its slope exceeds 2m - 0.35.
+That margin is calibrated on smooth (squared-exponential) fields, where the
+large-lag plateau drags the fitted slope up to ~0.3 below the ideal 2m on
+short grids.
 """
 
 from __future__ import annotations
@@ -17,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import Grid, PathSamples
-from .verify import ExponentFit, loglog_fit
+from .verify import _MIN_FIT_POINTS, ExponentFit, _trimmed_fit
 
 __all__ = [
-    "EstimateConfig",
     "StructureFunction",
     "EstimateResult",
     "default_lags",
@@ -29,16 +35,10 @@ __all__ = [
     "axiswise_regularity",
 ]
 
-
-@dataclass(frozen=True)
-class EstimateConfig:
-    min_samples: int = 50
-    max_m: int = 4
-    # slope > 2m - margin means order m saturated; calibrated on smooth
-    # (squared-exponential) fields, where the large-lag plateau drags the
-    # fitted slope up to ~0.3 below the ideal 2m on short grids
-    saturation_margin: float = 0.35
-    min_lags: int = 4
+_MIN_SAMPLES = 50
+_MAX_M = 4
+# slope > 2m - margin means order m saturated
+_SATURATION_MARGIN = 0.35
 
 
 @dataclass(frozen=True)
@@ -65,22 +65,20 @@ class EstimateResult:
         return f"s >= {self.lower_bound} (saturated at m = {self.m_used})"
 
 
-def default_lags(n_points: int, min_lags: int = 4) -> list[int]:
+def default_lags(n_points: int) -> list[int]:
     """Dyadic lag ladder in [4 dx, span/8], widened when the grid is short."""
     ceiling = max((n_points - 1) // 8, 1)
     lags = _dyadic(4, ceiling)
-    if len(lags) < min_lags:
+    if len(lags) < _MIN_FIT_POINTS:
         lags = _dyadic(2, max((n_points - 1) // 4, 1))
-    if len(lags) < min_lags:
+    if len(lags) < _MIN_FIT_POINTS:
         # short grids: log-spaced integer lags across [2, span/4]; lag 1 is
         # excluded to keep discrete-difference bias out of the fit
         hi = max((n_points - 1) // 4, 3)
-        raw = np.unique(
-            np.round(np.geomspace(2, hi, num=max(min_lags, 6))).astype(int)
-        )
+        raw = np.unique(np.round(np.geomspace(2, hi, num=6)).astype(int))
         lags = [int(v) for v in raw if v >= 2]
-    if len(lags) < min_lags:
-        raise ValueError(f"grid too short for {min_lags} distinct lags")
+    if len(lags) < _MIN_FIT_POINTS:
+        raise ValueError(f"grid too short for {_MIN_FIT_POINTS} distinct lags")
     return lags
 
 
@@ -121,27 +119,24 @@ def structure_function(samples: PathSamples, m: int, lag_steps=None) -> Structur
     )
 
 
-def estimate_path_regularity(
-    samples: PathSamples, cfg: EstimateConfig | None = None
-) -> EstimateResult:
+def estimate_path_regularity(samples: PathSamples) -> EstimateResult:
     """Adaptive structure-function estimate of the sample-path order."""
-    cfg = cfg or EstimateConfig()
     if samples.grid.dim != 1:
         raise ValueError("estimate_path_regularity expects 1-D samples")
-    if samples.count < cfg.min_samples:
+    if samples.count < _MIN_SAMPLES:
         raise ValueError(
-            f"need at least {cfg.min_samples} draws for a stable estimate, got {samples.count}"
+            f"need at least {_MIN_SAMPLES} draws for a stable estimate, got {samples.count}"
         )
-    return _estimate(samples, cfg)
+    return _estimate(samples)
 
 
-def _estimate(samples: PathSamples, cfg: EstimateConfig) -> EstimateResult:
+def _estimate(samples: PathSamples) -> EstimateResult:
     span = float(np.max(np.abs(samples.samples))) if samples.samples.size else 0.0
     degen_floor = (max(span, 1.0) * 1e-14) ** 2
     jitter = samples.jitter_used if math.isfinite(samples.jitter_used) else 0.0
     fit = None
     m = 1
-    while m <= cfg.max_m:
+    while m <= _MAX_M:
         sf = structure_function(samples, m)
         if all(v <= degen_floor for v in sf.values):
             return EstimateResult(None, None, None, m_used=m, degenerate=True)
@@ -154,26 +149,20 @@ def _estimate(samples: PathSamples, cfg: EstimateConfig) -> EstimateResult:
             for l, v in zip(sf.lags, sf.values)
             if v > max(noise_floor, degen_floor)
         ]
-        if len(pts) < cfg.min_lags:
+        if len(pts) < _MIN_FIT_POINTS:
             # the signal died below the noise floor at almost every lag;
             # the paths are smoother than order m resolves
             return EstimateResult(None, float(m), fit, m_used=m)
-        fit = loglog_fit(pts)
-        while fit.residual_max > 0.1 and len(pts) > cfg.min_lags:
-            pts = [p for p in pts if p[0] != min(q[0] for q in pts)]
-            fit = loglog_fit(pts)
-        if fit.slope <= 2.0 * m - cfg.saturation_margin:
+        fit = _trimmed_fit(pts)
+        if fit.slope <= 2.0 * m - _SATURATION_MARGIN:
             return EstimateResult(fit.slope / 2.0, None, fit, m_used=m)
         m += 1
-    return EstimateResult(None, float(cfg.max_m), fit, m_used=cfg.max_m)
+    return EstimateResult(None, float(_MAX_M), fit, m_used=_MAX_M)
 
 
-def axiswise_regularity(
-    samples: PathSamples, cfg: EstimateConfig | None = None
-) -> tuple[EstimateResult, EstimateResult]:
+def axiswise_regularity(samples: PathSamples) -> tuple[EstimateResult, EstimateResult]:
     """Per-axis estimates for a 2-D field: every 1-D slice along an axis is
     treated as a draw on that axis's grid and the slices are pooled."""
-    cfg = cfg or EstimateConfig()
     if samples.grid.dim != 2:
         raise ValueError("axiswise_regularity expects 2-D samples")
     n1, n2 = samples.grid.shape
@@ -191,5 +180,5 @@ def axiswise_regularity(
             seed=samples.seed,
             jitter_used=samples.jitter_used,
         )
-        results.append(_estimate(sub, cfg))
+        results.append(_estimate(sub))
     return results[0], results[1]

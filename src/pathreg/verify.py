@@ -14,9 +14,10 @@ difference quotients
         = sum_{j,k} (-1)^(j+k) C(n,j) C(n,k) k(x + j h, x + k h) / h^(2n),
 
 which converge precisely when the order-n diagonal derivatives of the
-kernel exist and are continuous.  A divergent or non-Cauchy quotient
-sequence (the integer-order Matern case drifts logarithmically) rejects
-the order.
+kernel exist and are continuous.  A sequence converges when its last
+increment sits at the noise floor or its increments shrink by a median
+ratio of at most 0.75; a divergent or non-Cauchy quotient sequence (the
+integer-order Matern case drifts logarithmically) rejects the order.
 
 The lags are h = l_min 2^-j, l_min being the expression's smallest
 lengthscale (1 when it has none), and quotients and deviations are taken in
@@ -36,21 +37,27 @@ each derivative carries the magnitude of the terms summed into it, which
 sets its rounding-noise estimate.  Whether a derivative exists at the
 origin follows from the leaves' rules alone, and caps the detected order.
 
-General (non-stationary) kernels are checked at fixed probe points, along
-each axis.  A probe's quotient lattices for one order are one ``pairwise``
-block over their union, and its deviation series is the second difference
-of the exact partials d^(n e, n e) k (:func:`pathreg.kernels.partials`)
-over the points x and x + h e, one block call for every lag; block entries
-equal the single-point values bitwise.  The noise estimate is eps times the
-magnitudes summed into the four corners, as on the stationary path.  Each
-probe's deviation series is computed once; the all-probe series is their
-elementwise maximum, and the same per-probe series give the probe slopes.
+General (non-stationary) kernels are checked along each axis at eight
+fixed probe points, whose coordinates are the ticks linspace(0.25, 1.25, 8)
+shifted cyclically per axis.  A probe's quotient lattices for one order
+are one ``pairwise`` block over their union, and its deviation series is
+the second difference of the exact partials d^(n e, n e) k
+(:func:`pathreg.kernels.partials`) over the points x and x + h e, one
+block call for every lag; block entries equal the single-point values
+bitwise.  The noise estimate is eps times the magnitudes summed into the
+four corners, as on the stationary path.  Each probe's deviation series is
+computed once; the all-probe series is their elementwise maximum, and the
+same per-probe series give the probe slopes.
 
-Scales whose estimated rounding noise pollutes the deviation are dropped,
-as is the small end of the window while the fit residual exceeds the
-configured cap.  A deviation that cannot be fitted inside the window (too
+A scale is fitted only where its deviation exceeds ten times its estimated
+rounding noise (and 50 eps); the small end of the window is then dropped
+while the largest log residual of the fit exceeds 0.1 and more than four
+scales remain.  A deviation that cannot be fitted inside the window (too
 few usable scales, or no order-2n lag derivative at the origin) gives a
 failing verdict with a "beyond probe range" note rather than an error.
+
+The probe design and the fit calibration above are fixed; ``VerifyConfig``
+sets only the lag window, the two tolerances and the order cap.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ from .kernels import (
     pairwise,
     partials,
 )
-from .regularity import RegularityReport, infer_regularity, report_to_dict
+from .regularity import RegularityReport, _collapse, infer_regularity, report_to_dict
 
 __all__ = [
     "VerifyConfig",
@@ -95,6 +102,13 @@ __all__ = [
 MAX_MIXED_ORDER = 4  # per-argument derivative order of kernel_derivative
 MAX_RADIAL_ORDER = 8
 _EPS = float(np.finfo(float).eps)
+# the probe design and the fit calibration, as the module docstring describes
+_N_PROBES = 8  # probe points, evenly spaced over [_PROBE_LOW, _PROBE_HIGH]
+_PROBE_LOW, _PROBE_HIGH = 0.25, 1.25
+_SEQ_RATIO = 0.75  # largest median increment ratio of a converging sequence
+_RESIDUAL_CAP = 0.1  # largest log residual at which a fit keeps its smallest lag
+_MIN_FIT_POINTS = 4
+_SNR_MIN = 10.0  # a scale is fitted where its deviation exceeds this times its noise
 
 
 class SmoothToOrder(KernelError):
@@ -120,12 +134,6 @@ class VerifyConfig:
     tol: float = 0.15
     log_tol: float = 0.25
     max_order: int = 3
-    n_probes: int = 8
-    probe_low: float = 0.25
-    probe_span: float = 1.0
-    seq_ratio: float = 0.75
-    residual_cap: float = 0.1
-    snr_min: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -196,15 +204,12 @@ def _check_order(*indices) -> None:
         )
 
 
-def kernel_derivative(
-    expr: Kernel, x, y, alpha, beta, step: float | None = None
-) -> tuple[float, bool, float]:
+def kernel_derivative(expr: Kernel, x, y, alpha, beta) -> tuple[float, bool, float]:
     """Mixed partial derivative of k at (x, y), exact up to rounding.
 
     alpha acts on the first argument, beta on the second.  Returns
     (value, stable, spread): stable is False only where the derivative
-    does not exist (the value is then NaN), and the spread is 0.  ``step``
-    is not used.
+    does not exist (the value is then NaN), and the spread is 0.
     """
     alpha = _as_multiindex(alpha, expr.dim)
     beta = _as_multiindex(beta, expr.dim)
@@ -318,12 +323,10 @@ def _leibniz(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     ])
 
 
-def radial_derivative(
-    expr: Kernel, order: int, r: float, cfg: VerifyConfig | None = None
-) -> float:
+def radial_derivative(expr: Kernel, order: int, r: float) -> float:
     """Derivative k_r^(order)(r) of an isotropic expression, exact up to
     rounding and the special functions' accuracy; NaN at r = 0 when the
-    derivative does not exist there.  ``cfg`` is not used."""
+    derivative does not exist there."""
     if order != int(order) or order < 0 or order > MAX_RADIAL_ORDER:
         raise KernelError(f"radial derivative order must lie in 0..{MAX_RADIAL_ORDER}")
     if not isinstance(classify(expr), Isotropic):
@@ -375,7 +378,7 @@ def _probe_quotients(expr: Kernel, x: np.ndarray, axis: int, n: int, steps, ell:
     return seq
 
 
-def _sequence_converges(seq: list[tuple[float, float]], cfg: VerifyConfig) -> bool:
+def _sequence_converges(seq: list[tuple[float, float]]) -> bool:
     """Does a quotient sequence (value, noise) over halving lags settle?
 
     Accepts when the final increment sits at the noise floor or the
@@ -398,7 +401,7 @@ def _sequence_converges(seq: list[tuple[float, float]], cfg: VerifyConfig) -> bo
     if not ratios:
         return True
     tail = ratios[-3:]
-    return sorted(tail)[len(tail) // 2] <= cfg.seq_ratio
+    return sorted(tail)[len(tail) // 2] <= _SEQ_RATIO
 
 
 def _order_exists(expr: Kernel, n: int, cfg: VerifyConfig) -> bool:
@@ -414,7 +417,7 @@ def _order_exists(expr: Kernel, n: int, cfg: VerifyConfig) -> bool:
     if isinstance(classify(expr), Stationary) and not _lag_exists(expr, 2 * n)[2 * n]:
         return False
     return all(
-        _sequence_converges(_trim_noisy(seq), cfg) for seq in _quotient_sequences(expr, n, cfg)
+        _sequence_converges(_trim_noisy(seq)) for seq in _quotient_sequences(expr, n, cfg)
     )
 
 
@@ -436,7 +439,7 @@ def _quotient_sequences(expr: Kernel, n: int, cfg: VerifyConfig):
         ]]
     return [
         _probe_quotients(expr, x, axis, n, steps, ell)
-        for x in _probe_points(expr, cfg)
+        for x in _probe_points(expr)
         for axis in range(expr.dim)
     ]
 
@@ -482,12 +485,12 @@ def detect_order(expr: Kernel, cfg: VerifyConfig | None = None) -> int:
 # --- deviation series and exponent fit -------------------------------------
 
 
-def _probe_points(expr: Kernel, cfg: VerifyConfig) -> np.ndarray:
+def _probe_points(expr: Kernel) -> np.ndarray:
     # deterministic probe set in a compact box on the positive orthant,
     # which lies inside every catalogue domain (Wiener needs x > 0)
     d = expr.dim
-    ticks = np.linspace(cfg.probe_low, cfg.probe_low + cfg.probe_span, cfg.n_probes)
-    pts = np.zeros((cfg.n_probes, d))
+    ticks = np.linspace(_PROBE_LOW, _PROBE_HIGH, _N_PROBES)
+    pts = np.zeros((_N_PROBES, d))
     for i in range(d):
         pts[:, i] = np.roll(ticks, i)
     return pts
@@ -517,7 +520,7 @@ def _deviation_series(expr: Kernel, n: int, cfg: VerifyConfig, x: np.ndarray | N
         return [(h, abs(d[i] - d[0]), noise[i]) for i, h in enumerate(hs, start=1)]
     if x is None:
         return _max_series(
-            [_deviation_series(expr, n, cfg, x=base) for base in _probe_points(expr, cfg)]
+            [_deviation_series(expr, n, cfg, x=base) for base in _probe_points(expr)]
         )
     best = [0.0] * len(hs)
     noise = [0.0] * len(hs)
@@ -554,22 +557,29 @@ def estimate_diagonal_exponent(
     """
     cfg = cfg or VerifyConfig()
     base = None if x is None else np.asarray(x, dtype=float).reshape(-1)
-    return _fit_series(_deviation_series(expr, n, cfg, x=base), n, cfg)
+    return _fit_series(_deviation_series(expr, n, cfg, x=base), n)
 
 
-def _fit_series(rows, n: int, cfg: VerifyConfig) -> ExponentFit:
+def _fit_series(rows, n: int) -> ExponentFit:
     """Fit of a deviation series: drop noisy or underflowing scales, then
     trim the small end while the residual exceeds the cap."""
     floor = 50.0 * _EPS
-    pts = [(h, v) for h, v, noise in rows if v > max(cfg.snr_min * noise, floor)]
+    pts = [(h, v) for h, v, noise in rows if v > max(_SNR_MIN * noise, floor)]
     if not pts:
         raise SmoothToOrder(n)
-    if len(pts) < 4:
+    if len(pts) < _MIN_FIT_POINTS:
         raise BeyondProbeRange(
             f"only {len(pts)} usable scales at order {n}; deviation too small or too noisy"
         )
+    return _trimmed_fit(pts)
+
+
+def _trimmed_fit(pts) -> ExponentFit:
+    """loglog_fit of (h, value) points, refitted without the smallest h
+    while the largest residual exceeds _RESIDUAL_CAP and more than
+    _MIN_FIT_POINTS points remain."""
     fit = loglog_fit(pts)
-    while fit.residual_max > cfg.residual_cap and len(pts) > 4:
+    while fit.residual_max > _RESIDUAL_CAP and len(pts) > _MIN_FIT_POINTS:
         pts = [p for p in pts if p[0] != min(q[0] for q in pts)]
         fit = loglog_fit(pts)
     return fit
@@ -590,10 +600,9 @@ def verify_regularity(
     """
     cfg = cfg or VerifyConfig()
     predicted = predicted or infer_regularity(expr)
-    target = min(r.order for r in predicted.per_axis)
-    attaining = [r for r in predicted.per_axis if r.order == target]
-    log_flag = any(r.log_corrected for r in attaining)
-    sharp = all(r.sharp for r in attaining)
+    # the lowest axis order, flagged and sharp as its attaining axes are
+    lowest = _collapse(predicted.per_axis)
+    target, log_flag, sharp = lowest.order, lowest.log_corrected, lowest.sharp
     cls = classify(expr)
 
     n_hat = detect_order(expr, cfg)
@@ -621,9 +630,9 @@ def verify_regularity(
         if isinstance(cls, Stationary):
             rows = _deviation_series(expr, n_hat, cfg)
         else:
-            per_probe = [_deviation_series(expr, n_hat, cfg, x=b) for b in _probe_points(expr, cfg)]
+            per_probe = [_deviation_series(expr, n_hat, cfg, x=b) for b in _probe_points(expr)]
             rows = _max_series(per_probe)
-        fit = _fit_series(rows, n_hat, cfg)
+        fit = _fit_series(rows, n_hat)
         total = n_hat + fit.slope / 2.0
     except SmoothToOrder:
         fit = None
@@ -662,7 +671,7 @@ def verify_regularity(
         slopes = []
         for series in per_probe:
             try:
-                slopes.append(_fit_series(series, n_hat, cfg).slope)
+                slopes.append(_fit_series(series, n_hat).slope)
             except (SmoothToOrder, KernelError, ValueError):
                 continue
         probe_slopes = tuple(slopes)
@@ -677,9 +686,7 @@ def verify_regularity(
     )
 
 
-def derivative_kernel_matrix(
-    expr: Kernel, alpha, X, step: float | None = None, Y=None
-) -> np.ndarray:
+def derivative_kernel_matrix(expr: Kernel, alpha, X, Y=None) -> np.ndarray:
     """Gram matrix of the derivative kernel d^(alpha,alpha) k on points X.
 
     Its entries are the exact mixed partials of :func:`pathreg.kernels.partials`
@@ -687,8 +694,7 @@ def derivative_kernel_matrix(
     deliberately not obtained by differencing sampled paths).  For a
     stationary kernel the entry at lag h is (-1)^|alpha| times the
     derivative of order 2 alpha of the lag profile at h.  With Y given, the
-    cross matrix between X and Y is returned instead.  ``step`` is not
-    used.
+    cross matrix between X and Y is returned instead.
     """
     alpha = _as_multiindex(alpha, expr.dim)
     X = np.asarray(X, dtype=float)

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, determinism, output schemas."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import pathreg
 from pathreg.cli import main
 
 
@@ -267,6 +271,32 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--samples", str(path))
         assert code == 3
         assert f"line {6 if middle else 11} of the samples file is a comment" in err
+
+    # pytest records warnings instead of printing them, so the CLI runs in
+    # its own process to show what reaches the user's stderr; a blank line
+    # is skipped (one draw is then too few), a non-ASCII space is a bad row
+    @pytest.mark.parametrize(
+        "blank, message",
+        [
+            ("", "need at least 50 draws for a stable estimate, got 1"),
+            ("  ", "need at least 50 draws for a stable estimate, got 1"),
+            ("\u00a0", ""),
+            ("\x1c", ""),
+        ],
+    )
+    def test_blank_line_in_file_warns_nothing(self, tmp_path, blank, message):
+        path = tmp_path / "spaced.csv"
+        path.write_bytes(f"x,s0\r\n0,1\r\n{blank}\r\n1,2\r\n2,5\r\n".encode())
+        src = os.path.dirname(os.path.dirname(pathreg.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathreg.cli", "estimate", "--samples", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 3
+        assert "Warning" not in proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"error: {message}")
 
     def test_requires_source(self, capsys):
         code, _, err = run(capsys, "estimate")

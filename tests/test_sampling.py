@@ -1,5 +1,6 @@
 """Gram assembly, jittered factorisation, reproducible draws, serialisation."""
 
+import inspect
 import io
 import math
 import struct
@@ -199,6 +200,19 @@ class TestBuildGram:
             build_gram(parse_kernel("se(dim=2)"), Grid((Axis(0.0, 1.0, 5),)))
 
 
+@pytest.mark.parametrize(
+    "fn, params",
+    [
+        (cholesky_with_jitter, ["matrix"]),
+        (sample_derivative_paths, ["expr", "alpha", "grid", "count", "seed"]),
+    ],
+)
+def test_no_unused_parameters(fn, params):
+    # the jitter budget is fixed at _MAX_REL_JITTER; derivative paths take
+    # exact partials, so no difference step
+    assert list(inspect.signature(fn).parameters) == params
+
+
 class TestCholeskyWithJitter:
     def test_identity_no_jitter(self):
         lower, jitter = cholesky_with_jitter(np.eye(4))
@@ -276,9 +290,7 @@ def _dense_schur(column, jitter):
 
 def _dense_toeplitz_cholesky(column):
     scale = float(np.full(column.shape[0], column[0]).sum()) / column.shape[0]
-    return sampling._jitter_ladder(
-        lambda jitter: _dense_schur(column, jitter), scale, sampling._MAX_REL_JITTER
-    )
+    return sampling._jitter_ladder(lambda jitter: _dense_schur(column, jitter), scale)
 
 
 class TestToeplitzCholesky:
@@ -657,6 +669,43 @@ class TestSerialisation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"line {line} of the samples file is a comment"):
                 read_samples_csv(str(path))
+
+    # a blank line is no row, for the row count as for the reader: it is
+    # skipped silently, whether empty or whitespace only
+    @pytest.mark.parametrize("blank", [b"", b"  "])
+    def test_blank_line_is_skipped(self, tmp_path, blank):
+        path = tmp_path / "spaced.csv"
+        path.write_bytes(b"x,s0\r\n0,1\r\n" + blank + b"\r\n1,2\r\n2,5\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = read_samples_csv(str(path))
+        assert loaded.grid == Grid((Axis(0.0, 2.0, 3),))
+        assert loaded.samples.tolist() == [[1.0, 2.0, 5.0]]
+
+    # only ASCII whitespace is blank: both passes read bytes, so a line of
+    # another space character is a row for both, and a malformed one
+    @pytest.mark.parametrize("space", ["\u00a0", "\x1c"])
+    def test_non_ascii_space_line_is_a_bad_row(self, tmp_path, space):
+        path = tmp_path / "spaced.csv"
+        path.write_bytes(f"x,s0\r\n0,1\r\n{space}\r\n1,2\r\n2,5\r\n".encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                read_samples_csv(str(path))
+
+    def test_blank_lines_across_read_blocks(self, tmp_path):
+        path, samples = self._large_file(tmp_path)
+        spaced = tmp_path / "spaced.csv"
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\r\n")
+        for at in (600, sampling._CSV_READ_ROWS + 1, 3):
+            lines.insert(at, b" \t")
+            lines.insert(at, b"")
+        spaced.write_bytes(b"\r\n".join(lines))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = read_samples_csv(str(spaced))
+        assert np.array_equal(loaded.samples, samples.samples)
 
     def test_sidecar_round_trip(self, tmp_path):
         grid = Grid((Axis(0.25, 1.25, 33),))

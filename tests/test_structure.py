@@ -1,8 +1,12 @@
 """Structure functions and path-regularity estimation."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import pathreg
+from pathreg import structure
 from pathreg.dsl import parse_kernel
 from pathreg.sampling import Axis, Grid, PathSamples, sample_paths
 from pathreg.structure import (
@@ -18,6 +22,17 @@ def make_samples(values: np.ndarray, start=0.0, stop=1.0) -> PathSamples:
     return PathSamples(
         grid=grid, samples=values, kernel="synthetic", seed=0, jitter_used=0.0
     )
+
+
+def test_estimator_calibration_is_fixed():
+    assert not hasattr(pathreg, "EstimateConfig")
+    assert not hasattr(structure, "EstimateConfig")
+    for fn, params in [
+        (default_lags, ["n_points"]),
+        (estimate_path_regularity, ["samples"]),
+        (axiswise_regularity, ["samples"]),
+    ]:
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
 
 
 class TestStructureFunction:

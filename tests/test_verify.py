@@ -1,5 +1,7 @@
 """Numeric verification: differences, derivatives, exponent fits, verdicts."""
 
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -22,6 +24,26 @@ from pathreg.verify import (
 )
 
 CFG = VerifyConfig()
+
+
+def test_verify_config_fields():
+    # the probe design and the fit calibration are module constants; the
+    # CLI sets the tolerances and the order cap, tests the lag window
+    assert [f.name for f in dataclasses.fields(VerifyConfig)] == [
+        "window", "tol", "log_tol", "max_order",
+    ]
+
+
+@pytest.mark.parametrize(
+    "fn, params",
+    [
+        (kernel_derivative, ["expr", "x", "y", "alpha", "beta"]),
+        (radial_derivative, ["expr", "order", "r"]),
+        (V.derivative_kernel_matrix, ["expr", "alpha", "X", "Y"]),
+    ],
+)
+def test_no_unused_parameters(fn, params):
+    assert list(inspect.signature(fn).parameters) == params
 
 
 class TestLogLogFit:
@@ -325,7 +347,7 @@ class TestBatchedBlocks:
         # eval_kernel call per lattice entry
         expr = parse_kernel(text)
         steps = [2.0**-j for j in range(CFG.window[0], CFG.window[0] + 9)]
-        for x in V._probe_points(expr, CFG)[:3]:
+        for x in V._probe_points(expr)[:3]:
             for axis in range(expr.dim):
                 for n in range(1, 4):
                     assert V._probe_quotients(expr, x, axis, n, steps, 1.0) == [
@@ -359,9 +381,9 @@ class TestSingleProbePass:
         n = report.detected_order_n
         expected = [
             estimate_diagonal_exponent(expr, n, CFG, x=b).slope
-            for b in V._probe_points(expr, CFG)
+            for b in V._probe_points(expr)
         ]
-        assert len(expected) == CFG.n_probes
+        assert len(expected) == V._N_PROBES
         assert list(report.probe_slopes) == expected
         assert report.exponent_fit == estimate_diagonal_exponent(expr, n, CFG)
         # the all-probe series against one max over every probe and axis
@@ -371,7 +393,7 @@ class TestSingleProbePass:
         assert len(series) == len(hs)
         for row, h in zip(series, hs):
             best = 0.0
-            for base in V._probe_points(expr, CFG):
+            for base in V._probe_points(expr):
                 for axis in range(expr.dim):
                     alpha = np.zeros(expr.dim, dtype=int)
                     alpha[axis] = n
