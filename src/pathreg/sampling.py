@@ -503,7 +503,10 @@ def _kernel_draws(expr: Kernel, grid: Grid):
     n1, n2 = grid.shape
 
     def apply(block):
-        return (l1 @ block.reshape(-1, n1, n2) @ l2.T).reshape(-1, n1 * n2)
+        # the second product overwrites the block's own normals
+        cube = block.reshape(-1, n1, n2)
+        np.matmul(l1 @ cube, l2.T, out=cube)
+        return block
 
     return lambda z: (_by_block(z, apply), max(j1, j2))
 

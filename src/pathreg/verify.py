@@ -204,12 +204,11 @@ def _check_order(*indices) -> None:
         )
 
 
-def kernel_derivative(expr: Kernel, x, y, alpha, beta) -> tuple[float, bool, float]:
+def kernel_derivative(expr: Kernel, x, y, alpha, beta) -> float:
     """Mixed partial derivative of k at (x, y), exact up to rounding.
 
-    alpha acts on the first argument, beta on the second.  Returns
-    (value, stable, spread): stable is False only where the derivative
-    does not exist (the value is then NaN), and the spread is 0.
+    alpha acts on the first argument, beta on the second.  The value is
+    NaN where the derivative does not exist.
     """
     alpha = _as_multiindex(alpha, expr.dim)
     beta = _as_multiindex(beta, expr.dim)
@@ -217,9 +216,8 @@ def kernel_derivative(expr: Kernel, x, y, alpha, beta) -> tuple[float, bool, flo
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if alpha.sum() + beta.sum() == 0:
-        return eval_kernel(expr, x, y), True, 0.0
-    value = float(partials(expr, x[None, :], y[None, :], alpha, beta)[0][0, 0])
-    return value, math.isfinite(value), 0.0
+        return eval_kernel(expr, x, y)
+    return float(partials(expr, x[None, :], y[None, :], alpha, beta)[0][0, 0])
 
 
 def _unit(dim: int, i: int) -> np.ndarray:

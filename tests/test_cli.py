@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pathreg
@@ -250,6 +251,40 @@ class TestEstimate:
         assert inline.pop("kernel") == "se()"
         assert from_file == inline
         assert "lower_bound" in inline
+
+    def test_file_estimate_equals_inline_2d(self, capsys, tmp_path):
+        draw = [
+            "-k", "tensor(matern(nu=0.5), matern(nu=1.5))",
+            "--grid", "0:1:48,0:1:40", "--count", "50", "--seed", "7",
+        ]
+        out = tmp_path / "field.csv"
+        assert main(["sample", *draw, "--out", str(out)]) == 0
+        capsys.readouterr()
+        _, from_file, _ = run_json(capsys, "estimate", "--samples", str(out))
+        _, inline, _ = run_json(capsys, "estimate", *draw)
+        assert from_file.pop("samples") == str(out)
+        assert inline.pop("kernel") == "tensor(matern(nu=0.5), matern(nu=1.5))"
+        assert from_file == inline
+        assert [axis["axis"] for axis in inline["axes"]] == [0, 1]
+
+    # a NaN once saturated every order ("lower_bound": 1.0) and an infinity
+    # read as degenerate; both exited 0
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_is_3(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        rng = np.random.default_rng(3)
+        values = np.cumsum(rng.standard_normal((257, 60)), axis=0)
+        rows = ["x," + ",".join(f"s{i}" for i in range(60))]
+        for i, row in enumerate(values):
+            cells = [f"{v:.17g}" for v in row]
+            if i == 100:
+                cells[17] = bad
+            rows.append(",".join([f"{i / 256:.17g}", *cells]))
+        path.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "estimate", "--samples", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.strip() == "error: samples hold a non-finite value"
 
     def test_degenerate_constant_file(self, capsys, tmp_path):
         path = tmp_path / "const.csv"

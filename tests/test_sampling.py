@@ -489,6 +489,35 @@ class TestSamplePaths:
         padded = -(-samples.count // _DRAW_BLOCK) * _DRAW_BLOCK
         assert peak <= 6 * padded * samples.grid.n_points * 8
 
+    # each block's second product overwrites its own normals; a new array
+    # per product made this 2.02 draw tables
+    def test_kronecker_draw_peak_memory(self):
+        expr = parse_kernel("tensor(matern(nu=0.5), matern(nu=1.5))")
+        grid = Grid((Axis(0.0, 1.0, 128), Axis(0.0, 1.0, 128)))
+        tracemalloc.start()
+        try:
+            samples = sample_paths(expr, grid, 100, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * samples.samples.nbytes
+
+    def test_kronecker_draws_are_two_sided_products(self):
+        # bitwise L1 Z L2^T per block of normals, across a block boundary
+        expr = parse_kernel("tensor(se(), matern(nu=1.5))")
+        grid = Grid((Axis(0.0, 1.0, 17), Axis(0.0, 1.0, 16)))
+        samples = sample_paths(expr, grid, _DRAW_BLOCK + 3, 9)
+        l1, l2 = (
+            sampling._lower_factor(sampling._kernel_draws(f, Grid((axis,))), axis.count)[0]
+            for f, axis in zip(expr.factors, grid.axes)
+        )
+        z = np.stack([sampling._draw_normals(9, i, 17 * 16) for i in range(2 * _DRAW_BLOCK)])
+        expected = np.concatenate(
+            [(l1 @ z[lo:lo + _DRAW_BLOCK].reshape(-1, 17, 16) @ l2.T).reshape(-1, 17 * 16)
+             for lo in (0, _DRAW_BLOCK)]
+        )
+        assert np.array_equal(samples.samples, expected[:_DRAW_BLOCK + 3])
+
     def test_empirical_covariance_matches_gram(self):
         grid = Grid((Axis(0.0, 1.0, 257),))
         expr = parse_kernel("se()")

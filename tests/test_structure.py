@@ -1,6 +1,7 @@
 """Structure functions and path-regularity estimation."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,62 @@ class TestStructureFunction:
         assert max(lags) <= 127 // 4
 
 
+def reference_values(table: np.ndarray, m: int, lags) -> list[float]:
+    """np.mean of the iterated differences along axis 1 of a 2-D table."""
+    out = []
+    for l in lags:
+        diff = table
+        for _ in range(m):
+            diff = diff[:, l:] - diff[:, :-l]
+        out.append(float(np.mean(diff * diff)))
+    return out
+
+
+def random_walks(count: int, n: int, seed: int) -> np.ndarray:
+    return np.cumsum(np.random.default_rng(seed).standard_normal((count, n)), axis=1)
+
+
+class TestBlockedStatistic:
+    """The statistic sums the draws block by block; np.mean of the iterated
+    differences is the formula it replaces."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_mean_of_differences(self, m):
+        # 8200-byte draws: a block holds 31 of them, so 37 draws end in a
+        # partial block
+        values = random_walks(37, 1025, m)
+        assert structure._BLOCK_BYTES // values[0].nbytes == 31
+        lags = [2, 8, 32, 128]
+        sf = structure_function(make_samples(values), m, lags)
+        assert sf.values == pytest.approx(reference_values(values, m, lags), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_block_smaller_than_one_draw(self, monkeypatch, m):
+        monkeypatch.setattr(structure, "_BLOCK_BYTES", 1000)
+        values = random_walks(5, 257, 10 + m)
+        sf = structure_function(make_samples(values), m)
+        expected = reference_values(values, m, sf.lag_steps)
+        assert sf.values == pytest.approx(expected, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_field_axes_match_slice_tables(self, m):
+        # axis 0 once estimated from a transposed copy of every draw's
+        # columns, axis 1 from its rows; both now read the field in place
+        count, n1, n2 = 7, 96, 80
+        flat = random_walks(count, n1 * n2, 20 + m)
+        field = flat.reshape(count, n1, n2)
+        slice_tables = (
+            np.transpose(field, (0, 2, 1)).reshape(-1, n1),
+            field.reshape(-1, n2),
+        )
+        in_place = (flat.reshape(count, n1, n2), flat.reshape(count * n1, n2, 1))
+        for table, slices, n in zip(in_place, slice_tables, (n1, n2)):
+            axis = Axis(0.0, 1.0, n)
+            sf = structure._structure(table, axis, m)
+            expected = reference_values(slices, m, sf.lag_steps)
+            assert sf.values == pytest.approx(expected, rel=1e-13, abs=0)
+
+
 class TestEstimate:
     def test_requires_enough_draws(self):
         samples = make_samples(np.zeros((3, 257)))
@@ -107,6 +164,36 @@ class TestEstimate:
         samples = make_samples(np.ones((60, 257)))
         result = estimate_path_regularity(samples)
         assert result.degenerate
+
+    # a NaN once saturated every order (lower_bound 1.0) and an infinity
+    # read as a degenerate input
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        values = random_walks(60, 257, 4)
+        values[17, 100] = bad
+        with pytest.raises(ValueError, match="samples hold a non-finite value"):
+            estimate_path_regularity(make_samples(values))
+        grid = Grid((Axis(0.0, 1.0, 16), Axis(0.0, 1.0, 16)))
+        field = PathSamples(
+            grid=grid, samples=values[:, :256].copy(), kernel="synthetic", seed=0,
+            jitter_used=0.0,
+        )
+        with pytest.raises(ValueError, match="samples hold a non-finite value"):
+            axiswise_regularity(field)
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # the differences of one block are the only temporaries; the
+        # unblocked statistic peaked at two draw tables here
+        grid = Grid((Axis(0.25, 1.25, 4097),))
+        samples = sample_paths(parse_kernel("se()"), grid, 200, 42)
+        tracemalloc.start()
+        try:
+            result = estimate_path_regularity(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.m_used == structure._MAX_M
+        assert peak < 0.25 * samples.samples.nbytes
 
     def test_amplitude_equivariance(self):
         grid = Grid((Axis(0.25, 1.25, 1025),))
@@ -186,6 +273,20 @@ class TestAxiswise:
         samples = sample_paths(parse_kernel("se(dim=2)"), grid, 60, 9)
         first, second = axiswise_regularity(samples)
         assert first.s_hat is None and second.s_hat is None
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # both axes read the field in place; the transposed copy and the
+        # unblocked statistic peaked at three draw tables here
+        expr = parse_kernel("tensor(wendland(d=1,n=0), wendland(d=1,n=1))")
+        grid = Grid((Axis(0.0, 1.0, 128), Axis(0.0, 1.0, 128)))
+        samples = sample_paths(expr, grid, 100, 42)
+        tracemalloc.start()
+        try:
+            axiswise_regularity(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * samples.samples.nbytes
 
     def test_requires_2d(self):
         grid = Grid((Axis(0.0, 1.0, 65),))

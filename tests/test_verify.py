@@ -167,15 +167,19 @@ class TestRadialDerivative:
 class TestKernelDerivative:
     def test_se_mixed_second_derivative_diag(self):
         # d^{2,2} e^{-(x-y)^2} at x = y equals 12
-        value, stable, spread = kernel_derivative(parse_kernel("se()"), 0.5, 0.5, 2, 2)
-        assert stable
+        value = kernel_derivative(parse_kernel("se()"), 0.5, 0.5, 2, 2)
+        assert type(value) is float
         assert value == 12.0
-        assert spread == 0.0
+
+    def test_order_zero_is_the_kernel(self):
+        value = kernel_derivative(parse_kernel("se()"), 0.5, 0.75, 0, 0)
+        assert type(value) is float
+        assert value == pytest.approx(math.exp(-0.25**2), rel=1e-15)
 
     def test_wiener_has_no_first_derivative(self):
-        value, stable, _ = kernel_derivative(parse_kernel("wiener()"), 0.5, 0.5, 1, 1)
+        value = kernel_derivative(parse_kernel("wiener()"), 0.5, 0.5, 1, 1)
+        assert type(value) is float
         assert math.isnan(value)
-        assert not stable
 
     def test_order_cap(self):
         with pytest.raises(KernelError):
@@ -191,7 +195,7 @@ class TestKernelDerivative:
             for h in [0.25, 0.0625]:
                 pts = [x + h, x]
                 cross = sum(
-                    sign * kernel_derivative(expr, pts[i], pts[j], [1, 0], [0, 1])[0]
+                    sign * kernel_derivative(expr, pts[i], pts[j], [1, 0], [0, 1])
                     for i, j, sign in corners
                 )
                 diag = [second_difference(expr, x, [h, h], a) for a in ([1, 0], [0, 1])]
