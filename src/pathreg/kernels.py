@@ -52,6 +52,7 @@ Bruno's formula per coordinate to its child's jet at the warped points.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -236,9 +237,11 @@ class Leaf(Kernel):
         return np.ones(m + 1, bool)
 
     def lag_terms(self, t: np.ndarray, m: int):
-        # derivatives 0..m of an isotropic profile G(a t^2) from G's own
-        a, g, _magnitude = self.quadratic(t, m)
-        return _quadratic_inner(a, g, t)
+        # derivatives 0..m of an isotropic profile G(a t^2): the 1-D case of
+        # its jet, NaN at the origin where a derivative does not exist
+        jet = _quadratic_jet(self, t[..., None], (m,), (0,))
+        values, scale = zip(*(jet[(j,), (0,)] for j in range(m + 1)))
+        return np.stack(values), np.stack(scale)
 
     def jet(self, X: np.ndarray, Y: np.ndarray, alpha: tuple, beta: tuple) -> dict:
         # a stationary leaf's partials in the lag t = x - y: a 1-D leaf's
@@ -407,29 +410,6 @@ class RationalQuadratic(Leaf):
         return 1.0 / ell2, g, [np.abs(gk) for gk in g]
 
 
-def _quadratic_inner(a: float, g: list, t: np.ndarray):
-    """Derivatives 0..m of phi(t) = G(a t^2) and their term magnitudes,
-    from g = [G^(k)(a t^2) for k = 0..m], through
-    d^j/dt^j G(a t^2) = sum_i j!/(i! (j-2i)!) (2at)^(j-2i) a^i G^(j-i)(a t^2);
-    at the origin only the term with j = 2i survives."""
-    m = len(g) - 1
-    x = 2.0 * a * t
-    values = np.zeros((m + 1,) + t.shape)
-    scale = np.zeros_like(values)
-    zero = t == 0.0
-    with np.errstate(invalid="ignore"):
-        for j in range(m + 1):
-            for i in range(j // 2 + 1):
-                p = j - 2 * i
-                coef = math.factorial(j) / (math.factorial(i) * math.factorial(p)) * a**i
-                term = coef * x**p * g[j - i]
-                if p:
-                    term[zero] = 0.0
-                values[j] += term
-                scale[j] += np.abs(term)
-    return values, scale
-
-
 def _lag_jet(leaf: Leaf, t: np.ndarray, alpha: int, beta: int) -> dict:
     """Jet of a 1-D stationary leaf at lags t = x - y: d_x^a d_y^b phi(t)
     = (-1)^b phi^(a+b)(t), and phi^(j)(t) = sign(t)^j psi^(j)(|t|) from the
@@ -454,7 +434,9 @@ def _quadratic_jet(leaf: Leaf, t: np.ndarray, alpha: tuple, beta: tuple) -> dict
     """Jet of an isotropic leaf G(a |t|^2) at lags t = x - y of shape
     (n, m, d): d_x^a d_y^b = (-1)^|b| d_t^c with c = a + b, and per axis
     d_t^c G = sum_i prod_axis [c!/(i! (c-2i)!) (2a t)^(c-2i) a^i]
-    G^(|c|-|i|), the axiswise form of ``_quadratic_inner``."""
+    G^(|c|-|i|), the axiswise form of
+    d^j/dt^j G(a t^2) = sum_i j!/(i! (j-2i)!) (2at)^(j-2i) a^i G^(j-i)(a t^2);
+    at the origin only the terms with c = 2i survive."""
     top = sum(alpha) + sum(beta)
     r = np.sqrt(np.sum(t * t, axis=-1))
     a, g, magnitude = leaf.quadratic(r, top)
@@ -486,8 +468,8 @@ def _quadratic_jet(leaf: Leaf, t: np.ndarray, alpha: tuple, beta: tuple) -> dict
 
 
 def _indices(alpha) -> list[tuple[int, ...]]:
-    # every multi-index a <= alpha componentwise
-    return list(np.ndindex(*(int(a) + 1 for a in alpha)))
+    # every multi-index a <= alpha componentwise, in row-major order
+    return list(itertools.product(*(range(int(a) + 1) for a in alpha)))
 
 
 def _pairs(alpha, beta) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -17,13 +17,18 @@ The Gram of a stationary expression depends on p_i - p_j alone, and on a
 uniform grid that difference runs over a lattice of lags, so the kernel is
 evaluated once per lag (h and -h sharing one value) and the dense
 (block-)Toeplitz Gram is gathered from the table: exactly symmetric, with
-no per-entry distance or kernel evaluation.  Derivative paths of a
-stationary expression gather their exact derivative Gram the same way.
-A non-stationary conic combination or product is assembled from its
-children's Grams (weighted sum, elementwise product), so its stationary
-terms take the lag table too; derivative Grams are not split, since the
-derivative covariance of a product is not the product of the children's.
+no per-entry distance or kernel evaluation.  A non-stationary conic
+combination or product is assembled from its children's Grams (weighted
+sum, elementwise product), so its stationary terms take the lag table too.
 Other non-stationary expressions are evaluated point by point in row blocks.
+
+Derivative paths, draws of GP(0, d^(alpha,alpha) k), follow every rule
+below with the exact derivative covariance in place of the kernel: one
+builder makes the draw operators of both, and alpha = 0 is the kernel.
+A stationary derivative Gram comes from a lag table the same way, but a
+non-stationary sum or product is not split term by term at alpha != 0,
+since the derivative covariance of a product is not the product of the
+children's.
 
 On a 1-D grid that Gram is Toeplitz, and sampling never builds it, nor its
 factor: the kernel is evaluated at the lags k * spacing, k = 0..n-1 (the
@@ -43,9 +48,11 @@ factorised densely by LAPACK.
 Top-level tensor-product kernels on matching 2-D grids are factorised per
 axis: the Gram is the Kronecker product of the per-axis Grams, so its
 Cholesky factor is the Kronecker product of the per-axis factors and a draw
-is the two-sided product L1 Z L2^T.  This is an exact algebraic identity,
-not an approximation; it exists because a dense 16384^2 factorisation does
-not fit the acceptance-time budget on one core.
+is the two-sided product L1 Z L2^T.  The derivative covariance of a tensor
+is the product of its factors' derivative covariances, so a derivative
+draw factorises each axis at its own component of alpha.  This is an exact
+algebraic identity, not an approximation; it exists because a dense
+16384^2 factorisation does not fit the acceptance-time budget on one core.
 
 Sample and surface CSVs hold ``'%.17g'`` text, byte for byte what
 ``np.savetxt`` writes, but formatted in numpy blocks of _CSV_BLOCK values
@@ -453,103 +460,77 @@ def _draw_rows(seed: int, count: int, n: int, draw):
     return rows[:count], jitter
 
 
-def _tensor_factors(expr: Kernel, grid: Grid):
-    # exact per-axis factorisation applies to a top-level tensor product of
-    # 1-D factors on a matching 2-D grid
-    if (
-        isinstance(expr, TensorProduct)
-        and grid.dim == 2
-        and len(expr.factors) == 2
-        and all(c.dim == 1 for c in expr.factors)
-    ):
-        return expr.factors
-    return None
+def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
+    """Draw operator of the derivative covariance d^(alpha,alpha) k on the
+    grid (the kernel itself at alpha = 0): a function of an (m, n) table z
+    of standard normals, which it may overwrite, that returns
+    (z L^T, jitter_used), L the lower Cholesky factor of the jittered Gram.
 
-
-def _factorise(expr: Kernel, grid: Grid, cross, dense_gram):
-    """Draw operator of the covariance cross(X, Y) on the grid: a function
-    of an (m, n) table z of standard normals, which it may overwrite, that
-    returns (z L^T, jitter_used), L the lower Cholesky factor of the
-    jittered Gram.
-
-    A stationary expression on a 1-D grid streams its draws from the Schur
-    rows of its values at the lags k * spacing alone, and the Wiener kernel
-    takes running sums of its Brownian increments; neither holds an n x n
-    array.  Anything else is z L^T with L from
-    cholesky_with_jitter(dense_gram()).
+    A top-level tensor product factorises each axis by these rules, with
+    that axis's component of alpha: its Gram is the Kronecker product of
+    the axes' Grams, so L is the Kronecker product of their factors (each
+    the draws of the identity) and a draw is the two-sided product
+    L1 Z L2^T.  A stationary expression on a 1-D grid streams its draws
+    from the Schur rows of its values at the lags k * spacing alone, and
+    the Wiener kernel takes running sums of its Brownian increments;
+    neither holds an n x n array.  Anything else is z L^T with L from
+    cholesky_with_jitter of the dense Gram: ``build_gram``'s at alpha = 0,
+    else the pointwise derivative Gram, which is not split term by term.
     """
     if expr.dim != grid.dim:
         raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
-    # the Wiener kernel admits only alpha = 0, where cross is the kernel
+    # two factors of one input each, since the grid is at most 2-D
+    if isinstance(expr, TensorProduct):
+        (l1, j1), (l2, j2) = (
+            _lower_factor(_factorise(f, Grid((axis,)), (a,)), axis.count)
+            for f, axis, a in zip(expr.factors, grid.axes, alpha)
+        )
+        n1, n2 = grid.shape
+
+        def apply(block):
+            # the second product overwrites the block's own normals
+            cube = block.reshape(-1, n1, n2)
+            np.matmul(l1 @ cube, l2.T, out=cube)
+            return block
+
+        return lambda z: (_by_block(z, apply), max(j1, j2))
+    # the Wiener kernel admits only alpha = 0
     if isinstance(expr, Wiener):
         return _brownian_draws(grid.axes[0].ticks())
+    if any(alpha):
+        cross = partial(derivative_kernel_matrix, expr, alpha)
+        dense_gram = partial(_assemble_gram, expr, grid, cross)
+    else:
+        cross = partial(pairwise, expr)
+        dense_gram = partial(build_gram, expr, grid)
     if grid.dim == 1 and isinstance(classify(expr), Stationary):
         return _toeplitz_draws(_half_lag_table(grid, _lag_function(cross, 1)))
     lower, jitter = cholesky_with_jitter(dense_gram())
     return lambda z: (_by_block(z, lambda b: b @ lower.T), jitter)
 
 
-def _kernel_draws(expr: Kernel, grid: Grid):
-    """Draw operator of the kernel on the grid.  A top-level tensor product
-    takes the Kronecker product of its axes' factors, each the draws of
-    the identity, and a draw is the two-sided product L1 Z L2^T."""
-    factors = _tensor_factors(expr, grid)
-    if factors is None:
-        return _factorise(expr, grid, partial(pairwise, expr), partial(build_gram, expr, grid))
-    (l1, j1), (l2, j2) = (
-        _lower_factor(_kernel_draws(f, Grid((axis,))), axis.count)
-        for f, axis in zip(factors, grid.axes)
-    )
-    n1, n2 = grid.shape
-
-    def apply(block):
-        # the second product overwrites the block's own normals
-        cube = block.reshape(-1, n1, n2)
-        np.matmul(l1 @ cube, l2.T, out=cube)
-        return block
-
-    return lambda z: (_by_block(z, apply), max(j1, j2))
-
-
-def sample_paths(expr: Kernel, grid: Grid, count: int, seed: int) -> PathSamples:
-    """Draw centred GP sample paths on the grid; rows are independent draws."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rows, jitter = _draw_rows(seed, count, grid.n_points, _kernel_draws(expr, grid))
-    return PathSamples(
-        grid=grid,
-        samples=rows,
-        kernel=print_kernel(expr),
-        seed=int(seed),
-        jitter_used=jitter,
-    )
-
-
-def sample_derivative_paths(expr: Kernel, alpha, grid: Grid, count: int, seed: int) -> PathSamples:
-    """Draw from the derivative process GP(0, d^(alpha,alpha) k).
-
-    The sample-path order inferred for the kernel must exceed |alpha|, else
-    the requested derivative outruns the differentiability of the paths.
-    The derivative kernel is the exact mixed partial d^(alpha,alpha) k of
-    ``derivative_kernel_matrix``, not a difference of sampled paths.
-    """
-    alpha = tuple(int(a) for a in np.atleast_1d(np.asarray(alpha, dtype=int)))
-    _as_multiindex(alpha, expr.dim)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    report = infer_regularity(expr)
-    total = sum(alpha)
-    if not (report.order > total):
+def _check_derivative_order(expr: Kernel, alpha: tuple) -> None:
+    # a top-level tensor product's derivative is the product of its
+    # factors', so each factor's part of alpha must stay below its order
+    if isinstance(expr, TensorProduct):
+        offsets = np.cumsum([0] + [f.dim for f in expr.factors])
+        for f, lo, hi in zip(expr.factors, offsets, offsets[1:]):
+            _check_derivative_order(f, alpha[lo:hi])
+        return
+    order = infer_regularity(expr).order
+    if not (order > sum(alpha)):
         raise KernelError(
-            f"derivative order |alpha|={total} is not below the sample-path order "
-            f"{report.order}; the derivative process does not exist"
+            f"derivative order |alpha|={sum(alpha)} is not below the sample-path order "
+            f"{order}; the derivative process does not exist"
         )
 
-    def cross(X, Y):
-        return derivative_kernel_matrix(expr, alpha, X, Y=Y)
 
-    draw = _factorise(expr, grid, cross, partial(_assemble_gram, expr, grid, cross))
-    rows, jitter = _draw_rows(seed, count, grid.n_points, draw)
+def _sample(expr: Kernel, grid: Grid, count: int, seed: int, alpha: tuple, derivative: bool):
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if derivative:
+        _check_derivative_order(expr, alpha)
+    rows, jitter = _draw_rows(seed, count, grid.n_points, _factorise(expr, grid, alpha))
     return PathSamples(
         grid=grid,
         samples=rows,
@@ -558,6 +539,25 @@ def sample_derivative_paths(expr: Kernel, alpha, grid: Grid, count: int, seed: i
         jitter_used=jitter,
         alpha=alpha,
     )
+
+
+def sample_paths(expr: Kernel, grid: Grid, count: int, seed: int) -> PathSamples:
+    """Draw centred GP sample paths on the grid; rows are independent draws."""
+    return _sample(expr, grid, count, seed, (0,) * grid.dim, derivative=False)
+
+
+def sample_derivative_paths(expr: Kernel, alpha, grid: Grid, count: int, seed: int) -> PathSamples:
+    """Draw from the derivative process GP(0, d^(alpha,alpha) k).
+
+    The sample-path order inferred for the kernel must exceed |alpha|, else
+    the requested derivative outruns the differentiability of the paths;
+    for a top-level tensor product, each factor's order must exceed its
+    own part of alpha.  The derivative kernel is the exact mixed partial
+    d^(alpha,alpha) k of ``derivative_kernel_matrix``, not a difference of
+    sampled paths, and it is factorised as the kernel is.
+    """
+    alpha = tuple(int(a) for a in _as_multiindex(alpha, expr.dim))
+    return _sample(expr, grid, count, seed, alpha, derivative=True)
 
 
 # --- serialisation ----------------------------------------------------------

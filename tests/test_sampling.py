@@ -392,7 +392,7 @@ class TestToeplitzCholesky:
     )
     def test_brownian_factor_matches_dense(self, grid, rel):
         expr = parse_kernel("wiener()")
-        draw = sampling._factorise(expr, grid, None, None)
+        draw = sampling._factorise(expr, grid, (0,))
         lower, jitter = sampling._lower_factor(draw, grid.n_points)
         dense, dense_jitter = cholesky_with_jitter(build_gram(expr, grid))
         assert jitter == dense_jitter == 0.0
@@ -490,26 +490,44 @@ class TestSamplePaths:
         assert peak <= 6 * padded * samples.grid.n_points * 8
 
     # each block's second product overwrites its own normals; a new array
-    # per product made this 2.02 draw tables
-    def test_kronecker_draw_peak_memory(self):
-        expr = parse_kernel("tensor(matern(nu=0.5), matern(nu=1.5))")
+    # per product made this 2.02 draw tables, and a tensor's derivative
+    # draws took a pointwise 16384^2 derivative Gram
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda grid: sample_paths(
+                parse_kernel("tensor(matern(nu=0.5), matern(nu=1.5))"), grid, 100, 42
+            ),
+            lambda grid: sample_derivative_paths(
+                parse_kernel("tensor(matern(nu=1.5), matern(nu=2.5))"), (1, 0), grid, 100, 42
+            ),
+        ],
+        ids=["paths", "derivative"],
+    )
+    def test_kronecker_draw_peak_memory(self, draw):
         grid = Grid((Axis(0.0, 1.0, 128), Axis(0.0, 1.0, 128)))
         tracemalloc.start()
         try:
-            samples = sample_paths(expr, grid, 100, 42)
+            samples = draw(grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.75 * samples.samples.nbytes
 
-    def test_kronecker_draws_are_two_sided_products(self):
-        # bitwise L1 Z L2^T per block of normals, across a block boundary
+    # bitwise L1 Z L2^T per block of normals, across a block boundary; a
+    # derivative draw takes each axis's factor at its own part of alpha
+    @pytest.mark.parametrize("alpha", [None, (1, 0), (0, 1), (1, 1)])
+    def test_kronecker_draws_are_two_sided_products(self, alpha):
         expr = parse_kernel("tensor(se(), matern(nu=1.5))")
         grid = Grid((Axis(0.0, 1.0, 17), Axis(0.0, 1.0, 16)))
-        samples = sample_paths(expr, grid, _DRAW_BLOCK + 3, 9)
+        if alpha is None:
+            samples = sample_paths(expr, grid, _DRAW_BLOCK + 3, 9)
+            alpha = (0, 0)
+        else:
+            samples = sample_derivative_paths(expr, alpha, grid, _DRAW_BLOCK + 3, 9)
         l1, l2 = (
-            sampling._lower_factor(sampling._kernel_draws(f, Grid((axis,))), axis.count)[0]
-            for f, axis in zip(expr.factors, grid.axes)
+            sampling._lower_factor(sampling._factorise(f, Grid((axis,)), (a,)), axis.count)[0]
+            for f, axis, a in zip(expr.factors, grid.axes, alpha)
         )
         z = np.stack([sampling._draw_normals(9, i, 17 * 16) for i in range(2 * _DRAW_BLOCK)])
         expected = np.concatenate(
@@ -571,28 +589,83 @@ class TestDerivativePaths:
     # 1-D derivative paths are factored from the lag column without a Gram;
     # the factor, jitter taken off, must reproduce the pointwise matrix
     # a non-stationary sum and product keep the pointwise derivative Gram:
-    # the derivative covariance of a product is not a product of Grams
+    # the derivative covariance of a product is not a product of Grams.
+    # A tensor's derivative Gram is the Kronecker product of its axes', so
+    # its draws factor per axis as the kernel's do
+    _LINE = Grid((Axis(0.25, 1.25, 257),))
+    _FIELD = Grid((Axis(0.25, 1.25, 9), Axis(0.0, 2.0, 7)))
+
     @pytest.mark.parametrize(
-        "text, alpha",
-        [("matern(nu=1.5)", 1), ("se()", 2), ("linear() + se()", 1), ("linear() * se()", 1)],
+        "text, alpha, grid",
+        [
+            ("matern(nu=1.5)", 1, _LINE),
+            ("se()", 2, _LINE),
+            ("linear() + se()", 1, _LINE),
+            ("linear() * se()", 1, _LINE),
+            ("tensor(matern(nu=1.5), matern(nu=2.5))", (1, 0), _FIELD),
+            ("tensor(matern(nu=1.5), matern(nu=2.5))", (0, 1), _FIELD),
+            ("tensor(matern(nu=1.5), matern(nu=2.5))", (1, 1), _FIELD),
+        ],
     )
-    def test_lag_table_matches_derivative_kernel_matrix(self, text, alpha, monkeypatch):
+    def test_lag_table_matches_derivative_kernel_matrix(self, text, alpha, grid, monkeypatch):
         factorise = sampling._factorise
         factors = []
 
-        def keep(*args):
-            factors.append(factorise(*args))
-            return factors[-1]
+        # only the sampled grid's operator: a tensor's axes are factorised
+        # by nested calls on their own 1-D grids
+        def keep(expr, on, alpha):
+            draw = factorise(expr, on, alpha)
+            if on is grid:
+                factors.append(draw)
+            return draw
 
         monkeypatch.setattr(sampling, "_factorise", keep)
         expr = parse_kernel(text)
-        grid = Grid((Axis(0.25, 1.25, 257),))
         sample_derivative_paths(expr, alpha, grid, 1, 0)
         (draw,) = factors
         lower, jitter = sampling._lower_factor(draw, grid.n_points)
         covariance = lower @ lower.T - jitter * np.eye(grid.n_points)
         reference = derivative_kernel_matrix(expr, alpha, grid.points())
         assert np.max(np.abs(covariance - reference)) <= 1e-8
+
+    # alpha = 0 is the kernel: the same draw operator as sample_paths, a
+    # scalar 0 included on a 2-D grid
+    @pytest.mark.parametrize(
+        "text, grid",
+        [
+            ("matern(nu=1.5)", Grid((Axis(0.25, 1.25, 65),))),
+            ("linear() + se()", Grid((Axis(0.25, 1.25, 65),))),
+            ("wiener()", Grid((Axis(0.25, 1.25, 65),))),
+            ("se(dim=2)", Grid((Axis(0.0, 1.0, 6), Axis(0.0, 1.0, 5)))),
+            ("tensor(se(), matern(nu=1.5))", Grid((Axis(0.0, 1.0, 6), Axis(0.0, 1.0, 5)))),
+        ],
+    )
+    def test_alpha_zero_draws_are_sample_paths(self, text, grid):
+        expr = parse_kernel(text)
+        expected = sample_paths(expr, grid, 3, 4)
+        samples = sample_derivative_paths(expr, 0, grid, 3, 4)
+        assert samples.alpha == (0,) * grid.dim
+        assert np.array_equal(samples.samples, expected.samples)
+        assert samples.jitter_used == expected.jitter_used
+
+    # a top-level tensor's derivative exists when each axis's does; any
+    # other kernel needs |alpha| below its order
+    def test_tensor_gate_is_per_axis(self):
+        grid = Grid((Axis(0.0, 1.0, 6), Axis(0.0, 1.0, 5)))
+        tensor = parse_kernel("tensor(matern(nu=1.5), matern(nu=1.5))")
+        assert sample_derivative_paths(tensor, (1, 1), grid, 2, 1).alpha == (1, 1)
+        with pytest.raises(KernelError, match=r"\|alpha\|=2 is not below .* order 3/2"):
+            sample_derivative_paths(tensor, (2, 0), grid, 2, 1)
+        isotropic = parse_kernel("matern(nu=2.5,dim=2)")
+        assert sample_derivative_paths(isotropic, (1, 1), grid, 2, 1).alpha == (1, 1)
+        with pytest.raises(KernelError, match=r"\|alpha\|=3 is not below .* order 5/2"):
+            sample_derivative_paths(isotropic, (2, 1), grid, 2, 1)
+
+    # a bad count is reported before the kernel is judged
+    def test_count_checked_before_the_gate(self):
+        grid = Grid((Axis(0.25, 1.25, 17),))
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            sample_derivative_paths(parse_kernel("matern(nu=0.5)"), 1, grid, 0, 1)
 
     def test_engine_gate_blocks_rough_kernels(self):
         grid = Grid((Axis(0.25, 1.25, 17),))

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,24 @@ class TestRadialDerivative:
         assert np.isnan(values[1:, 0]).all()
         assert values[1, 1] == pytest.approx(-1.0, rel=1e-8)
         assert math.isnan(radial_derivative(expr, 2, 0.0))
+
+    # a product's missing origin derivatives are NaN in every factor before
+    # Leibniz's rule combines them: an infinite G^(k) times a zero term
+    # used to warn "invalid value encountered in multiply"
+    @pytest.mark.parametrize(
+        "text, orders",
+        [
+            ("matern(nu=1.5) * se()", range(5, 9)),
+            ("matern(nu=0.5) * rq(a=1)", range(3, 9)),
+            ("wendland(d=1,n=1) * matern(nu=2.5)", range(7, 9)),
+        ],
+    )
+    def test_missing_product_derivative_warns_nothing(self, text, orders):
+        expr = parse_kernel(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for order in orders:
+                assert math.isnan(radial_derivative(expr, order, 0.0))
 
     def test_requires_isotropic(self):
         with pytest.raises(KernelError):
