@@ -4,9 +4,9 @@ The package pairs a symbolic calculus with numeric verification:
 
 * :mod:`pathreg.kernels` and :mod:`pathreg.dsl` define composable kernel
   expression trees and a small textual language for them;
-* :mod:`pathreg.regularity` infers per-axis sample-path orders (how many
-  derivatives the paths of the centred GP admit, and the Holder exponent
-  beyond) together with a Sobolev order;
+* :mod:`pathreg.regularity` infers sample-path orders, one per tensor
+  factor (how many derivatives the paths of the centred GP admit, and the
+  Holder exponent beyond), together with a Sobolev order;
 * :mod:`pathreg.verify` checks the inferred orders against the kernel
   numerically through diagonal difference quotients and exponent fits;
 * :mod:`pathreg.sampling` and :mod:`pathreg.structure` draw reproducible

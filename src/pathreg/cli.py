@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``analyze`` (symbolic regularity report), ``verify`` (kernel
-numerics against the prediction), ``sample`` (seeded draws to CSV plus a
-JSON sidecar), ``estimate`` (path exponents from a samples file or an
-inline draw), and ``report`` (combined JSON plus plot-ready surface and
-sample files).
+numerics against the prediction), ``sample`` (seeded draws to CSV, with a
+binary twin and a JSON sidecar), ``estimate`` (path exponents from a
+samples file or an inline draw), and ``report`` (combined JSON plus
+plot-ready surface and sample files).
 
 Exit codes are a stable contract: 0 success (including a log-flagged
 verification), 1 verification failure, 2 parse or usage error, 3 runtime
-or domain error.  All outputs are deterministic given the flags and seed;
-files are written atomically.
+or domain error, an allocation too large for memory included.  All
+outputs are deterministic given the flags and seed; files are written
+atomically.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .sampling import (
     _write_json,
     read_samples_csv,
     sample_paths,
-    write_samples_csv,
-    write_sidecar,
+    write_samples,
 )
 from .structure import EstimateResult, axiswise_regularity, estimate_path_regularity
 from .verify import VerifyConfig, verify_regularity, verify_to_dict
@@ -165,11 +165,9 @@ def _cmd_sample(args) -> int:
     grid = _parse_grid(args.grid)
     samples = sample_paths(expr, grid, args.count, args.seed)
     csv_path = args.out if args.out.endswith(".csv") else f"{args.out}.csv"
-    write_samples_csv(samples, csv_path)
-    sidecar = f"{os.path.splitext(csv_path)[0]}.json"
-    write_sidecar(samples, sidecar)
+    write_samples(samples, csv_path)
     print(csv_path)
-    print(sidecar)
+    print(f"{os.path.splitext(csv_path)[0]}.json")
     return 0
 
 
@@ -210,8 +208,7 @@ def _cmd_report(args) -> int:
         samples = sample_paths(expr, grid, args.count, args.seed)
         payload["estimate"] = _estimate_samples(samples)
         samples_csv = f"{prefix}_samples.csv"
-        write_samples_csv(samples, samples_csv)
-        write_sidecar(samples, f"{prefix}_samples.json")
+        write_samples(samples, samples_csv)
         files["samples"] = samples_csv
         files["surface"] = f"{prefix}_surface.csv"
         _write_surface(expr, grid, files["surface"])
@@ -296,6 +293,10 @@ def main(argv=None) -> int:
         return 2
     except (KernelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # numpy names the allocation that failed: its size and shape
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 3
 
 

@@ -1,8 +1,12 @@
 """Symbolic inference of sample-path regularity from a kernel expression.
 
-Each expression gets a per-axis order s, meaning the corresponding centered
-GP has sample paths lying in every local Holder class strictly below s along
-that axis.  Orders are exact rationals when the source parameters are
+Each expression gets a tuple of orders ``per_axis``, one entry per factor
+of a tensor product (nested tensors flattened) and one for any other
+expression, whatever its input dimension: ``matern(nu=1.5,dim=2)`` has one
+entry and ``tensor(matern(nu=1.5,dim=2), se())`` two, for three inputs.
+An entry's order s means the corresponding centered GP has sample paths
+lying in every local Holder class strictly below s along the inputs of that
+factor.  Orders are exact rationals when the source parameters are
 rational (the half-integer families in practice) and infinity for smooth
 kernels.  A sharp flag records whether the order is also an upper bound
 ("and no more") or only a sufficient bound; a log flag marks the
@@ -15,8 +19,8 @@ The inference is a recursive fold with the following rules:
   sufficient bound (single-child nodes are pure rescalings and preserve the
   child verdict; products and sums of smooth kernels are smooth kernels, so
   the infinite order stays sharp there);
-* tensor products: per-axis concatenation of the factor verdicts, sharpness
-  preserved per axis;
+* tensor products: concatenation of the factor verdicts, sharpness
+  preserved per factor;
 * coordinate warps of declared componentwise order: with the child order
   split as n + gamma and the warp order as n_w + delta (both with the
   fractional part in (0, 1]), the result is m + gamma' * delta' where
@@ -27,7 +31,7 @@ The inference is a recursive fold with the following rules:
 A nonneg-integer Sobolev order (count of locally square-integrable weak
 derivatives) is reported alongside: the largest m with 2m strictly below
 the kernel's diagonal differentiability 2s, which works out to floor(s) for
-non-integer s and s - 1 for integer s, taken per axis and then minimised.
+non-integer s and s - 1 for integer s, taken per entry and then minimised.
 """
 
 from __future__ import annotations
@@ -79,6 +83,9 @@ class Regularity:
 
 @dataclass(frozen=True)
 class RegularityReport:
+    """``per_axis`` has one entry per tensor factor, or one for a kernel
+    that is no tensor product, not one per input axis."""
+
     per_axis: tuple[Regularity, ...]
     sobolev_order: Union[int, float]
     derivation: tuple[str, ...]

@@ -54,6 +54,14 @@ draw factorises each axis at its own component of alpha.  This is an exact
 algebraic identity, not an approximation; it exists because a dense
 16384^2 factorisation does not fit the acceptance-time budget on one core.
 
+A samples file is a CSV written with a binary twin beside it, ``<stem>.npy``,
+holding the same float64 draws, and a JSON sidecar ``<stem>.json`` with
+their provenance, written in that order, each atomically; the sidecar
+records the sha256 of the CSV, of the twin and of its own other keys.  The
+CSV is the canonical output.  The reader takes the twin only while all
+three hash as recorded, and parses the CSV otherwise, so a missing or
+stale twin costs time and changes no value.
+
 Sample and surface CSVs hold ``'%.17g'`` text, byte for byte what
 ``np.savetxt`` writes, but formatted in numpy blocks of _CSV_BLOCK values
 instead of one value at a time.  A finite value with |v| in [1e-4, 1e16)
@@ -66,6 +74,7 @@ tiny, huge, inf, NaN) is formatted by ``'%.17g'`` itself.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -100,6 +109,7 @@ __all__ = [
     "cholesky_with_jitter",
     "sample_paths",
     "sample_derivative_paths",
+    "write_samples",
     "write_samples_csv",
     "write_sidecar",
     "read_samples_csv",
@@ -563,23 +573,65 @@ def sample_derivative_paths(expr: Kernel, alpha, grid: Grid, count: int, seed: i
 # --- serialisation ----------------------------------------------------------
 
 
-def write_samples_csv(samples: PathSamples, path: str) -> None:
-    """CSV with one grid point per row: coordinates, then one column per draw."""
+def write_samples(samples: PathSamples, path: str) -> None:
+    """The samples CSV at ``path``, then its binary twin ``<stem>.npy``,
+    then the sidecar ``<stem>.json``, each written atomically.
+
+    The twin is ``np.save`` of the (count, n_points) float64 draws.  The
+    sidecar's ``twin`` key records the sha256 of the CSV and of the twin,
+    hashed from the bytes as they are written, and of the sidecar's other
+    keys.  A sidecar already at that path is removed first, and the new
+    one is written last, so a write that fails leaves no sidecar that
+    describes other draws or names a twin that was not written whole.
+    """
+    stem = os.path.splitext(path)[0]
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(f"{stem}.json")
+    twin = {
+        "csv_sha256": write_samples_csv(samples, path),
+        "npy_sha256": _write_twin(samples.samples, f"{stem}.npy"),
+    }
+    write_sidecar(samples, f"{stem}.json", twin)
+
+
+def write_samples_csv(samples: PathSamples, path: str) -> str:
+    """CSV with one grid point per row: coordinates, then one column per
+    draw.  Returns the sha256 of the file's bytes."""
     names = [f"s{i}" for i in range(samples.count)]
-    _write_grid_csv(path, samples.grid, names, samples.samples.T)
+    return _write_grid_csv(path, samples.grid, names, samples.samples.T)
 
 
-def _write_grid_csv(path: str, grid: Grid, names: list[str], values: np.ndarray) -> None:
+def _write_grid_csv(path: str, grid: Grid, names: list[str], values: np.ndarray) -> str:
     """One grid point per row: coordinates, then the named value columns.
     Floats carry 17 significant digits (``'%.17g'``) so values round-trip
-    exactly; rows end in CRLF.  Written atomically (temp file + rename)."""
-    header = ",".join(["x", "y"][: grid.dim] + names)
+    exactly; rows end in CRLF.  Written atomically (temp file + rename).
+    Returns the sha256 of the bytes written, hashed as they are written."""
+    header = ",".join(["x", "y"][: grid.dim] + names).encode() + b"\r\n"
+    digest = _sha256(header)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        fh.write(header.encode() + b"\r\n")
+        fh.write(header)
         for chunk in _format_rows(grid.points(), values):
+            digest.update(chunk)
             fh.write(chunk)
     os.replace(tmp, path)
+    return digest.hexdigest()
+
+
+def _write_twin(draws: np.ndarray, path: str) -> str:
+    """``np.save`` of the draws as float64, written atomically; returns the
+    sha256 of the file, hashed from its header and the array in memory."""
+    draws = np.ascontiguousarray(draws, dtype=np.float64)
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        np.save(fh, draws, allow_pickle=False)
+        size = fh.tell()
+    # the header is the file ahead of the data: a hundred bytes or so
+    with open(tmp, "rb") as fh:
+        digest = _sha256(fh.read(size - draws.nbytes))
+    digest.update(draws)
+    os.replace(tmp, path)
+    return digest.hexdigest()
 
 
 def _format_rows(*columns: np.ndarray):
@@ -711,8 +763,10 @@ def _split(a: np.ndarray):
     return hi, a - hi
 
 
-def write_sidecar(samples: PathSamples, path: str) -> None:
-    """Metadata JSON describing how the samples were generated."""
+def write_sidecar(samples: PathSamples, path: str, twin: dict | None = None) -> None:
+    """Metadata JSON describing how the samples were generated.  ``twin``,
+    the sha256 of a samples CSV and of its binary twin, is recorded under
+    the ``twin`` key together with the sha256 of the other keys."""
     meta = {
         "kernel": samples.kernel,
         "seed": samples.seed,
@@ -726,7 +780,24 @@ def write_sidecar(samples: PathSamples, path: str) -> None:
         "jitter_used": samples.jitter_used,
         "alpha": list(samples.alpha),
     }
+    if twin is not None:
+        meta["twin"] = {**twin, "sidecar_sha256": _meta_sha256(meta)}
     _write_json(meta, path)
+
+
+def _sha256(data: bytes = b""):
+    # imported on first use: hashlib loads OpenSSL, some 6 ms that every
+    # cold CLI start would otherwise pay
+    import hashlib
+
+    return hashlib.sha256(data)
+
+
+def _meta_sha256(meta: dict) -> str:
+    # of the sidecar's keys other than "twin", in a form that a JSON round
+    # trip keeps: Python floats print and parse back exactly
+    rest = {k: v for k, v in meta.items() if k != "twin"}
+    return _sha256(json.dumps(rest, sort_keys=True).encode()).hexdigest()
 
 
 def _write_json(payload: dict, path: str) -> None:
@@ -742,13 +813,22 @@ def _write_json(payload: dict, path: str) -> None:
 def read_samples_csv(path: str) -> PathSamples:
     """Rebuild PathSamples from a CSV written by write_samples_csv.
 
+    When the sidecar ``<stem>.json`` has the ``twin`` key of write_samples
+    and the CSV, the twin ``<stem>.npy`` and the sidecar's other keys all
+    hash as it records, the draws are the twin's and the grid and
+    provenance the sidecar's: exactly what parsing the CSV gives.
+    Otherwise the CSV is parsed.
+
     The grid is reconstructed from the coordinate columns, which must form
     a uniform row-major 1-D or 2-D grid; blank lines (ASCII whitespace) are
     skipped, and a ``#`` line is an error, not a comment.  Provenance (kernel, seed, jitter,
-    derivative multi-index) comes from the sidecar ``<stem>.json`` when one
-    exists, and its grid must match the CSV's; without a sidecar the seed
-    reads -1 and the jitter NaN.
+    derivative multi-index) comes from the sidecar when one exists, and its
+    grid must match the CSV's; without a sidecar the seed reads -1 and the
+    jitter NaN.
     """
+    twin = _read_twin(path)
+    if twin is not None:
+        return twin
     # every non-blank line is a row: np.loadtxt below reads the non-blank
     # lines with comments=None, and both passes split and test the same
     # bytes, so the buffers it fills are exactly those counted here
@@ -814,6 +894,36 @@ def read_samples_csv(path: str) -> PathSamples:
     if not same_grid:
         raise ValueError("the samples sidecar describes another grid than the CSV")
     return PathSamples(grid=grid, samples=values, **provenance)
+
+
+def _read_twin(path: str) -> PathSamples | None:
+    """The samples of a verified binary twin of the CSV at ``path``, or
+    None: without a sidecar, its ``twin`` key or the twin, or when the CSV,
+    the twin or the sidecar's other keys hash otherwise than recorded."""
+    stem = os.path.splitext(path)[0]
+    try:
+        with open(f"{stem}.json") as fh:
+            meta = json.load(fh)
+        twin = meta["twin"]
+        if (
+            _meta_sha256(meta) != twin["sidecar_sha256"]
+            or _sha256_file(path) != twin["csv_sha256"]
+            or _sha256_file(f"{stem}.npy") != twin["npy_sha256"]
+        ):
+            return None
+        grid = Grid(tuple(Axis(**a) for a in meta["grid"]["axes"]))
+        provenance = {k: meta[k] for k in ("kernel", "seed", "jitter_used", "alpha")}
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return PathSamples(grid=grid, samples=np.load(f"{stem}.npy", allow_pickle=False), **provenance)
+
+
+def _sha256_file(path: str) -> str:
+    digest = _sha256()
+    with open(path, "rb") as fh:
+        for block in iter(partial(fh.read, 1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _axis_from_ticks(ticks: np.ndarray) -> Axis:

@@ -103,6 +103,31 @@ class TestExitCodes:
         assert code == 3
         assert "kernel has dimension 2 but the grid is 1-D" in err
 
+    # a 2-D kernel that is no tensor product takes a dense Gram, 2 GiB on
+    # the desk grid; the Gram builder raises here as numpy would there
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 7.03 KiB for an array with shape (30, 30)",
+             "Unable to allocate 7.03 KiB for an array with shape (30, 30)"),
+            ("", "an allocation failed"),
+        ],
+    )
+    def test_out_of_memory_is_3(self, capsys, tmp_path, monkeypatch, message, line):
+        from pathreg import sampling
+
+        def no_memory(expr, grid):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(sampling, "build_gram", no_memory)
+        code, out, err = run(
+            capsys, "report", "-k", "matern(nu=1.5,dim=2)", "--grid", "0:1:5,0:1:6",
+            "--count", "2", "--seed", "1", "--out", str(tmp_path / "m"),
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: out of memory: {line}\n"
+
     def test_verify_pass_is_0(self, capsys):
         code, payload, _ = run_json(capsys, "verify", "-k", "matern(nu=1.5)")
         assert code == 0
@@ -196,6 +221,17 @@ class TestSample:
         sidecar = json.loads((tmp_path / "field.json").read_text())
         assert sidecar["grid"]["dim"] == 2
         assert sidecar["seed"] == 7
+        assert set(sidecar["twin"]) == {"csv_sha256", "npy_sha256", "sidecar_sha256"}
+        assert np.load(tmp_path / "field.npy").shape == (2, 256)
+
+    def test_prints_the_csv_and_the_sidecar(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "sample", "-k", "se()", "--grid", "0:1:9", "--count", "2", "--seed", "1",
+            "--out", str(tmp_path / "p"),
+        )
+        assert code == 0
+        assert out.splitlines() == [str(tmp_path / "p.csv"), str(tmp_path / "p.json")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv", "p.json", "p.npy"]
 
 
 class TestEstimate:
@@ -266,6 +302,28 @@ class TestEstimate:
         assert inline.pop("kernel") == "tensor(matern(nu=0.5), matern(nu=1.5))"
         assert from_file == inline
         assert [axis["axis"] for axis in inline["axes"]] == [0, 1]
+
+    # the twin only saves the parse: the output is the same without it
+    @pytest.mark.parametrize(
+        "kernel, grid",
+        [("matern(nu=0.5)", "0.25:1.25:513"), ("tensor(matern(nu=0.5), matern(nu=1.5))", "0:1:48,0:1:40")],
+    )
+    def test_file_estimate_is_the_same_without_the_twin(self, capsys, tmp_path, kernel, grid):
+        prefix = str(tmp_path / "r")
+        code, report, _ = run_json(capsys, "report", "-k", kernel, "--grid", grid, "--count", "50",
+                                   "--seed", "4", "--out", prefix)
+        assert code == 0
+        code, with_twin, _ = run(capsys, "estimate", "--samples", f"{prefix}_samples.csv")
+        assert code == 0
+        os.remove(f"{prefix}_samples.npy")
+        code, without, _ = run(capsys, "estimate", "--samples", f"{prefix}_samples.csv")
+        assert code == 0
+        assert with_twin == without
+        from_file = json.loads(with_twin)
+        assert from_file.pop("samples") == f"{prefix}_samples.csv"
+        assert from_file == report["estimate"]
+        assert report["files"] == {"samples": f"{prefix}_samples.csv",
+                                   "surface": f"{prefix}_surface.csv"}
 
     # a NaN once saturated every order ("lower_bound": 1.0) and an infinity
     # read as degenerate; both exited 0

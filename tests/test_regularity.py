@@ -77,6 +77,21 @@ class TestCombinators:
         assert [a.order for a in r.per_axis] == [Fraction(1, 2), Fraction(3, 2)]
         assert all(a.sharp for a in r.per_axis)
 
+    # one entry per tensor factor, or one for any other kernel, however many
+    # inputs it has: per_axis does not line up with the input axes
+    @pytest.mark.parametrize(
+        "text, inputs, entries",
+        [
+            ("matern(nu=1.5,dim=2)", 2, 1),
+            ("tensor(matern(nu=1.5,dim=2), se())", 3, 2),
+            ("tensor(tensor(se(), wiener()), matern(nu=0.5))", 3, 3),
+        ],
+    )
+    def test_per_axis_has_one_entry_per_factor(self, text, inputs, entries):
+        expr = parse_kernel(text)
+        assert expr.dim == inputs
+        assert len(infer_regularity(expr).per_axis) == entries
+
     def test_warp_orders(self):
         r = infer_regularity(parse_kernel("warp(matern(nu=0.5), abs_power(beta=0.5))"))
         assert r.order == Fraction(1, 4)

@@ -1,7 +1,9 @@
 """Gram assembly, jittered factorisation, reproducible draws, serialisation."""
 
+import hashlib
 import inspect
 import io
+import json
 import math
 import struct
 import tracemalloc
@@ -27,6 +29,7 @@ from pathreg.sampling import (
     read_samples_csv,
     sample_derivative_paths,
     sample_paths,
+    write_samples,
     write_samples_csv,
     write_sidecar,
 )
@@ -830,8 +833,6 @@ class TestSerialisation:
             read_samples_csv(str(tmp_path / "p.csv"))
 
     def test_sidecar_contents(self, tmp_path):
-        import json
-
         grid = Grid((Axis(0.5, 1.5, 5),))
         samples = sample_paths(parse_kernel("wiener()"), grid, 2, 11)
         path = str(tmp_path / "meta.json")
@@ -843,6 +844,163 @@ class TestSerialisation:
         assert meta["grid"]["axes"][0]["count"] == 5
         assert meta["jitter_used"] == samples.jitter_used
         assert meta["alpha"] == [0]
+        assert "twin" not in meta
+
+
+def _twin_source(kind: str):
+    if kind == "1-D":
+        return sample_paths(parse_kernel("matern(nu=1.5)"), Grid((Axis(0.25, 1.25, 65),)), 7, 3)
+    if kind == "2-D tensor":
+        grid = Grid((Axis(0.0, 1.0, 9), Axis(-1.0, 2.0, 6)))
+        return sample_paths(parse_kernel("tensor(matern(nu=0.5), se())"), grid, 4, 5)
+    grid = Grid((Axis(0.25, 1.25, 33),))
+    return sample_derivative_paths(parse_kernel("matern(nu=2.5)"), 1, grid, 5, 2)
+
+
+def _csv_parse(path: str, monkeypatch):
+    # the reader with the twin disabled: a fresh parse of the CSV
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "_read_twin", lambda _path: None)
+        return read_samples_csv(path)
+
+
+def _assert_same(a, b) -> None:
+    assert a.samples.dtype == b.samples.dtype == np.float64
+    assert a.samples.tobytes() == b.samples.tobytes()
+    assert a.grid == b.grid
+    assert (a.kernel, a.seed, a.alpha) == (b.kernel, b.seed, b.alpha)
+    assert a.jitter_used == b.jitter_used or (math.isnan(a.jitter_used) and math.isnan(b.jitter_used))
+
+
+def _edit_csv_value(path) -> None:
+    # the first draw at the first grid point becomes 0.5
+    lines = path.read_bytes().split(b"\r\n")
+    cells = lines[1].split(b",")
+    coords = 2 if lines[0].startswith(b"x,y,") else 1
+    assert cells[coords] != b"0.5"
+    cells[coords] = b"0.5"
+    lines[1] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+
+
+def _edit_twin_value(path) -> None:
+    draws = np.load(path)
+    draws[0, 0] += 1.0
+    np.save(path, draws)
+
+
+def _edit_sidecar(path, edit) -> None:
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta, indent=2) + "\n")
+
+
+class TestBinaryTwin:
+    """A samples file written with its twin reads back exactly as the CSV
+    parses, whichever of the three files is missing or edited."""
+
+    @pytest.mark.parametrize("kind", ["1-D", "2-D tensor", "derivative"])
+    def test_files_and_hashes(self, tmp_path, kind):
+        samples = _twin_source(kind)
+        write_samples(samples, str(tmp_path / "s.csv"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.json", "s.npy"]
+        buf = io.BytesIO()
+        np.save(buf, samples.samples)
+        assert (tmp_path / "s.npy").read_bytes() == buf.getvalue()
+        # the CSV is the one write_samples_csv writes alone
+        write_samples_csv(samples, str(tmp_path / "alone.csv"))
+        csv_bytes = (tmp_path / "s.csv").read_bytes()
+        assert csv_bytes == (tmp_path / "alone.csv").read_bytes()
+        twin = json.loads((tmp_path / "s.json").read_text())["twin"]
+        assert twin["csv_sha256"] == hashlib.sha256(csv_bytes).hexdigest()
+        assert twin["npy_sha256"] == hashlib.sha256(buf.getvalue()).hexdigest()
+
+    @pytest.mark.parametrize("kind", ["1-D", "2-D tensor", "derivative"])
+    @pytest.mark.parametrize(
+        "case",
+        ["matching", "missing twin", "stale twin", "edited twin", "no twin key", "no sidecar",
+         "edited sidecar"],
+    )
+    def test_reads_as_the_csv_parses(self, tmp_path, monkeypatch, kind, case):
+        samples = _twin_source(kind)
+        csv, npy, sidecar = (tmp_path / f"s.{ext}" for ext in ("csv", "npy", "json"))
+        write_samples(samples, str(csv))
+        if case == "missing twin":
+            npy.unlink()
+        elif case == "stale twin":
+            _edit_csv_value(csv)
+        elif case == "edited twin":
+            _edit_twin_value(npy)
+        elif case == "no twin key":
+            _edit_sidecar(sidecar, lambda meta: meta.pop("twin"))
+        elif case == "no sidecar":
+            sidecar.unlink()
+        elif case == "edited sidecar":
+            _edit_sidecar(sidecar, lambda meta: meta.update(seed=meta["seed"] + 1))
+        loaded = read_samples_csv(str(csv))
+        parsed = _csv_parse(str(csv), monkeypatch)
+        _assert_same(loaded, parsed)
+        if case == "stale twin":
+            assert loaded.samples[0, 0] == 0.5 != samples.samples[0, 0]
+        elif case == "edited sidecar":
+            assert loaded.seed == samples.seed + 1
+        else:
+            assert loaded.samples.tobytes() == samples.samples.tobytes()
+
+    def test_edited_sidecar_grid_is_still_an_error(self, tmp_path):
+        samples = _twin_source("1-D")
+        write_samples(samples, str(tmp_path / "s.csv"))
+        _edit_sidecar(tmp_path / "s.json", lambda meta: meta["grid"]["axes"][0].update(stop=2.0))
+        with pytest.raises(ValueError, match="grid"):
+            read_samples_csv(str(tmp_path / "s.csv"))
+
+    def test_matching_twin_skips_the_parse(self, tmp_path, monkeypatch):
+        samples = _twin_source("2-D tensor")
+        path = str(tmp_path / "s.csv")
+        write_samples(samples, path)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the CSV was parsed")
+
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        assert read_samples_csv(path).samples.tobytes() == samples.samples.tobytes()
+        (tmp_path / "s.npy").unlink()
+        with pytest.raises(AssertionError, match="parsed"):
+            read_samples_csv(path)
+
+    @pytest.mark.parametrize("rewrite", [False, True])
+    def test_sidecar_is_written_last(self, tmp_path, monkeypatch, rewrite):
+        # a twin that fails to write leaves no sidecar that could name it,
+        # nor one of an earlier write that would describe other draws
+        path = str(tmp_path / "s.csv")
+        if rewrite:
+            write_samples(sample_paths(parse_kernel("se()"), Grid((Axis(0.0, 1.0, 65),)), 3, 1), path)
+
+        def failing_save(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "save", failing_save)
+        samples = _twin_source("1-D")
+        with pytest.raises(OSError, match="disk full"):
+            write_samples(samples, path)
+        assert not (tmp_path / "s.json").exists()
+        assert (tmp_path / "s.npy").exists() == rewrite
+        loaded = read_samples_csv(path)
+        assert loaded.samples.tobytes() == samples.samples.tobytes()
+        assert loaded.seed == -1
+
+    def test_twin_read_peak_memory(self, tmp_path):
+        # the draws alone: no text, no block of rows
+        path, samples = TestSerialisation._large_file(tmp_path)
+        write_samples(samples, path)
+        tracemalloc.start()
+        try:
+            loaded = read_samples_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.samples.tobytes() == samples.samples.tobytes()
+        assert peak <= 1.1 * loaded.samples.nbytes
 
 
 def _percent_bytes(values, ends) -> bytes:
