@@ -56,20 +56,25 @@ algebraic identity, not an approximation; it exists because a dense
 
 A samples file is a CSV written with a binary twin beside it, ``<stem>.npy``,
 holding the same float64 draws, and a JSON sidecar ``<stem>.json`` with
-their provenance, written in that order, each atomically; the sidecar
-records the sha256 of the CSV, of the twin and of its own other keys.  The
-CSV is the canonical output.  The reader takes the twin only while all
-three hash as recorded, and parses the CSV otherwise, so a missing or
-stale twin costs time and changes no value.
+their provenance, written in that order, each atomically (a write that
+raises removes its temp file); the sidecar records the sha256 of the CSV,
+of the twin and of its own other keys.  The CSV is the canonical output.
+The reader takes the twin only while all three hash as recorded, and
+parses the CSV otherwise, so a missing or stale twin costs time and
+changes no value.
 
 Sample and surface CSVs hold ``'%.17g'`` text, byte for byte what
 ``np.savetxt`` writes, but formatted in numpy blocks of _CSV_BLOCK values
 instead of one value at a time.  A finite value with |v| in [1e-4, 1e16)
 (fixed notation) takes its 17 significant digits from an exactly rounded
-integer product (Dekker's two-product with an exact power of ten), its
-digit bytes from a table of 4-digit groups and its layout from a byte
-template whose unused slots are deleted; any other value (zero, subnormal,
-tiny, huge, inf, NaN) is formatted by ``'%.17g'`` itself.
+integer product (Dekker's two-product with an exact power of ten, whose
+split is tabulated), cut into 4-digit groups by floor division and
+multiply-subtract.  Its digit bytes come from a table of 4-digit groups,
+its last significant digit from the trailing zeros of the lowest group
+(the groups above are read only where that one is 0), and its layout from
+a byte template whose unused slots are deleted; the decimal point is
+written by index.  Any other value (zero, subnormal, tiny, huge, inf, NaN)
+is formatted by ``'%.17g'`` itself.
 """
 
 from __future__ import annotations
@@ -608,13 +613,11 @@ def _write_grid_csv(path: str, grid: Grid, names: list[str], values: np.ndarray)
     Returns the sha256 of the bytes written, hashed as they are written."""
     header = ",".join(["x", "y"][: grid.dim] + names).encode() + b"\r\n"
     digest = _sha256(header)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with _atomic_file(path, "wb") as fh:
         fh.write(header)
         for chunk in _format_rows(grid.points(), values):
             digest.update(chunk)
             fh.write(chunk)
-    os.replace(tmp, path)
     return digest.hexdigest()
 
 
@@ -622,16 +625,30 @@ def _write_twin(draws: np.ndarray, path: str) -> str:
     """``np.save`` of the draws as float64, written atomically; returns the
     sha256 of the file, hashed from its header and the array in memory."""
     draws = np.ascontiguousarray(draws, dtype=np.float64)
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
+    with _atomic_file(path, "wb") as fh:
         np.save(fh, draws, allow_pickle=False)
         size = fh.tell()
-    # the header is the file ahead of the data: a hundred bytes or so
-    with open(tmp, "rb") as fh:
-        digest = _sha256(fh.read(size - draws.nbytes))
+        fh.flush()
+        # the header is the file ahead of the data: a hundred bytes or so
+        with open(fh.name, "rb") as head:
+            digest = _sha256(head.read(size - draws.nbytes))
     digest.update(draws)
-    os.replace(tmp, path)
     return digest.hexdigest()
+
+
+@contextlib.contextmanager
+def _atomic_file(path: str, mode: str):
+    """The file ``<path>.tmp`` open in ``mode``, renamed to ``path`` when
+    the block completes and removed when it raises."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _format_rows(*columns: np.ndarray):
@@ -647,11 +664,13 @@ def _format_rows(*columns: np.ndarray):
         yield _format_block(block, ends[: block.size])
 
 
-# values per formatted block: bounds the formatter's temporaries
-_CSV_BLOCK = 16384
+# values per formatted block: bounds the formatter's temporaries to about
+# 1.3 MB (twice as many formatted no faster and left more heap behind)
+_CSV_BLOCK = 8192
 # rows per np.loadtxt call when reading a samples file
 _CSV_READ_ROWS = 512
-# 10^p for p = 0..22, each an exact double (products of exact powers of ten)
+# 10^p for p = 0..22, each an exact double (products of exact powers of ten);
+# _POW10_HI and _POW10_LO, defined after _split, hold the halves of each
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
 # the ASCII digits of 0..9999, four per row, as one 4-byte word per number,
 # and the trailing zero count of each number (4 for 0); built from byte
@@ -659,7 +678,9 @@ _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _QUAD_DIGITS = np.stack([np.tile(np.repeat(_DIGITS, 10**k), 10**(3 - k)) for k in (3, 2, 1, 0)], 1)
 _QUADS = _QUAD_DIGITS.view(np.uint32).ravel()
-_TRAILING = np.cumprod(_QUAD_DIGITS[:, ::-1] == ord("0"), axis=1, dtype=np.uint8).sum(axis=1)
+_TRAILING = np.cumprod(_QUAD_DIGITS[:, ::-1] == ord("0"), axis=1, dtype=np.uint8).sum(
+    axis=1, dtype=np.intp
+)
 # the slots "0.000" ahead of the digits of |v| < 1, and the largest decimal
 # exponent at which each is used: 0.1 -> "0.", 0.01 -> "0.0", ...
 _PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
@@ -697,7 +718,10 @@ def _format_block(values: np.ndarray, ends: np.ndarray) -> bytes:
     slots[0, ~fast] = _FALLBACK
     slots[1:6] = _PREFIX * ((e <= _PREFIX_MAX_EXP) & fast)
     # a decimal point follows the units digit when a significant digit follows it
-    slots[7:38:2] = ((np.arange(16)[:, None] == e) & (last > e)) * np.uint8(ord("."))
+    points = slots[7:38:2]
+    points[...] = 0
+    at = np.flatnonzero((last > e) & (e >= 0))
+    points[e[at], at] = ord(".")
     slots[39] = np.where(ends, np.uint8(ord("\r")), np.uint8(ord(",")))
     slots[40] = ends * np.uint8(ord("\n"))
     text = slots.T.tobytes().translate(None, b"\0")
@@ -715,43 +739,62 @@ def _significant_digits(a: np.ndarray, out: np.ndarray):
     the decimal exponents E and the index of each last non-zero digit.
 
     With E = floor(log10 a) the digits are N = round-half-even(a 10^(16-E)),
-    where the product is exact as hi + lo (10^(16-E) is an exact double and
-    Dekker's two-product splits the rounding error off).  E from log10 may
-    be one off near a power of ten, so it is fixed by exact comparisons of
-    hi + lo with 10^16 and 10^17.  hi >= 10^16 > 2^53 is then an even
-    integer and |lo| <= 8, so N = hi + rint(lo) exactly, in int64.
+    where the product is exact as hi + lo (10^(16-E) is an exact double,
+    split ahead of time into _POW10_HI + _POW10_LO, and Dekker's two-product
+    splits the rounding error off).  E from log10 may be one off near a
+    power of ten, so it is fixed by exact comparisons of hi + lo with 10^16
+    and 10^17.  hi >= 10^16 > 2^53 is then an even integer and |lo| <= 8,
+    so N = hi + rint(lo) exactly, in int64.  N is cut into its lead digit
+    and four 4-digit groups by floor division and multiply-subtract.  The
+    trailing zeros are counted from the lowest group, and a group above it
+    is read only where every group below is 0.
     """
     e = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo = _two_product(a, _POW10[16 - e])
+    hi, lo = _two_product(a, 16 - e)
     shift = ((hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))).astype(np.intp)
     shift -= (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
     if shift.any():
         e += shift
-        hi, lo = _two_product(a, _POW10[16 - e])
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    # rounding up to 10^17 carries into the exponent; the digit split below
-    # needs exactly 17 digits
+        hi, lo = _two_product(a, 16 - e)
+    groups = np.empty((5, a.shape[0]), np.int64)
+    lead, high, mid_high, mid_low, low = groups
+    # N starts in the row of its lowest group and is cut from there
+    n = np.add(hi.astype(np.int64), np.rint(lo).astype(np.int64), out=low)
+    # rounding up to 10^17 carries into the exponent; the cuts below need
+    # exactly 17 digits
     carry = n == 10**17
     n[carry] = 10**16
     e += carry
-
-    upper, lower = np.divmod(n, 10**8)
-    lead, rest = np.divmod(upper, 10**8)
-    high, mid_high = np.divmod(rest, 10**4)
-    mid_low, low = np.divmod(lower, 10**4)
+    _cut(n, 10**8, mid_high)
+    _cut(mid_high, 10**8, lead)
+    _cut(mid_high, 10**4, high)
+    _cut(n, 10**4, mid_low)
     out[0] = lead + ord("0")
-    quads = np.take(_QUADS, np.stack([high, mid_high, mid_low, low])).view(np.uint8)
+    quads = np.take(_QUADS, groups[1:]).view(np.uint8)
     out[1:] = quads.reshape(4, -1, 4).transpose(0, 2, 1).reshape(16, -1)
-    tz_high = np.where(mid_high == 0, 4 + _TRAILING[high], _TRAILING[mid_high])
-    tz_low = np.where(low == 0, 4 + _TRAILING[mid_low], _TRAILING[low])
-    return e, 16 - np.where(lower == 0, 8 + tz_high, tz_low)
+    # _TRAILING[0] is 4: a zero group adds its four and passes to the next
+    zeros = _TRAILING[low]
+    at = np.flatnonzero(low == 0)
+    for group in (mid_low, mid_high, high):
+        if not at.size:
+            break
+        g = group[at]
+        zeros[at] += _TRAILING[g]
+        at = at[g == 0]
+    return e, 16 - zeros
 
 
-def _two_product(a: np.ndarray, b: np.ndarray):
-    """(hi, lo) with hi = fl(a b) and hi + lo == a b exactly (Dekker)."""
-    hi = a * b
+def _cut(n: np.ndarray, unit: int, quotient: np.ndarray) -> None:
+    # n // unit into quotient and n % unit into n, for n >= 0
+    np.floor_divide(n, unit, out=quotient)
+    n -= quotient * unit
+
+
+def _two_product(a: np.ndarray, p: np.ndarray):
+    """(hi, lo) with hi = fl(a 10^p) and hi + lo == a 10^p exactly (Dekker)."""
+    hi = a * _POW10[p]
     a_hi, a_lo = _split(a)
-    b_hi, b_lo = _split(b)
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
     lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     return hi, lo
 
@@ -761,6 +804,10 @@ def _split(a: np.ndarray):
     c = 134217729.0 * a  # 2^27 + 1
     hi = c - (c - a)
     return hi, a - hi
+
+
+# the halves of each 10^p in _POW10, so a two-product splits only the value
+_POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def write_sidecar(samples: PathSamples, path: str, twin: dict | None = None) -> None:
@@ -803,11 +850,9 @@ def _meta_sha256(meta: dict) -> str:
 def _write_json(payload: dict, path: str) -> None:
     """Indented JSON with a final newline, written atomically (temp file +
     rename)."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with _atomic_file(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def read_samples_csv(path: str) -> PathSamples:

@@ -41,7 +41,8 @@ __all__ = [
 # the peak and that drop exceeds _K_TAIL for any kappa above 1e-10, and
 # never binds for nu >= _K_KAPPA_MIN.  Step and
 # cut-off depend only on (nu, rho_i), so an element's value does not depend
-# on the array it arrives in.
+# on the array it arrives in, and a long array can be evaluated once per
+# distinct argument.
 _K_NODES = 128
 _K_TAIL = 40.0
 _K_KAPPA_MIN = 0.1
@@ -77,11 +78,25 @@ def bessel_k(nu: float, rho):
     error is at or below 1e-13 for nu in [0, 20] and rho in [1e-6, 700]
     (near 1e-14 for nu <= 12); beyond rho ~ 705 the value underflows to
     zero.
+
+    An array of more than _K_CHUNK arguments is evaluated once per distinct
+    argument and the values are gathered back: a value depends on (nu, rho)
+    alone, so this changes no bit.
     """
     nu = float(nu)
     arr = np.asarray(rho, dtype=float)
     _validate_bessel_args(nu, arr)
     flat = arr.ravel()
+    if flat.size <= _K_CHUNK:
+        out = _k_trapezoid(nu, flat)
+    else:
+        distinct, inverse = np.unique(flat, return_inverse=True)
+        out = _k_trapezoid(nu, distinct)[inverse]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _k_trapezoid(nu: float, flat: np.ndarray) -> np.ndarray:
+    # K_nu at each of the arguments in flat, _K_CHUNK at a time
     out = np.empty_like(flat)
     k = np.arange(_K_NODES)
     for lo in range(0, flat.size, _K_CHUNK):
@@ -93,7 +108,7 @@ def bessel_k(nu: float, rho):
         f = np.exp(a + nu * t) + np.exp(a - nu * t)  # 2 cosh(nu t) e^a
         f[:, 0] *= 0.5
         out[lo:lo + _K_CHUNK] = 0.5 * step[:, 0] * np.exp(-r[:, 0]) * f.sum(axis=1)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return out
 
 
 def matern_radial(nu: float, r):

@@ -3,8 +3,10 @@
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import math
+import random
 import struct
 import tracemalloc
 import warnings
@@ -24,6 +26,7 @@ from pathreg.sampling import (
     Axis,
     FactorizationError,
     Grid,
+    PathSamples,
     build_gram,
     cholesky_with_jitter,
     read_samples_csv,
@@ -989,6 +992,29 @@ class TestBinaryTwin:
         assert loaded.samples.tobytes() == samples.samples.tobytes()
         assert loaded.seed == -1
 
+    @pytest.mark.parametrize("stage", ["csv", "twin", "sidecar"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, stage):
+        # a write that raises removes its temp file and re-raises; the files
+        # written before it stay, and none after it is started
+        draws = np.random.default_rng(2).standard_normal((20, _DESK_GRID.n_points))
+        samples = PathSamples(_DESK_GRID, draws, kernel="se()", seed=1, jitter_used=0.0)
+
+        def failing(*args, **kwargs):
+            raise MemoryError(stage)
+
+        if stage == "csv":
+            # two blocks of rows are written, the third fails
+            blocks = itertools.chain([sampling._format_block] * 2, itertools.repeat(failing))
+            monkeypatch.setattr(sampling, "_format_block", lambda *a: next(blocks)(*a))
+        elif stage == "twin":
+            monkeypatch.setattr(np, "save", failing)
+        else:
+            monkeypatch.setattr(json, "dump", failing)
+        with pytest.raises(MemoryError):
+            write_samples(samples, str(tmp_path / "s.csv"))
+        written = {"csv": [], "twin": ["s.csv"], "sidecar": ["s.csv", "s.npy"]}[stage]
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
+
     def test_twin_read_peak_memory(self, tmp_path):
         # the draws alone: no text, no block of rows
         path, samples = TestSerialisation._large_file(tmp_path)
@@ -1048,6 +1074,32 @@ def _edge_values() -> list[float]:
     return values + [-v for v in values]
 
 
+def _trailing_zero_values() -> list[float]:
+    """Two doubles for each number k = 0..16 of trailing zeros of the
+    17-digit significand and each fixed-notation exponent E = -4..15: the
+    double nearest a random significand that ends in exactly k zeros, or a
+    neighbour of it, whose own 17 digits do."""
+    rng = random.Random(17)
+    values = []
+    for k, e in itertools.product(range(17), range(-4, 16)):
+        found = []
+        for _ in range(200):
+            body = rng.randrange(10 ** (16 - k), 10 ** (17 - k))
+            if body % 10 == 0 and k < 16:
+                continue
+            v = float(f"{body}e{e - 16 + k}")
+            for c in (v, float(np.nextafter(v, 0.0)), float(np.nextafter(v, math.inf))):
+                digits, exponent = ("%.16e" % c).split("e")
+                digits = digits.replace(".", "")
+                if int(exponent) == e and len(digits) - len(digits.rstrip("0")) == k:
+                    found.append(c)
+                    break
+            if len(found) == 2:
+                break
+        assert len(found) == 2, (k, e)
+        values += found
+    return values
+
 _bit_floats = st.integers(0, 2**64 - 1).map(lambda b: struct.unpack("<d", struct.pack("<Q", b))[0])
 _fast_range = st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v]))
 
@@ -1062,6 +1114,17 @@ class TestCsvWriter:
 
     def test_edge_values(self):
         _check_block(_edge_values())
+
+    def test_trailing_zero_groups(self):
+        # the last non-zero digit in each 4-digit group and in none, so
+        # every number of groups read for the trailing zeros, at every
+        # fixed-notation exponent, with both signs
+        values = _trailing_zero_values()
+        _check_block(values + [-v for v in values])
+        table = np.resize(np.random.default_rng(3).permutation(values + [-v for v in values]),
+                          (2 * sampling._CSV_BLOCK // 7 + 3, 7))
+        assert table.size % sampling._CSV_BLOCK != 0
+        assert b"".join(sampling._format_rows(table)) == _savetxt_bytes(table)
 
     @pytest.mark.parametrize("cols", [1, 7, 202, sampling._CSV_BLOCK + 6])
     def test_tables_across_blocks(self, cols):

@@ -9,7 +9,9 @@ import pytest
 import sympy
 
 from pathreg import specfun
+from pathreg.dsl import parse_kernel
 from pathreg.kernels import Matern, eval_radial, pairwise
+from pathreg.sampling import Axis, Grid
 
 mpmath.mp.dps = 50
 
@@ -95,6 +97,23 @@ class TestBesselK:
         for f in (specfun.bessel_k, specfun.matern_radial):
             scalar = np.array([f(nu, float(r)) for r in rho])
             np.testing.assert_allclose(f(nu, rho), scalar, rtol=1e-12, atol=0.0)
+
+    # an array longer than _K_CHUNK is evaluated once per distinct argument;
+    # every value must still be bitwise the scalar call's, in any order
+    @pytest.mark.parametrize(
+        "f,low,nus",
+        [
+            (specfun.bessel_k, 1e-6, (0.0, 0.3, 1.5, 2.5)),
+            (specfun.matern_radial, 0.0, (0.3, 1.5, 2.5)),
+        ],
+    )
+    def test_repeated_arguments_match_scalar_bitwise(self, f, low, nus):
+        distinct = np.r_[low, 1e-12, np.geomspace(1e-6, 80.0, 198)]
+        rho = np.random.default_rng(11).permutation(np.repeat(distinct, 4)).reshape(8, 100)
+        assert rho.size > specfun._K_CHUNK > len(np.unique(rho))
+        for nu in nus:
+            scalar = np.array([f(nu, r) for r in rho.ravel().tolist()]).reshape(rho.shape)
+            assert f(nu, rho).tobytes() == scalar.tobytes()
 
     # the whole argument range at once, including large orders at large
     # arguments, where the terms of the large-argument expansion grow before
@@ -219,6 +238,16 @@ class TestMaternRadial:
         assert eval_radial(Matern(nu=2.5), 1e-300) == 1.0
         # far out the radial form still answers (pairwise would square r)
         assert eval_radial(Matern(nu=1.5), 1e160) == 0.0
+
+    def test_desk_field_surface_matches_per_point(self):
+        # a report's surface of a Matern tensor: 16384 distances per factor,
+        # 128 of them distinct, each value bitwise that of its own point
+        grid = Grid((Axis(0.0, 1.0, 128), Axis(0.0, 1.0, 128)))
+        expr = parse_kernel("tensor(matern(nu=0.5), matern(nu=1.5))")
+        points, centre = grid.points(), np.array([[0.5, 0.5]])
+        surface = pairwise(expr, points, centre)
+        per_point = np.array([pairwise(expr, p[None, :], centre)[0, 0] for p in points])
+        assert surface[:, 0].tobytes() == per_point.tobytes()
 
 
 def _k0(rho: float) -> float:
