@@ -41,7 +41,7 @@ __all__ = [
 # the peak and that drop exceeds _K_TAIL for any kappa above 1e-10, and
 # never binds for nu >= _K_KAPPA_MIN.  Step and
 # cut-off depend only on (nu, rho_i), so an element's value does not depend
-# on the array it arrives in, and a long array can be evaluated once per
+# on the array it arrives in, and an array can be evaluated once per
 # distinct argument.
 _K_NODES = 128
 _K_TAIL = 40.0
@@ -79,28 +79,18 @@ def bessel_k(nu: float, rho):
     (near 1e-14 for nu <= 12); beyond rho ~ 705 the value underflows to
     zero.
 
-    An array of more than _K_CHUNK arguments is evaluated once per distinct
-    argument and the values are gathered back: a value depends on (nu, rho)
-    alone, so this changes no bit.
+    An array is evaluated once per distinct argument and the values are
+    gathered back: a value depends on (nu, rho) alone, so this changes no
+    bit.
     """
     nu = float(nu)
     arr = np.asarray(rho, dtype=float)
     _validate_bessel_args(nu, arr)
-    flat = arr.ravel()
-    if flat.size <= _K_CHUNK:
-        out = _k_trapezoid(nu, flat)
-    else:
-        distinct, inverse = np.unique(flat, return_inverse=True)
-        out = _k_trapezoid(nu, distinct)[inverse]
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def _k_trapezoid(nu: float, flat: np.ndarray) -> np.ndarray:
-    # K_nu at each of the arguments in flat, _K_CHUNK at a time
-    out = np.empty_like(flat)
+    distinct, inverse = np.unique(arr.ravel(), return_inverse=True)
+    out = np.empty_like(distinct)
     k = np.arange(_K_NODES)
-    for lo in range(0, flat.size, _K_CHUNK):
-        r = flat[lo:lo + _K_CHUNK, None]
+    for lo in range(0, distinct.size, _K_CHUNK):
+        r = distinct[lo:lo + _K_CHUNK, None]
         kappa = np.maximum(np.hypot(r, nu), _K_KAPPA_MIN)
         step = (np.arcsinh(nu / r) + np.sqrt(2.0 * _K_TAIL / kappa)) / (_K_NODES - 1)
         t = step * k
@@ -108,7 +98,8 @@ def _k_trapezoid(nu: float, flat: np.ndarray) -> np.ndarray:
         f = np.exp(a + nu * t) + np.exp(a - nu * t)  # 2 cosh(nu t) e^a
         f[:, 0] *= 0.5
         out[lo:lo + _K_CHUNK] = 0.5 * step[:, 0] * np.exp(-r[:, 0]) * f.sum(axis=1)
-    return out
+    out = out[inverse]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def matern_radial(nu: float, r):

@@ -98,8 +98,8 @@ class TestBesselK:
             scalar = np.array([f(nu, float(r)) for r in rho])
             np.testing.assert_allclose(f(nu, rho), scalar, rtol=1e-12, atol=0.0)
 
-    # an array longer than _K_CHUNK is evaluated once per distinct argument;
-    # every value must still be bitwise the scalar call's, in any order
+    # an array is evaluated once per distinct argument; every value must
+    # still be bitwise the scalar call's, in any order
     @pytest.mark.parametrize(
         "f,low,nus",
         [
@@ -241,13 +241,17 @@ class TestMaternRadial:
 
     def test_desk_field_surface_matches_per_point(self):
         # a report's surface of a Matern tensor: 16384 distances per factor,
-        # 128 of them distinct, each value bitwise that of its own point
+        # 128 of them distinct, each value bitwise that of its own point; the
+        # reference checks one row, one column and 256 random points
         grid = Grid((Axis(0.0, 1.0, 128), Axis(0.0, 1.0, 128)))
         expr = parse_kernel("tensor(matern(nu=0.5), matern(nu=1.5))")
         points, centre = grid.points(), np.array([[0.5, 0.5]])
-        surface = pairwise(expr, points, centre)
-        per_point = np.array([pairwise(expr, p[None, :], centre)[0, 0] for p in points])
-        assert surface[:, 0].tobytes() == per_point.tobytes()
+        surface = pairwise(expr, points, centre)[:, 0]
+        rng = np.random.default_rng(5)
+        index = np.r_[np.arange(128) * 128 + 37, 5 * 128 + np.arange(128),
+                      rng.choice(points.shape[0], 256, replace=False)]
+        per_point = np.array([pairwise(expr, points[i][None, :], centre)[0, 0] for i in index])
+        assert surface[index].tobytes() == per_point.tobytes()
 
 
 def _k0(rho: float) -> float:
