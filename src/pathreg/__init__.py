@@ -64,7 +64,6 @@ from .structure import (
     StructureFunction,
     axiswise_regularity,
     estimate_path_regularity,
-    structure_function,
 )
 from .verify import (
     BeyondProbeRange,
@@ -74,10 +73,7 @@ from .verify import (
     VerifyReport,
     detect_order,
     estimate_diagonal_exponent,
-    kernel_derivative,
     loglog_fit,
-    radial_derivative,
-    second_difference,
     verify_regularity,
 )
 

@@ -27,7 +27,8 @@ the only place the leaf is described.  It declares
   through G^(k)(u), its profile as a function of u = a r^2
   (``quadratic``);
 * its exact mixed partials d_x^a d_y^b k (``jet``), which a stationary leaf
-  takes from the declarations above.
+  takes from the declarations above: its lag profile's on points of one
+  coordinate, whatever its dimension.
 
 The DSL's parser and printer, ``classify``, evaluation,
 ``regularity.leaf_regularity`` and ``verify`` read these declarations.
@@ -47,6 +48,8 @@ exist there.  A conic node sums its children's jets, a product node
 combines them by the bivariate Leibniz rule, a tensor node multiplies its
 factors' jets over their coordinate blocks, and a warp node applies Faa di
 Bruno's formula per coordinate to its child's jet at the warped points.
+Conic and product nodes also declare ``lag_exists``: a lag derivative
+exists at the origin where all their children's do.
 """
 
 from __future__ import annotations
@@ -244,10 +247,10 @@ class Leaf(Kernel):
         return np.stack(values), np.stack(scale)
 
     def jet(self, X: np.ndarray, Y: np.ndarray, alpha: tuple, beta: tuple) -> dict:
-        # a stationary leaf's partials in the lag t = x - y: a 1-D leaf's
-        # from its lag profile, an isotropic one's from G^(k)
+        # a stationary leaf's partials in the lag t = x - y: from its lag
+        # profile on points of one coordinate, otherwise from G^(k)
         t = X[:, None, :] - Y[None, :, :]
-        if self.dim == 1:
+        if t.shape[-1] == 1:
             return _lag_jet(self, t[..., 0], alpha[0], beta[0])
         return _quadratic_jet(self, t, alpha, beta)
 
@@ -693,6 +696,9 @@ class Conic(Kernel):
     def children(self) -> tuple[Kernel, ...]:
         return self.terms
 
+    def lag_exists(self, m: int) -> np.ndarray:
+        return np.logical_and.reduce([c.lag_exists(m) for c in self.terms])
+
     def jet(self, X, Y, alpha, beta):
         parts = [c.jet(X, Y, alpha, beta) for c in self.terms]
         return {
@@ -720,6 +726,9 @@ class Product(Kernel):
     @property
     def children(self) -> tuple[Kernel, ...]:
         return self.factors
+
+    def lag_exists(self, m: int) -> np.ndarray:
+        return np.logical_and.reduce([c.lag_exists(m) for c in self.factors])
 
     def jet(self, X, Y, alpha, beta):
         return functools.reduce(_leibniz_jet, (c.jet(X, Y, alpha, beta) for c in self.factors))

@@ -40,7 +40,6 @@ __all__ = [
     "StructureFunction",
     "EstimateResult",
     "default_lags",
-    "structure_function",
     "estimate_path_regularity",
     "axiswise_regularity",
 ]
@@ -102,13 +101,6 @@ def _dyadic(lo: int, hi: int) -> list[int]:
         out.append(v)
         v *= 2
     return out
-
-
-def structure_function(samples: PathSamples, m: int, lag_steps=None) -> StructureFunction:
-    """S_m(h) = mean over draws and positions of the squared m-th difference."""
-    if samples.grid.dim != 1:
-        raise ValueError("structure_function expects 1-D samples; use axiswise_regularity")
-    return _structure(samples.samples[:, :, None], samples.grid.axes[0], m, lag_steps)
 
 
 def _structure(table: np.ndarray, axis: Axis, m: int, lag_steps=None) -> StructureFunction:

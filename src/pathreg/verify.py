@@ -27,15 +27,15 @@ floors relative to the kernel.
 Stationary and isotropic kernels reduce to one lag profile phi(t) =
 k(t e_1, 0): every stationary expression is isotropic or 1-D.  Its
 quotient lattice {d h} for one order comes from one array call, and the
-deviation |phi^(2n)(h) - phi^(2n)(0)| from exact derivatives: each leaf
-class in :mod:`pathreg.kernels` differentiates its profile in closed form
-(Matern through the Bessel order recursion, SE and RQ in u = a t^2,
-Wendland its stored rational polynomial, periodic as e^-u with
-u = sin^2(pi t / l)), conic combinations sum the
-children's derivatives and products combine them by Leibniz's rule, and
-each derivative carries the magnitude of the terms summed into it, which
-sets its rounding-noise estimate.  Whether a derivative exists at the
-origin follows from the leaves' rules alone, and caps the detected order.
+deviation |phi^(2n)(h) - phi^(2n)(0)| from the column d_x^j k(t, 0) of
+the expression's exact jet on points of one coordinate, where each leaf
+differentiates its profile in closed form (Matern through the Bessel order
+recursion, SE and RQ in u = a t^2, Wendland its stored rational
+polynomial, periodic as e^-u with u = sin^2(pi t / l)) and sums and
+products combine their children's jets as on every other path.  Each
+derivative carries the magnitude of the terms summed into it, which sets
+its rounding-noise estimate.  Whether a derivative exists at the origin
+is what the nodes declare (``lag_exists``), and caps the detected order.
 
 General (non-stationary) kernels are checked along each axis at eight
 fixed probe points, whose coordinates are the ticks linspace(0.25, 1.25, 8)
@@ -68,15 +68,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
-    Conic,
     DomainError,
-    Isotropic,
     Kernel,
     KernelError,
-    Product,
     Stationary,
     classify,
-    eval_kernel,
     pairwise,
     partials,
 )
@@ -89,9 +85,6 @@ __all__ = [
     "SmoothToOrder",
     "BeyondProbeRange",
     "loglog_fit",
-    "second_difference",
-    "radial_derivative",
-    "kernel_derivative",
     "estimate_diagonal_exponent",
     "detect_order",
     "verify_regularity",
@@ -99,8 +92,6 @@ __all__ = [
     "verify_to_dict",
 ]
 
-MAX_MIXED_ORDER = 4  # per-argument derivative order of kernel_derivative
-MAX_RADIAL_ORDER = 8
 _EPS = float(np.finfo(float).eps)
 # the probe design and the fit calibration, as the module docstring describes
 _N_PROBES = 8  # probe points, evenly spaced over [_PROBE_LOW, _PROBE_HIGH]
@@ -197,29 +188,6 @@ def loglog_fit(points) -> ExponentFit:
 # --- exact kernel derivatives ------------------------------------------------
 
 
-def _check_order(*indices) -> None:
-    if max(int(np.sum(a)) for a in indices) > MAX_MIXED_ORDER:
-        raise KernelError(
-            f"mixed derivatives supported up to order {MAX_MIXED_ORDER} per argument"
-        )
-
-
-def kernel_derivative(expr: Kernel, x, y, alpha, beta) -> float:
-    """Mixed partial derivative of k at (x, y), exact up to rounding.
-
-    alpha acts on the first argument, beta on the second.  The value is
-    NaN where the derivative does not exist.
-    """
-    alpha = _as_multiindex(alpha, expr.dim)
-    beta = _as_multiindex(beta, expr.dim)
-    _check_order(alpha, beta)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if alpha.sum() + beta.sum() == 0:
-        return eval_kernel(expr, x, y)
-    return float(partials(expr, x[None, :], y[None, :], alpha, beta)[0][0, 0])
-
-
 def _unit(dim: int, i: int) -> np.ndarray:
     e = np.zeros(dim)
     e[i] = 1.0
@@ -240,21 +208,6 @@ def _as_multiindex(alpha, dim: int) -> np.ndarray:
     return arr
 
 
-def second_difference(expr: Kernel, x, h, alpha) -> float:
-    """Diagonal second difference of the alpha-alpha derivative of k.
-
-    With alpha = 0 this is k(x+h,x+h) - k(x+h,x) - k(x,x+h) + k(x,x); for
-    alpha > 0 the same combination of the exact partials d^(alpha,alpha) k.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    h = np.asarray(h, dtype=float).reshape(-1)
-    alpha = _as_multiindex(alpha, expr.dim)
-    _check_order(alpha)
-    pts = np.stack([x + h, x])
-    (k_hh, k_h0), (k_0h, k_00) = _derivative_block(expr, pts, pts, alpha)[0].tolist()
-    return k_hh - k_h0 - k_0h + k_00
-
-
 def _derivative_block(expr: Kernel, X: np.ndarray, Y: np.ndarray, alpha):
     """d^(alpha,alpha) k between the point sets X and Y, with its noise
     scale: at alpha = 0 the kernel values of ``pairwise`` (which the exact
@@ -267,9 +220,6 @@ def _derivative_block(expr: Kernel, X: np.ndarray, Y: np.ndarray, alpha):
     return partials(expr, X, Y, alpha, alpha)
 
 
-# --- exact lag-profile derivatives ------------------------------------------
-
-
 def _lag_derivatives(expr: Kernel, t, m: int):
     """Derivatives of orders 0..m of a stationary expression's lag profile
     phi(t) = k(t e_1, 0) at lags t >= 0.
@@ -277,62 +227,14 @@ def _lag_derivatives(expr: Kernel, t, m: int):
     Returns (values, scale, exists): ``values[j]`` holds phi^(j) at each
     lag, ``scale[j]`` the sum of the magnitudes of the terms that make it
     (so eps * scale bounds its rounding), and ``exists[j]`` whether phi^(j)
-    exists at the origin; where it does not, its origin value is NaN.  Every
-    stationary expression is isotropic or 1-D (periodic has one input), so
-    the profile along the first axis stands for every axis.
+    exists at the origin; where it does not, its origin value is NaN.  They
+    are the column d_x^j k(t, 0) of the jet on points of one coordinate:
+    every stationary expression is isotropic or 1-D (periodic has one
+    input), so the profile along the first axis stands for every axis.
     """
-    t = np.asarray(t, dtype=float)
-    exists = _lag_exists(expr, m)
-    values, scale = _lag_terms(expr, t, m)
-    values[np.ix_(~exists, t == 0.0)] = np.nan
-    return values, scale, exists
-
-
-def _lag_exists(expr: Kernel, m: int) -> np.ndarray:
-    """Whether each derivative of orders 0..m of a stationary expression's
-    lag profile exists at the origin: each leaf declares its own
-    (``lag_exists``), and a sum or product has a derivative where all its
-    terms have."""
-    if isinstance(expr, (Conic, Product)):
-        return np.logical_and.reduce([_lag_exists(c, m) for c in expr.children])
-    return expr.lag_exists(m)
-
-
-def _lag_terms(expr: Kernel, t: np.ndarray, m: int):
-    # leaves differentiate their own profiles (``lag_terms``); a sum adds
-    # its children's derivatives, a product combines them by Leibniz's rule
-    if not isinstance(expr, (Conic, Product)):
-        return expr.lag_terms(t, m)
-    parts = [_lag_terms(c, t, m) for c in expr.children]
-    if isinstance(expr, Conic):
-        values = sum(w * v for w, (v, _s) in zip(expr.weights, parts))
-        scale = sum(w * s for w, (_v, s) in zip(expr.weights, parts))
-        return values, scale
-    values, scale = parts[0]
-    for v, s in parts[1:]:
-        values, scale = _leibniz(values, v), _leibniz(scale, s)
-    return values, scale
-
-
-def _leibniz(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # derivatives of a product from those of its factors
-    return np.stack([
-        sum(math.comb(j, k) * f[k] * g[j - k] for k in range(j + 1)) for j in range(len(f))
-    ])
-
-
-def radial_derivative(expr: Kernel, order: int, r: float) -> float:
-    """Derivative k_r^(order)(r) of an isotropic expression, exact up to
-    rounding and the special functions' accuracy; NaN at r = 0 when the
-    derivative does not exist there."""
-    if order != int(order) or order < 0 or order > MAX_RADIAL_ORDER:
-        raise KernelError(f"radial derivative order must lie in 0..{MAX_RADIAL_ORDER}")
-    if not isinstance(classify(expr), Isotropic):
-        raise KernelError("radial_derivative needs an isotropic expression")
-    if r < 0.0:
-        raise DomainError("radial distance must be >= 0")
-    values, _scale, _exists = _lag_derivatives(expr, np.array([float(r)]), int(order))
-    return float(values[int(order), 0])
+    jet = expr.jet(np.asarray(t, dtype=float)[:, None], np.zeros((1, 1)), (m,), (0,))
+    values, scale = (np.stack([jet[(j,), (0,)][i][:, 0] for j in range(m + 1)]) for i in (0, 1))
+    return values, scale, expr.lag_exists(m)
 
 
 # --- order detection via mean-square difference quotients ------------------
@@ -412,7 +314,7 @@ def _order_exists(expr: Kernel, n: int, cfg: VerifyConfig) -> bool:
     """
     if n == 0:
         return True
-    if isinstance(classify(expr), Stationary) and not _lag_exists(expr, 2 * n)[2 * n]:
+    if isinstance(classify(expr), Stationary) and not expr.lag_exists(2 * n)[2 * n]:
         return False
     return all(
         _sequence_converges(_trim_noisy(seq)) for seq in _quotient_sequences(expr, n, cfg)

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from pathreg.dsl import parse_kernel
-from pathreg.kernels import Conic, Matern, Product, TensorProduct, Wendland, Wiener
+from pathreg.kernels import Conic, Matern, Product, TensorProduct, Wendland, Wiener, pairwise
 from pathreg.regularity import infer_regularity
 from pathreg.sampling import Axis, Grid, build_gram, sample_derivative_paths, sample_paths
 from pathreg.specfun import bessel_k, gamma, wendland_polynomial
 from pathreg.structure import axiswise_regularity, estimate_path_regularity
-from pathreg.verify import second_difference, verify_regularity
+from pathreg.verify import verify_regularity
 
 from test_specfun import sympy_wendland
 
@@ -88,7 +88,9 @@ def test_criterion_4_wiener():
     for _ in range(20):
         x = float(probe_rng.uniform(0.1, 2.0))
         h = float(probe_rng.uniform(0.01, 0.5))
-        if abs(second_difference(expr, x, h, 0) - h) > 1e-12:
+        # the four corners k(x+h,x+h) - k(x+h,x) - k(x,x+h) + k(x,x)
+        (k_hh, k_h0), (k_0h, k_00) = pairwise(expr, [[x + h], [x]], [[x + h], [x]]).tolist()
+        if abs(k_hh - k_h0 - k_0h + k_00 - h) > 1e-12:
             diff_ok = False
     grid = Grid((Axis(0.25, 1.25, 4097),))
     samples = sample_paths(expr, grid, 200, 42)

@@ -274,3 +274,50 @@ def test_stationary_lag_column():
     for n in (1, 2):
         column = V.derivative_kernel_matrix(expr, n, h[:, None], Y=np.zeros((1, 1)))[:, 0]
         np.testing.assert_allclose(column, (-1) ** n * values[2 * n], rtol=1e-14)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["matern(nu=2.5,dim=2)", "se(dim=3)", "rq(a=1,dim=2)", "wendland(d=3,n=1)", "wendland(d=2,n=2)"],
+)
+def test_one_coordinate_jet_is_the_lag_profile(text):
+    # on points of one coordinate an isotropic leaf's jet is its lag
+    # profile's, NaN at the origin where a derivative does not exist there;
+    # a leaf in G(a t^2) gives the same bits along e_1 on full-dimension points
+    leaf = parse_kernel(text)
+    t = np.array([0.0, 1e-9, 2.0**-8, 0.3, 0.7, 1.3, 2.5])
+    m = 8
+    jet = leaf.jet(t[:, None], np.zeros((1, 1)), (m,), (0,))
+    values, scale = leaf.lag_terms(t, m)
+    missing = ~leaf.lag_exists(m)
+    values[missing, 0] = scale[missing, 0] = np.nan
+    along = np.outer(t, np.eye(leaf.dim)[0])
+    for j in range(m + 1):
+        got = [part[:, 0] for part in jet[(j,), (0,)]]
+        assert _same_bits(got[0], values[j]) and _same_bits(got[1], scale[j]), j
+        if not isinstance(leaf, K.Wendland):
+            alpha = (j,) + (0,) * (leaf.dim - 1)
+            full = partials(leaf, along, np.zeros((1, leaf.dim)), alpha, (0,) * leaf.dim)
+            assert all(_same_bits(f[:, 0], g) for f, g in zip(full, got)), j
+
+
+def _stationary_composites():
+    from test_verify import CATALOGUE_COMPOSITES
+
+    texts = [text for text, _n in CATALOGUE_COMPOSITES] + ["matern(nu=2.5) * periodic()"]
+    return [t for t in texts if isinstance(K.classify(parse_kernel(t)), K.Stationary)]
+
+
+@pytest.mark.parametrize("text", _stationary_composites())
+def test_lag_exists_matches_the_jet_at_the_origin(text):
+    # the declared existence of each lag derivative at the origin is where
+    # the one-coordinate jet there is not NaN
+    expr = parse_kernel(text)
+    m = 8
+    jet = expr.jet(np.zeros((1, 1)), np.zeros((1, 1)), (m,), (0,))
+    at_origin = np.array([jet[(j,), (0,)][0][0, 0] for j in range(m + 1)])
+    assert expr.lag_exists(m).tolist() == (~np.isnan(at_origin)).tolist()

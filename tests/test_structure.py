@@ -10,12 +10,7 @@ import pathreg
 from pathreg import structure
 from pathreg.dsl import parse_kernel
 from pathreg.sampling import Axis, Grid, PathSamples, sample_paths
-from pathreg.structure import (
-    axiswise_regularity,
-    default_lags,
-    estimate_path_regularity,
-    structure_function,
-)
+from pathreg.structure import axiswise_regularity, default_lags, estimate_path_regularity
 
 
 def make_samples(values: np.ndarray, start=0.0, stop=1.0) -> PathSamples:
@@ -23,6 +18,11 @@ def make_samples(values: np.ndarray, start=0.0, stop=1.0) -> PathSamples:
     return PathSamples(
         grid=grid, samples=values, kernel="synthetic", seed=0, jitter_used=0.0
     )
+
+
+def structure_function(samples: PathSamples, m: int, lag_steps=None):
+    # the 1-D structure function as estimate_path_regularity takes it
+    return structure._structure(samples.samples[:, :, None], samples.grid.axes[0], m, lag_steps)
 
 
 def test_estimator_calibration_is_fixed():

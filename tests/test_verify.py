@@ -10,16 +10,13 @@ import pytest
 
 from pathreg import verify as V
 from pathreg.dsl import parse_kernel
-from pathreg.kernels import KernelError, eval_kernel, partials
+from pathreg.kernels import eval_kernel, pairwise, partials
 from pathreg.verify import (
     SmoothToOrder,
     VerifyConfig,
     detect_order,
     estimate_diagonal_exponent,
-    kernel_derivative,
     loglog_fit,
-    radial_derivative,
-    second_difference,
     verify_regularity,
     verify_to_dict,
 )
@@ -35,16 +32,28 @@ def test_verify_config_fields():
     ]
 
 
-@pytest.mark.parametrize(
-    "fn, params",
-    [
-        (kernel_derivative, ["expr", "x", "y", "alpha", "beta"]),
-        (radial_derivative, ["expr", "order", "r"]),
-        (V.derivative_kernel_matrix, ["expr", "alpha", "X", "Y"]),
-    ],
-)
-def test_no_unused_parameters(fn, params):
-    assert list(inspect.signature(fn).parameters) == params
+def test_no_unused_parameters():
+    params = list(inspect.signature(V.derivative_kernel_matrix).parameters)
+    assert params == ["expr", "alpha", "X", "Y"]
+
+
+def second_difference(expr, x, h, alpha):
+    """k(x+h,x+h) - k(x+h,x) - k(x,x+h) + k(x,x) of the kernel values of
+    ``pairwise`` (alpha = 0) or of the exact partials d^(alpha,alpha) k."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    pts = np.stack([x + np.asarray(h, dtype=float).reshape(-1), x])
+    alpha = np.broadcast_to(alpha, (expr.dim,))
+    if np.any(alpha):
+        block = partials(expr, pts, pts, alpha, alpha)[0]
+    else:
+        block = pairwise(expr, pts, pts)
+    (k_hh, k_h0), (k_0h, k_00) = block.tolist()
+    return k_hh - k_h0 - k_0h + k_00
+
+
+def lag_derivative(expr, order, t):
+    # phi^(order)(t) of a stationary expression's lag profile
+    return V._lag_derivatives(expr, np.array([float(t)]), order)[0][order, 0]
 
 
 class TestLogLogFit:
@@ -111,23 +120,19 @@ class TestSecondDifference:
                 for h in [0.25, 0.03125]:
                     assert second_difference(expr, x, h, 0) >= -1e-10
 
-    def test_order_cap(self):
-        with pytest.raises(KernelError):
-            second_difference(parse_kernel("se()"), 0.5, 0.1, 5)
 
-
-class TestRadialDerivative:
+class TestLagDerivativeValues:
     def test_wendland_exact_second_derivative(self):
-        assert radial_derivative(parse_kernel("wendland(d=1,n=1)"), 2, 0.0) == -12.0
+        assert lag_derivative(parse_kernel("wendland(d=1,n=1)"), 2, 0.0) == -12.0
 
     def test_wendland_conic_combination_exact(self):
         expr = parse_kernel("2*wendland(d=1,n=1) + wendland(d=1,n=2)")
         # hand integration: the (1,2) profile is 1 - 7r^2 + 35r^4 - 56r^5
         # + 35r^6 - 8r^7, so the combination gives 2*(-12) + (-14)
-        assert radial_derivative(expr, 2, 0.0) == pytest.approx(-38.0, abs=1e-12)
+        assert lag_derivative(expr, 2, 0.0) == pytest.approx(-38.0, abs=1e-12)
 
     def test_se_second_derivative_at_zero(self):
-        assert radial_derivative(parse_kernel("se()"), 2, 0.0) == pytest.approx(-2.0, abs=1e-6)
+        assert lag_derivative(parse_kernel("se()"), 2, 0.0) == pytest.approx(-2.0, abs=1e-6)
 
     def test_se_matches_analytic_derivatives(self):
         # e^{-r^2}: k' = -2r k, k'' = (4r^2 - 2) k, k''' = (12r - 8r^3) k,
@@ -142,7 +147,7 @@ class TestRadialDerivative:
                 4: (16 * r**4 - 48 * r * r + 12) * k,
             }
             for order, expected in analytic.items():
-                assert radial_derivative(expr, order, r) == pytest.approx(
+                assert lag_derivative(expr, order, r) == pytest.approx(
                     expected, rel=1e-5, abs=1e-5
                 )
 
@@ -154,7 +159,7 @@ class TestRadialDerivative:
         assert exists.tolist() == [True, False, False]
         assert np.isnan(values[1:, 0]).all()
         assert values[1, 1] == pytest.approx(-1.0, rel=1e-8)
-        assert math.isnan(radial_derivative(expr, 2, 0.0))
+        assert math.isnan(lag_derivative(expr, 2, 0.0))
 
     # a product's missing origin derivatives are NaN in every factor before
     # Leibniz's rule combines them: an infinite G^(k) times a zero term
@@ -172,37 +177,24 @@ class TestRadialDerivative:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for order in orders:
-                assert math.isnan(radial_derivative(expr, order, 0.0))
-
-    def test_requires_isotropic(self):
-        with pytest.raises(KernelError):
-            radial_derivative(parse_kernel("wiener()"), 1, 0.5)
-
-    def test_order_cap(self):
-        with pytest.raises(KernelError):
-            radial_derivative(parse_kernel("se()"), 9, 0.5)
+                assert math.isnan(lag_derivative(expr, order, 0.0))
 
 
-class TestKernelDerivative:
+def mixed_partial(expr, x, y, alpha, beta) -> float:
+    return partials(expr, [x], [y], alpha, beta)[0][0, 0]
+
+
+class TestMixedPartials:
     def test_se_mixed_second_derivative_diag(self):
         # d^{2,2} e^{-(x-y)^2} at x = y equals 12
-        value = kernel_derivative(parse_kernel("se()"), 0.5, 0.5, 2, 2)
-        assert type(value) is float
-        assert value == 12.0
+        assert mixed_partial(parse_kernel("se()"), 0.5, 0.5, [2], [2]) == 12.0
 
     def test_order_zero_is_the_kernel(self):
-        value = kernel_derivative(parse_kernel("se()"), 0.5, 0.75, 0, 0)
-        assert type(value) is float
+        value = mixed_partial(parse_kernel("se()"), 0.5, 0.75, [0], [0])
         assert value == pytest.approx(math.exp(-0.25**2), rel=1e-15)
 
     def test_wiener_has_no_first_derivative(self):
-        value = kernel_derivative(parse_kernel("wiener()"), 0.5, 0.5, 1, 1)
-        assert type(value) is float
-        assert math.isnan(value)
-
-    def test_order_cap(self):
-        with pytest.raises(KernelError):
-            kernel_derivative(parse_kernel("se()"), 0.5, 0.5, 5, 0)
+        assert math.isnan(mixed_partial(parse_kernel("wiener()"), 0.5, 0.5, [1], [1]))
 
     def test_cross_terms_bounded_by_diagonal(self):
         # the alpha != beta combinations never exceed the geometric mean of
@@ -214,7 +206,7 @@ class TestKernelDerivative:
             for h in [0.25, 0.0625]:
                 pts = [x + h, x]
                 cross = sum(
-                    sign * kernel_derivative(expr, pts[i], pts[j], [1, 0], [0, 1])
+                    sign * mixed_partial(expr, pts[i], pts[j], [1, 0], [0, 1])
                     for i, j, sign in corners
                 )
                 diag = [second_difference(expr, x, [h, h], a) for a in ([1, 0], [0, 1])]
@@ -603,12 +595,13 @@ class TestLagDerivatives:
         assert exists("se() * periodic()") == [True] * 7
         assert exists("se() + matern(nu=0.5)") == [True] + [False] * 6
 
-    def test_radial_derivative_matches_helper(self):
+    def test_one_lag_and_top_order_match_the_batch(self):
+        # a derivative does not depend on the other lags or the top order
         expr = parse_kernel("matern(nu=2.5,lengthscale=0.4) * rq(a=2)")
         values, _s, _e = V._lag_derivatives(expr, np.array([0.0, 0.3]), 4)
         for order in range(5):
-            assert radial_derivative(expr, order, 0.3) == values[order, 1]
-            assert radial_derivative(expr, order, 0.0) == values[order, 0]
+            assert lag_derivative(expr, order, 0.3) == values[order, 1]
+            assert lag_derivative(expr, order, 0.0) == values[order, 0]
 
 
 def _scalar_quotients(expr, n, cfg):
