@@ -61,7 +61,6 @@ from .sampling import (
 )
 from .structure import (
     EstimateResult,
-    StructureFunction,
     axiswise_regularity,
     estimate_path_regularity,
 )

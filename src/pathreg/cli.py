@@ -8,7 +8,8 @@ plot-ready surface and sample files).
 
 Exit codes are a stable contract: 0 success (including a log-flagged
 verification), 1 verification failure, 2 parse or usage error, 3 runtime
-or domain error, an allocation too large for memory included.  All
+or domain error, an allocation too large for memory or an arithmetic
+error included.  All
 outputs are deterministic given the flags and seed; files are written
 atomically.
 """
@@ -149,7 +150,7 @@ def _cmd_verify(args) -> int:
     expr = parse_kernel(args.kernel)
     cfg = VerifyConfig()
     if args.tol is not None:
-        cfg = replace(cfg, tol=args.tol, log_tol=max(args.tol, cfg.log_tol))
+        cfg = replace(cfg, tol=args.tol)
     if args.max_order is not None:
         cfg = replace(cfg, max_order=args.max_order)
     report = verify_regularity(expr, cfg=cfg)
@@ -293,6 +294,9 @@ def main(argv=None) -> int:
         return 2
     except (KernelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"error: arithmetic failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
         # numpy names the allocation that failed: its size and shape

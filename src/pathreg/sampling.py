@@ -145,6 +145,8 @@ class Axis:
             raise ValueError(f"axis needs start < stop, got [{self.start}, {self.stop}]")
         if self.count < 2:
             raise ValueError(f"axis needs at least 2 points, got {self.count}")
+        if not math.isfinite(self.spacing):
+            raise ValueError(f"axis needs finite ends and spacing, got [{self.start}, {self.stop}]")
 
     @property
     def spacing(self) -> float:
@@ -341,8 +343,8 @@ def _jitter_ladder(factor, scale: float):
     """(factor(jitter), jitter) for the first jitter in {0, l0, 10 l0, ...},
     l0 = 1e-12 scale, at which factor does not raise LinAlgError; scale is
     trace/N of the matrix being factorised."""
-    if scale <= 0.0:
-        raise FactorizationError("matrix has non-positive trace; not a Gram matrix")
+    if not 0.0 < scale < math.inf:
+        raise FactorizationError(f"matrix trace/N {scale!r} is not positive and finite")
     base = 1e-12 * scale
     jitter = 0.0
     while True:

@@ -155,14 +155,6 @@ class PiecewisePolynomial:
             d -= 1
         return d
 
-    def value_exact(self, rho: Fraction) -> Fraction:
-        """Exact evaluation at a rational point inside [0, 1]."""
-        rho = Fraction(rho)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * rho + c
-        return acc
-
     def derivative(self) -> "PiecewisePolynomial":
         if len(self.coeffs) <= 1:
             return PiecewisePolynomial((Fraction(0),))

@@ -37,7 +37,6 @@ from .sampling import Axis, PathSamples
 from .verify import _MIN_FIT_POINTS, ExponentFit, _trimmed_fit
 
 __all__ = [
-    "StructureFunction",
     "EstimateResult",
     "default_lags",
     "estimate_path_regularity",
@@ -51,14 +50,6 @@ _BLOCK_BYTES = 1 << 18
 _MAX_M = 4
 # slope > 2m - margin means order m saturated
 _SATURATION_MARGIN = 0.35
-
-
-@dataclass(frozen=True)
-class StructureFunction:
-    m: int
-    lag_steps: tuple[int, ...]
-    lags: tuple[float, ...]  # physical units
-    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -103,26 +94,6 @@ def _dyadic(lo: int, hi: int) -> list[int]:
     return out
 
 
-def _structure(table: np.ndarray, axis: Axis, m: int, lag_steps=None) -> StructureFunction:
-    """Structure function along axis 1 of a (count, n, k) table whose
-    axis 1 lies on the grid axis; the k columns are pooled with the draws."""
-    if m < 1 or m != int(m):
-        raise ValueError(f"difference order must be a positive integer, got {m!r}")
-    n = table.shape[1]
-    if lag_steps is None:
-        lag_steps = default_lags(n)
-    lag_steps = [int(l) for l in lag_steps]
-    for l in lag_steps:
-        if l < 1 or m * l >= n:
-            raise ValueError(f"lag {l} out of range for order {m} on {n} points")
-    return StructureFunction(
-        m=int(m),
-        lag_steps=tuple(lag_steps),
-        lags=tuple(l * axis.spacing for l in lag_steps),
-        values=tuple(_mean_squared_differences(table, int(m), lag_steps)),
-    )
-
-
 def _mean_squared_differences(table: np.ndarray, m: int, lag_steps) -> list[float]:
     """Mean squared m-th difference along axis 1 of a (count, n, k) table,
     one value per lag.  The draws are taken _BLOCK_BYTES at a time, so the
@@ -158,11 +129,14 @@ def _estimate(table: np.ndarray, axis: Axis, jitter_used: float) -> EstimateResu
         raise ValueError("samples hold a non-finite value")
     degen_floor = (max(span, 1.0) * 1e-14) ** 2
     jitter = jitter_used if math.isfinite(jitter_used) else 0.0
+    # every default lag l has 4 l < n, so each order m <= 4 differences there
+    lag_steps = default_lags(table.shape[1])
+    lags = [l * axis.spacing for l in lag_steps]
     fit = None
     m = 1
     while m <= _MAX_M:
-        sf = _structure(table, axis, m)
-        if all(v <= degen_floor for v in sf.values):
+        values = _mean_squared_differences(table, m, lag_steps)
+        if all(v <= degen_floor for v in values):
             return EstimateResult(None, None, None, m_used=m, degenerate=True)
         # factorisation jitter adds white noise whose m-th differences have
         # variance C(2m, m) * jitter; lags buried in that floor carry no
@@ -170,7 +144,7 @@ def _estimate(table: np.ndarray, axis: Axis, jitter_used: float) -> EstimateResu
         noise_floor = 50.0 * math.comb(2 * m, m) * jitter
         pts = [
             (l, v)
-            for l, v in zip(sf.lags, sf.values)
+            for l, v in zip(lags, values)
             if v > max(noise_floor, degen_floor)
         ]
         if len(pts) < _MIN_FIT_POINTS:

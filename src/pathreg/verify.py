@@ -54,10 +54,12 @@ rounding noise (and 50 eps); the small end of the window is then dropped
 while the largest log residual of the fit exceeds 0.1 and more than four
 scales remain.  A deviation that cannot be fitted inside the window (too
 few usable scales, or no order-2n lag derivative at the origin) gives a
-failing verdict with a "beyond probe range" note rather than an error.
+failing verdict with a "beyond probe range" note rather than an error, as
+do quotients or deviations that leave the float range (extreme lengthscales).
 
-The probe design and the fit calibration above are fixed; ``VerifyConfig``
-sets only the lag window, the two tolerances and the order cap.
+The lag window j in [4, 12], the probe design and the fit calibration
+above are fixed, and a log-corrected target is met within max(tol, 0.25);
+``VerifyConfig`` sets only the exponent tolerance and the order cap.
 """
 
 from __future__ import annotations
@@ -93,6 +95,8 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_WINDOW = (4, 12)  # dyadic lags h = l_min 2^-j, j in [lo, hi]
+_LOG_TOL = 0.25  # least tolerance of a log-corrected target
 # the probe design and the fit calibration, as the module docstring describes
 _N_PROBES = 8  # probe points, evenly spaced over [_PROBE_LOW, _PROBE_HIGH]
 _PROBE_LOW, _PROBE_HIGH = 0.25, 1.25
@@ -121,9 +125,7 @@ class BeyondProbeRange(KernelError):
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    window: tuple[int, int] = (4, 12)  # dyadic lags h = l_min 2^-j, j in [lo, hi]
     tol: float = 0.15
-    log_tol: float = 0.25
     max_order: int = 3
 
 
@@ -304,7 +306,20 @@ def _sequence_converges(seq: list[tuple[float, float]]) -> bool:
     return sorted(tail)[len(tail) // 2] <= _SEQ_RATIO
 
 
-def _order_exists(expr: Kernel, n: int, cfg: VerifyConfig) -> bool:
+def _in_float_range(series):
+    # an order-n series builder whose overflow, division by zero or invalid
+    # value, in numpy or in Python floats, is beyond the probe range
+    def run(expr: Kernel, n: int):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return series(expr, n)
+        except ArithmeticError as exc:
+            raise BeyondProbeRange(f"order-{n} arithmetic leaves the float range: {exc!r}") from exc
+
+    return run
+
+
+def _order_exists(expr: Kernel, n: int) -> bool:
     """Do the order-n diagonal derivatives of k exist near the diagonal?
 
     Probes the mean-square difference quotients over halving lags; the
@@ -316,12 +331,11 @@ def _order_exists(expr: Kernel, n: int, cfg: VerifyConfig) -> bool:
         return True
     if isinstance(classify(expr), Stationary) and not expr.lag_exists(2 * n)[2 * n]:
         return False
-    return all(
-        _sequence_converges(_trim_noisy(seq)) for seq in _quotient_sequences(expr, n, cfg)
-    )
+    return all(_sequence_converges(_trim_noisy(seq)) for seq in _quotient_sequences(expr, n))
 
 
-def _quotient_sequences(expr: Kernel, n: int, cfg: VerifyConfig):
+@_in_float_range
+def _quotient_sequences(expr: Kernel, n: int):
     """The order-n quotient sequences over the lags h = l_min s,
     s = 2^-j for j = lo..lo+8, in units of l_min (divided by s^(2n), not
     h^(2n)), so that a lengthscale moves neither the lags nor the noise
@@ -329,7 +343,7 @@ def _quotient_sequences(expr: Kernel, n: int, cfg: VerifyConfig):
     sequence, whose whole lattice {d h} comes from one lag-profile call;
     a general one has one per probe point and axis."""
     ell = _min_lengthscale(expr)
-    steps = [2.0**-j for j in range(cfg.window[0], cfg.window[0] + 9)]
+    steps = [2.0**-j for j in range(_WINDOW[0], _WINDOW[0] + 9)]
     if isinstance(classify(expr), Stationary):
         lags = np.array([d * (ell * s) for s in steps for d in range(n + 1)])
         rows = _lag_profile(expr, lags).reshape(len(steps), n + 1).tolist()
@@ -374,10 +388,11 @@ def _trim_noisy(seq: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 
 def detect_order(expr: Kernel, cfg: VerifyConfig | None = None) -> int:
-    """Largest n <= cfg.max_order whose order-n diagonal derivatives stabilise."""
+    """Largest n <= cfg.max_order whose order-n diagonal derivatives
+    stabilise; BeyondProbeRange when the quotients leave the float range."""
     cfg = cfg or VerifyConfig()
     n = 0
-    while n < cfg.max_order and _order_exists(expr, n + 1, cfg):
+    while n < cfg.max_order and _order_exists(expr, n + 1):
         n += 1
     return n
 
@@ -396,45 +411,45 @@ def _probe_points(expr: Kernel) -> np.ndarray:
     return pts
 
 
-def _deviation_series(expr: Kernel, n: int, cfg: VerifyConfig, x: np.ndarray | None = None):
-    """Rows (h, deviation, noise) of the order-n diagonal deviation over the
-    dyadic window h = l_min 2^-j, the deviation in units of l_min (times
-    l_min^(2n)), so the underflow floor does not move with the lengthscale.
+@_in_float_range
+def _deviation_series(expr: Kernel, n: int):
+    """Per-probe rows (h, deviation, noise) of the order-n diagonal
+    deviation over the dyadic window h = l_min 2^-j, the deviation in units
+    of l_min (times l_min^(2n)), so the underflow floor does not move with
+    the lengthscale.
 
-    A stationary expression's deviation is |phi^(2n)(h) - phi^(2n)(0)| from
+    A stationary expression is one probe: |phi^(2n)(h) - phi^(2n)(0)| from
     one exact lag-derivative call over every h and the origin, with noise
-    eps times the magnitudes summed into the two values.  General kernels
-    take the largest diagonal second difference over the axes at each
-    probe point.
+    eps times the magnitudes summed into the two values.  A general kernel
+    has one series per probe point, the largest diagonal second difference
+    over the axes there.
     """
-    lo, hi = cfg.window
     ell = _min_lengthscale(expr)
+    hs = [ell * 2.0 ** (-j) for j in range(_WINDOW[0], _WINDOW[1] + 1)]
     unit = ell ** (2 * n)
-    hs = [ell * 2.0 ** (-j) for j in range(lo, hi + 1)]
     if isinstance(classify(expr), Stationary):
         values, scale, exists = _lag_derivatives(expr, np.array([0.0, *hs]), 2 * n)
         if not exists[2 * n]:
             raise BeyondProbeRange(f"no order-{2 * n} lag derivative at the origin")
         d = (unit * values[2 * n]).tolist()
         noise = (unit * _EPS * (scale[2 * n] + scale[2 * n, 0])).tolist()
-        return [(h, abs(d[i] - d[0]), noise[i]) for i, h in enumerate(hs, start=1)]
-    if x is None:
-        return _max_series(
-            [_deviation_series(expr, n, cfg, x=base) for base in _probe_points(expr)]
-        )
-    best = [0.0] * len(hs)
-    noise = [0.0] * len(hs)
-    for axis in range(expr.dim):
-        e = _unit(expr.dim, axis)
-        pts = np.stack([x] + [x + h * e for h in hs])
-        values, scale = (b.tolist() for b in _derivative_block(expr, pts, pts, n * e))
-        for i in range(1, len(hs) + 1):
-            val = values[i][i] - values[i][0] - values[0][i] + values[0][0]
-            if math.isfinite(val):
-                best[i - 1] = max(best[i - 1], abs(val))
-                corners = scale[i][i] + scale[i][0] + scale[0][i] + scale[0][0]
-                noise[i - 1] = max(noise[i - 1], _EPS * corners)
-    return [(h, unit * b, unit * e) for h, b, e in zip(hs, best, noise)]
+        return [[(h, abs(d[i] - d[0]), noise[i]) for i, h in enumerate(hs, start=1)]]
+    per_probe = []
+    for x in _probe_points(expr):
+        best = [0.0] * len(hs)
+        noise = [0.0] * len(hs)
+        for axis in range(expr.dim):
+            e = _unit(expr.dim, axis)
+            pts = np.stack([x] + [x + h * e for h in hs])
+            values, scale = (b.tolist() for b in _derivative_block(expr, pts, pts, n * e))
+            for i in range(1, len(hs) + 1):
+                val = values[i][i] - values[i][0] - values[0][i] + values[0][0]
+                if math.isfinite(val):
+                    best[i - 1] = max(best[i - 1], abs(val))
+                    corners = scale[i][i] + scale[i][0] + scale[0][i] + scale[0][0]
+                    noise[i - 1] = max(noise[i - 1], _EPS * corners)
+        per_probe.append([(h, unit * b, unit * e) for h, b, e in zip(hs, best, noise)])
+    return per_probe
 
 
 def _max_series(per_probe: list[list[tuple[float, float, float]]]):
@@ -446,18 +461,15 @@ def _max_series(per_probe: list[list[tuple[float, float, float]]]):
     ]
 
 
-def estimate_diagonal_exponent(
-    expr: Kernel, n: int, cfg: VerifyConfig | None = None, x=None
-) -> ExponentFit:
-    """Log-log fit of the order-n diagonal deviation against the lag.
+def estimate_diagonal_exponent(expr: Kernel, n: int) -> ExponentFit:
+    """Log-log fit of the order-n diagonal deviation (the largest over the
+    probes) against the lag.
 
     The fitted slope estimates 2*epsilon in the Holder condition at
     derivative order n.  Raises SmoothToOrder when the deviation underflows
     at every scale.
     """
-    cfg = cfg or VerifyConfig()
-    base = None if x is None else np.asarray(x, dtype=float).reshape(-1)
-    return _fit_series(_deviation_series(expr, n, cfg, x=base), n)
+    return _fit_series(_max_series(_deviation_series(expr, n)), n)
 
 
 def _fit_series(rows, n: int) -> ExponentFit:
@@ -494,7 +506,7 @@ def verify_regularity(
 
     Detects n as the deepest stable derivative order, fits the deviation
     exponent there, and passes when n + slope/2 matches the predicted order
-    within the configured tolerance (widened, and flagged, for the
+    within the configured tolerance (at least 0.25, and flagged, for the
     log-corrected integer Matern case).  Smooth predictions are probed up to
     cfg.max_order and reported as 'smooth to probed order'.
     """
@@ -503,50 +515,37 @@ def verify_regularity(
     # the lowest axis order, flagged and sharp as its attaining axes are
     lowest = _collapse(predicted.per_axis)
     target, log_flag, sharp = lowest.order, lowest.log_corrected, lowest.sharp
-    cls = classify(expr)
 
-    n_hat = detect_order(expr, cfg)
+    try:
+        n_hat = detect_order(expr, cfg)
+    except BeyondProbeRange as exc:
+        return VerifyReport(0, None, predicted, "fail", note=f"beyond probe range: {exc}")
 
     if target == math.inf:
-        fit = None
         try:
-            fit = estimate_diagonal_exponent(expr, n_hat, cfg)
+            fit = estimate_diagonal_exponent(expr, n_hat)
         except (SmoothToOrder, KernelError, ValueError):
             fit = None
-        verdict = "pass" if n_hat >= cfg.max_order else "fail"
+        capped = n_hat >= cfg.max_order
         return VerifyReport(
-            detected_order_n=n_hat,
-            exponent_fit=fit,
-            predicted=predicted,
-            verdict=verdict,
-            smooth_to_order=cfg.max_order if n_hat >= cfg.max_order else None,
+            n_hat, fit, predicted, "pass" if capped else "fail",
+            smooth_to_order=cfg.max_order if capped else None,
         )
 
-    # the all-probe series of a non-stationary kernel is the elementwise max
-    # of the per-probe series, which also give the probe slopes below
-    per_probe = []
+    # the all-probe series is the elementwise max of the per-probe series,
+    # which also give a general kernel's probe slopes below
     saturated_cap = False
     try:
-        if isinstance(cls, Stationary):
-            rows = _deviation_series(expr, n_hat, cfg)
-        else:
-            per_probe = [_deviation_series(expr, n_hat, cfg, x=b) for b in _probe_points(expr)]
-            rows = _max_series(per_probe)
-        fit = _fit_series(rows, n_hat)
+        per_probe = _deviation_series(expr, n_hat)
+        fit = _fit_series(_max_series(per_probe), n_hat)
         total = n_hat + fit.slope / 2.0
     except SmoothToOrder:
         fit = None
         total = float(n_hat + 1)
         saturated_cap = True
     except BeyondProbeRange as exc:
-        return VerifyReport(
-            detected_order_n=n_hat,
-            exponent_fit=None,
-            predicted=predicted,
-            verdict="fail",
-            note=f"beyond probe range: {exc}",
-        )
-    tol = cfg.log_tol if log_flag else cfg.tol
+        return VerifyReport(n_hat, None, predicted, "fail", note=f"beyond probe range: {exc}")
+    tol = max(cfg.tol, _LOG_TOL) if log_flag else cfg.tol
     if (
         fit is not None
         and n_hat == cfg.max_order
@@ -566,15 +565,13 @@ def verify_regularity(
     else:
         ok = abs(total - float(target)) <= tol
 
-    probe_slopes: tuple[float, ...] = ()
-    if per_probe and fit is not None:
-        slopes = []
+    slopes = []
+    if not isinstance(classify(expr), Stationary) and fit is not None:
         for series in per_probe:
             try:
                 slopes.append(_fit_series(series, n_hat).slope)
             except (SmoothToOrder, KernelError, ValueError):
                 continue
-        probe_slopes = tuple(slopes)
 
     verdict = ("log-flagged" if log_flag else "pass") if ok else "fail"
     return VerifyReport(
@@ -582,7 +579,7 @@ def verify_regularity(
         exponent_fit=fit,
         predicted=predicted,
         verdict=verdict,
-        probe_slopes=probe_slopes,
+        probe_slopes=tuple(slopes),
     )
 
 

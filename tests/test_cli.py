@@ -153,17 +153,72 @@ class TestExitCodes:
         assert "note" not in payload
 
     def test_verify_beyond_probe_range_is_1(self, capsys, monkeypatch):
-        import functools
+        from pathreg import verify
 
-        import pathreg.cli
-        from pathreg.verify import VerifyConfig
-
-        narrow = functools.partial(VerifyConfig, window=(4, 6))
-        monkeypatch.setattr(pathreg.cli, "VerifyConfig", narrow)
+        monkeypatch.setattr(verify, "_WINDOW", (4, 6))
         code, payload, _ = run_json(capsys, "verify", "-k", "matern(nu=2.5)")
         assert code == 1
         assert payload["verdict"] == "fail"
         assert payload["note"].startswith("beyond probe range: ")
+
+    def test_log_tolerance_follows_tol(self, capsys):
+        # a log-corrected target is met within max(--tol, 0.25)
+        code, payload, _ = run_json(
+            capsys, "verify", "-k", "matern(nu=2,lengthscale=10)", "--tol", "0.05"
+        )
+        assert code == 0
+        assert payload["verdict"] == "log-flagged"
+
+    # extreme lengthscales once overflowed (OverflowError, ZeroDivisionError)
+    # in the deviation units or the lag jets: a traceback and exit 1
+    @pytest.mark.parametrize(
+        "kernel, verdict",
+        [
+            ("se(lengthscale=1e52)", "pass"),
+            ("se(lengthscale=1e-52)", "pass"),
+            ("rq(a=1,lengthscale=1e-60)", "pass"),
+            ("matern(nu=1.5,lengthscale=1e-170)", "fail"),
+            ("matern(nu=1.5,lengthscale=1e300)", "fail"),
+        ],
+    )
+    def test_extreme_lengthscale_gets_a_verdict(self, capsys, kernel, verdict):
+        code, payload, err = run_json(capsys, "verify", "-k", kernel)
+        assert code == (0 if verdict == "pass" else 1)
+        assert payload["verdict"] == verdict
+        assert err == ""
+
+    def test_arithmetic_error_is_3(self, capsys, monkeypatch):
+        import pathreg.cli
+
+        def overflow(expr, cfg=None):
+            raise OverflowError("(34, 'Numerical result out of range')")
+
+        monkeypatch.setattr(pathreg.cli, "verify_regularity", overflow)
+        code, out, err = run(capsys, "verify", "-k", "se()")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: arithmetic failure (OverflowError): (34, 'Numerical result out of range')\n"
+        )
+
+    # a non-finite grid once hung: its lag column is NaN, and the jitter
+    # ladder never passed its budget
+    @pytest.mark.parametrize("grid", ["0:inf:9", "-1e308:1e308:9", "0:1:5,0:inf:5", "nan:1:5"])
+    @pytest.mark.parametrize("command", ["sample", "estimate", "report"])
+    def test_non_finite_grid_is_3(self, tmp_path, command, grid):
+        src = os.path.dirname(os.path.dirname(pathreg.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["-k", "se()", f"--grid={grid}", "--count", "50", "--seed", "1"]
+        if command != "estimate":
+            argv += ["--out", str(tmp_path / "g")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pathreg.cli", command, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: axis ")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestAnalyzeExamples:

@@ -50,6 +50,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid((Axis(0, 1, 200), Axis(0, 1, 200)))  # above the dense cap
 
+    # a non-finite end or spacing once gave a NaN lag column, on which the
+    # Schur jitter ladder never stopped
+    @pytest.mark.parametrize(
+        "start, stop",
+        [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308), (math.nan, 1.0), (0.0, math.nan)],
+    )
+    def test_non_finite_axis_rejected(self, start, stop):
+        with pytest.raises(ValueError, match="axis needs"):
+            Axis(start, stop, 9)
+
     def test_row_major_flattening(self):
         grid = Grid((Axis(0.0, 1.0, 2), Axis(0.0, 1.0, 3)))
         pts = grid.points()
@@ -235,6 +245,21 @@ class TestCholeskyWithJitter:
         assert 0.0 < jitter <= 1e-6
         rebuilt = lower @ lower.T
         assert np.allclose(rebuilt, np.ones((3, 3)) + jitter * np.eye(3))
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_ladder_needs_a_positive_finite_scale(self, scale):
+        # a NaN or infinite scale once kept the ladder climbing forever
+        calls = []
+
+        def never_factors(jitter):
+            calls.append(jitter)
+            if len(calls) > 100:
+                raise RuntimeError("the ladder did not stop")
+            raise np.linalg.LinAlgError
+
+        with pytest.raises(FactorizationError, match="is not positive and finite"):
+            sampling._jitter_ladder(never_factors, scale)
+        assert calls == []
 
     def test_indefinite_exceeds_budget(self):
         bad = np.array([[1.0, 0.0], [0.0, -1.0]])

@@ -2,6 +2,7 @@
 
 import inspect
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -20,9 +21,16 @@ def make_samples(values: np.ndarray, start=0.0, stop=1.0) -> PathSamples:
     )
 
 
+StructureFunction = namedtuple("StructureFunction", "lag_steps lags values")
+
+
 def structure_function(samples: PathSamples, m: int, lag_steps=None):
-    # the 1-D structure function as estimate_path_regularity takes it
-    return structure._structure(samples.samples[:, :, None], samples.grid.axes[0], m, lag_steps)
+    # the 1-D structure function as estimate_path_regularity takes it: the
+    # mean squared m-th differences at the default lags, in physical units
+    axis = samples.grid.axes[0]
+    steps = default_lags(axis.count) if lag_steps is None else lag_steps
+    values = structure._mean_squared_differences(samples.samples[:, :, None], m, steps)
+    return StructureFunction(steps, [l * axis.spacing for l in steps], values)
 
 
 def test_estimator_calibration_is_fixed():
@@ -67,10 +75,18 @@ class TestStructureFunction:
         assert all(grid.axes[0].spacing <= l <= span / 4 for l in sf.lags)
         assert len(sf.lags) >= 4
 
-    def test_lag_out_of_range_rejected(self):
-        samples = make_samples(np.zeros((2, 64)))
-        with pytest.raises(ValueError):
-            structure_function(samples, 2, [40])
+    def test_every_default_lag_fits_the_highest_order(self):
+        # the estimator differences up to order _MAX_M = 4 at every default
+        # lag, so each lag l of every grid the ladder accepts has 4 l < n
+        accepted = 0
+        for n in range(2, 5001):
+            try:
+                lags = default_lags(n)
+            except ValueError:
+                continue
+            accepted += 1
+            assert all(structure._MAX_M * l < n for l in lags), n
+        assert accepted == 4980
 
     def test_affine_addition_invariance_second_order(self):
         rng = np.random.default_rng(5)
@@ -148,10 +164,9 @@ class TestBlockedStatistic:
         )
         in_place = (flat.reshape(count, n1, n2), flat.reshape(count * n1, n2, 1))
         for table, slices, n in zip(in_place, slice_tables, (n1, n2)):
-            axis = Axis(0.0, 1.0, n)
-            sf = structure._structure(table, axis, m)
-            expected = reference_values(slices, m, sf.lag_steps)
-            assert sf.values == pytest.approx(expected, rel=1e-13, abs=0)
+            steps = default_lags(n)
+            values = structure._mean_squared_differences(table, m, steps)
+            assert values == pytest.approx(reference_values(slices, m, steps), rel=1e-13, abs=0)
 
 
 class TestEstimate:

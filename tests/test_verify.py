@@ -25,16 +25,16 @@ CFG = VerifyConfig()
 
 
 def test_verify_config_fields():
-    # the probe design and the fit calibration are module constants; the
-    # CLI sets the tolerances and the order cap, tests the lag window
-    assert [f.name for f in dataclasses.fields(VerifyConfig)] == [
-        "window", "tol", "log_tol", "max_order",
-    ]
+    # the lag window, the probe design, the fit calibration and the floor of
+    # the log tolerance are module constants; the CLI sets the rest
+    assert [f.name for f in dataclasses.fields(VerifyConfig)] == ["tol", "max_order"]
 
 
 def test_no_unused_parameters():
     params = list(inspect.signature(V.derivative_kernel_matrix).parameters)
     assert params == ["expr", "alpha", "X", "Y"]
+    params = list(inspect.signature(estimate_diagonal_exponent).parameters)
+    assert params == ["expr", "n"]
 
 
 def second_difference(expr, x, h, alpha):
@@ -303,6 +303,15 @@ class TestVerifyRegularity:
         report = verify_regularity(parse_kernel("matern(nu=1.5)"), cfg=tight)
         assert report.verdict == "fail"
 
+    def test_log_tolerance_is_tol_or_its_floor(self, monkeypatch):
+        # matern(nu=2) detects 1.888, 0.112 below its log-corrected order
+        expr = parse_kernel("matern(nu=2)")
+        assert verify_regularity(expr, cfg=VerifyConfig(tol=0.05)).verdict == "log-flagged"
+        # a tolerance above the floor is the log tolerance too
+        monkeypatch.setattr(V, "_LOG_TOL", 0.05)
+        assert verify_regularity(expr, cfg=VerifyConfig(tol=0.1)).verdict == "fail"
+        assert verify_regularity(expr, cfg=VerifyConfig(tol=0.15)).verdict == "log-flagged"
+
 
 # --- batched evaluation against single-point references ----------------------
 
@@ -361,7 +370,7 @@ class TestBatchedBlocks:
         # one block over the union of a probe's lattices, against one
         # eval_kernel call per lattice entry
         expr = parse_kernel(text)
-        steps = [2.0**-j for j in range(CFG.window[0], CFG.window[0] + 9)]
+        steps = [2.0**-j for j in range(V._WINDOW[0], V._WINDOW[0] + 9)]
         for x in V._probe_points(expr)[:3]:
             for axis in range(expr.dim):
                 for n in range(1, 4):
@@ -394,28 +403,40 @@ class TestSingleProbePass:
         expr = parse_kernel(text)
         report = verify_regularity(expr, cfg=CFG)
         n = report.detected_order_n
-        expected = [
-            estimate_diagonal_exponent(expr, n, CFG, x=b).slope
-            for b in V._probe_points(expr)
-        ]
+        per_probe = V._deviation_series(expr, n)
+        expected = [V._fit_series(series, n).slope for series in per_probe]
         assert len(expected) == V._N_PROBES
         assert list(report.probe_slopes) == expected
-        assert report.exponent_fit == estimate_diagonal_exponent(expr, n, CFG)
-        # the all-probe series against one max over every probe and axis
-        lo, hi = CFG.window
+        assert report.exponent_fit == estimate_diagonal_exponent(expr, n)
+        # each probe's series against the max over its axes, and the
+        # all-probe series against one max over every probe and axis
+        lo, hi = V._WINDOW
         hs = [2.0**-j for j in range(lo, hi + 1)]
-        series = V._deviation_series(expr, n, CFG)
+        series = V._max_series(per_probe)
         assert len(series) == len(hs)
-        for row, h in zip(series, hs):
+        for i, (row, h) in enumerate(zip(series, hs)):
             best = 0.0
-            for base in V._probe_points(expr):
+            for base, probe in zip(V._probe_points(expr), per_probe):
+                at_probe = 0.0
                 for axis in range(expr.dim):
                     alpha = np.zeros(expr.dim, dtype=int)
                     alpha[axis] = n
                     val = second_difference(expr, base, h * V._unit(expr.dim, axis), alpha)
                     if math.isfinite(val):
-                        best = max(best, abs(val))
+                        at_probe = max(at_probe, abs(val))
+                assert probe[i][:2] == (h, at_probe)
+                best = max(best, at_probe)
             assert row[:2] == (h, best)
+
+    @pytest.mark.parametrize("text", ["matern(nu=1.5)", "matern(nu=2.5,dim=2)", "se() * periodic()"])
+    def test_stationary_expression_is_one_probe(self, text):
+        # its series is the max of one series, that series bit for bit
+        expr = parse_kernel(text)
+        n = detect_order(expr)
+        per_probe = V._deviation_series(expr, n)
+        assert len(per_probe) == 1
+        assert V._max_series(per_probe) == per_probe[0]
+        assert verify_regularity(expr).probe_slopes == ()
 
 
 # the verify-catalogue kernels past the stationary 1-D leaves, with the
@@ -473,7 +494,7 @@ class TestStationarySweep:
         if order == math.inf:
             assert report.smooth_to_order == CFG.max_order
         else:
-            tol = CFG.log_tol if log else CFG.tol
+            tol = max(CFG.tol, V._LOG_TOL) if log else CFG.tol
             assert report.detected_total == pytest.approx(order, abs=tol)
 
     @pytest.mark.parametrize("leaf, order, log", STATIONARY_LEAVES)
@@ -604,7 +625,7 @@ class TestLagDerivatives:
             assert lag_derivative(expr, order, 0.0) == values[order, 0]
 
 
-def _scalar_quotients(expr, n, cfg):
+def _scalar_quotients(expr, n):
     # the per-lag scalar loop the batched lattice replaced: one eval_radial
     # (eval_stationary for 1-D) call per lattice entry
     from pathreg.kernels import Isotropic, classify, eval_radial, eval_stationary
@@ -616,7 +637,7 @@ def _scalar_quotients(expr, n, cfg):
     ell = V._min_lengthscale(expr)
     w = V._binom_weights(n)
     seq = []
-    for j in range(cfg.window[0], cfg.window[0] + 9):
+    for j in range(V._WINDOW[0], V._WINDOW[0] + 9):
         s = 2.0**-j
         acc = 0.0
         kmax = 0.0
@@ -647,13 +668,13 @@ class TestBatchedQuotients:
     def test_lattice_matches_scalar_loop(self, text):
         expr = parse_kernel(text)
         for n in range(1, 4):
-            assert V._quotient_sequences(expr, n, CFG) == [_scalar_quotients(expr, n, CFG)], n
+            assert V._quotient_sequences(expr, n) == [_scalar_quotients(expr, n)], n
 
 
 class TestBeyondProbeRange:
-    def test_narrow_window_gives_explicit_fail(self):
-        narrow = VerifyConfig(window=(4, 6))
-        report = verify_regularity(parse_kernel("matern(nu=1.5)"), cfg=narrow)
+    def test_narrow_window_gives_explicit_fail(self, monkeypatch):
+        monkeypatch.setattr(V, "_WINDOW", (4, 6))
+        report = verify_regularity(parse_kernel("matern(nu=1.5)"))
         assert report.verdict == "fail"
         assert report.exponent_fit is None
         assert report.note.startswith("beyond probe range: only 3 usable scales at order 1")
@@ -664,6 +685,39 @@ class TestBeyondProbeRange:
 
     def test_note_absent_by_default(self):
         assert "note" not in verify_to_dict(verify_regularity(parse_kernel("matern(nu=1.5)")))
+
+    # each once raised an OverflowError or a ZeroDivisionError: the
+    # deviation's units ell^(2n), the quadratic jet's a^i or nu / ell^2
+    @pytest.mark.parametrize(
+        "text, verdict, cause",
+        [
+            ("se(lengthscale=1e52)", "pass", None),
+            ("se(lengthscale=1e-52)", "pass", None),
+            ("rq(a=1,lengthscale=1e-60)", "pass", None),
+            ("matern(nu=1.5,lengthscale=1e-170)", "fail", "order-1 arithmetic"),
+            ("matern(nu=3.5,lengthscale=1e52)", "fail", "order-3 arithmetic"),
+        ],
+    )
+    def test_extreme_lengthscale(self, text, verdict, cause):
+        report = verify_regularity(parse_kernel(text))
+        assert report.verdict == verdict
+        if cause is None:
+            assert report.note is None
+            assert report.smooth_to_order == CFG.max_order
+        else:
+            assert report.exponent_fit is None
+            assert report.note.startswith(f"beyond probe range: {cause} leaves the float range")
+
+    @pytest.mark.parametrize("ell", ["1e-300", "1e-170", "1e-60", "1e60", "1e170", "1e300"])
+    @pytest.mark.parametrize("leaf, order, log", STATIONARY_LEAVES)
+    def test_any_lengthscale_gets_a_verdict(self, leaf, order, log, ell):
+        # a verdict, or a failing one that says it is beyond the probe range
+        report = verify_regularity(parse_kernel(f"{leaf}lengthscale={ell})"))
+        if report.verdict == "fail":
+            assert report.note.startswith("beyond probe range: ")
+        else:
+            assert report.verdict == ("log-flagged" if log else "pass")
+            assert report.note is None
 
     def test_missing_origin_derivative(self):
         # order 1 needs the second lag derivative at the origin, which
