@@ -46,8 +46,6 @@ from .regularity import (
     Regularity,
     RegularityReport,
     infer_regularity,
-    leaf_regularity,
-    sobolev_order,
 )
 from .sampling import (
     Axis,
@@ -71,7 +69,6 @@ from .verify import (
     VerifyConfig,
     VerifyReport,
     detect_order,
-    estimate_diagonal_exponent,
     loglog_fit,
     verify_regularity,
 )

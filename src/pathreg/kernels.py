@@ -31,7 +31,7 @@ the only place the leaf is described.  It declares
   coordinate, whatever its dimension.
 
 The DSL's parser and printer, ``classify``, evaluation,
-``regularity.leaf_regularity`` and ``verify`` read these declarations.
+``regularity.infer_regularity`` and ``verify`` read these declarations.
 Warp families are rows of ``WARPS`` in the same way.
 
 Evaluation is exact recursion over the tree: a conic node is the weighted

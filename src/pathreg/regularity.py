@@ -41,15 +41,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .kernels import Conic, Kernel, Leaf, Product, TensorProduct, Warp
+from .kernels import Conic, Kernel, Product, TensorProduct, Warp
 
 __all__ = [
     "Order",
     "Regularity",
     "RegularityReport",
-    "leaf_regularity",
     "infer_regularity",
-    "sobolev_order",
     "order_to_json",
     "report_to_dict",
 ]
@@ -93,13 +91,6 @@ class RegularityReport:
     @property
     def order(self) -> Order:
         return min(r.order for r in self.per_axis)
-
-
-def leaf_regularity(leaf: Kernel) -> Regularity:
-    """Sample-path order a leaf kernel declares (its ``path_order``)."""
-    if not isinstance(leaf, Leaf):
-        raise TypeError(f"not a leaf kernel: {leaf!r}")
-    return Regularity(*leaf.path_order)
 
 
 def _split_order(order: Order) -> tuple:
@@ -180,7 +171,7 @@ def _infer(expr: Kernel, lines: list[str]) -> tuple[Regularity, ...]:
             f"order {_order_str(order)}, sufficient-only"
         )
         return (Regularity(order, sharp=False, log_corrected=log),)
-    reg = leaf_regularity(expr)
+    reg = Regularity(*expr.path_order)
     name = type(expr).__name__.lower()
     lines.append(f"{name} leaf: {reg.describe()}")
     return (reg,)
@@ -202,11 +193,6 @@ def infer_regularity(expr: Kernel) -> RegularityReport:
     sob = min(_sobolev_of(r.order) for r in axes)
     lines.append(f"sobolev: largest m with 2m below diagonal differentiability -> {sob}")
     return RegularityReport(per_axis=axes, sobolev_order=sob, derivation=tuple(lines))
-
-
-def sobolev_order(expr: Kernel) -> Union[int, float]:
-    """Number of weak derivatives reported for the expression's samples."""
-    return infer_regularity(expr).sobolev_order
 
 
 def report_to_dict(report: RegularityReport) -> dict:

@@ -542,10 +542,11 @@ def _check_derivative_order(expr: Kernel, alpha: tuple) -> None:
         )
 
 
-def _sample(expr: Kernel, grid: Grid, count: int, seed: int, alpha: tuple, derivative: bool):
+def _sample(expr: Kernel, grid: Grid, count: int, seed: int, alpha: tuple):
     if count < 1:
         raise ValueError("count must be >= 1")
-    if derivative:
+    # every kernel's order is positive, so the gate passes at alpha = 0
+    if any(alpha):
         _check_derivative_order(expr, alpha)
     rows, jitter = _draw_rows(seed, count, grid.n_points, _factorise(expr, grid, alpha))
     return PathSamples(
@@ -560,7 +561,7 @@ def _sample(expr: Kernel, grid: Grid, count: int, seed: int, alpha: tuple, deriv
 
 def sample_paths(expr: Kernel, grid: Grid, count: int, seed: int) -> PathSamples:
     """Draw centred GP sample paths on the grid; rows are independent draws."""
-    return _sample(expr, grid, count, seed, (0,) * grid.dim, derivative=False)
+    return _sample(expr, grid, count, seed, (0,) * grid.dim)
 
 
 def sample_derivative_paths(expr: Kernel, alpha, grid: Grid, count: int, seed: int) -> PathSamples:
@@ -574,7 +575,7 @@ def sample_derivative_paths(expr: Kernel, alpha, grid: Grid, count: int, seed: i
     sampled paths, and it is factorised as the kernel is.
     """
     alpha = tuple(int(a) for a in _as_multiindex(alpha, expr.dim))
-    return _sample(expr, grid, count, seed, alpha, derivative=True)
+    return _sample(expr, grid, count, seed, alpha)
 
 
 # --- serialisation ----------------------------------------------------------
@@ -812,7 +813,7 @@ def _split(a: np.ndarray):
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 
-def write_sidecar(samples: PathSamples, path: str, twin: dict | None = None) -> None:
+def write_sidecar(samples: PathSamples, path: str, twin: dict) -> None:
     """Metadata JSON describing how the samples were generated.  ``twin``,
     the sha256 of a samples CSV and of its binary twin, is recorded under
     the ``twin`` key together with the sha256 of the other keys."""
@@ -829,8 +830,7 @@ def write_sidecar(samples: PathSamples, path: str, twin: dict | None = None) -> 
         "jitter_used": samples.jitter_used,
         "alpha": list(samples.alpha),
     }
-    if twin is not None:
-        meta["twin"] = {**twin, "sidecar_sha256": _meta_sha256(meta)}
+    meta["twin"] = {**twin, "sidecar_sha256": _meta_sha256(meta)}
     _write_json(meta, path)
 
 

@@ -60,13 +60,6 @@ class EstimateResult:
     m_used: int
     degenerate: bool = False
 
-    def describe(self) -> str:
-        if self.degenerate:
-            return "degenerate input (vanishing increments)"
-        if self.s_hat is not None:
-            return f"s_hat = {self.s_hat:.4f} (m = {self.m_used})"
-        return f"s >= {self.lower_bound} (saturated at m = {self.m_used})"
-
 
 def default_lags(n_points: int) -> list[int]:
     """Dyadic lag ladder in [4 dx, span/8], widened when the grid is short."""

@@ -55,7 +55,9 @@ while the largest log residual of the fit exceeds 0.1 and more than four
 scales remain.  A deviation that cannot be fitted inside the window (too
 few usable scales, or no order-2n lag derivative at the origin) gives a
 failing verdict with a "beyond probe range" note rather than an error, as
-do quotients or deviations that leave the float range (extreme lengthscales).
+do quotients or deviations that leave the float range (extreme lengthscales)
+and a general kernel whose window lags are too short to move its probe
+points (fewer than four of them do when l_min is below about 1e-13).
 
 The lag window j in [4, 12], the probe design and the fit calibration
 above are fixed, and a log-corrected target is met within max(tol, 0.25);
@@ -87,7 +89,6 @@ __all__ = [
     "SmoothToOrder",
     "BeyondProbeRange",
     "loglog_fit",
-    "estimate_diagonal_exponent",
     "detect_order",
     "verify_regularity",
     "derivative_kernel_matrix",
@@ -118,9 +119,10 @@ class SmoothToOrder(KernelError):
 
 
 class BeyondProbeRange(KernelError):
-    """Raised when the order-n deviation cannot be fitted inside the probe
-    window: too few usable scales, or no order-2n lag derivative at the
-    origin.  ``verify_regularity`` reports it as a failing verdict."""
+    """Raised when the probe window cannot resolve the kernel: too few
+    usable scales, no order-2n lag derivative at the origin, or too few lags
+    that move a probe point.  ``verify_regularity`` reports it as a failing
+    verdict."""
 
 
 @dataclass(frozen=True)
@@ -246,38 +248,21 @@ def _binom_weights(n: int) -> np.ndarray:
     return np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
 
 
-def _ms_quotient(block, n: int, h: float) -> tuple[float, float]:
-    """(E[(Delta_h^n f)^2] / h^(2n), rounding-noise estimate) from the
-    lattice block[j][k] = k(x + j h, x + k h), j, k = 0..n, with h in the
-    units the quotient is taken in."""
+def _ms_quotients(lattices: np.ndarray, n: int, steps: np.ndarray) -> list[tuple[float, float]]:
+    """(E[(Delta_h^n f)^2] / h^(2n), rounding-noise estimate) at each step s
+    from lattices[i, j, k] = k(x + j h, x + k h), h = ell s_i, in units of
+    ell; the terms are added in (j, k) order and the largest skips NaN."""
     w = _binom_weights(n)
-    acc = 0.0
-    kmax = 0.0
+    acc = np.zeros(len(steps))
+    kmax = np.zeros(len(steps))
     for j in range(n + 1):
         for k in range(n + 1):
-            val = block[j][k]
-            kmax = max(kmax, abs(val))
+            val = lattices[:, j, k]
+            kmax = np.fmax(kmax, np.abs(val))
             acc += w[j] * w[k] * val
-    noise = (float(np.sum(np.abs(w))) ** 2) * _EPS * max(1.0, kmax)
-    return acc / h ** (2 * n), noise / h ** (2 * n)
-
-
-def _probe_quotients(expr: Kernel, x: np.ndarray, axis: int, n: int, steps, ell: float):
-    """One probe's order-n quotient sequence along one axis, over the
-    lattices x + j (ell s) e_axis, j = 0..n, one per step s, in units of
-    ell.  The lattices share points (2 ell s is the lattice point ell s' of
-    the step s' = 2 s), so one ``pairwise`` block over their union serves
-    them all; its entries equal the single-point values bitwise."""
-    e = _unit(expr.dim, axis)
-    offsets = sorted({j * (ell * s) for s in steps for j in range(n + 1)})
-    where = {o: i for i, o in enumerate(offsets)}
-    pts = np.stack([x + o * e for o in offsets])
-    block = pairwise(expr, pts, pts)
-    seq = []
-    for s in steps:
-        lattice = [where[j * (ell * s)] for j in range(n + 1)]
-        seq.append(_ms_quotient(block[np.ix_(lattice, lattice)].tolist(), n, s))
-    return seq
+    noise = (float(np.sum(np.abs(w))) ** 2) * _EPS * np.maximum(1.0, kmax)
+    scale = steps ** (2 * n)
+    return list(zip((acc / scale).tolist(), (noise / scale).tolist()))
 
 
 def _sequence_converges(seq: list[tuple[float, float]]) -> bool:
@@ -343,19 +328,22 @@ def _quotient_sequences(expr: Kernel, n: int):
     sequence, whose whole lattice {d h} comes from one lag-profile call;
     a general one has one per probe point and axis."""
     ell = _min_lengthscale(expr)
-    steps = [2.0**-j for j in range(_WINDOW[0], _WINDOW[0] + 9)]
+    steps = 2.0 ** -np.arange(_WINDOW[0], _WINDOW[0] + 9)
+    # offsets[i, j] = j (ell s_i), the lattice points of step s_i
+    offsets = np.arange(n + 1)[None, :] * (ell * steps)[:, None]
     if isinstance(classify(expr), Stationary):
-        lags = np.array([d * (ell * s) for s in steps for d in range(n + 1)])
-        rows = _lag_profile(expr, lags).reshape(len(steps), n + 1).tolist()
-        return [[
-            _ms_quotient([[row[abs(j - k)] for k in range(n + 1)] for j in range(n + 1)], n, s)
-            for s, row in zip(steps, rows)
-        ]]
-    return [
-        _probe_quotients(expr, x, axis, n, steps, ell)
-        for x in _probe_points(expr)
-        for axis in range(expr.dim)
-    ]
+        rows = _lag_profile(expr, offsets.ravel()).reshape(offsets.shape)
+        lag = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
+        return [_ms_quotients(rows[:, lag], n, steps)]
+    union, where = np.unique(offsets, return_inverse=True)
+    where = where.reshape(offsets.shape)
+    seqs = []
+    for x in _probe_points(expr):
+        for axis in range(expr.dim):
+            pts = x + union[:, None] * _unit(expr.dim, axis)
+            block = pairwise(expr, pts, pts)
+            seqs.append(_ms_quotients(block[where[:, :, None], where[:, None, :]], n, steps))
+    return seqs
 
 
 def _lag_profile(expr: Kernel, t: np.ndarray) -> np.ndarray:
@@ -402,9 +390,14 @@ def detect_order(expr: Kernel, cfg: VerifyConfig | None = None) -> int:
 
 def _probe_points(expr: Kernel) -> np.ndarray:
     # deterministic probe set in a compact box on the positive orthant,
-    # which lies inside every catalogue domain (Wiener needs x > 0)
+    # which lies inside every catalogue domain (Wiener needs x > 0); a lag
+    # below half a coordinate's ulp leaves the probe point where it is
     d = expr.dim
     ticks = np.linspace(_PROBE_LOW, _PROBE_HIGH, _N_PROBES)
+    lags = _min_lengthscale(expr) * 2.0 ** -np.arange(_WINDOW[0], _WINDOW[1] + 1)
+    moved = np.count_nonzero(ticks[:, None] + lags != ticks[:, None], axis=1).min()
+    if moved < _MIN_FIT_POINTS:
+        raise BeyondProbeRange(f"only {moved} of the {lags.size} window lags move a probe point")
     pts = np.zeros((_N_PROBES, d))
     for i in range(d):
         pts[:, i] = np.roll(ticks, i)
@@ -461,17 +454,6 @@ def _max_series(per_probe: list[list[tuple[float, float, float]]]):
     ]
 
 
-def estimate_diagonal_exponent(expr: Kernel, n: int) -> ExponentFit:
-    """Log-log fit of the order-n diagonal deviation (the largest over the
-    probes) against the lag.
-
-    The fitted slope estimates 2*epsilon in the Holder condition at
-    derivative order n.  Raises SmoothToOrder when the deviation underflows
-    at every scale.
-    """
-    return _fit_series(_max_series(_deviation_series(expr, n)), n)
-
-
 def _fit_series(rows, n: int) -> ExponentFit:
     """Fit of a deviation series: drop noisy or underflowing scales, then
     trim the small end while the residual exceeds the cap."""
@@ -497,12 +479,8 @@ def _trimmed_fit(pts) -> ExponentFit:
     return fit
 
 
-def verify_regularity(
-    expr: Kernel,
-    predicted: RegularityReport | None = None,
-    cfg: VerifyConfig | None = None,
-) -> VerifyReport:
-    """Compare the numerically detected order against the symbolic prediction.
+def verify_regularity(expr: Kernel, cfg: VerifyConfig | None = None) -> VerifyReport:
+    """Compare the numerically detected order against ``infer_regularity(expr)``.
 
     Detects n as the deepest stable derivative order, fits the deviation
     exponent there, and passes when n + slope/2 matches the predicted order
@@ -511,7 +489,7 @@ def verify_regularity(
     cfg.max_order and reported as 'smooth to probed order'.
     """
     cfg = cfg or VerifyConfig()
-    predicted = predicted or infer_regularity(expr)
+    predicted = infer_regularity(expr)
     # the lowest axis order, flagged and sharp as its attaining axes are
     lowest = _collapse(predicted.per_axis)
     target, log_flag, sharp = lowest.order, lowest.log_corrected, lowest.sharp
@@ -523,7 +501,7 @@ def verify_regularity(
 
     if target == math.inf:
         try:
-            fit = estimate_diagonal_exponent(expr, n_hat)
+            fit = _fit_series(_max_series(_deviation_series(expr, n_hat)), n_hat)
         except (SmoothToOrder, KernelError, ValueError):
             fit = None
         capped = n_hat >= cfg.max_order

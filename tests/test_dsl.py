@@ -30,7 +30,7 @@ from pathreg.kernels import (
     Wendland,
     classify,
 )
-from pathreg.regularity import Regularity, leaf_regularity
+from pathreg.regularity import Regularity
 
 from conftest import kernel_trees
 
@@ -381,6 +381,6 @@ def test_leaf_registry_matches_readme_table():
             assert print_kernel(expr) == source
             assert parse_kernel(print_kernel(expr)) == expr
             assert type(classify(expr)) is structure
-            assert leaf_regularity(expr) == Regularity(*order)
+            assert Regularity(*expr.path_order) == Regularity(*order)
         # the full source names every parameter of the leaf
         assert len(dataclasses.fields(cls)) == full.count("=")

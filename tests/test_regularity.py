@@ -9,46 +9,41 @@ from hypothesis import given, settings
 
 from pathreg.dsl import parse_kernel
 from pathreg.kernels import Conic, Matern, Product, TensorProduct, Wendland
-from pathreg.regularity import (
-    infer_regularity,
-    leaf_regularity,
-    report_to_dict,
-    sobolev_order,
-)
+from pathreg.regularity import Regularity, infer_regularity, report_to_dict
 
 from conftest import kernel_trees
 
 
 class TestLeafTable:
     def test_matern_sharp(self):
-        reg = leaf_regularity(Matern(nu=2.5))
+        reg = Regularity(*Matern(nu=2.5).path_order)
         assert reg.order == Fraction(5, 2)
         assert reg.sharp and not reg.log_corrected
 
     def test_matern_integer_log_corrected(self):
-        reg = leaf_regularity(Matern(nu=2.0))
+        reg = Regularity(*Matern(nu=2.0).path_order)
         assert reg.order == 2 and reg.sharp and reg.log_corrected
 
     def test_wendland(self):
-        reg = leaf_regularity(Wendland(1, 1))
+        reg = Regularity(*Wendland(1, 1).path_order)
         assert reg.order == Fraction(3, 2) and reg.sharp
 
     def test_wiener(self):
-        reg = leaf_regularity(parse_kernel("wiener()"))
+        reg = Regularity(*parse_kernel("wiener()").path_order)
         assert reg.order == Fraction(1, 2) and reg.sharp
 
     def test_smooth_leaves(self):
         for text in ["se()", "rq(a=1)", "periodic()", "linear()", "poly(m=3)"]:
-            reg = leaf_regularity(parse_kernel(text))
+            reg = Regularity(*parse_kernel(text).path_order)
             assert reg.order == math.inf and reg.sharp
 
     def test_feature_declared_sufficient_only(self):
-        reg = leaf_regularity(parse_kernel("feature(family=monomials, degree=2)"))
+        reg = Regularity(*parse_kernel("feature(family=monomials, degree=2)").path_order)
         assert reg.order == math.inf and not reg.sharp
 
     def test_orders_positive(self):
         for text in ["matern(nu=0.5)", "wendland(d=1,n=0)", "wiener()", "se()"]:
-            assert leaf_regularity(parse_kernel(text)).order > 0
+            assert Regularity(*parse_kernel(text).path_order).order > 0
 
 
 class TestCombinators:
@@ -120,7 +115,7 @@ class TestSobolev:
         ],
     )
     def test_orders(self, text, expected):
-        assert sobolev_order(parse_kernel(text)) == expected
+        assert infer_regularity(parse_kernel(text)).sobolev_order == expected
 
     def test_consistency_with_holder(self):
         for text in ["matern(nu=0.5)", "matern(nu=3)", "wendland(d=3,n=2)", "wiener()"]:

@@ -840,11 +840,23 @@ class TestSerialisation:
             loaded = read_samples_csv(str(spaced))
         assert np.array_equal(loaded.samples, samples.samples)
 
+    @staticmethod
+    def _write_twinless_sidecar(samples, path):
+        # a sidecar without the "twin" key, as one beside a CSV written by
+        # write_samples_csv alone: the reader takes its provenance and
+        # parses the CSV
+        write_sidecar(samples, path, {})
+        with open(path) as fh:
+            meta = json.load(fh)
+        del meta["twin"]
+        with open(path, "w") as fh:
+            json.dump(meta, fh)
+
     def test_sidecar_round_trip(self, tmp_path):
         grid = Grid((Axis(0.25, 1.25, 33),))
         samples = sample_derivative_paths(parse_kernel("se()"), 1, grid, 3, 5)
         write_samples_csv(samples, str(tmp_path / "d.csv"))
-        write_sidecar(samples, str(tmp_path / "d.json"))
+        self._write_twinless_sidecar(samples, str(tmp_path / "d.json"))
         loaded = read_samples_csv(str(tmp_path / "d.csv"))
         assert loaded.grid == grid
         assert (loaded.kernel, loaded.seed, loaded.alpha) == ("se()", 5, (1,))
@@ -856,7 +868,7 @@ class TestSerialisation:
         samples = sample_paths(parse_kernel("se()"), grid, 2, 5)
         write_samples_csv(samples, str(tmp_path / "p.csv"))
         other = sample_paths(parse_kernel("se()"), Grid((Axis(0.0, 1.0, 9),)), 2, 5)
-        write_sidecar(other, str(tmp_path / "p.json"))
+        self._write_twinless_sidecar(other, str(tmp_path / "p.json"))
         with pytest.raises(ValueError, match="grid"):
             read_samples_csv(str(tmp_path / "p.csv"))
 
@@ -864,7 +876,7 @@ class TestSerialisation:
         grid = Grid((Axis(0.5, 1.5, 5),))
         samples = sample_paths(parse_kernel("wiener()"), grid, 2, 11)
         path = str(tmp_path / "meta.json")
-        write_sidecar(samples, path)
+        write_sidecar(samples, path, {"csv_sha256": "c", "npy_sha256": "n"})
         with open(path) as fh:
             meta = json.load(fh)
         assert meta["kernel"] == "wiener()"
@@ -872,7 +884,8 @@ class TestSerialisation:
         assert meta["grid"]["axes"][0]["count"] == 5
         assert meta["jitter_used"] == samples.jitter_used
         assert meta["alpha"] == [0]
-        assert "twin" not in meta
+        assert set(meta["twin"]) == {"csv_sha256", "npy_sha256", "sidecar_sha256"}
+        assert (meta["twin"]["csv_sha256"], meta["twin"]["npy_sha256"]) == ("c", "n")
 
 
 def _twin_source(kind: str):

@@ -15,7 +15,6 @@ from pathreg.verify import (
     SmoothToOrder,
     VerifyConfig,
     detect_order,
-    estimate_diagonal_exponent,
     loglog_fit,
     verify_regularity,
     verify_to_dict,
@@ -33,8 +32,8 @@ def test_verify_config_fields():
 def test_no_unused_parameters():
     params = list(inspect.signature(V.derivative_kernel_matrix).parameters)
     assert params == ["expr", "alpha", "X", "Y"]
-    params = list(inspect.signature(estimate_diagonal_exponent).parameters)
-    assert params == ["expr", "n"]
+    params = list(inspect.signature(verify_regularity).parameters)
+    assert params == ["expr", "cfg"]
 
 
 def second_difference(expr, x, h, alpha):
@@ -49,6 +48,11 @@ def second_difference(expr, x, h, alpha):
         block = pairwise(expr, pts, pts)
     (k_hh, k_h0), (k_0h, k_00) = block.tolist()
     return k_hh - k_h0 - k_0h + k_00
+
+
+def estimate_diagonal_exponent(expr, n):
+    # the all-probe fit of the order-n diagonal deviation, as verify takes it
+    return V._fit_series(V._max_series(V._deviation_series(expr, n)), n)
 
 
 def lag_derivative(expr, order, t):
@@ -368,15 +372,15 @@ class TestBatchedBlocks:
     @pytest.mark.parametrize("text", [*GENERAL_1D, TENSOR_2D])
     def test_quotient_lattices(self, text):
         # one block over the union of a probe's lattices, against one
-        # eval_kernel call per lattice entry
+        # eval_kernel call per lattice entry, probe first, then axis
         expr = parse_kernel(text)
         steps = [2.0**-j for j in range(V._WINDOW[0], V._WINDOW[0] + 9)]
-        for x in V._probe_points(expr)[:3]:
-            for axis in range(expr.dim):
-                for n in range(1, 4):
-                    assert V._probe_quotients(expr, x, axis, n, steps, 1.0) == [
-                        _scalar_ms_quotient(expr, x, axis, n, s) for s in steps
-                    ], (x, axis, n)
+        for n in range(1, 4):
+            assert V._quotient_sequences(expr, n) == [
+                [_scalar_ms_quotient(expr, x, axis, n, s) for s in steps]
+                for x in V._probe_points(expr)
+                for axis in range(expr.dim)
+            ], n
 
     @pytest.mark.parametrize("text", [*GENERAL_1D, TENSOR_2D])
     def test_second_difference(self, text):
@@ -718,6 +722,29 @@ class TestBeyondProbeRange:
         else:
             assert report.verdict == ("log-flagged" if log else "pass")
             assert report.note is None
+
+    # a general kernel's lags below half an ulp of the probe coordinates
+    # leave the lattice points in place, and no order can be read from them
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "matern(nu=0.5,lengthscale=1e-14) + linear()",
+            "matern(nu=0.5,lengthscale=1e-15) + linear()",
+            "matern(nu=0.5,lengthscale=1e-17) + linear()",
+            "tensor(matern(nu=0.5,lengthscale=1e-17), se())",
+        ],
+    )
+    def test_lags_that_move_no_probe_point(self, text):
+        report = verify_regularity(parse_kernel(text))
+        assert (report.verdict, report.detected_order_n, report.exponent_fit) == ("fail", 0, None)
+        assert report.note.startswith("beyond probe range: only ")
+        assert report.note.endswith(" of the 9 window lags move a probe point")
+
+    def test_smallest_general_lengthscale_in_range(self):
+        report = verify_regularity(parse_kernel("matern(nu=0.5,lengthscale=1e-13) + linear()"))
+        assert report.verdict == "pass"
+        assert report.note is None
+        assert report.detected_total == pytest.approx(0.5, abs=CFG.tol)
 
     def test_missing_origin_derivative(self):
         # order 1 needs the second lag derivative at the origin, which
