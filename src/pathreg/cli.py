@@ -118,22 +118,22 @@ def _estimate_samples(samples: PathSamples) -> dict:
     }
 
 
-def _desk_defaults(args, expr: Kernel | None) -> None:
-    if args.profile != "desk":
-        return
-    if getattr(args, "seed", None) is None:
-        args.seed = _DESK_SEED
-    dim = expr.dim if expr is not None else 1
-    if getattr(args, "grid", None) is None:
-        args.grid = _DESK_GRID_1D if dim == 1 else _DESK_GRID_2D
-    if getattr(args, "count", None) is None:
-        args.count = _DESK_COUNT_1D if dim == 1 else _DESK_COUNT_2D
-
-
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n, None) is None]
+def _draw(args, expr: Kernel, *required: str) -> PathSamples:
+    """sample_paths at the flags' grid, count and seed, which the desk
+    profile fills in where not given; a missing flag, of these or of
+    ``required``, is a usage error."""
+    if args.profile == "desk":
+        one_d = expr.dim == 1
+        if args.seed is None:
+            args.seed = _DESK_SEED
+        if args.grid is None:
+            args.grid = _DESK_GRID_1D if one_d else _DESK_GRID_2D
+        if args.count is None:
+            args.count = _DESK_COUNT_1D if one_d else _DESK_COUNT_2D
+    missing = [f"--{n}" for n in ("grid", "count", "seed", *required) if getattr(args, n) is None]
     if missing:
-        raise _UsageError(f"missing required flags: {', '.join('--' + n for n in missing)}")
+        raise _UsageError(f"missing required flags: {', '.join(missing)}")
+    return sample_paths(expr, _parse_grid(args.grid), args.count, args.seed)
 
 
 class _UsageError(Exception):
@@ -160,11 +160,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    expr = parse_kernel(args.kernel)
-    _desk_defaults(args, expr)
-    _require(args, ["grid", "count", "seed", "out"])
-    grid = _parse_grid(args.grid)
-    samples = sample_paths(expr, grid, args.count, args.seed)
+    samples = _draw(args, parse_kernel(args.kernel), "out")
     csv_path = args.out if args.out.endswith(".csv") else f"{args.out}.csv"
     write_samples(samples, csv_path)
     print(csv_path)
@@ -180,9 +176,7 @@ def _cmd_estimate(args) -> int:
         if args.kernel is None:
             raise _UsageError("estimate needs --samples or --kernel with a grid request")
         expr = parse_kernel(args.kernel)
-        _desk_defaults(args, expr)
-        _require(args, ["grid", "count", "seed"])
-        samples = sample_paths(expr, _parse_grid(args.grid), args.count, args.seed)
+        samples = _draw(args, expr)
         payload = {"kernel": print_kernel(expr), **_estimate_samples(samples)}
     _emit(payload, args.format)
     return 0
@@ -190,7 +184,6 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_report(args) -> int:
     expr = parse_kernel(args.kernel)
-    _desk_defaults(args, expr)
     analyze = _analyze_payload(expr)
     vreport = verify_regularity(expr)
     payload: dict = {
@@ -204,15 +197,13 @@ def _cmd_report(args) -> int:
         payload["estimate"] = None
         payload["estimate_skipped"] = "sampling disabled by --no-sample"
     else:
-        _require(args, ["grid", "count", "seed"])
-        grid = _parse_grid(args.grid)
-        samples = sample_paths(expr, grid, args.count, args.seed)
+        samples = _draw(args, expr)
         payload["estimate"] = _estimate_samples(samples)
         samples_csv = f"{prefix}_samples.csv"
         write_samples(samples, samples_csv)
         files["samples"] = samples_csv
         files["surface"] = f"{prefix}_surface.csv"
-        _write_surface(expr, grid, files["surface"])
+        _write_surface(expr, samples.grid, files["surface"])
     payload["files"] = files
     _write_json(payload, f"{prefix}.json")
     _emit(payload, args.format)

@@ -24,11 +24,12 @@ Other non-stationary expressions are evaluated point by point in row blocks.
 
 Derivative paths, draws of GP(0, d^(alpha,alpha) k), follow every rule
 below with the exact derivative covariance in place of the kernel: one
-builder makes the draw operators of both, and alpha = 0 is the kernel.
-A stationary derivative Gram comes from a lag table the same way, but a
-non-stationary sum or product is not split term by term at alpha != 0,
-since the derivative covariance of a product is not the product of the
-children's.
+builder makes the draw operators of both, alpha = 0 being the kernel,
+and it refuses an alpha that the sample-path order inferred for the
+kernel (for a tensor, each factor's) does not exceed.  A stationary
+derivative Gram comes from a lag table the same way, but a non-stationary
+sum or product is not split term by term at alpha != 0, since the
+derivative covariance of a product is not the product of the children's.
 
 On a 1-D grid that Gram is Toeplitz, and sampling never builds it, nor its
 factor: the kernel is evaluated at the lags k * spacing, k = 0..n-1 (the
@@ -334,15 +335,17 @@ def cholesky_with_jitter(matrix: np.ndarray):
         return np.linalg.cholesky(matrix)
 
     try:
-        return _jitter_ladder(factor, float(np.trace(matrix)) / matrix.shape[0])
+        return _jitter_ladder(factor, diag)
     finally:
         np.fill_diagonal(matrix, diag)
 
 
-def _jitter_ladder(factor, scale: float):
+def _jitter_ladder(factor, diag: np.ndarray):
     """(factor(jitter), jitter) for the first jitter in {0, l0, 10 l0, ...},
-    l0 = 1e-12 scale, at which factor does not raise LinAlgError; scale is
-    trace/N of the matrix being factorised."""
+    l0 = 1e-12 trace/N, at which factor does not raise LinAlgError; diag is
+    the diagonal of the matrix being factorised, and its sum is bitwise
+    np.trace's of that matrix."""
+    scale = float(diag.sum()) / diag.shape[0]
     if not 0.0 < scale < math.inf:
         raise FactorizationError(f"matrix trace/N {scale!r} is not positive and finite")
     base = 1e-12 * scale
@@ -363,11 +366,8 @@ def _toeplitz_draws(column: np.ndarray):
     """Draw operator of the symmetric Toeplitz matrix with first column
     ``column``: each call streams its draws from the Schur rows, as one
     attempt of the jitter ladder per rung."""
-    n = column.shape[0]
-    # trace/N as np.trace sums the diagonal of the dense matrix, so the
-    # ladder's rungs are bitwise those of the dense path
-    scale = float(np.full(n, column[0]).sum()) / n
-    return lambda z: _jitter_ladder(partial(_schur, column, z=z), scale)
+    diag = np.full(column.shape[0], column[0])
+    return lambda z: _jitter_ladder(partial(_schur, column, z=z), diag)
 
 
 def _schur(column: np.ndarray, jitter: float, z: np.ndarray) -> np.ndarray:
@@ -483,11 +483,12 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     of standard normals, which it may overwrite, that returns
     (z L^T, jitter_used), L the lower Cholesky factor of the jittered Gram.
 
-    A top-level tensor product factorises each axis by these rules, with
-    that axis's component of alpha: its Gram is the Kronecker product of
-    the axes' Grams, so L is the Kronecker product of their factors (each
-    the draws of the identity) and a draw is the two-sided product
-    L1 Z L2^T.  A stationary expression on a 1-D grid streams its draws
+    KernelError at alpha != 0 unless the inferred order exceeds |alpha|.
+    A top-level tensor product is not judged whole: it gates and factorises
+    each axis by these rules, with that axis's component of alpha; its Gram
+    is the Kronecker product of the axes' Grams, so L is the Kronecker
+    product of their factors (each the draws of the identity) and a draw is
+    the two-sided product L1 Z L2^T.  A stationary expression on a 1-D grid streams its draws
     from the Schur rows of its values at the lags k * spacing alone, and
     the Wiener kernel takes running sums of its Brownian increments;
     neither holds an n x n array.  Anything else is z L^T with L from
@@ -511,12 +512,18 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
             return block
 
         return lambda z: (_by_block(z, apply), max(j1, j2))
-    # the Wiener kernel admits only alpha = 0
-    if isinstance(expr, Wiener):
-        return _brownian_draws(grid.axes[0].ticks())
     if any(alpha):
+        order = infer_regularity(expr).order
+        if not order > sum(alpha):
+            raise KernelError(
+                f"derivative order |alpha|={sum(alpha)} is not below the sample-path order "
+                f"{order}; the derivative process does not exist"
+            )
         cross = partial(derivative_kernel_matrix, expr, alpha)
         dense_gram = partial(_assemble_gram, expr, grid, cross)
+    elif isinstance(expr, Wiener):
+        # the gate above admits the Wiener kernel only at alpha = 0
+        return _brownian_draws(grid.axes[0].ticks())
     else:
         cross = partial(pairwise, expr)
         dense_gram = partial(build_gram, expr, grid)
@@ -526,28 +533,9 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     return lambda z: (_by_block(z, lambda b: b @ lower.T), jitter)
 
 
-def _check_derivative_order(expr: Kernel, alpha: tuple) -> None:
-    # a top-level tensor product's derivative is the product of its
-    # factors', so each factor's part of alpha must stay below its order
-    if isinstance(expr, TensorProduct):
-        offsets = np.cumsum([0] + [f.dim for f in expr.factors])
-        for f, lo, hi in zip(expr.factors, offsets, offsets[1:]):
-            _check_derivative_order(f, alpha[lo:hi])
-        return
-    order = infer_regularity(expr).order
-    if not (order > sum(alpha)):
-        raise KernelError(
-            f"derivative order |alpha|={sum(alpha)} is not below the sample-path order "
-            f"{order}; the derivative process does not exist"
-        )
-
-
 def _sample(expr: Kernel, grid: Grid, count: int, seed: int, alpha: tuple):
     if count < 1:
         raise ValueError("count must be >= 1")
-    # every kernel's order is positive, so the gate passes at alpha = 0
-    if any(alpha):
-        _check_derivative_order(expr, alpha)
     rows, jitter = _draw_rows(seed, count, grid.n_points, _factorise(expr, grid, alpha))
     return PathSamples(
         grid=grid,
@@ -570,7 +558,8 @@ def sample_derivative_paths(expr: Kernel, alpha, grid: Grid, count: int, seed: i
     The sample-path order inferred for the kernel must exceed |alpha|, else
     the requested derivative outruns the differentiability of the paths;
     for a top-level tensor product, each factor's order must exceed its
-    own part of alpha.  The derivative kernel is the exact mixed partial
+    own part of alpha; the draw-operator builder checks this, after the
+    grid's dimension.  The derivative kernel is the exact mixed partial
     d^(alpha,alpha) k of ``derivative_kernel_matrix``, not a difference of
     sampled paths, and it is factorised as the kernel is.
     """
@@ -834,6 +823,28 @@ def write_sidecar(samples: PathSamples, path: str, twin: dict) -> None:
     _write_json(meta, path)
 
 
+def _read_sidecar(path: str):
+    """(grid, provenance, twin) of the sidecar at ``path``, or None when
+    there is none.  twin is the recorded sha256 of the CSV and of its binary
+    twin, a pair, while the sidecar's other keys hash as recorded, else
+    None.  Raises ValueError when the sidecar is not JSON or lacks the grid
+    or a provenance key."""
+    try:
+        with open(path) as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        return None
+    try:
+        grid = Grid(tuple(Axis(**a) for a in meta["grid"]["axes"]))
+        provenance = {k: meta[k] for k in ("kernel", "seed", "jitter_used", "alpha")}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed samples sidecar: {exc!r}") from None
+    twin = meta.get("twin")
+    if isinstance(twin, dict) and twin.get("sidecar_sha256") == _meta_sha256(meta):
+        return grid, provenance, (twin.get("csv_sha256"), twin.get("npy_sha256"))
+    return grid, provenance, None
+
+
 def _sha256(data: bytes = b""):
     # imported on first use: hashlib loads OpenSSL, some 6 ms that every
     # cold CLI start would otherwise pay
@@ -860,11 +871,12 @@ def _write_json(payload: dict, path: str) -> None:
 def read_samples_csv(path: str) -> PathSamples:
     """Rebuild PathSamples from a CSV written by write_samples_csv.
 
-    When the sidecar ``<stem>.json`` has the ``twin`` key of write_samples
-    and the CSV, the twin ``<stem>.npy`` and the sidecar's other keys all
-    hash as it records, the draws are the twin's and the grid and
-    provenance the sidecar's: exactly what parsing the CSV gives.
-    Otherwise the CSV is parsed.
+    The sidecar ``<stem>.json`` is read once, first, and a malformed one
+    is an error.  When it has the ``twin`` key of write_samples and the
+    CSV, the twin ``<stem>.npy`` and the sidecar's other keys all hash as
+    it records, the draws are the twin's and the grid and provenance the
+    sidecar's: exactly what parsing the CSV gives.  Otherwise the CSV is
+    parsed.
 
     The grid is reconstructed from the coordinate columns, which must form
     a uniform row-major 1-D or 2-D grid; blank lines (ASCII whitespace) are
@@ -873,9 +885,15 @@ def read_samples_csv(path: str) -> PathSamples:
     grid must match the CSV's; without a sidecar the seed reads -1 and the
     jitter NaN.
     """
-    twin = _read_twin(path)
-    if twin is not None:
-        return twin
+    stem = os.path.splitext(path)[0]
+    sidecar = _read_sidecar(f"{stem}.json")
+    if sidecar is not None and sidecar[2] is not None:
+        sidecar_grid, provenance, (csv_sha256, npy_sha256) = sidecar
+        # a CSV or twin that cannot be read does not hash as recorded
+        with contextlib.suppress(OSError):
+            if _sha256_file(path) == csv_sha256 and _sha256_file(f"{stem}.npy") == npy_sha256:
+                draws = np.load(f"{stem}.npy", allow_pickle=False)
+                return PathSamples(grid=sidecar_grid, samples=draws, **provenance)
     # every non-blank line is a row: np.loadtxt below reads the non-blank
     # lines with comments=None, and both passes split and test the same
     # bytes, so the buffers it fills are exactly those counted here
@@ -928,41 +946,11 @@ def read_samples_csv(path: str) -> PathSamples:
         expected = grid.points()
         if not np.allclose(expected, coords, rtol=0, atol=1e-9):
             raise ValueError("coordinates do not form a row-major grid")
-    try:
-        with open(f"{os.path.splitext(path)[0]}.json") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
+    if sidecar is None:
         return PathSamples(grid=grid, samples=values, kernel="", seed=-1, jitter_used=float("nan"))
-    try:
-        same_grid = Grid(tuple(Axis(**a) for a in meta["grid"]["axes"])) == grid
-        provenance = {k: meta[k] for k in ("kernel", "seed", "jitter_used", "alpha")}
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed samples sidecar: {exc!r}") from None
-    if not same_grid:
+    if sidecar[0] != grid:
         raise ValueError("the samples sidecar describes another grid than the CSV")
-    return PathSamples(grid=grid, samples=values, **provenance)
-
-
-def _read_twin(path: str) -> PathSamples | None:
-    """The samples of a verified binary twin of the CSV at ``path``, or
-    None: without a sidecar, its ``twin`` key or the twin, or when the CSV,
-    the twin or the sidecar's other keys hash otherwise than recorded."""
-    stem = os.path.splitext(path)[0]
-    try:
-        with open(f"{stem}.json") as fh:
-            meta = json.load(fh)
-        twin = meta["twin"]
-        if (
-            _meta_sha256(meta) != twin["sidecar_sha256"]
-            or _sha256_file(path) != twin["csv_sha256"]
-            or _sha256_file(f"{stem}.npy") != twin["npy_sha256"]
-        ):
-            return None
-        grid = Grid(tuple(Axis(**a) for a in meta["grid"]["axes"]))
-        provenance = {k: meta[k] for k in ("kernel", "seed", "jitter_used", "alpha")}
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    return PathSamples(grid=grid, samples=np.load(f"{stem}.npy", allow_pickle=False), **provenance)
+    return PathSamples(grid=grid, samples=values, **sidecar[1])
 
 
 def _sha256_file(path: str) -> str:

@@ -75,7 +75,9 @@ from .kernels import (
     DomainError,
     Kernel,
     KernelError,
+    ParameterError,
     Stationary,
+    _check_int,
     classify,
     pairwise,
     partials,
@@ -120,15 +122,22 @@ class SmoothToOrder(KernelError):
 
 class BeyondProbeRange(KernelError):
     """Raised when the probe window cannot resolve the kernel: too few
-    usable scales, no order-2n lag derivative at the origin, or too few lags
-    that move a probe point.  ``verify_regularity`` reports it as a failing
-    verdict."""
+    usable scales, no order-2n lag derivative at the origin, too few lags
+    that move a probe point, or arithmetic that leaves the float range.
+    ``verify_regularity`` reports it as a failing verdict."""
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
+    """tol finite and >= 0, max_order an integer >= 0; else ParameterError."""
+
     tol: float = 0.15
     max_order: int = 3
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_order", _check_int("max_order", self.max_order, 0))
+        if not 0.0 <= self.tol < math.inf:
+            raise ParameterError(f"parameter tol must be finite and >= 0, got {self.tol!r}", "tol")
 
 
 @dataclass(frozen=True)
@@ -377,11 +386,16 @@ def _trim_noisy(seq: list[tuple[float, float]]) -> list[tuple[float, float]]:
 
 def detect_order(expr: Kernel, cfg: VerifyConfig | None = None) -> int:
     """Largest n <= cfg.max_order whose order-n diagonal derivatives
-    stabilise; BeyondProbeRange when the quotients leave the float range."""
+    stabilise; BeyondProbeRange, with the order detected below it as its
+    ``resolved``, when the quotients leave the float range."""
     cfg = cfg or VerifyConfig()
     n = 0
-    while n < cfg.max_order and _order_exists(expr, n + 1):
-        n += 1
+    try:
+        while n < cfg.max_order and _order_exists(expr, n + 1):
+            n += 1
+    except BeyondProbeRange as exc:
+        exc.resolved = n
+        raise
     return n
 
 
@@ -497,7 +511,7 @@ def verify_regularity(expr: Kernel, cfg: VerifyConfig | None = None) -> VerifyRe
     try:
         n_hat = detect_order(expr, cfg)
     except BeyondProbeRange as exc:
-        return VerifyReport(0, None, predicted, "fail", note=f"beyond probe range: {exc}")
+        return VerifyReport(exc.resolved, None, predicted, "fail", note=f"beyond probe range: {exc}")
 
     if target == math.inf:
         try:

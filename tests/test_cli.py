@@ -187,6 +187,19 @@ class TestExitCodes:
         assert payload["verdict"] == verdict
         assert err == ""
 
+    # a negative order cap, or a tolerance that is infinite or NaN, made
+    # every verdict meaningless (exit 0 with "smooth_to_order": -2, every
+    # kernel passing, or a passing kernel failing)
+    @pytest.mark.parametrize(
+        "flags", [("--max-order", "-2"), ("--max-order", "-1"), ("--tol", "nan"),
+                  ("--tol", "inf"), ("--tol", "-0.1")]
+    )
+    def test_meaningless_verify_config_is_2(self, capsys, flags):
+        code, out, err = run(capsys, "verify", "-k", "se()", *flags)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: parameter ")
+
     def test_arithmetic_error_is_3(self, capsys, monkeypatch):
         import pathreg.cli
 
@@ -449,6 +462,21 @@ class TestEstimate:
     def test_requires_source(self, capsys):
         code, _, err = run(capsys, "estimate")
         assert code == 2
+
+    # the three drawing commands take their grid, count and seed alike: a
+    # missing one is a usage error, and a given zero count is not missing
+    @pytest.mark.parametrize("command", ["sample", "estimate", "report"])
+    def test_draw_request(self, capsys, tmp_path, command):
+        out = ["--out", str(tmp_path / "d")] if command != "estimate" else []
+        code, _, err = run(capsys, command, "-k", "se()", "--count", "2")
+        flags = "--grid, --seed, --out" if command == "sample" else "--grid, --seed"
+        assert (code, err) == (2, f"error: missing required flags: {flags}\n")
+        for profile in ([], ["--profile", "desk"]):
+            code, _, err = run(
+                capsys, command, "-k", "se()", "--grid", "0:1:9", "--count", "0", "--seed", "1",
+                *out, *profile,
+            )
+            assert (code, err) == (3, "error: count must be >= 1\n")
 
     def test_desk_profile_pins_defaults(self, capsys, tmp_path):
         # the desk profile supplies grid/count/seed so CI runs reproduce the

@@ -258,7 +258,7 @@ class TestCholeskyWithJitter:
             raise np.linalg.LinAlgError
 
         with pytest.raises(FactorizationError, match="is not positive and finite"):
-            sampling._jitter_ladder(never_factors, scale)
+            sampling._jitter_ladder(never_factors, np.full(3, scale))
         assert calls == []
 
     def test_indefinite_exceeds_budget(self):
@@ -320,8 +320,8 @@ def _dense_schur(column, jitter):
 
 
 def _dense_toeplitz_cholesky(column):
-    scale = float(np.full(column.shape[0], column[0]).sum()) / column.shape[0]
-    return sampling._jitter_ladder(lambda jitter: _dense_schur(column, jitter), scale)
+    diag = np.full(column.shape[0], column[0])
+    return sampling._jitter_ladder(lambda jitter: _dense_schur(column, jitter), diag)
 
 
 class TestToeplitzCholesky:
@@ -687,6 +687,11 @@ class TestDerivativePaths:
         assert sample_derivative_paths(tensor, (1, 1), grid, 2, 1).alpha == (1, 1)
         with pytest.raises(KernelError, match=r"\|alpha\|=2 is not below .* order 3/2"):
             sample_derivative_paths(tensor, (2, 0), grid, 2, 1)
+        with pytest.raises(KernelError, match=r"\|alpha\|=2 is not below .* order 3/2"):
+            sample_derivative_paths(tensor, (0, 2), grid, 2, 1)
+        rough_second = parse_kernel("tensor(matern(nu=2.5), matern(nu=0.5))")
+        with pytest.raises(KernelError, match=r"\|alpha\|=1 is not below .* order 1/2"):
+            sample_derivative_paths(rough_second, (1, 1), grid, 2, 1)
         isotropic = parse_kernel("matern(nu=2.5,dim=2)")
         assert sample_derivative_paths(isotropic, (1, 1), grid, 2, 1).alpha == (1, 1)
         with pytest.raises(KernelError, match=r"\|alpha\|=3 is not below .* order 5/2"):
@@ -901,7 +906,7 @@ def _twin_source(kind: str):
 def _csv_parse(path: str, monkeypatch):
     # the reader with the twin disabled: a fresh parse of the CSV
     with monkeypatch.context() as m:
-        m.setattr(sampling, "_read_twin", lambda _path: None)
+        m.setattr(sampling, "_sha256_file", lambda _path: "")
         return read_samples_csv(path)
 
 
@@ -987,6 +992,32 @@ class TestBinaryTwin:
             assert loaded.seed == samples.seed + 1
         else:
             assert loaded.samples.tobytes() == samples.samples.tobytes()
+
+    def test_sidecar_is_decoded_once(self, tmp_path, monkeypatch):
+        samples = _twin_source("1-D")
+        write_samples(samples, str(tmp_path / "s.csv"))
+        (tmp_path / "s.npy").unlink()
+        load = json.load
+        loads = []
+
+        def counted(fh, *args, **kwargs):
+            loads.append(fh.name)
+            return load(fh, *args, **kwargs)
+
+        monkeypatch.setattr(json, "load", counted)
+        assert read_samples_csv(str(tmp_path / "s.csv")).seed == samples.seed
+        assert loads == [str(tmp_path / "s.json")]
+
+    def test_malformed_sidecar_is_reported_before_the_parse(self, tmp_path, monkeypatch):
+        write_samples(_twin_source("1-D"), str(tmp_path / "s.csv"))
+        _edit_sidecar(tmp_path / "s.json", lambda meta: meta.pop("seed"))
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the CSV was parsed")
+
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        with pytest.raises(ValueError, match="malformed samples sidecar: KeyError\\('seed'\\)"):
+            read_samples_csv(str(tmp_path / "s.csv"))
 
     def test_edited_sidecar_grid_is_still_an_error(self, tmp_path):
         samples = _twin_source("1-D")

@@ -10,7 +10,7 @@ import pytest
 
 from pathreg import verify as V
 from pathreg.dsl import parse_kernel
-from pathreg.kernels import eval_kernel, pairwise, partials
+from pathreg.kernels import ParameterError, eval_kernel, pairwise, partials
 from pathreg.verify import (
     SmoothToOrder,
     VerifyConfig,
@@ -27,6 +27,21 @@ def test_verify_config_fields():
     # the lag window, the probe design, the fit calibration and the floor of
     # the log tolerance are module constants; the CLI sets the rest
     assert [f.name for f in dataclasses.fields(VerifyConfig)] == ["tol", "max_order"]
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_order": -1}, {"max_order": -2}, {"max_order": 1.5}, {"tol": math.nan},
+     {"tol": math.inf}, {"tol": -0.1}],
+)
+def test_verify_config_rejects_meaningless_values(kwargs):
+    with pytest.raises(ParameterError):
+        VerifyConfig(**kwargs)
+
+
+def test_verify_config_edges():
+    assert VerifyConfig(tol=0.0, max_order=0) == VerifyConfig(tol=0, max_order=0.0)
+    assert type(VerifyConfig(max_order=2.0).max_order) is int
 
 
 def test_no_unused_parameters():
@@ -711,6 +726,22 @@ class TestBeyondProbeRange:
         else:
             assert report.exponent_fit is None
             assert report.note.startswith(f"beyond probe range: {cause} leaves the float range")
+
+    # the orders detected before one leaves the float range are reported
+    # with the note, and each kernel passes when capped at the last of them
+    @pytest.mark.parametrize("text", ["se()", "rq(a=1)"])
+    def test_float_range_keeps_the_resolved_orders(self, text):
+        report = verify_regularity(parse_kernel(text), cfg=VerifyConfig(max_order=60))
+        assert (report.verdict, report.detected_order_n, report.exponent_fit) == ("fail", 41, None)
+        assert report.note.startswith("beyond probe range: order-42 arithmetic leaves the float range")
+        assert verify_to_dict(report)["detected"]["n"] == 41
+        capped = verify_regularity(parse_kernel(text), cfg=VerifyConfig(max_order=41))
+        assert (capped.verdict, capped.detected_order_n, capped.note) == ("pass", 41, None)
+
+    def test_float_range_at_order_one_resolves_none(self):
+        report = verify_regularity(parse_kernel("matern(nu=1.5,lengthscale=1e300)"))
+        assert (report.verdict, report.detected_order_n) == ("fail", 0)
+        assert report.note.startswith("beyond probe range: order-1 arithmetic")
 
     @pytest.mark.parametrize("ell", ["1e-300", "1e-170", "1e-60", "1e60", "1e170", "1e300"])
     @pytest.mark.parametrize("leaf, order, log", STATIONARY_LEAVES)
