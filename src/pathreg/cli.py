@@ -12,35 +12,30 @@ or domain error, an allocation too large for memory or an arithmetic
 error included.  All
 outputs are deterministic given the flags and seed; files are written
 atomically.
+
+Each command imports only the modules it runs: ``analyze`` parses, infers
+and prints without loading numpy, ``verify`` adds numpy and ``verify``,
+and the commands that draw add ``sampling`` and ``structure`` as well.
+A cold start pays for no module its command does not use.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dsl import ParseError, parse_kernel, print_kernel
 from .kernels import Kernel, KernelError, ParameterError, pairwise
 from .regularity import infer_regularity, report_to_dict
-from .sampling import (
-    Axis,
-    Grid,
-    PathSamples,
-    _write_grid_csv,
-    _write_json,
-    read_samples_csv,
-    sample_paths,
-    write_samples,
-)
-from .structure import EstimateResult, axiswise_regularity, estimate_path_regularity
-from .verify import VerifyConfig, verify_regularity, verify_to_dict
+
+if TYPE_CHECKING:
+    from .sampling import Grid, PathSamples
+    from .structure import EstimateResult
 
 __all__ = ["main"]
 
@@ -52,12 +47,22 @@ _DESK_GRID_2D = "0:1:128,0:1:128"
 
 
 def _parse_grid(text: str) -> Grid:
+    """The grid of ``--grid``.  Text that is not of the form
+    start:stop:count[,start:stop:count] is a usage error; an axis that
+    parses but is no grid (start >= stop, count < 2, a non-finite value)
+    is the ValueError of ``Axis``."""
+    from .sampling import Axis, Grid
+
     axes = []
     for part in text.split(","):
-        pieces = part.split(":")
-        if len(pieces) != 3:
-            raise ValueError(f"grid axis {part!r} is not of the form start:stop:count")
-        start, stop, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
+        try:
+            start, stop, count = part.split(":")
+            start, stop, count = float(start), float(stop), int(count)
+        except ValueError:
+            raise _UsageError(
+                f"grid axis {part!r} is not of the form start:stop:count "
+                "(real start and stop, integer count)"
+            ) from None
         axes.append(Axis(start, stop, count))
     return Grid(tuple(axes))
 
@@ -67,6 +72,8 @@ def _emit(payload: dict, fmt: str) -> None:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return
+    import csv
+
     writer = csv.writer(sys.stdout)
     for key, value in _flatten(payload):
         writer.writerow([key, value])
@@ -110,6 +117,8 @@ def _estimate_payload(result: EstimateResult, axis=None) -> dict:
 
 
 def _estimate_samples(samples: PathSamples) -> dict:
+    from .structure import axiswise_regularity, estimate_path_regularity
+
     if samples.grid.dim == 1:
         return _estimate_payload(estimate_path_regularity(samples))
     first, second = axiswise_regularity(samples)
@@ -133,6 +142,8 @@ def _draw(args, expr: Kernel, *required: str) -> PathSamples:
     missing = [f"--{n}" for n in ("grid", "count", "seed", *required) if getattr(args, n) is None]
     if missing:
         raise _UsageError(f"missing required flags: {', '.join(missing)}")
+    from .sampling import sample_paths
+
     return sample_paths(expr, _parse_grid(args.grid), args.count, args.seed)
 
 
@@ -147,6 +158,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import VerifyConfig, verify_regularity, verify_to_dict
+
     expr = parse_kernel(args.kernel)
     cfg = VerifyConfig()
     if args.tol is not None:
@@ -160,6 +173,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .sampling import write_samples
+
     samples = _draw(args, parse_kernel(args.kernel), "out")
     csv_path = args.out if args.out.endswith(".csv") else f"{args.out}.csv"
     write_samples(samples, csv_path)
@@ -170,6 +185,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_estimate(args) -> int:
     if args.samples is not None:
+        from .sampling import read_samples_csv
+
         samples = read_samples_csv(args.samples)
         payload = {"samples": args.samples, **_estimate_samples(samples)}
     else:
@@ -183,6 +200,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .sampling import _write_json, write_samples
+    from .verify import verify_regularity, verify_to_dict
+
     expr = parse_kernel(args.kernel)
     analyze = _analyze_payload(expr)
     vreport = verify_regularity(expr)
@@ -212,6 +232,10 @@ def _cmd_report(args) -> int:
 
 def _write_surface(expr: Kernel, grid: Grid, path: str) -> None:
     """Kernel values against the grid centre, one grid point per row."""
+    import numpy as np
+
+    from .sampling import _write_grid_csv
+
     centre = np.array([(a.start + a.stop) / 2.0 for a in grid.axes])
     _write_grid_csv(path, grid, ["k"], pairwise(expr, grid.points(), centre[None, :]))
 

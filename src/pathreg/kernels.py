@@ -61,9 +61,9 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, ClassVar
 
-import numpy as np
-
 from . import specfun
+
+np = specfun._LazyNumpy(globals())
 
 __all__ = [
     "KernelError",

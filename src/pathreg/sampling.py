@@ -631,10 +631,16 @@ def _write_twin(draws: np.ndarray, path: str) -> str:
 @contextlib.contextmanager
 def _atomic_file(path: str, mode: str):
     """The file ``<path>.tmp`` open in ``mode``, renamed to ``path`` when
-    the block completes and removed when it raises."""
+    the block completes and removed when it raises.  An error opening it
+    (a missing directory, say) names ``path``, the file asked for."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode) as fh:
+        fh = open(tmp, mode)
+    except OSError as exc:
+        exc.filename = path
+        raise
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 __all__ = [
     "gamma",
     "bessel_k",
@@ -48,6 +46,25 @@ _K_TAIL = 40.0
 _K_KAPPA_MIN = 0.1
 _K_CHUNK = 512  # arguments per (chunk, node) temporary
 _MATERN_SMALL = 1e-10  # below this rho the Matern profile is its expansion
+
+
+class _LazyNumpy:
+    """numpy, imported on the first attribute taken from it: that access
+    binds numpy itself as ``np`` in the namespace ``scope``, so the calls
+    after it look numpy up directly.  A module that only builds and reads
+    kernel expressions (parsing, inference, printing) never loads numpy."""
+
+    def __init__(self, scope: dict):
+        self._scope = scope
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._scope["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy(globals())
 
 
 def gamma(x: float) -> float:

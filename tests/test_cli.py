@@ -201,12 +201,13 @@ class TestExitCodes:
         assert line.startswith("error: parameter ")
 
     def test_arithmetic_error_is_3(self, capsys, monkeypatch):
-        import pathreg.cli
+        # verify imports verify_regularity from its module when it runs
+        import pathreg.verify
 
         def overflow(expr, cfg=None):
             raise OverflowError("(34, 'Numerical result out of range')")
 
-        monkeypatch.setattr(pathreg.cli, "verify_regularity", overflow)
+        monkeypatch.setattr(pathreg.verify, "verify_regularity", overflow)
         code, out, err = run(capsys, "verify", "-k", "se()")
         assert code == 3
         assert out == ""
@@ -231,6 +232,56 @@ class TestExitCodes:
         assert proc.returncode == 3
         (line,) = proc.stderr.splitlines()
         assert line.startswith("error: axis ")
+        assert list(tmp_path.iterdir()) == []
+
+    # malformed axis text once exited 3, some of it with Python's own
+    # message (invalid literal for int() with base 10: '5.5')
+    @pytest.mark.parametrize(
+        "grid, axis",
+        [("0:1", "0:1"), ("0:1:5.5", "0:1:5.5"), ("a:1:9", "a:1:9"), ("0:1:9,0:1", "0:1"),
+         ("0:1:9:2", "0:1:9:2"), ("0:1:", "0:1:"), ("", "")],
+    )
+    @pytest.mark.parametrize("command", ["sample", "estimate", "report"])
+    def test_malformed_grid_is_2(self, capsys, tmp_path, command, grid, axis):
+        argv = ["-k", "se()", f"--grid={grid}", "--count", "50", "--seed", "1"]
+        if command != "estimate":
+            argv += ["--out", str(tmp_path / "g")]
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: grid axis {axis!r} is not of the form start:stop:count "
+            "(real start and stop, integer count)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    # an axis that parses but is no grid stays a runtime error
+    @pytest.mark.parametrize(
+        "grid, message",
+        [("1:0:5", "axis needs start < stop"), ("0:1:1", "axis needs at least 2 points"),
+         ("0:1:-3", "axis needs at least 2 points")],
+    )
+    def test_invalid_axis_is_3(self, capsys, tmp_path, grid, message):
+        code, out, err = run(capsys, "sample", "-k", "se()", f"--grid={grid}", "--count", "50",
+                             "--seed", "1", "--out", str(tmp_path / "g"))
+        assert (code, out) == (3, "")
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {message}")
+
+    # the message once named the writer's temp file, sub/dir/s.csv.tmp
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["sample", "--out", "sub/dir/s"], "sub/dir/s.csv"),
+            (["report", "--out", "sub/dir/r"], "sub/dir/r_samples.csv"),
+            (["report", "--no-sample", "--out", "sub/dir/r"], "sub/dir/r.json"),
+        ],
+    )
+    def test_missing_directory_names_the_file(self, capsys, tmp_path, monkeypatch, argv, named):
+        monkeypatch.chdir(tmp_path)
+        grid = ["--grid", "0:1:33", "--count", "50", "--seed", "1"]
+        code, out, err = run(capsys, argv[0], "-k", "se()", *grid, *argv[1:])
+        assert (code, out) == (3, "")
+        assert err == f"error: [Errno 2] No such file or directory: {named!r}\n"
         assert list(tmp_path.iterdir()) == []
 
 
