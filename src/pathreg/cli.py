@@ -127,10 +127,11 @@ def _estimate_samples(samples: PathSamples) -> dict:
     }
 
 
-def _draw(args, expr: Kernel, *required: str) -> PathSamples:
-    """sample_paths at the flags' grid, count and seed, which the desk
-    profile fills in where not given; a missing flag, of these or of
-    ``required``, is a usage error."""
+def _draw(args, expr: Kernel, *required: str):
+    """A function of no arguments that runs sample_paths at the flags'
+    grid, count and seed, which the desk profile fills in where not given.
+    The request is checked first: a missing flag, of these or of
+    ``required``, or grid text that is no grid, fails before anything runs."""
     if args.profile == "desk":
         one_d = expr.dim == 1
         if args.seed is None:
@@ -144,7 +145,7 @@ def _draw(args, expr: Kernel, *required: str) -> PathSamples:
         raise _UsageError(f"missing required flags: {', '.join(missing)}")
     from .sampling import sample_paths
 
-    return sample_paths(expr, _parse_grid(args.grid), args.count, args.seed)
+    return functools.partial(sample_paths, expr, _parse_grid(args.grid), args.count, args.seed)
 
 
 class _UsageError(Exception):
@@ -175,7 +176,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sample(args) -> int:
     from .sampling import write_samples
 
-    samples = _draw(args, parse_kernel(args.kernel), "out")
+    samples = _draw(args, parse_kernel(args.kernel), "out")()
     csv_path = args.out if args.out.endswith(".csv") else f"{args.out}.csv"
     write_samples(samples, csv_path)
     print(csv_path)
@@ -193,7 +194,7 @@ def _cmd_estimate(args) -> int:
         if args.kernel is None:
             raise _UsageError("estimate needs --samples or --kernel with a grid request")
         expr = parse_kernel(args.kernel)
-        samples = _draw(args, expr)
+        samples = _draw(args, expr)()
         payload = {"kernel": print_kernel(expr), **_estimate_samples(samples)}
     _emit(payload, args.format)
     return 0
@@ -204,6 +205,7 @@ def _cmd_report(args) -> int:
     from .verify import verify_regularity, verify_to_dict
 
     expr = parse_kernel(args.kernel)
+    draw = None if args.no_sample else _draw(args, expr)
     analyze = _analyze_payload(expr)
     vreport = verify_regularity(expr)
     payload: dict = {
@@ -213,11 +215,11 @@ def _cmd_report(args) -> int:
     }
     files: dict = {}
     prefix = args.out or "report"
-    if args.no_sample:
+    if draw is None:
         payload["estimate"] = None
         payload["estimate_skipped"] = "sampling disabled by --no-sample"
     else:
-        samples = _draw(args, expr)
+        samples = draw()
         payload["estimate"] = _estimate_samples(samples)
         samples_csv = f"{prefix}_samples.csv"
         write_samples(samples, samples_csv)

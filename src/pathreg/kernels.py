@@ -93,7 +93,6 @@ __all__ = [
     "General",
     "Stationary",
     "Isotropic",
-    "Tensor",
     "classify",
     "eval_kernel",
     "eval_radial",
@@ -169,11 +168,6 @@ class Stationary(StructureClass):
 @dataclass(frozen=True)
 class Isotropic(Stationary):
     pass
-
-
-@dataclass(frozen=True)
-class Tensor(StructureClass):
-    factors: tuple[StructureClass, ...]
 
 
 @dataclass(frozen=True)
@@ -762,7 +756,7 @@ def _minus(a: tuple, b: tuple) -> tuple:
 class TensorProduct(Kernel):
     factors: tuple[Kernel, ...]
 
-    structure = General  # nested in another node; classify gives a top-level one Tensor
+    structure = General
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -941,18 +935,11 @@ def classify(expr: Kernel) -> StructureClass:
     """Syntactic structural class of an expression.
 
     Leaves declare theirs; conic combinations and products of stationary
-    (isotropic) children are stationary (isotropic); warps and nested
-    tensor products are general.  A ``Tensor`` class is returned only for
-    a top-level tensor product node.
+    (isotropic) children are stationary (isotropic); warps and tensor
+    products, wherever they sit in the tree, are general.
     """
-    if isinstance(expr, TensorProduct):
-        return Tensor(tuple(_classify_inner(c) for c in expr.factors))
-    return _classify_inner(expr)
-
-
-def _classify_inner(expr: Kernel) -> StructureClass:
     if isinstance(expr, (Conic, Product)):
-        classes = [_classify_inner(c) for c in expr.children]
+        classes = [classify(c) for c in expr.children]
         if all(isinstance(c, Isotropic) for c in classes):
             return Isotropic()
         if all(isinstance(c, Stationary) for c in classes):

@@ -37,7 +37,7 @@ non-integer s and s - 1 for integer s, taken per entry and then minimised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -94,12 +94,10 @@ class RegularityReport:
 
 
 def _split_order(order: Order) -> tuple:
-    # s = n + gamma with n integer >= 0 and gamma in (0, 1]
+    # s = n + gamma with n integer >= 0 and gamma in (0, 1], for s > 0
     if order == math.inf:
         return (math.inf, Fraction(1))
     n = int(math.ceil(order)) - 1
-    if n < 0:
-        n = 0
     return (n, Fraction(order) - n)
 
 
@@ -116,22 +114,21 @@ def _collapse(axes: tuple[Regularity, ...]) -> Regularity:
 
 
 def _min_rule(children: list[Regularity], rule: str, lines: list[str]) -> Regularity:
-    lowest = min(r.order for r in children)
-    attaining = [r for r in children if r.order == lowest]
-    log = any(r.log_corrected for r in attaining)
-    if lowest == math.inf:
-        # a sum or product of smooth kernels is itself a smooth kernel, so
-        # the smooth-kernel equivalence keeps sharpness when every child has it
-        sharp = all(r.sharp for r in children)
+    """The lowest child order, flagged as its attaining children are
+    (``_collapse``), and sufficient-only unless every child is smooth:
+    a sum or product of smooth kernels is itself a smooth kernel, so the
+    smooth-kernel equivalence keeps sharpness when every child has it."""
+    lowest = _collapse(tuple(children))
+    if lowest.order == math.inf:
         lines.append(
             f"{rule}: all children smooth -> order inf"
-            + (", sharp" if sharp else ", sufficient-only")
+            + (", sharp" if lowest.sharp else ", sufficient-only")
         )
-        return Regularity(math.inf, sharp=sharp, log_corrected=False)
+        return lowest
     lines.append(
-        f"{rule}: order = min of children = {_order_str(lowest)}, sufficient-only"
+        f"{rule}: order = min of children = {_order_str(lowest.order)}, sufficient-only"
     )
-    return Regularity(lowest, sharp=False, log_corrected=log)
+    return replace(lowest, sharp=False)
 
 
 def _infer(expr: Kernel, lines: list[str]) -> tuple[Regularity, ...]:

@@ -607,6 +607,25 @@ class TestReport:
         assert payload_r["verify"]["verdict"] == payload_v["verdict"]
         assert payload_r["verify"]["detected"]["n"] == payload_v["detected"]["n"]
 
+    # the draw request is checked before verify runs, with sample's messages
+    @pytest.mark.parametrize(
+        "flags, code",
+        [(["--grid", "0:1:5.5", "--count", "60"], 2), (["--grid", "0:1:9"], 2),
+         (["--grid", "1:0:5", "--count", "60"], 3)],
+    )
+    def test_draw_request_checked_before_verify(self, capsys, tmp_path, monkeypatch, flags, code):
+        import pathreg.verify
+
+        def unreachable(expr, cfg=None):
+            raise AssertionError("verify ran before the draw request was checked")
+
+        monkeypatch.setattr(pathreg.verify, "verify_regularity", unreachable)
+        argv = ["-k", "matern(nu=1.5)", *flags, "--seed", "1", "--out", str(tmp_path / "bad")]
+        expected = run(capsys, "sample", *argv)
+        assert run(capsys, "report", *argv) == expected
+        assert expected[:2] == (code, "")
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_sample_skips_estimation(self, capsys, tmp_path):
         code, payload, _ = run_json(
             capsys,

@@ -19,7 +19,6 @@ from pathreg.kernels import (
     SquaredExponential,
     Stationary,
     StructureError,
-    Tensor,
     TensorProduct,
     Warp,
     Wendland,
@@ -117,13 +116,13 @@ class TestClassify:
         assert type(classify(Conic((Wiener(), SquaredExponential()), (1.0, 1.0)))) is General
         assert type(classify(Warp(SquaredExponential(), "affine", (1.0, 0.0)))) is General
 
-    def test_tensor_top_level_only(self):
+    def test_tensor_product_is_general_at_any_depth(self):
+        # a tensor of isotropic factors is not stationary, whether it is the
+        # whole expression or sits under a conic or product node
         expr = TensorProduct((Wendland(1, 0), Wendland(1, 1)))
-        cls = classify(expr)
-        assert isinstance(cls, Tensor)
-        assert len(cls.factors) == 2
-        nested = Conic((expr,), (2.0,))
-        assert type(classify(nested)) is General
+        assert type(classify(expr)) is General
+        assert type(classify(Conic((expr,), (2.0,)))) is General
+        assert type(classify(Product((expr, expr)))) is General
 
 
 class TestValidation:

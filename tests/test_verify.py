@@ -331,6 +331,30 @@ class TestVerifyRegularity:
         assert verify_regularity(expr, cfg=VerifyConfig(tol=0.1)).verdict == "fail"
         assert verify_regularity(expr, cfg=VerifyConfig(tol=0.15)).verdict == "log-flagged"
 
+    # detection caps out at max_order 3 and the order-3 deviation saturates
+    # at slope 2: the order is at least 4, which the target meets, though
+    # n + slope/2 lies 0.5 and 1 below it
+    @pytest.mark.parametrize("text, verdict", [("matern(nu=4.5)", "pass"), ("matern(nu=5)", "log-flagged")])
+    def test_capped_saturation(self, text, verdict):
+        report = verify_regularity(parse_kernel(text))
+        assert report.verdict == verdict
+        assert report.detected_order_n == 3
+        assert 3.98 <= report.detected_total <= 4.0
+
+    # a deviation that underflows at every scale puts the order at n + 1 or
+    # more, which a target passes only within tol of it
+    @pytest.mark.parametrize(
+        "text, verdict", [("matern(nu=4.5)", "pass"), ("matern(nu=1.5)", "fail"), ("matern(nu=2.5)", "fail")]
+    )
+    def test_underflowing_deviation(self, monkeypatch, text, verdict):
+        def underflow(rows, n):
+            raise V.SmoothToOrder(n)
+
+        monkeypatch.setattr(V, "_fit_series", underflow)
+        report = verify_regularity(parse_kernel(text))
+        assert report.verdict == verdict
+        assert report.exponent_fit is None
+
 
 # --- batched evaluation against single-point references ----------------------
 
