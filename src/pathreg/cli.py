@@ -13,10 +13,13 @@ error included.  All
 outputs are deterministic given the flags and seed; files are written
 atomically.
 
-Each command imports only the modules it runs: ``analyze`` parses, infers
-and prints without loading numpy, ``verify`` adds numpy and ``verify``,
-and the commands that draw add ``sampling`` and ``structure`` as well.
-A cold start pays for no module its command does not use.
+Each command imports only the modules it runs.  ``analyze`` parses, infers
+and prints without loading numpy; ``verify`` adds numpy and ``verify``;
+``sample`` adds ``sampling``, which loads ``verify``; ``estimate`` and
+``report`` add ``sampling`` and ``structure``, except ``report
+--no-sample``, which loads ``sampling`` only to write its JSON and never
+loads ``structure``.  A cold start pays for no module its command does not
+use.
 """
 
 from __future__ import annotations

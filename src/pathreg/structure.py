@@ -87,7 +87,7 @@ def _dyadic(lo: int, hi: int) -> list[int]:
     return out
 
 
-def _mean_squared_differences(table: np.ndarray, m: int, lag_steps) -> list[float]:
+def _mean_squared_differences(table: np.ndarray, m: int, lag_steps) -> np.ndarray:
     """Mean squared m-th difference along axis 1 of a (count, n, k) table,
     one value per lag.  The draws are taken _BLOCK_BYTES at a time, so the
     differences of one block are the only temporaries, and each block's sum
@@ -102,17 +102,21 @@ def _mean_squared_differences(table: np.ndarray, m: int, lag_steps) -> list[floa
             for _ in range(m):
                 diff = diff[:, l:] - diff[:, :-l]
             totals[j] += float(np.square(diff, out=diff).sum())
-    return [t / (count * (n - m * l) * k) for t, l in zip(totals, lag_steps)]
+    return np.array([t / (count * (n - m * l) * k) for t, l in zip(totals, lag_steps)])
 
 
-def estimate_path_regularity(samples: PathSamples) -> EstimateResult:
-    """Adaptive structure-function estimate of the sample-path order."""
-    if samples.grid.dim != 1:
-        raise ValueError("estimate_path_regularity expects 1-D samples")
+def _check_samples(samples: PathSamples, dim: int, caller: str) -> None:
+    if samples.grid.dim != dim:
+        raise ValueError(f"{caller} expects {dim}-D samples")
     if samples.count < _MIN_SAMPLES:
         raise ValueError(
             f"need at least {_MIN_SAMPLES} draws for a stable estimate, got {samples.count}"
         )
+
+
+def estimate_path_regularity(samples: PathSamples) -> EstimateResult:
+    """Adaptive structure-function estimate of the sample-path order."""
+    _check_samples(samples, 1, "estimate_path_regularity")
     return _estimate(samples.samples[:, :, None], samples.grid.axes[0], samples.jitter_used)
 
 
@@ -124,27 +128,23 @@ def _estimate(table: np.ndarray, axis: Axis, jitter_used: float) -> EstimateResu
     jitter = jitter_used if math.isfinite(jitter_used) else 0.0
     # every default lag l has 4 l < n, so each order m <= 4 differences there
     lag_steps = default_lags(table.shape[1])
-    lags = [l * axis.spacing for l in lag_steps]
+    lags = np.array(lag_steps) * axis.spacing
     fit = None
     m = 1
     while m <= _MAX_M:
         values = _mean_squared_differences(table, m, lag_steps)
-        if all(v <= degen_floor for v in values):
+        if np.all(values <= degen_floor):
             return EstimateResult(None, None, None, m_used=m, degenerate=True)
         # factorisation jitter adds white noise whose m-th differences have
         # variance C(2m, m) * jitter; lags buried in that floor carry no
         # information about the path and only flatten the fit
         noise_floor = 50.0 * math.comb(2 * m, m) * jitter
-        pts = [
-            (l, v)
-            for l, v in zip(lags, values)
-            if v > max(noise_floor, degen_floor)
-        ]
-        if len(pts) < _MIN_FIT_POINTS:
+        usable = values > max(noise_floor, degen_floor)
+        if np.count_nonzero(usable) < _MIN_FIT_POINTS:
             # the signal died below the noise floor at almost every lag;
             # the paths are smoother than order m resolves
             return EstimateResult(None, float(m), fit, m_used=m)
-        fit = _trimmed_fit(pts)
+        fit = _trimmed_fit(lags[usable], values[usable])
         if fit.slope <= 2.0 * m - _SATURATION_MARGIN:
             return EstimateResult(fit.slope / 2.0, None, fit, m_used=m)
         m += 1
@@ -153,9 +153,9 @@ def _estimate(table: np.ndarray, axis: Axis, jitter_used: float) -> EstimateResu
 
 def axiswise_regularity(samples: PathSamples) -> tuple[EstimateResult, EstimateResult]:
     """Per-axis estimates for a 2-D field: every 1-D slice along an axis is
-    treated as a draw on that axis's grid and the slices are pooled."""
-    if samples.grid.dim != 2:
-        raise ValueError("axiswise_regularity expects 2-D samples")
+    treated as a draw on that axis's grid and the slices are pooled; at
+    least 50 fields are needed, as for a 1-D estimate."""
+    _check_samples(samples, 2, "axiswise_regularity")
     n1, n2 = samples.grid.shape
     # axis 0 differences across the rows of each draw, all of its columns
     # at once, so no transposed copy is made; axis 1 takes each row as a draw

@@ -45,9 +45,10 @@ the second difference of the exact partials d^(n e, n e) k
 (:func:`pathreg.kernels.partials`) over the points x and x + h e, one
 block call for every lag; block entries equal the single-point values
 bitwise.  The noise estimate is eps times the magnitudes summed into the
-four corners, as on the stationary path.  Each probe's deviation series is
-computed once; the all-probe series is their elementwise maximum, and the
-same per-probe series give the probe slopes.
+four corners, as on the stationary path.  Quotients and deviations are
+numpy tables over the lags, a row per probe (and axis, for quotients; one
+row for a stationary expression); the all-probe deviation is their column
+maximum, and each probe's row gives its slope.
 
 A scale is fitted only where its deviation exceeds ten times its estimated
 rounding noise (and 50 eps); the small end of the window is then dropped
@@ -257,32 +258,32 @@ def _binom_weights(n: int) -> np.ndarray:
     return np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
 
 
-def _ms_quotients(lattices: np.ndarray, n: int, steps: np.ndarray) -> list[tuple[float, float]]:
-    """(E[(Delta_h^n f)^2] / h^(2n), rounding-noise estimate) at each step s
-    from lattices[i, j, k] = k(x + j h, x + k h), h = ell s_i, in units of
-    ell; the terms are added in (j, k) order and the largest skips NaN."""
+def _ms_quotients(lattices: np.ndarray, n: int, steps: np.ndarray):
+    """E[(Delta_h^n f)^2] / h^(2n) and its rounding noise, (sequences x steps)
+    tables from lattices[q, i, j, k] = k(x + j h, x + k h), h = ell s_i, in
+    units of ell; the terms are added in (j, k) order, the largest skips NaN."""
     w = _binom_weights(n)
-    acc = np.zeros(len(steps))
-    kmax = np.zeros(len(steps))
+    acc = np.zeros(lattices.shape[:2])
+    kmax = np.zeros(lattices.shape[:2])
     for j in range(n + 1):
         for k in range(n + 1):
-            val = lattices[:, j, k]
+            val = lattices[..., j, k]
             kmax = np.fmax(kmax, np.abs(val))
             acc += w[j] * w[k] * val
     noise = (float(np.sum(np.abs(w))) ** 2) * _EPS * np.maximum(1.0, kmax)
     scale = steps ** (2 * n)
-    return list(zip((acc / scale).tolist(), (noise / scale).tolist()))
+    return acc / scale, noise / scale
 
 
-def _sequence_converges(seq: list[tuple[float, float]]) -> bool:
-    """Does a quotient sequence (value, noise) over halving lags settle?
+def _sequence_converges(values: np.ndarray, noise: np.ndarray) -> bool:
+    """Does a quotient sequence over halving lags (a row of values and their
+    noise) settle?
 
     Accepts when the final increment sits at the noise floor or the
     increments decay geometrically; logarithmic drift (constant increments)
     and growth are rejected.
     """
-    vals = [v for v, _ in seq]
-    noises = [e for _, e in seq]
+    vals, noises = values.tolist(), noise.tolist()  # a few values: floats beat numpy calls
     if len(vals) < 4 or not all(math.isfinite(v) for v in vals):
         return False
     scale = max(1.0, abs(vals[-1]))
@@ -290,10 +291,7 @@ def _sequence_converges(seq: list[tuple[float, float]]) -> bool:
     floor = max(4.0 * (noises[-1] + noises[-2]), 1e-9 * scale)
     if deltas[-1] <= floor:
         return True
-    ratios = []
-    for d0, d1 in zip(deltas[:-1], deltas[1:]):
-        if d0 > floor:
-            ratios.append(d1 / d0)
+    ratios = [d1 / d0 for d0, d1 in zip(deltas, deltas[1:]) if d0 > floor]
     if not ratios:
         return True
     tail = ratios[-3:]
@@ -323,7 +321,8 @@ def _order_exists(expr: Kernel, n: int) -> bool:
     """
     if isinstance(classify(expr), Stationary) and not expr.lag_exists(2 * n)[2 * n]:
         return False
-    return all(_sequence_converges(_trim_noisy(seq)) for seq in _quotient_sequences(expr, n))
+    values, noise = _quotient_sequences(expr, n)
+    return all(_sequence_converges(*_trim_noisy(v, e)) for v, e in zip(values, noise))
 
 
 @_in_float_range
@@ -331,9 +330,10 @@ def _quotient_sequences(expr: Kernel, n: int):
     """The order-n quotient sequences over the lags h = l_min s,
     s = 2^-j for j = lo..lo+8, in units of l_min (divided by s^(2n), not
     h^(2n)), so that a lengthscale moves neither the lags nor the noise
-    floors relative to the kernel.  A stationary expression has one
-    sequence, whose whole lattice {d h} comes from one lag-profile call;
-    a general one has one per probe point and axis."""
+    floors relative to the kernel; tables of values and noise, a row per
+    sequence.  A stationary expression has one sequence, whose lattice
+    {d h} comes from one lag-profile call; a general one has one per probe
+    point and axis."""
     ell = _min_lengthscale(expr)
     steps = 2.0 ** -np.arange(_WINDOW[0], _WINDOW[0] + 9)
     # offsets[i, j] = j (ell s_i), the lattice points of step s_i
@@ -341,16 +341,16 @@ def _quotient_sequences(expr: Kernel, n: int):
     if isinstance(classify(expr), Stationary):
         rows = _lag_profile(expr, offsets.ravel()).reshape(offsets.shape)
         lag = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
-        return [_ms_quotients(rows[:, lag], n, steps)]
+        return _ms_quotients(rows[:, lag][None], n, steps)
     union, where = np.unique(offsets, return_inverse=True)
     where = where.reshape(offsets.shape)
-    seqs = []
+    lattices = []
     for x in _probe_points(expr):
         for axis in range(expr.dim):
             pts = x + union[:, None] * _unit(expr.dim, axis)
             block = pairwise(expr, pts, pts)
-            seqs.append(_ms_quotients(block[where[:, :, None], where[:, None, :]], n, steps))
-    return seqs
+            lattices.append(block[where[:, :, None], where[:, None, :]])
+    return _ms_quotients(np.stack(lattices), n, steps)
 
 
 def _lag_profile(expr: Kernel, t: np.ndarray) -> np.ndarray:
@@ -372,14 +372,12 @@ def _min_lengthscale(expr: Kernel) -> float:
     return min(scales, default=1.0)
 
 
-def _trim_noisy(seq: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    # drop the deep end of the lag range once rounding noise overtakes the values
-    out = []
-    for v, e in seq:
-        if e > 0.05 * max(1.0, abs(v)):
-            break
-        out.append((v, e))
-    return out if len(out) >= 4 else seq[: max(4, len(out))]
+def _trim_noisy(values: np.ndarray, noise: np.ndarray):
+    # drop the deep end of the lag range once rounding noise overtakes the
+    # values, keeping at least four lags; a NaN value counts as 1
+    noisy = noise > 0.05 * np.fmax(1.0, np.abs(values))
+    keep = max([*noisy.tolist(), True].index(True), 4)  # up to the first noisy lag
+    return values[:keep], noise[:keep]
 
 
 def detect_order(expr: Kernel, cfg: VerifyConfig | None = None) -> int:
@@ -418,76 +416,71 @@ def _probe_points(expr: Kernel) -> np.ndarray:
 
 @_in_float_range
 def _deviation_series(expr: Kernel, n: int):
-    """Per-probe rows (h, deviation, noise) of the order-n diagonal
-    deviation over the dyadic window h = l_min 2^-j, the deviation in units
-    of l_min (times l_min^(2n)), so the underflow floor does not move with
-    the lengthscale.
+    """The order-n diagonal deviation over the dyadic window h = l_min 2^-j,
+    as (h, deviation, noise): the deviation and its rounding-noise estimate
+    are (probes x lags) tables in units of l_min (times l_min^(2n)), so the
+    underflow floor does not move with the lengthscale.
 
     A stationary expression is one probe: |phi^(2n)(h) - phi^(2n)(0)| from
     one exact lag-derivative call over every h and the origin, with noise
     eps times the magnitudes summed into the two values.  A general kernel
-    has one series per probe point, the largest diagonal second difference
-    over the axes there.
+    has a row per probe point, the largest diagonal second difference over
+    the axes there.
     """
     ell = _min_lengthscale(expr)
-    hs = [ell * 2.0 ** (-j) for j in range(_WINDOW[0], _WINDOW[1] + 1)]
+    h = ell * 2.0 ** -np.arange(_WINDOW[0], _WINDOW[1] + 1)
     unit = ell ** (2 * n)
     if isinstance(classify(expr), Stationary):
-        values, scale, exists = _lag_derivatives(expr, np.array([0.0, *hs]), 2 * n)
+        values, scale, exists = _lag_derivatives(expr, np.concatenate(([0.0], h)), 2 * n)
         if not exists[2 * n]:
             raise BeyondProbeRange(f"no order-{2 * n} lag derivative at the origin")
-        d = (unit * values[2 * n]).tolist()
-        noise = (unit * _EPS * (scale[2 * n] + scale[2 * n, 0])).tolist()
-        return [[(h, abs(d[i] - d[0]), noise[i]) for i, h in enumerate(hs, start=1)]]
-    per_probe = []
-    for x in _probe_points(expr):
-        best = [0.0] * len(hs)
-        noise = [0.0] * len(hs)
+        d = unit * values[2 * n]
+        noise = unit * _EPS * (scale[2 * n] + scale[2 * n, 0])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, as floats give
+            return h, np.abs(d[1:] - d[0])[None], noise[None, 1:]
+    probes = _probe_points(expr)
+    best = np.zeros((len(probes), h.size))
+    noise = np.zeros_like(best)
+    for p, x in enumerate(probes):
         for axis in range(expr.dim):
             e = _unit(expr.dim, axis)
-            pts = np.stack([x] + [x + h * e for h in hs])
-            values, scale = (b.tolist() for b in _derivative_block(expr, pts, pts, n * e))
-            for i in range(1, len(hs) + 1):
-                val = values[i][i] - values[i][0] - values[0][i] + values[0][0]
-                if math.isfinite(val):
-                    best[i - 1] = max(best[i - 1], abs(val))
-                    corners = scale[i][i] + scale[i][0] + scale[0][i] + scale[0][0]
-                    noise[i - 1] = max(noise[i - 1], _EPS * corners)
-        per_probe.append([(h, unit * b, unit * e) for h, b, e in zip(hs, best, noise)])
-    return per_probe
+            pts = np.vstack([x, x + h[:, None] * e])
+            values, scale = _derivative_block(expr, pts, pts, n * e)
+            # each lag's four corners, summed left to right; an inf or NaN sum is skipped
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = values.diagonal()[1:] - values[1:, 0] - values[0, 1:] + values[0, 0]
+                corners = scale.diagonal()[1:] + scale[1:, 0] + scale[0, 1:] + scale[0, 0]
+            finite = np.isfinite(val)
+            best[p] = np.maximum(best[p], np.where(finite, np.abs(val), 0.0))
+            noise[p] = np.fmax(noise[p], np.where(finite, _EPS * corners, 0.0))
+    with np.errstate(over="ignore"):  # inf, as floats give
+        return h, unit * best, unit * noise
 
 
-def _max_series(per_probe: list[list[tuple[float, float, float]]]):
-    # the all-probe deviation and noise at each lag are the largest
-    # per-probe ones
-    return [
-        (rows[0][0], max(r[1] for r in rows), max(r[2] for r in rows))
-        for rows in zip(*per_probe)
-    ]
-
-
-def _fit_series(rows, n: int) -> ExponentFit:
-    """Fit of a deviation series: drop noisy or underflowing scales, then
-    trim the small end while the residual exceeds the cap."""
-    floor = 50.0 * _EPS
-    pts = [(h, v) for h, v, noise in rows if v > max(_SNR_MIN * noise, floor)]
-    if not pts:
+def _fit_series(h: np.ndarray, dev: np.ndarray, noise: np.ndarray, n: int) -> ExponentFit:
+    """Fit of a deviation row at the lags h: drop noisy or underflowing
+    scales, then trim the small end while the residual exceeds the cap."""
+    with np.errstate(over="ignore"):  # noise above max/10 leaves no scale usable
+        usable = dev > np.maximum(_SNR_MIN * noise, 50.0 * _EPS)
+    count = np.count_nonzero(usable)
+    if not count:
         raise SmoothToOrder(n)
-    if len(pts) < _MIN_FIT_POINTS:
+    if count < _MIN_FIT_POINTS:
         raise BeyondProbeRange(
-            f"only {len(pts)} usable scales at order {n}; deviation too small or too noisy"
+            f"only {count} usable scales at order {n}; deviation too small or too noisy"
         )
-    return _trimmed_fit(pts)
+    return _trimmed_fit(h[usable], dev[usable])
 
 
-def _trimmed_fit(pts) -> ExponentFit:
-    """loglog_fit of (h, value) points, refitted without the smallest h
-    while the largest residual exceeds _RESIDUAL_CAP and more than
-    _MIN_FIT_POINTS points remain."""
-    fit = loglog_fit(pts)
-    while fit.residual_max > _RESIDUAL_CAP and len(pts) > _MIN_FIT_POINTS:
-        pts = [p for p in pts if p[0] != min(q[0] for q in pts)]
-        fit = loglog_fit(pts)
+def _trimmed_fit(h: np.ndarray, v: np.ndarray) -> ExponentFit:
+    """loglog_fit of the values v at the distinct lags h, refitted without
+    the smallest h while the largest residual exceeds _RESIDUAL_CAP and
+    more than _MIN_FIT_POINTS points remain."""
+    fit = loglog_fit(zip(h, v))
+    while fit.residual_max > _RESIDUAL_CAP and h.size > _MIN_FIT_POINTS:
+        keep = h > h.min()
+        h, v = h[keep], v[keep]
+        fit = loglog_fit(zip(h, v))
     return fit
 
 
@@ -516,8 +509,9 @@ def verify_regularity(expr: Kernel, cfg: VerifyConfig | None = None) -> VerifyRe
 
     if target == math.inf:
         try:
-            fit = _fit_series(_max_series(_deviation_series(expr, n_hat)), n_hat)
-        except (SmoothToOrder, KernelError, ValueError):
+            h, dev, noise = _deviation_series(expr, n_hat)
+            fit = _fit_series(h, dev.max(axis=0), noise.max(axis=0), n_hat)
+        except (SmoothToOrder, BeyondProbeRange):
             fit = None
         capped = n_hat >= cfg.max_order
         return VerifyReport(
@@ -527,11 +521,11 @@ def verify_regularity(expr: Kernel, cfg: VerifyConfig | None = None) -> VerifyRe
 
     tol = max(cfg.tol, _LOG_TOL) if log_flag else cfg.tol
     target = float(target)
-    # the all-probe series is the elementwise max of the per-probe series,
-    # which also give a general kernel's probe slopes below
+    # the all-probe series is the largest probe deviation and noise at each
+    # lag; each probe's row also gives a general kernel's probe slope below
     try:
-        per_probe = _deviation_series(expr, n_hat)
-        fit = _fit_series(_max_series(per_probe), n_hat)
+        h, dev, noise = _deviation_series(expr, n_hat)
+        fit = _fit_series(h, dev.max(axis=0), noise.max(axis=0), n_hat)
     except SmoothToOrder:
         # the deviation underflows at every scale: the order is at least n + 1
         fit = None
@@ -554,10 +548,10 @@ def verify_regularity(expr: Kernel, cfg: VerifyConfig | None = None) -> VerifyRe
 
     slopes = []
     if not isinstance(classify(expr), Stationary) and fit is not None:
-        for series in per_probe:
+        for probe_dev, probe_noise in zip(dev, noise):
             try:
-                slopes.append(_fit_series(series, n_hat).slope)
-            except (SmoothToOrder, KernelError, ValueError):
+                slopes.append(_fit_series(h, probe_dev, probe_noise, n_hat).slope)
+            except (SmoothToOrder, BeyondProbeRange):
                 continue
 
     verdict = ("log-flagged" if log_flag else "pass") if ok else "fail"

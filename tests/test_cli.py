@@ -422,6 +422,18 @@ class TestEstimate:
         assert from_file == inline
         assert [axis["axis"] for axis in inline["axes"]] == [0, 1]
 
+    # a 3-draw field once gave both axis estimates and exit 0; a 1-D file
+    # of 3 draws exits 3
+    def test_file_estimate_of_too_few_fields_is_3(self, capsys, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["sample", "-k", "tensor(matern(nu=0.5), matern(nu=1.5))",
+                     "--grid", "0:1:64,0:1:64", "--count", "3", "--seed", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "estimate", "--samples", str(out))
+        assert code == 3
+        assert out == ""
+        assert err.strip() == "error: need at least 50 draws for a stable estimate, got 3"
+
     # the twin only saves the parse: the output is the same without it
     @pytest.mark.parametrize(
         "kernel, grid",

@@ -303,6 +303,14 @@ class TestAxiswise:
             tracemalloc.stop()
         assert peak < 0.25 * samples.samples.nbytes
 
+    # the draw minimum of a 1-D estimate holds for a field too; 49 fields
+    # on this grid once gave both axis estimates
+    def test_needs_50_fields(self):
+        grid = Grid((Axis(0.0, 1.0, 64), Axis(0.0, 1.0, 64)))
+        samples = sample_paths(parse_kernel("tensor(matern(nu=0.5), matern(nu=1.5))"), grid, 49, 1)
+        with pytest.raises(ValueError, match="need at least 50 draws for a stable estimate, got 49"):
+            axiswise_regularity(samples)
+
     def test_requires_2d(self):
         grid = Grid((Axis(0.0, 1.0, 65),))
         samples = sample_paths(parse_kernel("se()"), grid, 60, 1)

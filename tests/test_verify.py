@@ -10,7 +10,7 @@ import pytest
 
 from pathreg import verify as V
 from pathreg.dsl import parse_kernel
-from pathreg.kernels import ParameterError, eval_kernel, pairwise, partials
+from pathreg.kernels import DomainError, ParameterError, eval_kernel, pairwise, partials
 from pathreg.verify import (
     SmoothToOrder,
     VerifyConfig,
@@ -67,7 +67,14 @@ def second_difference(expr, x, h, alpha):
 
 def estimate_diagonal_exponent(expr, n):
     # the all-probe fit of the order-n diagonal deviation, as verify takes it
-    return V._fit_series(V._max_series(V._deviation_series(expr, n)), n)
+    h, dev, noise = V._deviation_series(expr, n)
+    return V._fit_series(h, dev.max(axis=0), noise.max(axis=0), n)
+
+
+def quotient_pairs(expr, n):
+    # the order-n quotient sequences as lists of (value, noise) pairs
+    values, noise = V._quotient_sequences(expr, n)
+    return [list(zip(v, e)) for v, e in zip(values.tolist(), noise.tolist())]
 
 
 def lag_derivative(expr, order, t):
@@ -268,6 +275,31 @@ class TestDetectOrder:
         assert report.verdict == "pass"
         assert report.note is None
 
+    # one quotient sequence over halving lags, zero noise unless given: the
+    # lags kept once noise overtakes a value, and whether the rest settles
+    @pytest.mark.parametrize(
+        "values, noise, kept, converges",
+        [
+            # increments 1, 0.5, 0.45: ratios 0.5 and 0.9, upper median 0.9
+            ([0.0, 1.0, 1.5, 1.95], None, 4, False),
+            ([1.0 - 0.5**k for k in range(9)], None, 9, True),
+            ([0.1 * k for k in range(9)], None, 9, False),
+            # the noisy NaN ends the sequence after the five equal values
+            ([1.0] * 5 + [math.nan, 2.0, 3.0, 4.0], [0.0] * 5 + [1.0, 0.0, 0.0, 0.0], 5, True),
+            # at least four lags are kept, noisy or not
+            ([1.0] * 9, [0.0, 0.0, 1.0] + [0.0] * 6, 4, True),
+            ([1.0, 1.0, math.nan, 1.0, 1.0], None, 5, False),
+            # no increment before the last one exceeds the floor
+            ([0.0, 0.0, 0.0, 0.0, 1.0], None, 5, True),
+        ],
+    )
+    def test_quotient_sequence_rules(self, values, noise, kept, converges):
+        values = np.array(values)
+        noise = np.zeros_like(values) if noise is None else np.array(noise)
+        trimmed = V._trim_noisy(values, noise)
+        assert [len(row) for row in trimmed] == [kept, kept]
+        assert V._sequence_converges(*trimmed) is converges
+
 
 class TestDiagonalExponent:
     def test_matern_half_slope_one(self):
@@ -347,13 +379,39 @@ class TestVerifyRegularity:
         "text, verdict", [("matern(nu=4.5)", "pass"), ("matern(nu=1.5)", "fail"), ("matern(nu=2.5)", "fail")]
     )
     def test_underflowing_deviation(self, monkeypatch, text, verdict):
-        def underflow(rows, n):
-            raise V.SmoothToOrder(n)
+        def underflow(*args):
+            raise V.SmoothToOrder(args[-1])
 
         monkeypatch.setattr(V, "_fit_series", underflow)
         report = verify_regularity(parse_kernel(text))
         assert report.verdict == verdict
         assert report.exponent_fit is None
+
+    # only an underflowing or unresolvable deviation is a missing fit; any
+    # other error of a fit is raised, not reported as no fit or no slope
+    def test_other_fit_errors_propagate(self, monkeypatch):
+        def broken(*args):
+            raise DomainError("broken fit")
+
+        monkeypatch.setattr(V, "_fit_series", broken)
+        with pytest.raises(DomainError, match="broken fit"):
+            verify_regularity(parse_kernel("se()"))
+
+    def test_probe_fit_errors_propagate(self, monkeypatch):
+        fit_series = V._fit_series
+        calls = []
+
+        def probe_fit_broken(*args):
+            # the all-probe fit comes first, then one fit per probe
+            calls.append(args)
+            if len(calls) > 1:
+                raise DomainError("broken probe fit")
+            return fit_series(*args)
+
+        monkeypatch.setattr(V, "_fit_series", probe_fit_broken)
+        with pytest.raises(DomainError, match="broken probe fit"):
+            verify_regularity(parse_kernel("wiener()"))
+        assert len(calls) == 2
 
 
 # --- batched evaluation against single-point references ----------------------
@@ -415,7 +473,7 @@ class TestBatchedBlocks:
         expr = parse_kernel(text)
         steps = [2.0**-j for j in range(V._WINDOW[0], V._WINDOW[0] + 9)]
         for n in range(1, 4):
-            assert V._quotient_sequences(expr, n) == [
+            assert quotient_pairs(expr, n) == [
                 [_scalar_ms_quotient(expr, x, axis, n, s) for s in steps]
                 for x in V._probe_points(expr)
                 for axis in range(expr.dim)
@@ -446,20 +504,21 @@ class TestSingleProbePass:
         expr = parse_kernel(text)
         report = verify_regularity(expr, cfg=CFG)
         n = report.detected_order_n
-        per_probe = V._deviation_series(expr, n)
-        expected = [V._fit_series(series, n).slope for series in per_probe]
+        h_row, dev, noise = V._deviation_series(expr, n)
+        expected = [V._fit_series(h_row, d, e, n).slope for d, e in zip(dev, noise)]
         assert len(expected) == V._N_PROBES
         assert list(report.probe_slopes) == expected
         assert report.exponent_fit == estimate_diagonal_exponent(expr, n)
-        # each probe's series against the max over its axes, and the
-        # all-probe series against one max over every probe and axis
+        # each probe's row against the max over its axes, and the all-probe
+        # series against one max over every probe and axis
         lo, hi = V._WINDOW
         hs = [2.0**-j for j in range(lo, hi + 1)]
-        series = V._max_series(per_probe)
+        assert h_row.tolist() == hs
+        series = dev.max(axis=0).tolist()
         assert len(series) == len(hs)
         for i, (row, h) in enumerate(zip(series, hs)):
             best = 0.0
-            for base, probe in zip(V._probe_points(expr), per_probe):
+            for base, probe in zip(V._probe_points(expr), dev.tolist()):
                 at_probe = 0.0
                 for axis in range(expr.dim):
                     alpha = np.zeros(expr.dim, dtype=int)
@@ -467,18 +526,18 @@ class TestSingleProbePass:
                     val = second_difference(expr, base, h * V._unit(expr.dim, axis), alpha)
                     if math.isfinite(val):
                         at_probe = max(at_probe, abs(val))
-                assert probe[i][:2] == (h, at_probe)
+                assert probe[i] == at_probe
                 best = max(best, at_probe)
-            assert row[:2] == (h, best)
+            assert row == best
 
     @pytest.mark.parametrize("text", ["matern(nu=1.5)", "matern(nu=2.5,dim=2)", "se() * periodic()"])
     def test_stationary_expression_is_one_probe(self, text):
-        # its series is the max of one series, that series bit for bit
+        # its series is the max of one row, that row bit for bit
         expr = parse_kernel(text)
         n = detect_order(expr)
-        per_probe = V._deviation_series(expr, n)
-        assert len(per_probe) == 1
-        assert V._max_series(per_probe) == per_probe[0]
+        h, dev, noise = V._deviation_series(expr, n)
+        assert dev.shape == noise.shape == (1, h.size)
+        np.testing.assert_array_equal(dev.max(axis=0), dev[0])
         assert verify_regularity(expr).probe_slopes == ()
 
 
@@ -711,7 +770,7 @@ class TestBatchedQuotients:
     def test_lattice_matches_scalar_loop(self, text):
         expr = parse_kernel(text)
         for n in range(1, 4):
-            assert V._quotient_sequences(expr, n) == [_scalar_quotients(expr, n)], n
+            assert quotient_pairs(expr, n) == [_scalar_quotients(expr, n)], n
 
 
 class TestBeyondProbeRange:
