@@ -3,15 +3,18 @@
 Draws are rows L z where L is the jittered Cholesky factor of the Gram
 matrix and z comes from a counter-based generator: draw i of seed s uses a
 Philox4x64 bit generator keyed by SeedSequence(entropy=s, spawn_key=(i,))
-feeding numpy's standard normal.  The normals are drawn for whole blocks
-of _DRAW_BLOCK indices [kB, (k+1)B), the last block padded past the
-requested count with normals that are discarded, and every BLAS product
-takes one such block.  Every product therefore sees the same inputs
+feeding numpy's standard normal.  Every BLAS product takes a whole block
+of _DRAW_BLOCK draws [kB, (k+1)B), the last block padded past the
+requested count with the normals of the draws after it, and keeps the
+rows that are draws.  Every product therefore sees the same inputs
 whatever the count, so a draw is independent of draw order and count, and
 identical (seed, kernel, grid) inputs reproduce it bitwise on one platform
-and BLAS.  A factorisation is a draw operator, mapping a table of normals
-to its draws and the jitter used; a matrix factor, where one is needed, is
-the operator's draws of the identity, exactly.
+and BLAS.  A factorisation is a draw operator, mapping a source of
+normals and a count to that many draws and the jitter used; the source
+hands out any block of rows and columns of the table of normals, and each
+draw's stream continues across the calls that take its columns in order,
+so the normals are never held beside the draws.  A matrix factor, where
+one is needed, is the operator's draws of the identity, exactly.
 
 The Gram of a stationary expression depends on p_i - p_j alone, and on a
 uniform grid that difference runs over a lattice of lags, so the kernel is
@@ -38,9 +41,11 @@ column by the generalised Schur algorithm in O(n^2), one contiguous row at
 a time, with the mixed-form hyperbolic rotations of Bojanczyk, Brent, de
 Hoog and Sweet (1995, SIAM J. Matrix Anal. Appl. 16:40), which are stable
 for positive definite Toeplitz matrices.  The rows are added into the draws
-_SCHUR_BLOCK at a time and their buffer reused, so a draw holds the normals,
-the draws and that buffer, never an n x n array.  The whole streamed draw is
-one attempt of the dense factorisation's jitter ladder.  The Wiener kernel
+_SCHUR_BLOCK at a time and their buffer reused, each time with the normals
+of those _SCHUR_BLOCK columns alone, so a draw holds the draws, that buffer
+and one block of columns, never an n x n array.  The whole streamed draw is
+one attempt of the dense factorisation's jitter ladder, and each attempt
+restarts the normals' streams.  The Wiener kernel
 min(s, t) has the exact factor L[i, j] = sqrt(p_j - p_(j-1)), j <= i,
 p_(-1) = 0, so its draws are running sums of the scaled normals, in
 O(count n), with neither its Gram nor a jitter.  Every other Gram is
@@ -49,7 +54,8 @@ factorised densely by LAPACK.
 Top-level tensor-product kernels on matching 2-D grids are factorised per
 axis: the Gram is the Kronecker product of the per-axis Grams, so its
 Cholesky factor is the Kronecker product of the per-axis factors and a draw
-is the two-sided product L1 Z L2^T.  The derivative covariance of a tensor
+is the two-sided product L1 Z L2^T, taken one field at a time over that
+field's own normals.  The derivative covariance of a tensor
 is the product of its factors' derivative covariances, so a derivative
 draw factorises each axis at its own component of alpha.  This is an exact
 algebraic identity, not an approximation; it exists because a dense
@@ -367,13 +373,16 @@ def _toeplitz_draws(column: np.ndarray):
     ``column``: each call streams its draws from the Schur rows, as one
     attempt of the jitter ladder per rung."""
     diag = np.full(column.shape[0], column[0])
-    return lambda z: _jitter_ladder(partial(_schur, column, z=z), diag)
+    return lambda normals, count: _jitter_ladder(
+        partial(_schur, column, normals=normals, count=count), diag
+    )
 
 
-def _schur(column: np.ndarray, jitter: float, z: np.ndarray) -> np.ndarray:
-    """z R for a table z of normals, R the upper Cholesky factor of
-    T + jitter I (T = R^T R), T the symmetric Toeplitz matrix with first
-    column ``column``, by the generalised Schur algorithm.
+def _schur(column: np.ndarray, jitter: float, normals, count: int) -> np.ndarray:
+    """z R for the first ``count`` rows of the table z of a normal source,
+    R the upper Cholesky factor of T + jitter I (T = R^T R), T the
+    symmetric Toeplitz matrix with first column ``column``, by the
+    generalised Schur algorithm.
 
     T - Z T Z^T = u u^T - v v^T with u = (t0, t1, ...) / sqrt(t0) and v = u
     with v[0] = 0 (Z the down shift).  Row 0 of R is u; for k >= 1 the
@@ -383,14 +392,17 @@ def _schur(column: np.ndarray, jitter: float, z: np.ndarray) -> np.ndarray:
     u' = (Z u - rho v) / c, v' = c v - rho u', c = sqrt((1 - rho)(1 + rho)).
     R is never held whole: a buffer of _SCHUR_BLOCK rows is added into the
     draws each time it fills, as z[:, k0:k1] R[k0:k1, k0:], and reused.
-    Raises LinAlgError when T + jitter I is not positive definite: then t0
-    <= 0 or some |rho| >= 1.
+    The columns z[:, k0:k1] are taken from the source just then, for the
+    rows of whole _DRAW_BLOCK blocks, so the draws, that buffer and one
+    block of columns are all a call holds.  Raises LinAlgError when
+    T + jitter I is not positive definite: then t0 <= 0 or some |rho| >= 1.
     """
     n = column.shape[0]
     t0 = column[0] + jitter
     if not t0 > 0.0:
         raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
-    draws = np.zeros(z.shape)
+    draws = np.zeros((count, n))
+    padded = -(-count // _DRAW_BLOCK) * _DRAW_BLOCK
     size = min(_SCHUR_BLOCK, n)
     rows = np.zeros((size, n))
     u = rows[0]
@@ -403,7 +415,7 @@ def _schur(column: np.ndarray, jitter: float, z: np.ndarray) -> np.ndarray:
     for k in range(1, n):
         i = k % size
         if i == 0:
-            _add_rows(draws, z, rows, k - size)
+            _add_rows(draws, normals(0, padded, k - size, k), rows, k - size)
         shifted = rows[i - 1, k - 1:n - 1]
         vk = v[k:]
         rho = vk[0] / shifted[0]
@@ -421,15 +433,17 @@ def _schur(column: np.ndarray, jitter: float, z: np.ndarray) -> np.ndarray:
         np.multiply(vk, c, out=vk)
         np.subtract(vk, w, out=vk)
     k0 = (n - 1) // size * size
-    _add_rows(draws, z, rows[: n - k0], k0)
+    _add_rows(draws, normals(0, padded, k0, n), rows[: n - k0], k0)
     return draws
 
 
 def _add_rows(draws: np.ndarray, z: np.ndarray, rows: np.ndarray, k0: int) -> None:
-    # rows k0.. of R, zero left of the diagonal, one product per draw block
-    k1 = k0 + rows.shape[0]
-    for lo in range(0, z.shape[0], _DRAW_BLOCK):
-        draws[lo:lo + _DRAW_BLOCK, k0:] += z[lo:lo + _DRAW_BLOCK, k0:k1] @ rows[:, k0:]
+    # rows k0.. of R, zero left of the diagonal, times the normals' columns
+    # z of those rows: one product per draw block, of which the padded last
+    # block keeps the rows that are draws
+    count = draws.shape[0]
+    for lo in range(0, count, _DRAW_BLOCK):
+        draws[lo:lo + _DRAW_BLOCK, k0:] += (z[lo:lo + _DRAW_BLOCK] @ rows[:, k0:])[: count - lo]
 
 
 def _brownian_draws(ticks: np.ndarray):
@@ -442,58 +456,87 @@ def _brownian_draws(ticks: np.ndarray):
     """
     _check_wiener_domain(ticks)
     steps = np.sqrt(np.diff(ticks, prepend=0.0))
-    return lambda z: (_by_block(z, lambda b: np.cumsum(b * steps, axis=1)), 0.0)
+    return lambda normals, count: (
+        _by_block(normals, count, steps.shape[0], lambda b: np.cumsum(b * steps, axis=1)),
+        0.0,
+    )
 
 
-def _by_block(z: np.ndarray, apply) -> np.ndarray:
-    """z with each block of _DRAW_BLOCK rows replaced by apply(block).  The
-    block is fixed, not the row count, because the leading rows of a BLAS
-    product are not bitwise those of a shorter product."""
-    for lo in range(0, z.shape[0], _DRAW_BLOCK):
-        z[lo:lo + _DRAW_BLOCK] = apply(z[lo:lo + _DRAW_BLOCK])
+def _by_block(normals, count: int, n: int, apply) -> np.ndarray:
+    """The table of ``count`` rows of n normals, each block of _DRAW_BLOCK
+    rows replaced by apply(block).  The block is fixed, not the row count,
+    because the leading rows of a BLAS product are not bitwise those of a
+    shorter product: a short last block is applied whole, with the normals
+    of the draws past ``count``, and keeps the rows that are draws."""
+    z = normals(0, count, 0, n)
+    for lo in range(0, count, _DRAW_BLOCK):
+        block = z[lo:lo + _DRAW_BLOCK]
+        whole = block if block.shape[0] == _DRAW_BLOCK else normals(lo, lo + _DRAW_BLOCK, 0, n)
+        block[...] = apply(whole)[: block.shape[0]]
     return z
 
 
 def _lower_factor(draw, n: int):
     """(L, jitter_used) of a draw operator, from its draws of the identity:
-    every product with an off-diagonal zero of I is an exact zero."""
-    upper, jitter = draw(np.eye(n))
+    every product with an off-diagonal zero of I is an exact zero, and the
+    rows past n that pad a block are zero."""
+    upper, jitter = draw(lambda r0, r1, k0, k1: np.eye(r1 - r0, k1 - k0, r0 - k0), n)
     return upper.T, jitter
 
 
-def _draw_normals(seed: int, index: int, n: int) -> np.ndarray:
+def _normal_stream(seed: int, index: int) -> np.random.Generator:
+    # the normals of draw ``index`` of ``seed``, in column order
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.Philox(ss)).standard_normal(n)
+    return np.random.Generator(np.random.Philox(ss))
 
 
-def _draw_rows(seed: int, count: int, n: int, draw):
-    """(draws 0..count-1, jitter_used) of a draw operator.  The normals are
-    padded to whole blocks of _DRAW_BLOCK draws, which the operators
-    combine one block at a time, so a draw does not depend on count."""
-    z = np.empty((-(-count // _DRAW_BLOCK) * _DRAW_BLOCK, n))
-    for i in range(z.shape[0]):
-        z[i] = _draw_normals(seed, i, n)
-    rows, jitter = draw(z)
-    return rows[:count], jitter
+def _seeded_normals(seed: int):
+    """The normal source of a seed: normals(r0, r1, k0, k1) is a new array
+    holding columns k0:k1 of draws r0..r1-1, row i the stream
+    _normal_stream(seed, i).  Each row's stream continues from the column
+    its last call ended at, so columns taken in increasing runs are drawn
+    once; a call that starts elsewhere restarts the row's stream there."""
+    streams = {}
+
+    def normals(r0: int, r1: int, k0: int, k1: int) -> np.ndarray:
+        out = np.empty((r1 - r0, k1 - k0))
+        for i, row in enumerate(out, r0):
+            stream, at = streams.get(i, (None, None))
+            if at != k0:
+                stream = _normal_stream(seed, i)
+                stream.standard_normal(k0)
+            stream.standard_normal(out=row)
+            streams[i] = stream, k1
+        return out
+
+    return normals
 
 
 def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     """Draw operator of the derivative covariance d^(alpha,alpha) k on the
-    grid (the kernel itself at alpha = 0): a function of an (m, n) table z
-    of standard normals, which it may overwrite, that returns
-    (z L^T, jitter_used), L the lower Cholesky factor of the jittered Gram.
+    grid (the kernel itself at alpha = 0): a function of a normal source
+    and a count that returns (z L^T, jitter_used), z the source's first
+    ``count`` rows of n normals and L the lower Cholesky factor of the
+    jittered Gram.  A normal source is a function normals(r0, r1, k0, k1)
+    of the block z[r0:r1, k0:k1] of a table of normals, a new array that
+    the operator may overwrite; the operators ask for the rows past
+    ``count`` that pad a product's last block of _DRAW_BLOCK draws.
 
     KernelError at alpha != 0 unless the inferred order exceeds |alpha|.
     A top-level tensor product is not judged whole: it gates and factorises
     each axis by these rules, with that axis's component of alpha; its Gram
     is the Kronecker product of the axes' Grams, so L is the Kronecker
     product of their factors (each the draws of the identity) and a draw is
-    the two-sided product L1 Z L2^T.  A stationary expression on a 1-D grid streams its draws
-    from the Schur rows of its values at the lags k * spacing alone, and
-    the Wiener kernel takes running sums of its Brownian increments;
-    neither holds an n x n array.  Anything else is z L^T with L from
-    cholesky_with_jitter of the dense Gram: ``build_gram``'s at alpha = 0,
-    else the pointwise derivative Gram, which is not split term by term.
+    the two-sided product L1 Z L2^T, taken one field at a time in the
+    normals' own table.  A stationary expression on a 1-D grid streams its
+    draws from the Schur rows of its values at the lags k * spacing alone,
+    taking the normals a block of columns at a time, and the Wiener kernel
+    takes running sums of its Brownian increments; neither holds an n x n
+    array.  Anything else is z L^T with L from cholesky_with_jitter of the
+    dense Gram: ``build_gram``'s at alpha = 0, else the pointwise
+    derivative Gram, which is not split term by term.  Each operator holds
+    one table of ``count`` draws, which the Kronecker, Wiener and dense
+    operators fill with the normals and overwrite.
     """
     if expr.dim != grid.dim:
         raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
@@ -505,13 +548,16 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
         )
         n1, n2 = grid.shape
 
-        def apply(block):
-            # the second product overwrites the block's own normals
-            cube = block.reshape(-1, n1, n2)
-            np.matmul(l1 @ cube, l2.T, out=cube)
-            return block
+        def draw(normals, count):
+            # each field's second product overwrites its own normals; a
+            # product of one field is not changed by the others, so the
+            # fields need no block padding
+            z = normals(0, count, 0, n1 * n2)
+            for f in z.reshape(count, n1, n2):
+                np.matmul(l1 @ f, l2.T, out=f)
+            return z, max(j1, j2)
 
-        return lambda z: (_by_block(z, apply), max(j1, j2))
+        return draw
     if any(alpha):
         order = infer_regularity(expr).order
         if not order > sum(alpha):
@@ -530,13 +576,16 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     if grid.dim == 1 and isinstance(classify(expr), Stationary):
         return _toeplitz_draws(_half_lag_table(grid, _lag_function(cross, 1)))
     lower, jitter = cholesky_with_jitter(dense_gram())
-    return lambda z: (_by_block(z, lambda b: b @ lower.T), jitter)
+    return lambda normals, count: (
+        _by_block(normals, count, lower.shape[0], lambda b: b @ lower.T),
+        jitter,
+    )
 
 
 def _sample(expr: Kernel, grid: Grid, count: int, seed: int, alpha: tuple):
     if count < 1:
         raise ValueError("count must be >= 1")
-    rows, jitter = _draw_rows(seed, count, grid.n_points, _factorise(expr, grid, alpha))
+    rows, jitter = _factorise(expr, grid, alpha)(_seeded_normals(seed), count)
     return PathSamples(
         grid=grid,
         samples=rows,

@@ -281,7 +281,8 @@ def _sequence_converges(values: np.ndarray, noise: np.ndarray) -> bool:
 
     Accepts when the final increment sits at the noise floor or the
     increments decay geometrically; logarithmic drift (constant increments)
-    and growth are rejected.
+    and growth are rejected, and so is a sequence that moves only at its
+    last lag, whose increments give no ratio to judge.
     """
     vals, noises = values.tolist(), noise.tolist()  # a few values: floats beat numpy calls
     if len(vals) < 4 or not all(math.isfinite(v) for v in vals):
@@ -293,7 +294,7 @@ def _sequence_converges(values: np.ndarray, noise: np.ndarray) -> bool:
         return True
     ratios = [d1 / d0 for d0, d1 in zip(deltas, deltas[1:]) if d0 > floor]
     if not ratios:
-        return True
+        return False
     tail = ratios[-3:]
     return sorted(tail)[len(tail) // 2] <= _SEQ_RATIO
 

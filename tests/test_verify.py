@@ -289,8 +289,9 @@ class TestDetectOrder:
             # at least four lags are kept, noisy or not
             ([1.0] * 9, [0.0, 0.0, 1.0] + [0.0] * 6, 4, True),
             ([1.0, 1.0, math.nan, 1.0, 1.0], None, 5, False),
-            # no increment before the last one exceeds the floor
-            ([0.0, 0.0, 0.0, 0.0, 1.0], None, 5, True),
+            # only the last increment exceeds the floor: it moves at its
+            # deepest lag, which is not settling
+            ([0.0, 0.0, 0.0, 0.0, 1.0], None, 5, False),
         ],
     )
     def test_quotient_sequence_rules(self, values, noise, kept, converges):
