@@ -41,9 +41,12 @@ column by the generalised Schur algorithm in O(n^2), one contiguous row at
 a time, with the mixed-form hyperbolic rotations of Bojanczyk, Brent, de
 Hoog and Sweet (1995, SIAM J. Matrix Anal. Appl. 16:40), which are stable
 for positive definite Toeplitz matrices.  The rows are added into the draws
-_SCHUR_BLOCK at a time and their buffer reused, each time with the normals
-of those _SCHUR_BLOCK columns alone, so a draw holds the draws, that buffer
-and one block of columns, never an n x n array.  The whole streamed draw is
+_SCHUR_BLOCK (128) at a time and their buffer reused, each time with the
+normals of those columns alone, and each block of _DRAW_BLOCK (100) draws
+is multiplied into one reused tile of at most _PRODUCT_COLUMNS (1024)
+columns.  So a draw holds the draws, 128 factor rows, one product tile and
+one block of normals, never an n x n array: 200 draws on 4097 points trace
+1.87 draw tables at their peak.  The whole streamed draw is
 one attempt of the dense factorisation's jitter ladder, and each attempt
 restarts the normals' streams.  The Wiener kernel
 min(s, t) has the exact factor L[i, j] = sqrt(p_j - p_(j-1)), j <= i,
@@ -80,8 +83,9 @@ multiply-subtract.  Its digit bytes come from a table of 4-digit groups,
 its last significant digit from the trailing zeros of the lowest group
 (the groups above are read only where that one is 0), and its layout from
 a byte template whose unused slots are deleted; the decimal point is
-written by index.  Any other value (zero, subnormal, tiny, huge, inf, NaN)
-is formatted by ``'%.17g'`` itself.
+written by index.  A zero is laid out as "0" or "-0", its sign taken from
+the sign bit.  Any other value (subnormal, tiny, huge, inf, NaN) is
+formatted by ``'%.17g'`` itself.
 """
 
 from __future__ import annotations
@@ -130,9 +134,11 @@ __all__ = [
 MAX_GRID_POINTS = 128 * 128
 # rows per pointwise Gram fill block, at most an eighth of the Gram's rows
 _GRAM_BLOCK_ROWS = 1024
-_DRAW_BLOCK = 50
+_DRAW_BLOCK = 100
 # rows of the Schur factor held between draw products
-_SCHUR_BLOCK = 256
+_SCHUR_BLOCK = 128
+# columns of the one tile that a Schur draw's products are taken into
+_PRODUCT_COLUMNS = 1024
 # the jitter ladder gives up above this multiple of trace/N
 _MAX_REL_JITTER = 1e-6
 
@@ -393,9 +399,11 @@ def _schur(column: np.ndarray, jitter: float, normals, count: int) -> np.ndarray
     R is never held whole: a buffer of _SCHUR_BLOCK rows is added into the
     draws each time it fills, as z[:, k0:k1] R[k0:k1, k0:], and reused.
     The columns z[:, k0:k1] are taken from the source just then, for the
-    rows of whole _DRAW_BLOCK blocks, so the draws, that buffer and one
-    block of columns are all a call holds.  Raises LinAlgError when
-    T + jitter I is not positive definite: then t0 <= 0 or some |rho| >= 1.
+    rows of whole _DRAW_BLOCK blocks, and _add_rows multiplies them through
+    one tile of at most _PRODUCT_COLUMNS columns, so the draws, 128 factor
+    rows, one 100 x 1024 tile and one block of normals are all a call
+    holds.  Raises LinAlgError when T + jitter I is not positive definite:
+    then t0 <= 0 or some |rho| >= 1.
     """
     n = column.shape[0]
     t0 = column[0] + jitter
@@ -438,12 +446,27 @@ def _schur(column: np.ndarray, jitter: float, normals, count: int) -> np.ndarray
 
 
 def _add_rows(draws: np.ndarray, z: np.ndarray, rows: np.ndarray, k0: int) -> None:
-    # rows k0.. of R, zero left of the diagonal, times the normals' columns
-    # z of those rows: one product per draw block, of which the padded last
-    # block keeps the rows that are draws
-    count = draws.shape[0]
+    """Add z R[k0:k1, k0:] into the draws' columns k0.., for rows k0..k1-1
+    of R (zero left of the diagonal) and the normals' columns z of those
+    rows, padded to whole blocks of _DRAW_BLOCK draws.  The columns k0..
+    are cut into the fewest spans of one width, at most _PRODUCT_COLUMNS
+    (the last may be narrower), and each draw block is multiplied span by
+    span into one tile allocated once per call, whose rows that are draws
+    are added; no product spans the whole row, and the spans depend on n
+    and k0 alone, so every product sees the same inputs whatever the
+    count."""
+    count, n = draws.shape
+    spans = -(-(n - k0) // _PRODUCT_COLUMNS)
+    width = -(-(n - k0) // spans)
+    tile = np.empty((_DRAW_BLOCK, width))
     for lo in range(0, count, _DRAW_BLOCK):
-        draws[lo:lo + _DRAW_BLOCK, k0:] += (z[lo:lo + _DRAW_BLOCK] @ rows[:, k0:])[: count - lo]
+        block = z[lo:lo + _DRAW_BLOCK]
+        keep = min(_DRAW_BLOCK, count - lo)
+        for c0 in range(k0, n, width):
+            c1 = min(c0 + width, n)
+            product = tile[:, : c1 - c0]
+            np.matmul(block, rows[:, c0:c1], out=product)
+            draws[lo:lo + keep, c0:c1] += product[:keep]
 
 
 def _brownian_draws(ticks: np.ndarray):
@@ -457,17 +480,23 @@ def _brownian_draws(ticks: np.ndarray):
     _check_wiener_domain(ticks)
     steps = np.sqrt(np.diff(ticks, prepend=0.0))
     return lambda normals, count: (
-        _by_block(normals, count, steps.shape[0], lambda b: np.cumsum(b * steps, axis=1)),
+        _by_block(
+            normals, count, steps.shape[0],
+            lambda b: np.cumsum(np.multiply(b, steps, out=b), axis=1),
+        ),
         0.0,
     )
 
 
 def _by_block(normals, count: int, n: int, apply) -> np.ndarray:
     """The table of ``count`` rows of n normals, each block of _DRAW_BLOCK
-    rows replaced by apply(block).  The block is fixed, not the row count,
-    because the leading rows of a BLAS product are not bitwise those of a
-    shorter product: a short last block is applied whole, with the normals
-    of the draws past ``count``, and keeps the rows that are draws."""
+    rows replaced by apply(block), which may overwrite its block.  The
+    block is fixed, not the row count, because the leading rows of a BLAS
+    product are not bitwise those of a shorter product: a short last block
+    is applied whole, with the normals of the draws past ``count``, and
+    keeps the rows that are draws.  The table and apply's temporaries are
+    all a call holds: for the Brownian operator, which scales its block in
+    place, one running sum of 100 draws."""
     z = normals(0, count, 0, n)
     for lo in range(0, count, _DRAW_BLOCK):
         block = z[lo:lo + _DRAW_BLOCK]
@@ -530,13 +559,15 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     the two-sided product L1 Z L2^T, taken one field at a time in the
     normals' own table.  A stationary expression on a 1-D grid streams its
     draws from the Schur rows of its values at the lags k * spacing alone,
-    taking the normals a block of columns at a time, and the Wiener kernel
-    takes running sums of its Brownian increments; neither holds an n x n
-    array.  Anything else is z L^T with L from cholesky_with_jitter of the
-    dense Gram: ``build_gram``'s at alpha = 0, else the pointwise
-    derivative Gram, which is not split term by term.  Each operator holds
-    one table of ``count`` draws, which the Kronecker, Wiener and dense
-    operators fill with the normals and overwrite.
+    128 factor rows at a time, taking the normals of those columns just
+    then and multiplying each block of draws through one tile of at most
+    1024 columns, and the Wiener kernel takes running sums of its Brownian
+    increments; neither holds an n x n array.  Anything else is z L^T with
+    L from cholesky_with_jitter of the dense Gram: ``build_gram``'s at
+    alpha = 0, else the pointwise derivative Gram, which is not split term
+    by term.  Each operator holds one table of ``count`` draws, which the
+    Kronecker, Wiener and dense operators fill with the normals and
+    overwrite.
     """
     if expr.dim != grid.dim:
         raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
@@ -742,26 +773,31 @@ def _format_block(values: np.ndarray, ends: np.ndarray) -> bytes:
     """The bytes of ``'%.17g' % v`` for each value, each followed by ","
     or, where ``ends`` is True, by CRLF.
 
-    Finite |v| in [1e-4, 1e16), always fixed notation under %.17g, are
-    formatted here.  Each value is laid out in a column of a (slot, value)
-    byte template: sign, the "0.000" ahead of |v| < 1, 17 digits with a
-    decimal-point slot after each but the last, and the separator.  Unused
-    slots hold 0 and are deleted with ``bytes.translate``.  Every other
-    value (0, subnormal, tiny, huge, inf, NaN) leaves a marker that is
+    Finite |v| in [1e-4, 1e16), always fixed notation under %.17g, and
+    ±0, which %.17g writes "0" and "-0", are formatted here.  Each value is
+    laid out in a column of a (slot, value) byte template: sign (from the
+    sign bit, so -0.0 has one), the "0.000" ahead of |v| < 1, 17 digits
+    with a decimal-point slot after each but the last, and the separator.
+    Unused slots hold 0 and are deleted with ``bytes.translate``.  Every
+    other value (subnormal, tiny, huge, inf, NaN) leaves a marker that is
     replaced by ``'%.17g' % v``.
     """
     m = values.shape[0]
     a = np.abs(values)
-    fast = (a >= 1e-4) & (a < 1e16)
+    digited = (a >= 1e-4) & (a < 1e16)
+    zero = a == 0.0
+    fast = digited | zero
     slots = np.empty((_SLOTS, m), np.uint8)
     digits = slots[6:39:2]
-    # the rest take a harmless stand-in, so log10 and the split stay finite
-    e, last = _significant_digits(np.where(fast, a, 1.0), digits)
+    # the rest take the stand-in 1.0, so log10 and the split stay finite;
+    # a zero keeps its one digit, the units digit, which is made "0"
+    e, last = _significant_digits(np.where(digited, a, 1.0), digits)
+    digits[0, zero] = ord("0")
     # keep digits up to the last significant one and up to the units digit
     last = np.maximum(last, e)
     last[~fast] = -1
     digits *= np.arange(17)[:, None] <= last
-    slots[0] = (values < 0.0) * np.uint8(ord("-"))
+    slots[0] = np.signbit(values) * np.uint8(ord("-"))
     slots[0, ~fast] = _FALLBACK
     slots[1:6] = _PREFIX * ((e <= _PREFIX_MAX_EXP) & fast)
     # a decimal point follows the units digit when a significant digit follows it

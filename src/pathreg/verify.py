@@ -489,10 +489,12 @@ def verify_regularity(expr: Kernel, cfg: VerifyConfig | None = None) -> VerifyRe
     """Compare the numerically detected order against ``infer_regularity(expr)``.
 
     Detects n as the deepest stable derivative order and fits the deviation
-    exponent there.  A finite target passes when it is at least n + 1 - tol
-    and either the deviation underflows at every scale or the fit saturates
-    at slope 2 with n at cfg.max_order; otherwise n + slope/2 must match it
-    within tol, or only reach it for a sufficient-only prediction.  tol is
+    exponent there.  The orders the detection admits are the fit's
+    n + slope/2, and every order from n + 1 up when the deviation underflows
+    at every scale or the fit saturates at slope 2 with n at cfg.max_order.
+    One rule judges a finite target against them: a sharp prediction passes
+    when it lies within tol of an admitted order, and a sufficient-only one,
+    a lower bound on the order, when it lies at most tol above one.  tol is
     cfg.tol, and at least 0.25, with the verdict flagged, for the
     log-corrected integer Matern case.  Smooth predictions are probed up to
     cfg.max_order and reported as 'smooth to probed order'.
@@ -528,24 +530,21 @@ def verify_regularity(expr: Kernel, cfg: VerifyConfig | None = None) -> VerifyRe
         h, dev, noise = _deviation_series(expr, n_hat)
         fit = _fit_series(h, dev.max(axis=0), noise.max(axis=0), n_hat)
     except SmoothToOrder:
-        # the deviation underflows at every scale: the order is at least n + 1
         fit = None
-        ok = target >= n_hat + 1 - tol
     except BeyondProbeRange as exc:
         return VerifyReport(n_hat, None, predicted, "fail", note=f"beyond probe range: {exc}")
+    # the deviation underflowing at every scale, or detection capped out with
+    # the deviation saturating at slope 2, puts the order at n + 1 or above
+    at_least = fit is None or (n_hat == cfg.max_order and fit.slope >= 2.0 - 0.2)
+    if sharp:
+        ok = (at_least and target >= n_hat + 1 - tol) or (
+            fit is not None and abs(n_hat + fit.slope / 2.0 - target) <= tol
+        )
     else:
-        total = n_hat + fit.slope / 2.0
-        if n_hat == cfg.max_order and fit.slope >= 2.0 - 0.2 and target >= n_hat + 1 - tol:
-            # detection capped out and the deviation saturates at slope 2: the
-            # true order is at least max_order + 1, consistent with the target
-            ok = True
-        elif not sharp:
-            # a sufficient-only prediction is a lower bound on regularity, so
-            # detecting more than predicted is consistent (e.g. a warp whose
-            # roughness concentrates outside the probe box)
-            ok = total >= target - tol
-        else:
-            ok = abs(total - target) <= tol
+        # a sufficient-only prediction is a lower bound on regularity, so
+        # detecting more than predicted is consistent (e.g. a warp whose
+        # roughness concentrates outside the probe box)
+        ok = at_least or n_hat + fit.slope / 2.0 >= target - tol
 
     slopes = []
     if not isinstance(classify(expr), Stationary) and fit is not None:

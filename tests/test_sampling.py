@@ -431,8 +431,9 @@ class TestToeplitzCholesky:
         assert str(schur.value) == str(dense.value)
 
     # partial autocorrelation 1 + 1e-12 at lag 300 makes the rungs below
-    # 1e-11 fail at row 300, after the first Schur block has been added:
-    # the retry restarts the normals' streams and matches a fresh attempt
+    # 1e-11 fail at row 300, after the Schur blocks below it have been
+    # added: each retry restarts the normals' streams at column 0, and the
+    # last matches a fresh attempt
     def test_failed_rung_restarts_the_normals(self):
         column = _reflection_column(400, {1: 0.5, 300: 1.0 + 1e-12})
         source = sampling._seeded_normals(5)
@@ -444,7 +445,10 @@ class TestToeplitzCholesky:
 
         draws, jitter = sampling._toeplitz_draws(column)(normals, 60)
         assert jitter == 1e-11
-        assert starts == [0, 0, 0, 256]
+        block = sampling._SCHUR_BLOCK
+        failed = list(range(0, 300 // block * block, block))
+        assert failed, "no Schur block is added before row 300"
+        assert starts == 2 * failed + list(range(0, 400, block))
         fresh = sampling._schur(column, jitter, sampling._seeded_normals(5), 60)
         assert np.array_equal(draws, fresh)
 
@@ -559,9 +563,12 @@ class TestSamplePaths:
         assert samples.samples.base is None
         assert samples.samples.nbytes == count * grid.n_points * 8
 
-    # one padded draw table, the buffer of Schur rows on the Schur path and
-    # two draw blocks; a stored factor and Gram made this 11-22 draw tables,
-    # and a table of normals beside the draws 3.6
+    # the padded draws, the buffer of Schur rows, one product tile and one
+    # block of normals, with 1 MB for the draws' normal streams and numpy's
+    # ufunc buffers: 1.96 draw tables on the desk grid, of which 200 Schur
+    # draws take 1.87.  A stored factor and Gram made this 11-22 draw
+    # tables, a table of normals beside the draws 3.6, and 256-row factor
+    # blocks with a product temporary per 50 draws 2.64-2.76
     @pytest.mark.parametrize(
         "draw",
         [
@@ -585,8 +592,13 @@ class TestSamplePaths:
         finally:
             tracemalloc.stop()
         padded = -(-samples.count // _DRAW_BLOCK) * _DRAW_BLOCK
-        rows = padded + sampling._SCHUR_BLOCK + 2 * _DRAW_BLOCK
-        assert peak <= rows * samples.grid.n_points * 8
+        block = sampling._SCHUR_BLOCK
+        values = (
+            (padded + block) * samples.grid.n_points
+            + _DRAW_BLOCK * sampling._PRODUCT_COLUMNS
+            + padded * block
+        )
+        assert peak <= values * 8 + 2**20
 
     # each field's second product overwrites its own normals; a new array
     # per product made this 2.02 draw tables, a product of 50 fields at a
@@ -843,6 +855,10 @@ class TestSerialisation:
         # the draws plus one block of rows; the whole table and its
         # transposed copy made this over 2 draw sizes
         path, _samples = self._large_file(tmp_path)
+        # np.unique, which counts a 2-D grid's columns, loads numpy.ma on
+        # first use; its import is not the read's
+        import numpy.ma  # noqa: F401
+
         tracemalloc.start()
         try:
             loaded = read_samples_csv(path)

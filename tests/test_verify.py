@@ -375,9 +375,18 @@ class TestVerifyRegularity:
         assert 3.98 <= report.detected_total <= 4.0
 
     # a deviation that underflows at every scale puts the order at n + 1 or
-    # more, which a target passes only within tol of it
+    # more, which a sharp target passes only within tol of, and which any
+    # sufficient-only target, a lower bound on the order, is consistent with:
+    # the warp is rough only at 0, off the probes, and its order-3 deviation
+    # underflows unpatched
     @pytest.mark.parametrize(
-        "text, verdict", [("matern(nu=4.5)", "pass"), ("matern(nu=1.5)", "fail"), ("matern(nu=2.5)", "fail")]
+        "text, verdict",
+        [
+            ("matern(nu=4.5)", "pass"),
+            ("matern(nu=1.5)", "fail"),
+            ("matern(nu=2.5)", "fail"),
+            ("warp(poly(m=2), abs_power(beta=1))", "pass"),
+        ],
     )
     def test_underflowing_deviation(self, monkeypatch, text, verdict):
         def underflow(*args):
