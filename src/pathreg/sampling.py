@@ -41,17 +41,19 @@ column by the generalised Schur algorithm in O(n^2), one contiguous row at
 a time, with the mixed-form hyperbolic rotations of Bojanczyk, Brent, de
 Hoog and Sweet (1995, SIAM J. Matrix Anal. Appl. 16:40), which are stable
 for positive definite Toeplitz matrices.  The rows are added into the draws
-_SCHUR_BLOCK (128) at a time and their buffer reused, each time with the
-normals of those columns alone, and each block of _DRAW_BLOCK (100) draws
-is multiplied into one reused tile of at most _PRODUCT_COLUMNS (1024)
-columns.  So a draw holds the draws, 128 factor rows, one product tile and
-one block of normals, never an n x n array: 200 draws on 4097 points trace
-1.87 draw tables at their peak.  The whole streamed draw is
-one attempt of the dense factorisation's jitter ladder, and each attempt
-restarts the normals' streams.  The Wiener kernel
+a block at a time through one reused buffer of _SCHUR_BLOCK * n (64 n)
+values: row k holds n - k live columns, so a block of shorter rows holds
+more of them, from 64 rows at the top to several hundred at the bottom.
+Each block of _DRAW_BLOCK (100) draws takes the normals of the block's
+columns just before its product, which goes into one reused tile of at
+most _PRODUCT_COLUMNS (1024) columns.  So a draw holds the draws, the
+buffer, one product tile and one block of normals, never an n x n array:
+200 draws on 4097 points trace 1.54 draw tables at their peak.  The whole
+streamed draw is one attempt of the dense factorisation's jitter ladder,
+and each attempt restarts the normals' streams.  The Wiener kernel
 min(s, t) has the exact factor L[i, j] = sqrt(p_j - p_(j-1)), j <= i,
-p_(-1) = 0, so its draws are running sums of the scaled normals, in
-O(count n), with neither its Gram nor a jitter.  Every other Gram is
+p_(-1) = 0, so its draws are running sums of the scaled normals, taken in
+place in O(count n), with neither its Gram nor a jitter.  Every other Gram is
 factorised densely by LAPACK.
 
 Top-level tensor-product kernels on matching 2-D grids are factorised per
@@ -135,8 +137,9 @@ MAX_GRID_POINTS = 128 * 128
 # rows per pointwise Gram fill block, at most an eighth of the Gram's rows
 _GRAM_BLOCK_ROWS = 1024
 _DRAW_BLOCK = 100
-# rows of the Schur factor held between draw products
-_SCHUR_BLOCK = 128
+# rows of the first Schur factor block; every block holds at most
+# _SCHUR_BLOCK * n values, so blocks of shorter rows hold more of them
+_SCHUR_BLOCK = 64
 # columns of the one tile that a Schur draw's products are taken into
 _PRODUCT_COLUMNS = 1024
 # the jitter ladder gives up above this multiple of trace/N
@@ -384,6 +387,21 @@ def _toeplitz_draws(column: np.ndarray):
     )
 
 
+def _schur_blocks(n: int) -> list[tuple[int, int]]:
+    """(k0, size) of each block of Schur factor rows on n points, in
+    order: the block from row k0 holds min(n - k0, _SCHUR_BLOCK * n //
+    (n - k0)) rows, stored from column k0, so each fits in _SCHUR_BLOCK * n
+    values and the blocks widen as their rows shorten.  The blocks depend
+    on n alone."""
+    blocks = []
+    k0 = 0
+    while k0 < n:
+        size = min(n - k0, _SCHUR_BLOCK * n // (n - k0))
+        blocks.append((k0, size))
+        k0 += size
+    return blocks
+
+
 def _schur(column: np.ndarray, jitter: float, normals, count: int) -> np.ndarray:
     """z R for the first ``count`` rows of the table z of a normal source,
     R the upper Cholesky factor of T + jitter I (T = R^T R), T the
@@ -396,77 +414,83 @@ def _schur(column: np.ndarray, jitter: float, normals, count: int) -> np.ndarray
     vanishes, and the rotated u is row k of R.  In mixed form (stable for
     positive definite T) the rotation by rho = v[k] / u[k-1] reads
     u' = (Z u - rho v) / c, v' = c v - rho u', c = sqrt((1 - rho)(1 + rho)).
-    R is never held whole: a buffer of _SCHUR_BLOCK rows is added into the
-    draws each time it fills, as z[:, k0:k1] R[k0:k1, k0:], and reused.
-    The columns z[:, k0:k1] are taken from the source just then, for the
-    rows of whole _DRAW_BLOCK blocks, and _add_rows multiplies them through
-    one tile of at most _PRODUCT_COLUMNS columns, so the draws, 128 factor
-    rows, one 100 x 1024 tile and one block of normals are all a call
-    holds.  Raises LinAlgError when T + jitter I is not positive definite:
-    then t0 <= 0 or some |rho| >= 1.
+    R is never held whole: each block of _schur_blocks(n), rows k0..k1-1
+    from column k0, is computed into one buffer of _SCHUR_BLOCK * n values,
+    added into the draws by _add_rows as z[:, k0:k1] R[k0:k1, k0:], and
+    overwritten by the next block, whose first row reads a copy of the
+    last one.  So the draws, the buffer, one 100 x 1024 product tile and
+    one block of normals for 100 draws are all a call holds.  Raises
+    LinAlgError when T + jitter I is not positive definite: then t0 <= 0
+    or some |rho| >= 1.
     """
     n = column.shape[0]
     t0 = column[0] + jitter
     if not t0 > 0.0:
         raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
     draws = np.zeros((count, n))
-    padded = -(-count // _DRAW_BLOCK) * _DRAW_BLOCK
-    size = min(_SCHUR_BLOCK, n)
-    rows = np.zeros((size, n))
-    u = rows[0]
+    # the first block, min(_SCHUR_BLOCK, n) rows of n, is the largest
+    buffer = np.empty(min(_SCHUR_BLOCK, n) * n)
+    u = buffer[:n]
     u[0] = t0
     u[1:] = column[1:]
     u /= math.sqrt(t0)
     v = u.copy()
     v[0] = 0.0
     work = np.empty(n)
-    for k in range(1, n):
-        i = k % size
-        if i == 0:
-            _add_rows(draws, normals(0, padded, k - size, k), rows, k - size)
-        shifted = rows[i - 1, k - 1:n - 1]
-        vk = v[k:]
-        rho = vk[0] / shifted[0]
-        if not abs(rho) < 1.0:
-            raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
-        c = math.sqrt((1.0 - rho) * (1.0 + rho))
-        # the buffer row's part left of R's diagonal holds a row of the last block
-        rows[i, k - i:k] = 0.0
-        row = rows[i, k:]
-        w = work[: n - k]
-        np.multiply(vk, rho, out=w)
-        np.subtract(shifted, w, out=row)
-        np.divide(row, c, out=row)
-        np.multiply(row, rho, out=w)
-        np.multiply(vk, c, out=vk)
-        np.subtract(vk, w, out=vk)
-    k0 = (n - 1) // size * size
-    _add_rows(draws, normals(0, padded, k0, n), rows[: n - k0], k0)
+    last = u
+    for k0, size in _schur_blocks(n):
+        rows = buffer[: size * (n - k0)].reshape(size, n - k0)
+        # row 0 is u
+        for i in range(k0 == 0, size):
+            k = k0 + i
+            shifted = last[:-1]
+            vk = v[k:]
+            rho = vk[0] / shifted[0]
+            if not abs(rho) < 1.0:
+                raise np.linalg.LinAlgError("Toeplitz matrix is not positive definite")
+            c = math.sqrt((1.0 - rho) * (1.0 + rho))
+            # the buffer row's part left of R's diagonal holds a row of the last block
+            rows[i, :i] = 0.0
+            last = row = rows[i, i:]
+            w = work[: n - k]
+            np.multiply(vk, rho, out=w)
+            np.subtract(shifted, w, out=row)
+            np.divide(row, c, out=row)
+            np.multiply(row, rho, out=w)
+            np.multiply(vk, c, out=vk)
+            np.subtract(vk, w, out=vk)
+        _add_rows(draws, normals, rows, k0)
+        # the next block's rows overwrite the buffer
+        last = last.copy()
     return draws
 
 
-def _add_rows(draws: np.ndarray, z: np.ndarray, rows: np.ndarray, k0: int) -> None:
+def _add_rows(draws: np.ndarray, normals, rows: np.ndarray, k0: int) -> None:
     """Add z R[k0:k1, k0:] into the draws' columns k0.., for rows k0..k1-1
-    of R (zero left of the diagonal) and the normals' columns z of those
-    rows, padded to whole blocks of _DRAW_BLOCK draws.  The columns k0..
-    are cut into the fewest spans of one width, at most _PRODUCT_COLUMNS
-    (the last may be narrower), and each draw block is multiplied span by
-    span into one tile allocated once per call, whose rows that are draws
-    are added; no product spans the whole row, and the spans depend on n
-    and k0 alone, so every product sees the same inputs whatever the
-    count."""
+    of R held from column k0 (zero left of the diagonal) and z the
+    source's normals, whose columns k0..k1-1 are taken for one block of
+    _DRAW_BLOCK draws at a time, just before its product, the last block
+    padded past the count.  The columns k0.. are cut into the fewest
+    spans of one width, at most _PRODUCT_COLUMNS (the last may be
+    narrower), and each draw block is multiplied span by span into one
+    tile allocated once per call, whose rows that are draws are added; no
+    product spans the whole row, and the spans depend on n and k0 alone,
+    so every product sees the same inputs whatever the count."""
     count, n = draws.shape
     spans = -(-(n - k0) // _PRODUCT_COLUMNS)
     width = -(-(n - k0) // spans)
     tile = np.empty((_DRAW_BLOCK, width))
+    k1 = k0 + rows.shape[0]
     for lo in range(0, count, _DRAW_BLOCK):
-        block = z[lo:lo + _DRAW_BLOCK]
+        block = normals(lo, lo + _DRAW_BLOCK, k0, k1)
         keep = min(_DRAW_BLOCK, count - lo)
-        for c0 in range(k0, n, width):
-            c1 = min(c0 + width, n)
+        for c0 in range(0, n - k0, width):
+            c1 = min(c0 + width, n - k0)
             product = tile[:, : c1 - c0]
             np.matmul(block, rows[:, c0:c1], out=product)
-            draws[lo:lo + keep, c0:c1] += product[:keep]
+            draws[lo:lo + keep, k0 + c0:k0 + c1] += product[:keep]
+        # the next block's normals are not held beside these
+        del block
 
 
 def _brownian_draws(ticks: np.ndarray):
@@ -482,7 +506,7 @@ def _brownian_draws(ticks: np.ndarray):
     return lambda normals, count: (
         _by_block(
             normals, count, steps.shape[0],
-            lambda b: np.cumsum(np.multiply(b, steps, out=b), axis=1),
+            lambda b: np.cumsum(np.multiply(b, steps, out=b), axis=1, out=b),
         ),
         0.0,
     )
@@ -495,8 +519,8 @@ def _by_block(normals, count: int, n: int, apply) -> np.ndarray:
     product are not bitwise those of a shorter product: a short last block
     is applied whole, with the normals of the draws past ``count``, and
     keeps the rows that are draws.  The table and apply's temporaries are
-    all a call holds: for the Brownian operator, which scales its block in
-    place, one running sum of 100 draws."""
+    all a call holds: the Brownian operator, which scales and sums its
+    block in place, holds the table alone."""
     z = normals(0, count, 0, n)
     for lo in range(0, count, _DRAW_BLOCK):
         block = z[lo:lo + _DRAW_BLOCK]
@@ -559,15 +583,15 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     the two-sided product L1 Z L2^T, taken one field at a time in the
     normals' own table.  A stationary expression on a 1-D grid streams its
     draws from the Schur rows of its values at the lags k * spacing alone,
-    128 factor rows at a time, taking the normals of those columns just
-    then and multiplying each block of draws through one tile of at most
-    1024 columns, and the Wiener kernel takes running sums of its Brownian
-    increments; neither holds an n x n array.  Anything else is z L^T with
-    L from cholesky_with_jitter of the dense Gram: ``build_gram``'s at
-    alpha = 0, else the pointwise derivative Gram, which is not split term
-    by term.  Each operator holds one table of ``count`` draws, which the
-    Kronecker, Wiener and dense operators fill with the normals and
-    overwrite.
+    one block of at most 64 n factor values at a time, taking each block of
+    draws' normals of those columns just then and multiplying it through
+    one tile of at most 1024 columns, and the Wiener kernel takes running
+    sums of its Brownian increments in place; neither holds an n x n
+    array.  Anything else is z L^T with L from cholesky_with_jitter of the
+    dense Gram: ``build_gram``'s at alpha = 0, else the pointwise
+    derivative Gram, which is not split term by term.  Each operator holds
+    one table of ``count`` draws, which the Kronecker, Wiener and dense
+    operators fill with the normals and overwrite.
     """
     if expr.dim != grid.dim:
         raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
@@ -1027,8 +1051,9 @@ def read_samples_csv(path: str) -> PathSamples:
     else:
         x0 = coords[:, 0]
         x1 = coords[:, 1]
-        n1 = len(np.unique(x1[x0 == x0[0]]))
-        if coords.shape[0] % n1 != 0:
+        # no row matches a first x that is NaN
+        n1 = int(np.count_nonzero(x0 == x0[0]))
+        if not n1 or coords.shape[0] % n1 != 0:
             raise ValueError("coordinates do not form a row-major grid")
         n0 = coords.shape[0] // n1
         axis0 = _axis_from_ticks(x0.reshape(n0, n1)[:, 0])

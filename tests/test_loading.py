@@ -116,6 +116,21 @@ class TestCommandsLoadWhatTheyRun:
         assert {"numpy", "pathreg.verify"} <= loaded
         assert not loaded & {"pathreg.sampling", "pathreg.structure"}
 
+    # counting a field's columns needs no np.unique, which loads numpy.ma
+    # (about 0.9 MB) on first use
+    def test_field_read_loads_no_masked_arrays(self, tmp_path):
+        from pathreg.dsl import parse_kernel
+        from pathreg.sampling import Axis, Grid, sample_paths, write_samples_csv
+
+        grid = Grid((Axis(0.0, 1.0, 64), Axis(0.0, 1.0, 64)))
+        path = str(tmp_path / "field.csv")
+        write_samples_csv(sample_paths(parse_kernel("tensor(se(), se())"), grid, 2, 3), path)
+        script = (
+            "import sys; from pathreg.sampling import read_samples_csv; "
+            "print(read_samples_csv(sys.argv[1]).grid.shape, 'numpy.ma' in sys.modules)"
+        )
+        assert _fresh(script, path).split() == ["(64,", "64)", "False"]
+
 
 class TestPackageNames:
     def test_import_loads_no_submodule(self):

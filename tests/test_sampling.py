@@ -445,10 +445,10 @@ class TestToeplitzCholesky:
 
         draws, jitter = sampling._toeplitz_draws(column)(normals, 60)
         assert jitter == 1e-11
-        block = sampling._SCHUR_BLOCK
-        failed = list(range(0, 300 // block * block, block))
+        blocks = sampling._schur_blocks(400)
+        failed = [k0 for k0, size in blocks if k0 + size <= 300]
         assert failed, "no Schur block is added before row 300"
-        assert starts == 2 * failed + list(range(0, 400, block))
+        assert starts == 2 * failed + [k0 for k0, _size in blocks]
         fresh = sampling._schur(column, jitter, sampling._seeded_normals(5), 60)
         assert np.array_equal(draws, fresh)
 
@@ -563,25 +563,32 @@ class TestSamplePaths:
         assert samples.samples.base is None
         assert samples.samples.nbytes == count * grid.n_points * 8
 
-    # the padded draws, the buffer of Schur rows, one product tile and one
-    # block of normals, with 1 MB for the draws' normal streams and numpy's
-    # ufunc buffers: 1.96 draw tables on the desk grid, of which 200 Schur
-    # draws take 1.87.  A stored factor and Gram made this 11-22 draw
-    # tables, a table of normals beside the draws 3.6, and 256-row factor
+    # a Schur draw holds the padded draws, the buffer of _SCHUR_BLOCK * n
+    # factor values, one block of normals for 100 draws and the widest
+    # factor block, and one product tile; a Wiener draw sums in place and
+    # holds its table alone; either with 1 MB for the draws' normal streams
+    # and numpy's ufunc buffers.  That is 1.65 draw tables for 200 Schur
+    # draws on the desk grid, which take 1.54, and 1.16 for 200 Wiener
+    # draws, which take 1.03.  128 rows of all n columns and a running sum
+    # of 100 Wiener draws made this 1.87 and 1.53, a stored factor and Gram
+    # 11-22, a table of normals beside the draws 3.6, and 256-row factor
     # blocks with a product temporary per 50 draws 2.64-2.76
     @pytest.mark.parametrize(
-        "draw",
+        "draw, schur",
         [
-            lambda: sample_paths(parse_kernel("matern(nu=2.5)"), _DESK_GRID, 200, 42),
-            lambda: sample_paths(parse_kernel("wiener()"), _DESK_GRID, 200, 42),
-            lambda: sample_paths(parse_kernel("se()"), _DESK_GRID, 200, 42),
-            lambda: sample_derivative_paths(
-                parse_kernel("matern(nu=1.5)"), 1, Grid((Axis(0.25, 1.25, 2049),)), 200, 42
+            (lambda: sample_paths(parse_kernel("matern(nu=2.5)"), _DESK_GRID, 200, 42), True),
+            (lambda: sample_paths(parse_kernel("wiener()"), _DESK_GRID, 200, 42), False),
+            (lambda: sample_paths(parse_kernel("se()"), _DESK_GRID, 200, 42), True),
+            (
+                lambda: sample_derivative_paths(
+                    parse_kernel("matern(nu=1.5)"), 1, Grid((Axis(0.25, 1.25, 2049),)), 200, 42
+                ),
+                True,
             ),
         ],
         ids=["matern2.5", "wiener", "se", "derivative"],
     )
-    def test_draw_peak_memory(self, draw):
+    def test_draw_peak_memory(self, draw, schur):
         # numpy.random loads on first use; its import is not the draw's
         import numpy.random  # noqa: F401
 
@@ -591,13 +598,15 @@ class TestSamplePaths:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        padded = -(-samples.count // _DRAW_BLOCK) * _DRAW_BLOCK
-        block = sampling._SCHUR_BLOCK
-        values = (
-            (padded + block) * samples.grid.n_points
-            + _DRAW_BLOCK * sampling._PRODUCT_COLUMNS
-            + padded * block
-        )
+        n = samples.grid.n_points
+        values = -(-samples.count // _DRAW_BLOCK) * _DRAW_BLOCK * n
+        if schur:
+            widest = max(size for _k0, size in sampling._schur_blocks(n))
+            values += (
+                sampling._SCHUR_BLOCK * n
+                + _DRAW_BLOCK * widest
+                + _DRAW_BLOCK * sampling._PRODUCT_COLUMNS
+            )
         assert peak <= values * 8 + 2**20
 
     # each field's second product overwrites its own normals; a new array
@@ -855,10 +864,6 @@ class TestSerialisation:
         # the draws plus one block of rows; the whole table and its
         # transposed copy made this over 2 draw sizes
         path, _samples = self._large_file(tmp_path)
-        # np.unique, which counts a 2-D grid's columns, loads numpy.ma on
-        # first use; its import is not the read's
-        import numpy.ma  # noqa: F401
-
         tracemalloc.start()
         try:
             loaded = read_samples_csv(path)
@@ -871,6 +876,22 @@ class TestSerialisation:
         path = tmp_path / "ragged.csv"
         path.write_text("x,s0,s1\r\n0,1,2\r\n1,3\r\n")
         with pytest.raises(ValueError):
+            read_samples_csv(str(path))
+
+    # a first x that is NaN matches no row, and an x run that comes back
+    # later miscounts the columns: both are refused, not divided by
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["nan,0,1", "nan,1,2", "1,0,3", "1,1,4"],
+            ["0,0,1", "0,1,2", "1,0,3", "1,1,4", "0,2,5", "1,2,6"],
+        ],
+        ids=["nan", "split-run"],
+    )
+    def test_field_rows_must_form_a_grid(self, tmp_path, rows):
+        path = tmp_path / "field.csv"
+        path.write_text("\r\n".join(["x,y,s0", *rows, ""]))
+        with pytest.raises(ValueError, match="grid"):
             read_samples_csv(str(path))
 
     def test_header_only_file_has_no_rows(self, tmp_path):
