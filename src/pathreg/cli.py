@@ -133,8 +133,8 @@ def _estimate_samples(samples: PathSamples) -> dict:
 def _draw(args, expr: Kernel, *required: str):
     """A function of no arguments that runs sample_paths at the flags'
     grid, count and seed, which the desk profile fills in where not given.
-    The request is checked first: a missing flag, of these or of
-    ``required``, or grid text that is no grid, fails before anything runs."""
+    The request is checked first: a missing flag (of these or ``required``),
+    grid text that is no grid or a count below 1 fails before anything runs."""
     if args.profile == "desk":
         one_d = expr.dim == 1
         if args.seed is None:
@@ -146,9 +146,12 @@ def _draw(args, expr: Kernel, *required: str):
     missing = [f"--{n}" for n in ("grid", "count", "seed", *required) if getattr(args, n) is None]
     if missing:
         raise _UsageError(f"missing required flags: {', '.join(missing)}")
+    grid = _parse_grid(args.grid)
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
     from .sampling import sample_paths
 
-    return functools.partial(sample_paths, expr, _parse_grid(args.grid), args.count, args.seed)
+    return functools.partial(sample_paths, expr, grid, args.count, args.seed)
 
 
 class _UsageError(Exception):

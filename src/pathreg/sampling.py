@@ -3,18 +3,19 @@
 Draws are rows L z where L is the jittered Cholesky factor of the Gram
 matrix and z comes from a counter-based generator: draw i of seed s uses a
 Philox4x64 bit generator keyed by SeedSequence(entropy=s, spawn_key=(i,))
-feeding numpy's standard normal.  Every BLAS product takes a whole block
-of _DRAW_BLOCK draws [kB, (k+1)B), the last block padded past the
-requested count with the normals of the draws after it, and keeps the
-rows that are draws.  Every product therefore sees the same inputs
-whatever the count, so a draw is independent of draw order and count, and
-identical (seed, kernel, grid) inputs reproduce it bitwise on one platform
-and BLAS.  A factorisation is a draw operator, mapping a source of
-normals and a count to that many draws and the jitter used; the source
-hands out any block of rows and columns of the table of normals, and each
-draw's stream continues across the calls that take its columns in order,
-so the normals are never held beside the draws.  A matrix factor, where
-one is needed, is the operator's draws of the identity, exactly.
+feeding numpy's standard normal.  Only _add_rows pads: each of its BLAS
+products takes a whole block of _DRAW_BLOCK draws [kB, (k+1)B), the last
+padded past the count with the normals of the draws after it, and keeps
+the rows that are draws.  Every other operator overwrites its table of
+``count`` rows of normals row by row, which needs no padding.  So a draw
+is independent of draw order and count, and identical (seed, kernel,
+grid) inputs reproduce it bitwise on one platform and BLAS.  A
+factorisation is a draw operator, mapping a source of normals and a count
+to that many draws and the jitter used; the source hands out any block of
+rows and columns of the table of normals, and each draw's stream continues
+across the calls that take its columns in order, so the normals are never
+held beside the draws.  A matrix factor, where one is needed, is the
+operator's draws of the identity, exactly.
 
 The Gram of a stationary expression depends on p_i - p_j alone, and on a
 uniform grid that difference runs over a lattice of lags, so the kernel is
@@ -54,7 +55,7 @@ and each attempt restarts the normals' streams.  The Wiener kernel
 min(s, t) has the exact factor L[i, j] = sqrt(p_j - p_(j-1)), j <= i,
 p_(-1) = 0, so its draws are running sums of the scaled normals, taken in
 place in O(count n), with neither its Gram nor a jitter.  Every other Gram is
-factorised densely by LAPACK.
+factorised densely by LAPACK, and _add_rows adds its upper factor as one block.
 
 Top-level tensor-product kernels on matching 2-D grids are factorised per
 axis: the Gram is the Kronecker product of the per-axis Grams, so its
@@ -245,8 +246,8 @@ def build_gram(expr: Kernel, grid: Grid) -> np.ndarray:
     term: the weighted sum or the elementwise product of its children's
     Grams, combined in the order ``pairwise`` combines their values, so a
     stationary child still takes its lag table.  Other expressions are
-    evaluated pointwise in row blocks, which bounds temporary memory, and
-    their strict upper triangle is mirrored in place.
+    evaluated pointwise, in row blocks from the diagonal on to bound the
+    temporaries, and their strict upper triangle is mirrored in place.
     """
     if expr.dim != grid.dim:
         raise KernelError(
@@ -284,7 +285,8 @@ def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
     rows = min(_GRAM_BLOCK_ROWS, -(-n // 8))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        gram[lo:hi] = cross(pts[lo:hi], pts)
+        # an entry does not depend on its block: evaluate from the diagonal on
+        gram[lo:hi, lo:] = cross(pts[lo:hi], pts[lo:])
         # mirror the strict upper triangle in place: the rows above this
         # block hold its left part, its own rows the diagonal block's
         gram[lo:hi, :lo] = gram[:lo, lo:hi].T
@@ -473,9 +475,9 @@ def _add_rows(draws: np.ndarray, normals, rows: np.ndarray, k0: int) -> None:
     padded past the count.  The columns k0.. are cut into the fewest
     spans of one width, at most _PRODUCT_COLUMNS (the last may be
     narrower), and each draw block is multiplied span by span into one
-    tile allocated once per call, whose rows that are draws are added; no
-    product spans the whole row, and the spans depend on n and k0 alone,
-    so every product sees the same inputs whatever the count."""
+    tile allocated once per call, whose rows that are draws are added; the
+    spans depend on n and k0 alone, so every product sees the same inputs
+    whatever the count."""
     count, n = draws.shape
     spans = -(-(n - k0) // _PRODUCT_COLUMNS)
     width = -(-(n - k0) // spans)
@@ -499,40 +501,24 @@ def _brownian_draws(ticks: np.ndarray):
     min(p_i, p_j) is the sum of the increments p_k - p_(k-1), p_(-1) = 0,
     over k <= min(i, j), so its Cholesky factor is L[i, j] =
     sqrt(p_j - p_(j-1)) for j <= i, and z L^T is the running sum of
-    z_j sqrt(p_j - p_(j-1)); it is exact, and needs no jitter.
+    z_j sqrt(p_j - p_(j-1)), taken in place row by row; it is exact, and
+    needs no jitter and no padding.
     """
     _check_wiener_domain(ticks)
     steps = np.sqrt(np.diff(ticks, prepend=0.0))
-    return lambda normals, count: (
-        _by_block(
-            normals, count, steps.shape[0],
-            lambda b: np.cumsum(np.multiply(b, steps, out=b), axis=1, out=b),
-        ),
-        0.0,
-    )
 
+    def draw(normals, count):
+        z = normals(0, count, 0, steps.shape[0])
+        np.multiply(z, steps, out=z)
+        return np.cumsum(z, axis=1, out=z), 0.0
 
-def _by_block(normals, count: int, n: int, apply) -> np.ndarray:
-    """The table of ``count`` rows of n normals, each block of _DRAW_BLOCK
-    rows replaced by apply(block), which may overwrite its block.  The
-    block is fixed, not the row count, because the leading rows of a BLAS
-    product are not bitwise those of a shorter product: a short last block
-    is applied whole, with the normals of the draws past ``count``, and
-    keeps the rows that are draws.  The table and apply's temporaries are
-    all a call holds: the Brownian operator, which scales and sums its
-    block in place, holds the table alone."""
-    z = normals(0, count, 0, n)
-    for lo in range(0, count, _DRAW_BLOCK):
-        block = z[lo:lo + _DRAW_BLOCK]
-        whole = block if block.shape[0] == _DRAW_BLOCK else normals(lo, lo + _DRAW_BLOCK, 0, n)
-        block[...] = apply(whole)[: block.shape[0]]
-    return z
+    return draw
 
 
 def _lower_factor(draw, n: int):
     """(L, jitter_used) of a draw operator, from its draws of the identity:
     every product with an off-diagonal zero of I is an exact zero, and the
-    rows past n that pad a block are zero."""
+    rows past n that pad a product's block are zero."""
     upper, jitter = draw(lambda r0, r1, k0, k1: np.eye(r1 - r0, k1 - k0, r0 - k0), n)
     return upper.T, jitter
 
@@ -572,8 +558,8 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     ``count`` rows of n normals and L the lower Cholesky factor of the
     jittered Gram.  A normal source is a function normals(r0, r1, k0, k1)
     of the block z[r0:r1, k0:k1] of a table of normals, a new array that
-    the operator may overwrite; the operators ask for the rows past
-    ``count`` that pad a product's last block of _DRAW_BLOCK draws.
+    the operator may overwrite; only _add_rows asks for the rows past
+    ``count``, which pad a product's last block of _DRAW_BLOCK draws.
 
     KernelError at alpha != 0 unless the inferred order exceeds |alpha|.
     A top-level tensor product is not judged whole: it gates and factorises
@@ -589,9 +575,10 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     sums of its Brownian increments in place; neither holds an n x n
     array.  Anything else is z L^T with L from cholesky_with_jitter of the
     dense Gram: ``build_gram``'s at alpha = 0, else the pointwise
-    derivative Gram, which is not split term by term.  Each operator holds
-    one table of ``count`` draws, which the Kronecker, Wiener and dense
-    operators fill with the normals and overwrite.
+    derivative Gram, which is not split term by term, and _add_rows adds
+    L^T into zeroed draws as one block.  Each operator holds one table of
+    ``count`` draws, which the Kronecker and Wiener operators fill with the
+    normals and overwrite.
     """
     if expr.dim != grid.dim:
         raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
@@ -631,10 +618,13 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     if grid.dim == 1 and isinstance(classify(expr), Stationary):
         return _toeplitz_draws(_half_lag_table(grid, _lag_function(cross, 1)))
     lower, jitter = cholesky_with_jitter(dense_gram())
-    return lambda normals, count: (
-        _by_block(normals, count, lower.shape[0], lambda b: b @ lower.T),
-        jitter,
-    )
+
+    def draw(normals, count):
+        draws = np.zeros((count, lower.shape[0]))
+        _add_rows(draws, normals, lower.T, 0)
+        return draws, jitter
+
+    return draw
 
 
 def _sample(expr: Kernel, grid: Grid, count: int, seed: int, alpha: tuple):

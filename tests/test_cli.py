@@ -527,19 +527,27 @@ class TestEstimate:
         assert code == 2
 
     # the three drawing commands take their grid, count and seed alike: a
-    # missing one is a usage error, and a given zero count is not missing
+    # missing one is a usage error, and a given zero count is not missing;
+    # report rejects a count below 1 before it verifies
     @pytest.mark.parametrize("command", ["sample", "estimate", "report"])
-    def test_draw_request(self, capsys, tmp_path, command):
+    def test_draw_request(self, capsys, tmp_path, monkeypatch, command):
+        import pathreg.verify
+
+        def unreachable(expr, cfg=None):
+            raise AssertionError("verify ran before the count was checked")
+
+        monkeypatch.setattr(pathreg.verify, "verify_regularity", unreachable)
         out = ["--out", str(tmp_path / "d")] if command != "estimate" else []
         code, _, err = run(capsys, command, "-k", "se()", "--count", "2")
         flags = "--grid, --seed, --out" if command == "sample" else "--grid, --seed"
         assert (code, err) == (2, f"error: missing required flags: {flags}\n")
-        for profile in ([], ["--profile", "desk"]):
-            code, _, err = run(
-                capsys, command, "-k", "se()", "--grid", "0:1:9", "--count", "0", "--seed", "1",
-                *out, *profile,
-            )
-            assert (code, err) == (3, "error: count must be >= 1\n")
+        for count in ("0", "-5"):
+            for profile in ([], ["--profile", "desk"]):
+                code, _, err = run(
+                    capsys, command, "-k", "se()", "--grid", "0:1:9", "--count", count,
+                    "--seed", "1", *out, *profile,
+                )
+                assert (code, err) == (3, "error: count must be >= 1\n")
 
     def test_desk_profile_pins_defaults(self, capsys, tmp_path):
         # the desk profile supplies grid/count/seed so CI runs reproduce the

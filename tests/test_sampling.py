@@ -125,6 +125,24 @@ class TestBuildGram:
         gram = sampling._assemble_gram(parse_kernel("linear()"), grid, cross)
         assert gram.tobytes() == (np.triu(full) + np.triu(full, 1).T).tobytes()
 
+    # each row block evaluates its entries from the diagonal block on, about
+    # half the Gram; evaluating whole rows and mirroring over the left part
+    # evaluated all n^2 entries
+    def test_pointwise_gram_evaluates_upper_part(self):
+        grid = Grid((Axis(0.25, 1.25, 1025),))
+        expr = parse_kernel("linear()")
+        entries = []
+
+        def cross(X, Y):
+            entries.append(X.shape[0] * Y.shape[0])
+            return pairwise(expr, X, Y)
+
+        gram = sampling._assemble_gram(expr, grid, cross)
+        n = grid.n_points
+        rows = min(sampling._GRAM_BLOCK_ROWS, -(-n // 8))
+        assert sum(entries) <= (n * n + n * rows) // 2
+        assert gram.tobytes() == build_gram(expr, grid).tobytes()
+
     def test_pointwise_gram_peak_memory(self):
         # the Gram plus one fill block (an eighth of the rows here); the
         # triangle sum peaked at over three Gram sizes
@@ -474,6 +492,22 @@ class TestToeplitzCholesky:
         draws, _jitter = draw(_table_source(z), 60)
         assert np.max(np.abs(draws - z[:60] @ dense.T)) <= 1e-13 * np.max(np.abs(draws))
 
+    # the dense operator adds LAPACK's upper factor into zeroed draws as one
+    # block of factor rows: its factor is LAPACK's exactly, and its draws
+    # are z L^T up to the rounding of the column spans past 1024 points
+    @pytest.mark.parametrize("n", [257, 1025])
+    def test_dense_draws_are_factor_products(self, n):
+        expr = parse_kernel("linear() + se()")
+        grid = Grid((Axis(0.0, 1.0, n),))
+        draw = sampling._factorise(expr, grid, (0,))
+        lower, jitter = sampling._lower_factor(draw, n)
+        dense, dense_jitter = cholesky_with_jitter(build_gram(expr, grid))
+        assert jitter == dense_jitter
+        assert np.array_equal(lower, dense)
+        z = np.random.default_rng(n).standard_normal((2 * _DRAW_BLOCK, n))
+        draws, _jitter = draw(_table_source(z), 60)
+        assert np.max(np.abs(draws - z[:60] @ dense.T)) <= 1e-13 * np.max(np.abs(draws))
+
     # the 1-D stationary paths factor the lag column and the Wiener kernel
     # has an exact factor; a dense Gram is waste
     def test_no_dense_gram(self, monkeypatch):
@@ -545,6 +579,31 @@ class TestSamplePaths:
         assert np.array_equal(few.samples, many.samples[:2])
         assert np.array_equal(draw(_DRAW_BLOCK + 1).samples, many.samples[: _DRAW_BLOCK + 1])
 
+    # only a BLAS product pads its last block of draws: an operator that
+    # overwrites its normals row by row asks for the count rows alone
+    @pytest.mark.parametrize(
+        "text, grid",
+        [
+            ("wiener()", Grid((Axis(0.1, 3.0, 257),))),
+            ("tensor(se(), matern(nu=1.5))", Grid((Axis(0.0, 1.0, 17), Axis(0.0, 1.0, 16)))),
+        ],
+        ids=["wiener", "kronecker"],
+    )
+    def test_unpadded_operators_take_count_rows(self, text, grid):
+        source = sampling._seeded_normals(9)
+        asked = []
+
+        def normals(r0, r1, k0, k1):
+            asked.append((r0, r1))
+            return source(r0, r1, k0, k1)
+
+        count = _DRAW_BLOCK + 1
+        draws, _jitter = sampling._factorise(parse_kernel(text), grid, (0,) * grid.dim)(
+            normals, count
+        )
+        assert asked == [(0, count)]
+        assert draws.shape == (count, grid.n_points)
+
     # a draw's table holds its count rows alone, not a view of a table
     # padded to whole draw blocks
     @pytest.mark.parametrize(
@@ -563,21 +622,27 @@ class TestSamplePaths:
         assert samples.samples.base is None
         assert samples.samples.nbytes == count * grid.n_points * 8
 
-    # a Schur draw holds the padded draws, the buffer of _SCHUR_BLOCK * n
-    # factor values, one block of normals for 100 draws and the widest
-    # factor block, and one product tile; a Wiener draw sums in place and
-    # holds its table alone; either with 1 MB for the draws' normal streams
-    # and numpy's ufunc buffers.  That is 1.65 draw tables for 200 Schur
-    # draws on the desk grid, which take 1.54, and 1.16 for 200 Wiener
-    # draws, which take 1.03.  128 rows of all n columns and a running sum
-    # of 100 Wiener draws made this 1.87 and 1.53, a stored factor and Gram
-    # 11-22, a table of normals beside the draws 3.6, and 256-row factor
-    # blocks with a product temporary per 50 draws 2.64-2.76
+    # a Schur draw holds its draws, the buffer of _SCHUR_BLOCK * n factor
+    # values, one block of normals for 100 draws and the widest factor
+    # block, and one product tile; a Wiener draw sums in place and holds
+    # its table of count rows alone, unpadded; either with 1 MB for the
+    # draws' normal streams and numpy's ufunc buffers.  That is 1.65 draw
+    # tables for 200 Schur draws on the desk grid, which take 1.54, and
+    # 1.16 for 200 Wiener draws, which take 1.03.  128 rows of all n
+    # columns and a running sum of 100 Wiener draws made this 1.87 and
+    # 1.53, a stored factor and Gram 11-22, a table of normals beside the
+    # draws 3.6, and 256-row factor blocks with a product temporary per 50
+    # draws 2.64-2.76.  101 Wiener draws take 1.04 tables against a bound
+    # of 1.32; with a padded last block of normals they took 2.06
     @pytest.mark.parametrize(
         "draw, schur",
         [
             (lambda: sample_paths(parse_kernel("matern(nu=2.5)"), _DESK_GRID, 200, 42), True),
             (lambda: sample_paths(parse_kernel("wiener()"), _DESK_GRID, 200, 42), False),
+            (
+                lambda: sample_paths(parse_kernel("wiener()"), _DESK_GRID, _DRAW_BLOCK + 1, 42),
+                False,
+            ),
             (lambda: sample_paths(parse_kernel("se()"), _DESK_GRID, 200, 42), True),
             (
                 lambda: sample_derivative_paths(
@@ -586,7 +651,7 @@ class TestSamplePaths:
                 True,
             ),
         ],
-        ids=["matern2.5", "wiener", "se", "derivative"],
+        ids=["matern2.5", "wiener", "wiener-unpadded", "se", "derivative"],
     )
     def test_draw_peak_memory(self, draw, schur):
         # numpy.random loads on first use; its import is not the draw's
@@ -599,7 +664,7 @@ class TestSamplePaths:
         finally:
             tracemalloc.stop()
         n = samples.grid.n_points
-        values = -(-samples.count // _DRAW_BLOCK) * _DRAW_BLOCK * n
+        values = samples.count * n
         if schur:
             widest = max(size for _k0, size in sampling._schur_blocks(n))
             values += (
