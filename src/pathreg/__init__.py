@@ -25,6 +25,8 @@ import importlib
 _EXPORTS = {
     "dsl": ("ParseError", "parse_kernel", "print_kernel"),
     "kernels": (
+        "AbsPower",
+        "Affine",
         "Conic",
         "DomainError",
         "Feature",

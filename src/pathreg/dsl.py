@@ -7,14 +7,15 @@ Grammar (whitespace-insensitive)::
     factor := call | '(' expr ')'
     call   := name '(' kwargs? ')'
             | 'tensor(' expr (',' expr)+ ')'
-            | 'warp(' expr ',' warpname ['(' kwargs ')'] ')'
+            | 'warp(' expr ',' call ')'
     kwargs := name '=' (number | name) (',' name '=' (number | name))*
 
 Leaf names are those of the classes in ``kernels.LEAVES`` (matern,
-wendland, se, rq, periodic, wiener, linear, poly, feature), and a leaf's
-parameters are its fields.  A leading ``number '*'`` on a term is a conic
-weight and must be positive and finite; numeric literals are not kernels
-on their own.  ``parse_kernel`` and ``print_kernel`` round-trip: parsing
+wendland, se, rq, periodic, wiener, linear, poly, feature), the call that
+ends a warp names one of ``kernels.WARPS`` (affine, abs_power), and the
+parameters of either are its class's fields.  A leading ``number '*'`` on
+a term is a conic weight and must be positive and finite; numeric
+literals are not kernels on their own.  ``parse_kernel`` and ``print_kernel`` round-trip: parsing
 the printed form reproduces a structurally equal tree.
 """
 
@@ -81,11 +82,13 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 _LEAVES = {cls.name: cls for cls in LEAVES}
+_WARPS = {cls.name: cls for cls in WARPS}
 
 
-def _build_leaf(cls, kwargs: dict[str, tuple], name_pos: int) -> Kernel:
-    # parameters are the leaf's fields under their DSL names; str fields
-    # take identifiers, int fields integers, the others numbers
+def _build_leaf(cls, kwargs: dict[str, tuple], name_pos: int):
+    # parameters are the fields of a leaf or warp family under their DSL
+    # names; str fields take identifiers, int fields integers, the others
+    # numbers
     name = cls.name
     params = leaf_params(cls)
     for key, (_value, pos, kind) in kwargs.items():
@@ -103,15 +106,11 @@ def _build_leaf(cls, kwargs: dict[str, tuple], name_pos: int) -> Kernel:
         if key in kwargs:
             value, pos, _kind = kwargs[key]
             args[f.name] = _coerce_int(value, key, pos) if f.type == "int" else value
-    return _construct(lambda: cls(**args), kwargs, name_pos)
-
-
-def _construct(build, kwargs: dict[str, tuple], pos: int) -> Kernel:
-    # a rejected parameter is reported at its value, other errors at pos
     try:
-        return build()
+        return cls(**args)
     except ParameterError as exc:
-        offset = kwargs[exc.param][1] if exc.param in kwargs else pos
+        # a rejected parameter is reported at its value, other errors at the name
+        offset = kwargs[exc.param][1] if exc.param in kwargs else name_pos
         raise ParseError(str(exc), offset) from exc
 
 
@@ -210,8 +209,7 @@ class _Parser:
 
     def parse_call(self) -> Kernel:
         name_tok = self.advance()
-        name = name_tok.text
-        if name == "tensor":
+        if name_tok.text == "tensor":
             self.expect("(")
             factors = [self.parse_expr()]
             while self.peek().text == ",":
@@ -221,31 +219,28 @@ class _Parser:
             if len(factors) < 2:
                 raise ParseError("tensor(...) needs at least two factors", name_tok.pos)
             return TensorProduct(tuple(factors))
-        if name == "warp":
+        if name_tok.text == "warp":
             self.expect("(")
             child = self.parse_expr()
             self.expect(",")
-            fam_tok = self.peek()
+            fam_tok = self.advance()
             if fam_tok.kind != "name":
                 raise ParseError("expected a warp family name", fam_tok.pos)
-            self.advance()
-            if fam_tok.text not in WARPS:
-                raise ParseError(f"unknown warp family {fam_tok.text!r}", fam_tok.pos)
-            kwargs = {}
-            if self.peek().text == "(":
-                self.advance()
-                kwargs = self.parse_kwargs()
-                self.expect(")")
+            family = self.parse_params(fam_tok, _WARPS, "warp family")
             self.expect(")")
-            return self._build_warp(child, fam_tok.text, kwargs, fam_tok.pos)
-        if name not in _LEAVES:
-            raise ParseError(f"unknown kernel name {name!r}", name_tok.pos)
+            return Warp(child, family)
+        return self.parse_params(name_tok, _LEAVES, "kernel name")
+
+    def parse_params(self, name_tok: _Token, classes: dict, what: str):
+        # a leaf or a warp family: its class by name, then its fields
+        if name_tok.text not in classes:
+            raise ParseError(f"unknown {what} {name_tok.text!r}", name_tok.pos)
         self.expect("(")
         kwargs = {}
         if self.peek().text != ")":
             kwargs = self.parse_kwargs()
         self.expect(")")
-        return _build_leaf(_LEAVES[name], kwargs, name_tok.pos)
+        return _build_leaf(classes[name_tok.text], kwargs, name_tok.pos)
 
     def parse_kwargs(self) -> dict[str, tuple]:
         kwargs = {}
@@ -270,20 +265,6 @@ class _Parser:
                 return kwargs
             self.advance()
 
-    def _build_warp(self, child: Kernel, family: str, kwargs: dict, pos: int) -> Kernel:
-        order = WARPS[family].params
-        for key, (_v, kpos, kind) in kwargs.items():
-            if key not in order:
-                raise ParseError(f"unknown parameter {key!r} for warp {family}", kpos)
-            if kind != "number":
-                raise ParseError(f"parameter {key!r} expects a number", kpos)
-        params = []
-        for key in order:
-            if key not in kwargs:
-                raise ParseError(f"warp {family} requires parameter {key!r}", pos)
-            params.append(kwargs[key][0])
-        return _construct(lambda: Warp(child, family, tuple(params)), kwargs, pos)
-
 
 def parse_kernel(text: str) -> Kernel:
     """Parse a kernel DSL string into an expression tree."""
@@ -305,16 +286,21 @@ def _print_factor(expr: Kernel) -> str:
     return print_kernel(expr)
 
 
+def _print_params(obj) -> str:
+    # a leaf or a warp family: required parameters always, the others when
+    # off their defaults
+    parts = []
+    for key, f in leaf_params(type(obj)).items():
+        value = getattr(obj, f.name)
+        if f.default is MISSING or value != f.default:
+            parts.append(f"{key}={_fmt(value) if f.type == 'float' else value}")
+    return f"{obj.name}({', '.join(parts)})"
+
+
 def print_kernel(expr: Kernel) -> str:
     """Canonical textual form; parse_kernel(print_kernel(e)) equals e."""
     if isinstance(expr, Leaf):
-        # required parameters always, the others when off their defaults
-        parts = []
-        for key, f in leaf_params(type(expr)).items():
-            value = getattr(expr, f.name)
-            if f.default is MISSING or value != f.default:
-                parts.append(f"{key}={_fmt(value) if f.type == 'float' else value}")
-        return f"{expr.name}({', '.join(parts)})"
+        return _print_params(expr)
     if isinstance(expr, Conic):
         terms = []
         single = len(expr.terms) == 1
@@ -330,7 +316,5 @@ def print_kernel(expr: Kernel) -> str:
     if isinstance(expr, TensorProduct):
         return f"tensor({', '.join(print_kernel(c) for c in expr.factors)})"
     if isinstance(expr, Warp):
-        order = WARPS[expr.family].params
-        kw = ", ".join(f"{k}={_fmt(v)}" for k, v in zip(order, expr.params))
-        return f"warp({print_kernel(expr.child)}, {expr.family}({kw}))"
+        return f"warp({print_kernel(expr.child)}, {_print_params(expr.family)})"
     raise TypeError(f"not a kernel expression: {expr!r}")

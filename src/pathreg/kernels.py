@@ -12,9 +12,10 @@ the only place the leaf is described.  It declares
 * its parameters, which are its fields: a field without a default is
   required, an ``int`` field takes integers of at least its ``minimum``
   metadata (1 when absent), a ``str`` field takes one of its ``choices``
-  and is an identifier in the DSL, and any other field takes a positive
-  real; the ``dsl`` metadata renames a field in the DSL (``input_dim`` is
-  ``dim`` there);
+  and is an identifier in the DSL, a field with ``real`` metadata takes any
+  finite real, and any other field takes a positive real, at most its
+  ``maximum`` metadata when present; the ``dsl`` metadata renames a field
+  in the DSL (``input_dim`` is ``dim`` there);
 * its structural class, ``structure``: ``Isotropic``, ``Stationary`` or
   ``General``;
 * its sample-path order, ``path_order``: (order, sharp, log-corrected);
@@ -27,12 +28,18 @@ the only place the leaf is described.  It declares
   through G^(k)(u), its profile as a function of u = a r^2
   (``quadratic``);
 * its exact mixed partials d_x^a d_y^b k (``jet``), which a stationary leaf
-  takes from the declarations above: its lag profile's on points of one
-  coordinate, whatever its dimension.
+  takes from the declarations above: from ``lag_terms`` on points of one
+  coordinate where it declares them, otherwise from G^(k)(u).
+
+Each warp family is declared in the same way, by one dataclass listed in
+``WARPS`` whose fields are its parameters under the same rules.  It
+declares its DSL name, ``name``; its componentwise Holder order,
+``order``; the map itself, ``__call__``; and its k-th derivative at
+coordinates z, ``derivative(z, k)`` for k >= 1, NaN where it has none.
+``Warp(child, family)`` holds one family instance.
 
 The DSL's parser and printer, ``classify``, evaluation,
 ``regularity.infer_regularity`` and ``verify`` read these declarations.
-Warp families are rows of ``WARPS`` in the same way.
 
 Evaluation is exact recursion over the tree: a conic node is the weighted
 sum of its children, a product node the pointwise product, a tensor node the
@@ -59,7 +66,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 from . import specfun
 
@@ -86,9 +93,11 @@ __all__ = [
     "Conic",
     "Product",
     "TensorProduct",
-    "Warp",
-    "WarpFamily",
+    "Parametric",
+    "Affine",
+    "AbsPower",
     "WARPS",
+    "Warp",
     "StructureClass",
     "General",
     "Stationary",
@@ -100,7 +109,6 @@ __all__ = [
     "pairwise",
     "partials",
     "FEATURE_FAMILIES",
-    "WARP_FAMILIES",
 ]
 
 
@@ -128,10 +136,19 @@ class StructureError(KernelError):
     """An operation requires a structural class the expression lacks."""
 
 
-def _check_positive(name: str, value) -> float:
+def _check_positive(name: str, value, maximum=None) -> float:
     value = float(value)
+    if maximum is not None and not 0.0 < value <= maximum:
+        raise ParameterError(f"parameter {name} must lie in (0, {maximum}], got {value!r}", name)
     if not math.isfinite(value) or value <= 0.0:
         raise ParameterError(f"parameter {name} must be positive, got {value!r}", name)
+    return value
+
+
+def _check_real(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"parameter {name} must be finite, got {value!r}", name)
     return value
 
 
@@ -187,19 +204,18 @@ class Kernel:
 
 
 def leaf_params(cls) -> dict:
-    """The fields of a leaf class keyed by their DSL names, in order.
-    Annotations are strings here (postponed evaluation), so a field's
-    ``type`` reads ``'int'``, ``'float'`` or ``'str'``."""
+    """The fields of a leaf or warp family class keyed by their DSL names,
+    in order.  Annotations are strings here (postponed evaluation), so a
+    field's ``type`` reads ``'int'``, ``'float'`` or ``'str'``."""
     return {f.metadata.get("dsl", f.name): f for f in fields(cls)}
 
 
-@dataclass(frozen=True)
-class Leaf(Kernel):
-    """Base class of the leaf kernels; the module docstring lists what a
-    leaf declares."""
+class Parametric:
+    """Base class of the leaves and the warp families, whose fields are
+    their DSL parameters; it checks each field by the rules in the module
+    docstring."""
 
     name: ClassVar[str]
-    structure: ClassVar[type[StructureClass]]
 
     def __post_init__(self):
         # fields in declaration order, so the first bad one is reported
@@ -213,9 +229,19 @@ class Leaf(Kernel):
                         f"unknown {self.name} {key} {value!r}; choose from {f.metadata['choices']}",
                         key,
                     )
+            elif f.metadata.get("real"):
+                value = _check_real(key, value)
             else:
-                value = _check_positive(key, value)
+                value = _check_positive(key, value, f.metadata.get("maximum"))
             object.__setattr__(self, f.name, value)
+
+
+@dataclass(frozen=True)
+class Leaf(Kernel, Parametric):
+    """Base class of the leaf kernels; the module docstring lists what a
+    leaf declares."""
+
+    structure: ClassVar[type[StructureClass]]
 
     @property
     def dim(self) -> int:
@@ -233,18 +259,12 @@ class Leaf(Kernel):
         # whether phi^(j), j = 0..m, exists at the origin: smooth by default
         return np.ones(m + 1, bool)
 
-    def lag_terms(self, t: np.ndarray, m: int):
-        # derivatives 0..m of an isotropic profile G(a t^2): the 1-D case of
-        # its jet, NaN at the origin where a derivative does not exist
-        jet = _quadratic_jet(self, t[..., None], (m,), (0,))
-        values, scale = zip(*(jet[(j,), (0,)] for j in range(m + 1)))
-        return np.stack(values), np.stack(scale)
-
     def jet(self, X: np.ndarray, Y: np.ndarray, alpha: tuple, beta: tuple) -> dict:
         # a stationary leaf's partials in the lag t = x - y: from its lag
-        # profile on points of one coordinate, otherwise from G^(k)
+        # profile on points of one coordinate where it declares one,
+        # otherwise from G^(k)
         t = X[:, None, :] - Y[None, :, :]
-        if t.shape[-1] == 1:
+        if t.shape[-1] == 1 and hasattr(self, "lag_terms"):
             return _lag_jet(self, t[..., 0], alpha[0], beta[0])
         return _quadratic_jet(self, t, alpha, beta)
 
@@ -433,11 +453,15 @@ def _quadratic_jet(leaf: Leaf, t: np.ndarray, alpha: tuple, beta: tuple) -> dict
     d_t^c G = sum_i prod_axis [c!/(i! (c-2i)!) (2a t)^(c-2i) a^i]
     G^(|c|-|i|), the axiswise form of
     d^j/dt^j G(a t^2) = sum_i j!/(i! (j-2i)!) (2at)^(j-2i) a^i G^(j-i)(a t^2);
-    at the origin only the terms with c = 2i survive."""
+    at the origin only the terms with c = 2i survive.  The terms are taken
+    at |t| and the sum signed by sign(t)^c per axis, since c - 2i has the
+    parity of c: numpy's power is not sign-symmetric, and this keeps the jet
+    exactly odd or even in each coordinate."""
     top = sum(alpha) + sum(beta)
     r = np.sqrt(np.sum(t * t, axis=-1))
     a, g, magnitude = leaf.quadratic(r, top)
-    x = 2.0 * a * t
+    x = 2.0 * a * np.abs(t)
+    negative = t < 0.0
     origin = r == 0.0
     exists = leaf.lag_exists(top)
     jet = {}
@@ -460,7 +484,10 @@ def _quadratic_jet(leaf: Leaf, t: np.ndarray, alpha: tuple, beta: tuple) -> dict
                 scale += size
             if not exists[sum(c)]:
                 values[origin] = scale[origin] = np.nan
-            jet[key] = ((-1.0) ** sum(key[1]) * values, scale)
+            sign = math.prod(
+                np.where(negative[..., ax], (-1.0) ** ci, 1.0) for ax, ci in enumerate(c)
+            )
+            jet[key] = ((-1.0) ** sum(key[1]) * (sign * values), scale)
     return jet
 
 
@@ -794,75 +821,61 @@ class TensorProduct(Kernel):
         return out
 
 
+# --- warp families --------------------------------------------------------------
+
+
 @dataclass(frozen=True)
-class WarpFamily:
-    """A coordinate warp family: its parameter names in order, a check
-    that raises ParameterError on bad parameters, the warp's declared
-    componentwise Holder order, the warp itself, and its k-th derivative
-    (k >= 1) at coordinates z, NaN where it has none."""
+class Affine(Parametric):
+    """x -> a x + b, smooth."""
 
-    params: tuple[str, ...]
-    check: Callable[[tuple], None]
-    order: Callable[[tuple], object]
-    apply: Callable[[tuple, np.ndarray], np.ndarray]
-    derivative: Callable[[tuple, np.ndarray, int], np.ndarray]
+    a: float = field(metadata={"real": True})
+    b: float = field(metadata={"real": True})
 
+    name = "affine"
+    order = math.inf
 
-def _check_affine(params):
-    if len(params) != 2:
-        raise ParameterError("affine warp takes parameters (a, b)")
-    if not all(math.isfinite(p) for p in params):
-        raise ParameterError("affine warp parameters must be finite")
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return self.a * X + self.b
+
+    def derivative(self, z: np.ndarray, k: int) -> np.ndarray:
+        return np.full_like(z, self.a if k == 1 else 0.0)
 
 
-def _check_abs_power(params):
-    if len(params) != 1:
-        raise ParameterError("abs_power warp takes a single parameter beta")
-    if not (0.0 < params[0] <= 1.0):
-        raise ParameterError(f"parameter beta must lie in (0, 1], got {params[0]!r}", "beta")
+@dataclass(frozen=True)
+class AbsPower(Parametric):
+    """x -> |x|^beta, beta in (0, 1], of Holder order beta."""
+
+    beta: float = field(metadata={"maximum": 1})
+
+    name = "abs_power"
+
+    @property
+    def order(self):
+        return Fraction(self.beta)
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return np.abs(X) ** self.beta
+
+    def derivative(self, z: np.ndarray, k: int) -> np.ndarray:
+        # d^k |z|^beta = beta (beta-1) ... (beta-k+1) sign(z)^k |z|^(beta-k)
+        falling = math.prod(self.beta - i for i in range(k))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = falling * np.sign(z) ** k * np.abs(z) ** (self.beta - k)
+        return np.where(z == 0.0, np.nan, out)
 
 
-def _abs_power_derivative(p, z, k):
-    # d^k |z|^beta = beta (beta-1) ... (beta-k+1) sign(z)^k |z|^(beta-k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = math.prod(p[0] - i for i in range(k)) * np.sign(z) ** k * np.abs(z) ** (p[0] - k)
-    return np.where(z == 0.0, np.nan, out)
-
-
-WARPS = {
-    # x -> a x + b, smooth
-    "affine": WarpFamily(
-        ("a", "b"), _check_affine, lambda p: math.inf, lambda p, X: p[0] * X + p[1],
-        lambda p, z, k: np.full_like(z, p[0] if k == 1 else 0.0),
-    ),
-    # x -> |x|^beta, beta in (0, 1], of Holder order beta
-    "abs_power": WarpFamily(
-        ("beta",), _check_abs_power, lambda p: Fraction(p[0]), lambda p, X: np.abs(X) ** p[0],
-        _abs_power_derivative,
-    ),
-}
-
-WARP_FAMILIES = tuple(WARPS)
+WARPS = (Affine, AbsPower)
 
 
 @dataclass(frozen=True)
 class Warp(Kernel):
-    """Child kernel evaluated at componentwise-warped inputs of one of the
-    ``WARPS`` families."""
+    """Child kernel evaluated at inputs warped componentwise by a family
+    instance from ``WARPS``."""
 
     child: Kernel
-    family: str
-    params: tuple[float, ...] = field(default=())
+    family: Parametric
 
     structure = General
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.family not in WARPS:
-            raise ParameterError(
-                f"unknown warp family {self.family!r}; choose from {WARP_FAMILIES}"
-            )
-        WARPS[self.family].check(self.params)
 
     @property
     def dim(self) -> int:
@@ -872,24 +885,17 @@ class Warp(Kernel):
     def children(self) -> tuple[Kernel, ...]:
         return (self.child,)
 
-    @property
-    def declared_order(self):
-        return WARPS[self.family].order(self.params)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return WARPS[self.family].apply(self.params, X)
-
     def cross(self, X, Y):
-        return _pairwise(self.child, self.apply(X), self.apply(Y))
+        return _pairwise(self.child, self.family(X), self.family(Y))
 
     def jet(self, X, Y, alpha, beta):
         # Faa di Bruno on each coordinate of each argument in turn
-        jet = self.child.jet(self.apply(X), self.apply(Y), alpha, beta)
+        jet = self.child.jet(self.family(X), self.family(Y), alpha, beta)
         for side, (points, index) in enumerate(((X, alpha), (Y, beta))):
             for axis, top in enumerate(index):
                 if top:
                     z = points[:, axis].reshape((-1, 1) if side == 0 else (1, -1))
-                    dw = [WARPS[self.family].derivative(self.params, z, k) for k in range(1, top + 1)]
+                    dw = [self.family.derivative(z, k) for k in range(1, top + 1)]
                     jet = _chain_rule(jet, side, axis, dw)
         return jet
 

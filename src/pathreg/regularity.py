@@ -151,7 +151,7 @@ def _infer(expr: Kernel, lines: list[str]) -> tuple[Regularity, ...]:
         return tuple(axes)
     if isinstance(expr, Warp):
         child = _collapse(_infer(expr.child, lines))
-        warp_order = expr.declared_order
+        warp_order = expr.family.order
         if child.order == math.inf and warp_order == math.inf:
             lines.append("warp: smooth warp of a smooth kernel -> order inf, sufficient-only")
             return (Regularity(math.inf, sharp=False),)
@@ -164,7 +164,7 @@ def _infer(expr: Kernel, lines: list[str]) -> tuple[Regularity, ...]:
         # a smooth warp keeps the child's log correction
         log = child.log_corrected and warp_order == math.inf
         lines.append(
-            f"warp({expr.family}): n={n}, gamma={gamma}, delta={delta} -> "
+            f"warp({expr.family.name}): n={n}, gamma={gamma}, delta={delta} -> "
             f"order {_order_str(order)}, sufficient-only"
         )
         return (Regularity(order, sharp=False, log_corrected=log),)

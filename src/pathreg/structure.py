@@ -124,7 +124,8 @@ def _estimate(table: np.ndarray, axis: Axis, jitter_used: float) -> EstimateResu
     span = max(float(table.max()), -float(table.min())) if table.size else 0.0
     if not math.isfinite(span):
         raise ValueError("samples hold a non-finite value")
-    degen_floor = (max(span, 1.0) * 1e-14) ** 2
+    # rounding noise of draws of this size, so the floor scales with them
+    degen_floor = (span * 1e-14) ** 2
     jitter = jitter_used if math.isfinite(jitter_used) else 0.0
     # every default lag l has 4 l < n, so each order m <= 4 differences there
     lag_steps = default_lags(table.shape[1])

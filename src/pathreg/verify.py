@@ -510,12 +510,17 @@ def verify_regularity(expr: Kernel, cfg: VerifyConfig | None = None) -> VerifyRe
     except BeyondProbeRange as exc:
         return VerifyReport(exc.resolved, None, predicted, "fail", note=f"beyond probe range: {exc}")
 
+    # the all-probe series is the largest probe deviation and noise at each
+    # lag; each probe's row also gives a general kernel's probe slope below
+    try:
+        h, dev, noise = _deviation_series(expr, n_hat)
+        fit = _fit_series(h, dev.max(axis=0), noise.max(axis=0), n_hat)
+    except (SmoothToOrder, BeyondProbeRange) as exc:
+        if isinstance(exc, BeyondProbeRange) and target != math.inf:
+            return VerifyReport(n_hat, None, predicted, "fail", note=f"beyond probe range: {exc}")
+        fit = None
+
     if target == math.inf:
-        try:
-            h, dev, noise = _deviation_series(expr, n_hat)
-            fit = _fit_series(h, dev.max(axis=0), noise.max(axis=0), n_hat)
-        except (SmoothToOrder, BeyondProbeRange):
-            fit = None
         capped = n_hat >= cfg.max_order
         return VerifyReport(
             n_hat, fit, predicted, "pass" if capped else "fail",
@@ -524,15 +529,6 @@ def verify_regularity(expr: Kernel, cfg: VerifyConfig | None = None) -> VerifyRe
 
     tol = max(cfg.tol, _LOG_TOL) if log_flag else cfg.tol
     target = float(target)
-    # the all-probe series is the largest probe deviation and noise at each
-    # lag; each probe's row also gives a general kernel's probe slope below
-    try:
-        h, dev, noise = _deviation_series(expr, n_hat)
-        fit = _fit_series(h, dev.max(axis=0), noise.max(axis=0), n_hat)
-    except SmoothToOrder:
-        fit = None
-    except BeyondProbeRange as exc:
-        return VerifyReport(n_hat, None, predicted, "fail", note=f"beyond probe range: {exc}")
     # the deviation underflowing at every scale, or detection capped out with
     # the deviation saturating at slope 2, puts the order at n + 1 or above
     at_least = fit is None or (n_hat == cfg.max_order and fit.slope >= 2.0 - 0.2)

@@ -12,6 +12,8 @@ settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
 from pathreg.kernels import (
+    AbsPower,
+    Affine,
     Conic,
     Feature,
     Linear,
@@ -70,14 +72,14 @@ def kernel_trees(max_depth: int = 3, include_wiener: bool = True, allow_tensor: 
                 # positive-preserving affine maps keep Wiener children in-domain
                 Warp,
                 child=children,
-                family=st.just("affine"),
-                params=st.tuples(st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.0, 0.5, 1.0])),
+                family=st.builds(
+                    Affine, a=st.sampled_from([0.5, 1.0, 2.0]), b=st.sampled_from([0.0, 0.5, 1.0])
+                ),
             ),
             st.builds(
                 Warp,
                 child=children,
-                family=st.just("abs_power"),
-                params=st.tuples(st.sampled_from([0.25, 0.5, 1.0])),
+                family=st.builds(AbsPower, beta=st.sampled_from([0.25, 0.5, 1.0])),
             ),
         )
         return composite

@@ -12,6 +12,9 @@ from pathreg.cli import main
 from pathreg.dsl import ParseError, parse_kernel, print_kernel
 from pathreg.kernels import (
     LEAVES,
+    WARPS,
+    AbsPower,
+    Affine,
     Conic,
     Feature,
     General,
@@ -82,10 +85,9 @@ class TestParseExamples:
     def test_warp_forms(self):
         expr = parse_kernel("warp(matern(nu=0.5), abs_power(beta=0.5))")
         assert isinstance(expr, Warp)
-        assert expr.family == "abs_power"
-        assert expr.params == (0.5,)
+        assert expr.family == AbsPower(0.5)
         affine = parse_kernel("warp(se(), affine(a=2, b=-1))")
-        assert affine.params == (2.0, -1.0)
+        assert affine.family == Affine(2.0, -1.0)
 
     def test_feature_identifier_value(self):
         expr = parse_kernel("feature(family=trig, degree=2)")
@@ -287,16 +289,16 @@ GOLDEN_ERRORS = [
     ("matern(nu=0.5, colour=1)", ParseError, "unknown parameter 'colour' for matern at offset 22"),
     ("periodic(dim=2)", ParseError, "unknown parameter 'dim' for periodic at offset 13"),
     ("warp(se(), spiral(a=1))", ParseError, "unknown warp family 'spiral' at offset 11"),
-    ("warp(se(), affine(a=1))", ParseError, "warp affine requires parameter 'b' at offset 11"),
-    ("warp(se(), affine(a=1, b=x))", ParseError, "parameter 'b' expects a number at offset 25"),
-    ("warp(se(), affine(a=1, c=2))", ParseError,
-     "unknown parameter 'c' for warp affine at offset 25"),
+    ("warp(se(), affine(a=1))", ParseError, "affine requires parameter 'b' at offset 11"),
+    ("warp(se(), affine(a=1, b=x))", ParseError,
+     "parameter 'b' of affine expects a number at offset 25"),
+    ("warp(se(), affine(a=1, c=2))", ParseError, "unknown parameter 'c' for affine at offset 25"),
     ("warp(se(), abs_power(beta=2))", ParseError,
      "parameter beta must lie in (0, 1], got 2.0 at offset 26"),
     ("warp(se(), abs_power(beta=0))", ParseError,
      "parameter beta must lie in (0, 1], got 0.0 at offset 26"),
     ("warp(se(), affine(a=1e999, b=0))", ParseError,
-     "affine warp parameters must be finite at offset 11"),
+     "parameter a must be finite, got inf at offset 20"),
     ("0*se()", ParseError, "conic weight must be positive at offset 0"),
     ("-2*se()", ParseError, "conic weight must be positive at offset 0"),
     ("tensor(se())", ParseError, "tensor(...) needs at least two factors at offset 0"),
@@ -336,11 +338,11 @@ GOLDEN_CONSTRUCTOR_ERRORS = [
     (lambda: Periodic(lengthscale=0), "parameter lengthscale must be positive, got 0.0"),
     (lambda: RationalQuadratic(float("inf")), "parameter a must be positive, got inf"),
     (lambda: Linear(input_dim=2.5), "parameter dim must be an integer, got 2.5"),
-    (lambda: Warp(_SE, "spiral"), "unknown warp family 'spiral'; choose from ('affine', 'abs_power')"),
-    (lambda: Warp(_SE, "affine", (1.0,)), "affine warp takes parameters (a, b)"),
-    (lambda: Warp(_SE, "affine", (1.0, float("inf"))), "affine warp parameters must be finite"),
-    (lambda: Warp(_SE, "abs_power", (0.5, 0.5)), "abs_power warp takes a single parameter beta"),
-    (lambda: Warp(_SE, "abs_power", (2,)), "parameter beta must lie in (0, 1], got 2.0"),
+    (lambda: Affine(float("nan"), 0.0), "parameter a must be finite, got nan"),
+    (lambda: Affine(1.0, float("inf")), "parameter b must be finite, got inf"),
+    (lambda: AbsPower(0), "parameter beta must lie in (0, 1], got 0.0"),
+    (lambda: AbsPower(float("nan")), "parameter beta must lie in (0, 1], got nan"),
+    (lambda: AbsPower(2), "parameter beta must lie in (0, 1], got 2.0"),
     (lambda: Conic((_SE,), (0,)), "conic weights must be positive, got 0.0"),
 ]
 
@@ -384,3 +386,23 @@ def test_leaf_registry_matches_readme_table():
             assert Regularity(*expr.path_order) == Regularity(*order)
         # the full source names every parameter of the leaf
         assert len(dataclasses.fields(cls)) == full.count("=")
+
+
+# The README warp families: per DSL name, a warp naming every parameter
+# and the family's declared Holder order.
+README_WARPS = {
+    "affine": ("warp(se(), affine(a=2, b=-0.5))", math.inf),
+    "abs_power": ("warp(se(), abs_power(beta=0.5))", Fraction(1, 2)),
+}
+
+
+def test_warp_registry_matches_readme():
+    assert [cls.name for cls in WARPS] == list(README_WARPS)
+    for cls in WARPS:
+        source, order = README_WARPS[cls.name]
+        expr = parse_kernel(source)
+        assert type(expr.family) is cls
+        assert print_kernel(expr) == source
+        assert parse_kernel(print_kernel(expr)) == expr
+        assert expr.family.order == order
+        assert len(dataclasses.fields(cls)) == source.count("=")

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 
 from pathreg.kernels import (
+    AbsPower,
+    Affine,
     Conic,
     DomainError,
     General,
@@ -65,7 +67,7 @@ class TestEvalExamples:
         assert eval_kernel(expr, x, y) == pytest.approx(expected, rel=1e-12)
 
     def test_warp_applies_componentwise(self):
-        expr = Warp(SquaredExponential(), "affine", (2.0, 0.0))
+        expr = Warp(SquaredExponential(), Affine(2.0, 0.0))
         assert eval_kernel(expr, 0.0, 1.0) == pytest.approx(math.exp(-4.0), rel=1e-12)
 
 
@@ -114,7 +116,7 @@ class TestClassify:
         cls = classify(stat)
         assert isinstance(cls, Stationary) and not isinstance(cls, Isotropic)
         assert type(classify(Conic((Wiener(), SquaredExponential()), (1.0, 1.0)))) is General
-        assert type(classify(Warp(SquaredExponential(), "affine", (1.0, 0.0)))) is General
+        assert type(classify(Warp(SquaredExponential(), Affine(1.0, 0.0)))) is General
 
     def test_tensor_product_is_general_at_any_depth(self):
         # a tensor of isotropic factors is not stationary, whether it is the
@@ -138,9 +140,9 @@ class TestValidation:
         with pytest.raises(ParameterError):
             Conic((Wiener(),), (-1.0,))
         with pytest.raises(ParameterError):
-            Warp(Wiener(), "abs_power", (1.5,))
+            AbsPower(1.5)
         with pytest.raises(ParameterError):
-            Warp(Wiener(), "spiral", (1.0,))
+            Affine(1.0, math.inf)
 
     def test_dimension_consistency(self):
         with pytest.raises(DomainError):

@@ -41,8 +41,8 @@ SCALE_COMPOSITES = [
 EXPORTS = {
     "dsl": ["ParseError", "parse_kernel", "print_kernel"],
     "kernels": [
-        "Conic", "DomainError", "Feature", "Kernel", "KernelError", "Linear", "Matern",
-        "ParameterError", "Periodic", "Polynomial", "Product", "RationalQuadratic",
+        "AbsPower", "Affine", "Conic", "DomainError", "Feature", "Kernel", "KernelError", "Linear",
+        "Matern", "ParameterError", "Periodic", "Polynomial", "Product", "RationalQuadratic",
         "SquaredExponential", "StructureError", "TensorProduct", "Warp", "Wendland", "Wiener",
         "classify", "eval_kernel", "eval_radial", "eval_stationary", "pairwise", "partials",
     ],

@@ -224,6 +224,24 @@ class TestEstimate:
         b = estimate_path_regularity(scaled)
         assert b.s_hat == pytest.approx(a.s_hat, abs=1e-12)
 
+    # the degenerate floor follows the draws' own scale: an absolute floor
+    # once read draws scaled by 1e-20 as degenerate
+    @pytest.mark.parametrize("c", [1e-20, 1e-100, 1e100])
+    def test_scale_invariance_far_from_one(self, c):
+        grid = Grid((Axis(0.25, 1.25, 1025),))
+        samples = sample_paths(parse_kernel("matern(nu=0.5)"), grid, 100, 3)
+        scaled = PathSamples(
+            grid=grid,
+            samples=c * samples.samples,
+            kernel=samples.kernel,
+            seed=3,
+            jitter_used=c * c * samples.jitter_used,
+        )
+        a = estimate_path_regularity(samples)
+        b = estimate_path_regularity(scaled)
+        assert not b.degenerate
+        assert b.s_hat == pytest.approx(a.s_hat, abs=1e-12)
+
     def test_affine_shift_invariance(self):
         grid = Grid((Axis(0.0, 1.0, 1025),))
         samples = sample_paths(parse_kernel("matern(nu=0.5)"), grid, 60, 3)
