@@ -28,6 +28,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 from typing import TYPE_CHECKING
@@ -306,6 +307,12 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value that starts with "-" for a flag unless it reads
+    # as a number, so a --grid value such as -1:1:9 is joined to its flag
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--grid" and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"--grid={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -42,9 +42,10 @@ The DSL's parser and printer, ``classify``, evaluation,
 ``regularity.infer_regularity`` and ``verify`` read these declarations.
 
 Evaluation is exact recursion over the tree: a conic node is the weighted
-sum of its children, a product node the pointwise product, a tensor node the
-product over factor blocks of the input coordinates, and a warp node the
-child evaluated at the warped points.
+sum of its children, a product node the pointwise product (both combined
+in place by ``_fold``, with which ``sampling.build_gram`` folds Grams), a
+tensor node the product over factor blocks of the input coordinates, and
+a warp node the child evaluated at the warped points.
 
 Mixed partials are exact recursion too.  A node's jet on point sets X and
 Y up to multi-indices (alpha, beta) maps every pair (a, b) with a <= alpha
@@ -55,8 +56,9 @@ exist there.  A conic node sums its children's jets, a product node
 combines them by the bivariate Leibniz rule, a tensor node multiplies its
 factors' jets over their coordinate blocks, and a warp node applies Faa di
 Bruno's formula per coordinate to its child's jet at the warped points.
-Conic and product nodes also declare ``lag_exists``: a lag derivative
-exists at the origin where all their children's do.
+Conic and product nodes share one check that their children agree on the
+input dimension, which is the first child's, and one ``lag_exists``: a lag
+derivative exists at the origin where all their children's do.
 """
 
 from __future__ import annotations
@@ -189,11 +191,12 @@ class Isotropic(Stationary):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Base class of all kernel expression nodes."""
+    """Base class of all kernel expression nodes.  A node's input dimension
+    is its first child's unless its class declares another."""
 
     @property
     def dim(self) -> int:
-        raise NotImplementedError
+        return self.children[0].dim
 
     @property
     def children(self) -> tuple["Kernel", ...]:
@@ -280,7 +283,7 @@ class Matern(Leaf):
 
     @property
     def path_order(self):
-        nu = Fraction(self.nu)
+        nu = Fraction(repr(self.nu))
         return (nu, True, nu.denominator == 1)
 
     def radial(self, r):
@@ -691,7 +694,21 @@ LEAVES = (
 
 
 @dataclass(frozen=True)
-class Conic(Kernel):
+class _Pointwise(Kernel):
+    """Base class of Conic and Product, whose children take the same points."""
+
+    def __post_init__(self):
+        dims = sorted({c.dim for c in self.children})
+        if len(dims) != 1:
+            kind = type(self).__name__.lower()
+            raise DomainError(f"{kind} children disagree on input dimension: {dims}")
+
+    def lag_exists(self, m: int) -> np.ndarray:
+        return np.logical_and.reduce([c.lag_exists(m) for c in self.children])
+
+
+@dataclass(frozen=True)
+class Conic(_Pointwise):
     terms: tuple[Kernel, ...]
     weights: tuple[float, ...]
 
@@ -705,20 +722,11 @@ class Conic(Kernel):
         for w in self.weights:
             if not math.isfinite(w) or w <= 0.0:
                 raise ParameterError(f"conic weights must be positive, got {w!r}")
-        dims = {c.dim for c in self.terms}
-        if len(dims) != 1:
-            raise DomainError(f"conic children disagree on input dimension: {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.terms[0].dim
+        super().__post_init__()
 
     @property
     def children(self) -> tuple[Kernel, ...]:
         return self.terms
-
-    def lag_exists(self, m: int) -> np.ndarray:
-        return np.logical_and.reduce([c.lag_exists(m) for c in self.terms])
 
     def jet(self, X, Y, alpha, beta):
         parts = [c.jet(X, Y, alpha, beta) for c in self.terms]
@@ -729,27 +737,18 @@ class Conic(Kernel):
 
 
 @dataclass(frozen=True)
-class Product(Kernel):
+class Product(_Pointwise):
     factors: tuple[Kernel, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         if len(self.factors) < 2:
             raise ParameterError("product combines at least two children")
-        dims = {c.dim for c in self.factors}
-        if len(dims) != 1:
-            raise DomainError(f"product children disagree on input dimension: {sorted(dims)}")
-
-    @property
-    def dim(self) -> int:
-        return self.factors[0].dim
+        super().__post_init__()
 
     @property
     def children(self) -> tuple[Kernel, ...]:
         return self.factors
-
-    def lag_exists(self, m: int) -> np.ndarray:
-        return np.logical_and.reduce([c.lag_exists(m) for c in self.factors])
 
     def jet(self, X, Y, alpha, beta):
         return functools.reduce(_leibniz_jet, (c.jet(X, Y, alpha, beta) for c in self.factors))
@@ -851,7 +850,7 @@ class AbsPower(Parametric):
 
     @property
     def order(self):
-        return Fraction(self.beta)
+        return Fraction(repr(self.beta))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return np.abs(X) ** self.beta
@@ -877,9 +876,10 @@ class Warp(Kernel):
 
     structure = General
 
-    @property
-    def dim(self) -> int:
-        return self.child.dim
+    def __post_init__(self):
+        if not isinstance(self.family, WARPS):
+            names = ", ".join(w.name for w in WARPS)
+            raise KernelError(f"warp family must be one of {names}, got {self.family!r}")
 
     @property
     def children(self) -> tuple[Kernel, ...]:
@@ -944,7 +944,7 @@ def classify(expr: Kernel) -> StructureClass:
     (isotropic) children are stationary (isotropic); warps and tensor
     products, wherever they sit in the tree, are general.
     """
-    if isinstance(expr, (Conic, Product)):
+    if isinstance(expr, _Pointwise):
         classes = [classify(c) for c in expr.children]
         if all(isinstance(c, Isotropic) for c in classes):
             return Isotropic()
@@ -959,16 +959,22 @@ def classify(expr: Kernel) -> StructureClass:
 
 def _fold(expr: Kernel, value):
     """Value of an expression whose conic and product nodes combine the
-    values that ``value(node)`` gives for the other nodes beneath them."""
+    values that ``value(node)`` gives for the other nodes beneath them, in
+    place and in child order, freeing each child's value before the next is
+    built; so ``value`` must return a new array that nothing else holds."""
     if isinstance(expr, Conic):
-        acc = expr.weights[0] * _fold(expr.terms[0], value)
+        acc = _fold(expr.terms[0], value)
+        acc *= expr.weights[0]
         for w, c in zip(expr.weights[1:], expr.terms[1:]):
-            acc = acc + w * _fold(c, value)
+            part = _fold(c, value)
+            part *= w
+            acc += part
+            del part
         return acc
     if isinstance(expr, Product):
         acc = _fold(expr.factors[0], value)
         for c in expr.factors[1:]:
-            acc = acc * _fold(c, value)
+            acc *= _fold(c, value)
         return acc
     return value(expr)
 

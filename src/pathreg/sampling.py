@@ -22,9 +22,10 @@ uniform grid that difference runs over a lattice of lags, so the kernel is
 evaluated once per lag (h and -h sharing one value) and the dense
 (block-)Toeplitz Gram is gathered from the table: exactly symmetric, with
 no per-entry distance or kernel evaluation.  A non-stationary conic
-combination or product is assembled from its children's Grams (weighted
-sum, elementwise product), so its stationary terms take the lag table too.
-Other non-stationary expressions are evaluated point by point in row blocks.
+combination or product is folded from its children's Grams by the kernel
+layer's ``_fold``, the rule by which ``pairwise`` combines their values, so
+its stationary leaves take the lag table too.  Other non-stationary
+expressions are evaluated point by point in row blocks.
 
 Derivative paths, draws of GP(0, d^(alpha,alpha) k), follow every rule
 below with the exact derivative covariance in place of the kernel: one
@@ -105,14 +106,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsl import print_kernel
 from .kernels import (
-    Conic,
     Kernel,
     KernelError,
-    Product,
     Stationary,
     TensorProduct,
     Wiener,
     _check_wiener_domain,
+    _fold,
     classify,
     pairwise,
 )
@@ -242,43 +242,25 @@ def build_gram(expr: Kernel, grid: Grid) -> np.ndarray:
     A stationary expression is evaluated once per lag of the grid's lag
     lattice and the (block-)Toeplitz Gram is gathered from that table; lags
     h and -h share one value, so symmetry is exact bitwise by construction.
-    A non-stationary conic combination or product is assembled term by
-    term: the weighted sum or the elementwise product of its children's
-    Grams, combined in the order ``pairwise`` combines their values, so a
-    stationary child still takes its lag table.  Other expressions are
-    evaluated pointwise, in row blocks from the diagonal on to bound the
-    temporaries, and their strict upper triangle is mirrored in place.
+    A non-stationary conic combination or product is the kernel layer's
+    ``_fold`` of its children's Grams, by which ``pairwise`` combines their
+    values, so each stationary leaf still takes its lag table.  Other
+    expressions are evaluated pointwise, in row blocks from the diagonal on
+    to bound the temporaries, and their strict upper triangle is mirrored
+    in place.
     """
     if expr.dim != grid.dim:
-        raise KernelError(
-            f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D"
-        )
-    return _kernel_gram(expr, grid)
-
-
-def _kernel_gram(expr: Kernel, grid: Grid) -> np.ndarray:
-    # kernel values only: the derivative covariance of a product is not the
-    # product of its children's derivative covariances
-    if not isinstance(expr, (Conic, Product)) or isinstance(classify(expr), Stationary):
+        raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
+    if isinstance(classify(expr), Stationary):
         return _assemble_gram(expr, grid, partial(pairwise, expr))
-    grams = (_kernel_gram(c, grid) for c in expr.children)
-    acc = next(grams)
-    if isinstance(expr, Conic):
-        acc *= expr.weights[0]
-        for w, gram in zip(expr.weights[1:], grams):
-            gram *= w
-            acc += gram
-    else:
-        for gram in grams:
-            acc *= gram
-    return acc
+    return _fold(expr, lambda node: _assemble_gram(node, grid, partial(pairwise, node)))
 
 
 def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
     # cross(X, Y) is the matrix of a covariance between point sets X and Y;
     # it is a function of X - Y alone whenever expr is stationary
     if isinstance(classify(expr), Stationary):
-        return _lag_gram(grid, _lag_function(cross, grid.dim))
+        return _lag_gram(grid, cross)
     pts = grid.points()
     n = pts.shape[0]
     gram = np.empty((n, n))
@@ -297,34 +279,29 @@ def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
     return gram
 
 
-def _lag_function(cross, dim: int):
-    # a stationary covariance as a function of the lag alone
-    return lambda lags: cross(lags, np.zeros((1, dim)))[:, 0]
-
-
-def _half_lag_table(grid: Grid, lag_values) -> np.ndarray:
-    """lag_values at the half of the grid's lag lattice from its centre on,
-    row-major; on a 1-D grid these are the lags k * spacing, k = 0..n-1,
-    whose values are the Toeplitz Gram's first column."""
+def _half_lag_table(grid: Grid, cross) -> np.ndarray:
+    """cross(lags, origin) of a stationary covariance on the half of the
+    grid's lag lattice from its centre on, row-major; on a 1-D grid, the
+    lags k * spacing, k = 0..n-1, give the Toeplitz Gram's first column."""
     shape = tuple(2 * n - 1 for n in grid.shape)
     size = math.prod(shape)
     steps = np.unravel_index(np.arange(size // 2, size), shape)
     lags = np.column_stack([(k - (a.count - 1)) * a.spacing for k, a in zip(steps, grid.axes)])
-    return lag_values(lags)
+    return cross(lags, np.zeros((1, grid.dim)))[:, 0]
 
 
-def _lag_gram(grid: Grid, lag_values) -> np.ndarray:
-    """Gram of a stationary covariance from its values at the grid lags.
+def _lag_gram(grid: Grid, cross) -> np.ndarray:
+    """Gram of a stationary covariance cross(X, Y) from its values at the grid lags.
 
     The lag lattice has steps k_a in (-n_a, n_a) per axis.  Flattened
-    row-major it is symmetric about its centre, so lag_values (lags of shape
-    (m, dim) -> m values) is called on the half from the centre on and the
-    other half is its mirror image: table[k] == table[-k] bitwise.  Then
-    G[i, j] = table[n - 1 + i - j] = table[n - 1 - i + j], which is entry
-    (n - 1 - i, j) of the table's sliding windows of the grid's shape; the
-    same view serves 1-D and 2-D grids.
+    row-major it is symmetric about its centre, so the covariance is taken
+    on the half from the centre on and the other half is its mirror image:
+    table[k] == table[-k] bitwise.  Then G[i, j] = table[n - 1 + i - j] =
+    table[n - 1 - i + j], which is entry (n - 1 - i, j) of the table's
+    sliding windows of the grid's shape; the same view serves 1-D and 2-D
+    grids.
     """
-    half = _half_lag_table(grid, lag_values)
+    half = _half_lag_table(grid, cross)
     table = np.concatenate([half[:0:-1], half]).reshape(tuple(2 * n - 1 for n in grid.shape))
     windows = sliding_window_view(table, grid.shape)[(slice(None, None, -1),) * grid.dim]
     return np.ascontiguousarray(windows).reshape(grid.n_points, grid.n_points)
@@ -574,8 +551,9 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     one tile of at most 1024 columns, and the Wiener kernel takes running
     sums of its Brownian increments in place; neither holds an n x n
     array.  Anything else is z L^T with L from cholesky_with_jitter of the
-    dense Gram: ``build_gram``'s at alpha = 0, else the pointwise
-    derivative Gram, which is not split term by term, and _add_rows adds
+    dense Gram: ``build_gram``'s at alpha = 0, which folds a sum's or
+    product's Gram from its children's, else the pointwise derivative
+    Gram, which is not split by children, and _add_rows adds
     L^T into zeroed draws as one block.  Each operator holds one table of
     ``count`` draws, which the Kronecker and Wiener operators fill with the
     normals and overwrite.
@@ -616,7 +594,7 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
         cross = partial(pairwise, expr)
         dense_gram = partial(build_gram, expr, grid)
     if grid.dim == 1 and isinstance(classify(expr), Stationary):
-        return _toeplitz_draws(_half_lag_table(grid, _lag_function(cross, 1)))
+        return _toeplitz_draws(_half_lag_table(grid, cross))
     lower, jitter = cholesky_with_jitter(dense_gram())
 
     def draw(normals, count):

@@ -343,6 +343,27 @@ class TestSample:
         assert set(sidecar["twin"]) == {"csv_sha256", "npy_sha256", "sidecar_sha256"}
         assert np.load(tmp_path / "field.npy").shape == (2, 256)
 
+    # argparse once read a --grid value that starts with a minus sign as a
+    # flag: "expected one argument", exit 2
+    @pytest.mark.parametrize(
+        "kernel, grid, first",
+        [("se()", "-1:1:65", ["-1"]), ("tensor(se(), matern(nu=1.5))", "-1:1:9,-2:0:9", ["-1", "-2"])],
+    )
+    def test_negative_grid_start(self, capsys, tmp_path, kernel, grid, first):
+        out = tmp_path / "neg.csv"
+        code, _, err = run(capsys, "sample", "-k", kernel, "--grid", grid, "--count", "3",
+                           "--seed", "1", "--out", str(out))
+        assert (code, err) == (0, "")
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[: len(first)] == first
+
+    def test_grid_without_a_value_is_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sample", "-k", "se()", "--grid", "--count", "3",
+                             "--seed", "1", "--out", str(tmp_path / "g"))
+        assert (code, out) == (2, "")
+        assert "argument --grid: expected one argument" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_prints_the_csv_and_the_sidecar(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "sample", "-k", "se()", "--grid", "0:1:9", "--count", "2", "--seed", "1",

@@ -213,7 +213,7 @@ GOLDEN_ANALYZE = [
      [(2.0, True, True)], 1, ["matern leaf: order 2, sharp, log-corrected"]),
     ("matern(nu=1e-05, lengthscale=1e+20)", "matern(nu=1e-05, lengthscale=1e+20)",
      [(1e-05, True, False)], 0,
-     ["matern leaf: order 5902958103587057/590295810358705651712, sharp"]),
+     ["matern leaf: order 1/100000, sharp"]),
     ("wendland(d=3, n=2, lengthscale=2.5)", "wendland(d=3, n=2, lengthscale=2.5)",
      [(2.5, True, False)], 2, ["wendland leaf: order 5/2, sharp"]),
     ("se(lengthscale=0.1, dim=3)", "se(lengthscale=0.1, dim=3)", [("inf", True, False)], "inf",
@@ -249,6 +249,13 @@ GOLDEN_ANALYZE = [
       "conic: order = min of children = 1/2, sufficient-only",
       "periodic leaf: order inf, sharp",
       "tensor: per-axis orders [1/2, inf], sharpness preserved per axis"]),
+    # a non-dyadic order is the fraction its decimal text names, not its
+    # float's binary fraction (5404319552844595/18014398509481984 for 0.3)
+    ("matern(nu=0.3)", "matern(nu=0.3)", [(0.3, True, False)], 0, ["matern leaf: order 3/10, sharp"]),
+    ("warp(matern(nu=0.3), abs_power(beta=0.3))", "warp(matern(nu=0.3), abs_power(beta=0.3))",
+     [(0.09, False, False)], 0,
+     ["matern leaf: order 3/10, sharp",
+      "warp(abs_power): n=0, gamma=3/10, delta=3/10 -> order 9/100, sufficient-only"]),
 ]
 
 

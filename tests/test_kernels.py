@@ -7,15 +7,20 @@ import pytest
 from hypothesis import given, settings
 
 from pathreg.kernels import (
+    LEAVES,
     AbsPower,
     Affine,
     Conic,
     DomainError,
+    Feature,
     General,
     Isotropic,
+    KernelError,
+    Linear,
     Matern,
     ParameterError,
     Periodic,
+    Polynomial,
     Product,
     RationalQuadratic,
     SquaredExponential,
@@ -144,9 +149,18 @@ class TestValidation:
         with pytest.raises(ParameterError):
             Affine(1.0, math.inf)
 
+    # a family that is no WARPS instance once constructed, and failed
+    # only later, in print_kernel, pairwise or infer_regularity
+    @pytest.mark.parametrize("family", ["affine", SquaredExponential()])
+    def test_warp_checks_its_family(self, family):
+        with pytest.raises(KernelError, match="warp family must be one of affine, abs_power"):
+            Warp(SquaredExponential(), family)
+
     def test_dimension_consistency(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"conic children disagree on input dimension: \[1, 2\]"):
             Conic((SquaredExponential(), SquaredExponential(input_dim=2)), (1.0, 1.0))
+        with pytest.raises(DomainError, match=r"product children disagree on input dimension: \[1, 2\]"):
+            Product((SquaredExponential(input_dim=2), SquaredExponential()))
         tensor = TensorProduct((SquaredExponential(), SquaredExponential(input_dim=2)))
         assert tensor.dim == 3
 
@@ -214,3 +228,28 @@ def test_radial_consistency(expr):
         assert radial == pytest.approx(direct, rel=1e-12, abs=1e-12)
         stationary = eval_stationary(expr, x - y)
         assert stationary == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+# one instance of each leaf class
+LEAF_EXAMPLES = [
+    Matern(nu=1.5), Wendland(1, 1), SquaredExponential(), RationalQuadratic(a=2.0), Periodic(),
+    Wiener(), Linear(), Polynomial(m=2), Feature("trig", 2),
+]
+
+
+# a sum or product combines its children's values in place, so each value
+# must be a new array: one that aliased the points or another value would
+# overwrite the caller's points or the value it aliases
+@pytest.mark.parametrize("leaf", LEAF_EXAMPLES, ids=lambda leaf: leaf.name)
+def test_fold_owns_its_values(leaf):
+    assert {type(k) for k in LEAF_EXAMPLES} == set(LEAVES)
+    X = np.linspace(0.1, 2.0, 5)[:, None]
+    Y = np.linspace(0.3, 1.5, 4)[:, None]
+    alone = pairwise(leaf, X.copy(), Y.copy())
+    expected = [alone, 2.0 * alone + 3.0 * alone, alone * alone]
+    for expr, want in zip([leaf, Conic((leaf, leaf), (2.0, 3.0)), Product((leaf, leaf))], expected):
+        x, y = X.copy(), Y.copy()
+        values = pairwise(expr, x, y)
+        assert not np.shares_memory(values, x) and not np.shares_memory(values, y)
+        assert x.tobytes() == X.tobytes() and y.tobytes() == Y.tobytes()
+        assert values.tobytes() == want.tobytes()

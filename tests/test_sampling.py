@@ -156,6 +156,21 @@ class TestBuildGram:
             tracemalloc.stop()
         assert peak <= 1.5 * gram.nbytes
 
+    # a sum or product folds its children's Grams in place and frees each
+    # before the next is built, so three children hold the sum, one child's
+    # Gram and a fill block; keeping the previous child's Gram read 3.13
+    @pytest.mark.parametrize("text", ["wiener() + linear() + 2*wiener()", "linear() * wiener() * linear()"])
+    def test_fold_peak_memory(self, text):
+        grid = Grid((Axis(0.25, 1.25, 2049),))
+        expr = parse_kernel(text)
+        tracemalloc.start()
+        try:
+            gram = build_gram(expr, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * gram.nbytes
+
     def test_pointwise_gram_block_is_an_eighth(self):
         # below 8 * _GRAM_BLOCK_ROWS points the fill block is capped at n/8
         # rows; a block of _GRAM_BLOCK_ROWS rows made this 2.0 Gram sizes
