@@ -59,6 +59,13 @@ Bruno's formula per coordinate to its child's jet at the warped points.
 Conic and product nodes share one check that their children agree on the
 input dimension, which is the first child's, and one ``lag_exists``: a lag
 derivative exists at the origin where all their children's do.
+
+Values (``cross``) and jets broadcast over leading batch dimensions: points
+of shapes (..., n, d) and (..., m, d) give (..., n, m) matrices, and each
+member equals the 2-D call on its own points bitwise, since every entry is
+computed elementwise by the same operations.  ``pairwise`` and ``partials``
+take 2-D points; ``verify`` batches its probe points through ``_pairwise``
+and the node jets.
 """
 
 from __future__ import annotations
@@ -256,7 +263,7 @@ class Leaf(Kernel, Parametric):
 
     def cross(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         # the matrix k(X[i], Y[j]); a stationary leaf's value at X[i] - Y[j]
-        return self.lag(X[:, None, :] - Y[None, :, :])
+        return self.lag(X[..., :, None, :] - Y[..., None, :, :])
 
     def lag_exists(self, m: int) -> np.ndarray:
         # whether phi^(j), j = 0..m, exists at the origin: smooth by default
@@ -266,7 +273,7 @@ class Leaf(Kernel, Parametric):
         # a stationary leaf's partials in the lag t = x - y: from its lag
         # profile on points of one coordinate where it declares one,
         # otherwise from G^(k)
-        t = X[:, None, :] - Y[None, :, :]
+        t = X[..., :, None, :] - Y[..., None, :, :]
         if t.shape[-1] == 1 and hasattr(self, "lag_terms"):
             return _lag_jet(self, t[..., 0], alpha[0], beta[0])
         return _quadratic_jet(self, t, alpha, beta)
@@ -438,7 +445,7 @@ def _lag_jet(leaf: Leaf, t: np.ndarray, alpha: int, beta: int) -> dict:
     is 0 there)."""
     m = alpha + beta
     values, scale = leaf.lag_terms(np.abs(t), m)
-    missing = (t == 0.0) & ~leaf.lag_exists(m)[:, None, None]
+    missing = (t == 0.0) & ~leaf.lag_exists(m).reshape((-1,) + (1,) * t.ndim)
     values, scale = np.where(missing, np.nan, values), np.where(missing, np.nan, scale)
     negative = t < 0.0
     jet = {}
@@ -552,7 +559,7 @@ class Wiener(Leaf):
     def cross(self, X, Y):
         _check_wiener_domain(X)
         _check_wiener_domain(Y)
-        return np.minimum(X[:, 0][:, None], Y[:, 0][None, :])
+        return np.minimum(X[..., :, 0, None], Y[..., None, :, 0])
 
     def jet(self, X, Y, alpha, beta):
         # no partial derivative above order 0
@@ -629,12 +636,12 @@ class Polynomial(_FeatureLeaf):
         cols = []
         for kappa in self.exponents:
             coef = math.prod(math.perm(k, ai) for k, ai in zip(kappa, a))
-            col = np.full(P.shape[0], float(coef))
+            col = np.full(P.shape[:-1], float(coef))
             if coef:
                 for axis, (k, ai) in enumerate(zip(kappa, a)):
-                    col = col * P[:, axis] ** (k - ai)
+                    col = col * P[..., axis] ** (k - ai)
             cols.append(col)
-        return np.stack(cols, axis=1)
+        return np.stack(cols, axis=-1)
 
 
 FEATURE_FAMILIES = ("monomials", "trig")
@@ -658,12 +665,12 @@ class Feature(_FeatureLeaf):
 
     def features(self, P, a):
         (a,) = a
-        x = P[:, 0]
+        x = P[..., 0]
         if self.family == "monomials":
             return np.stack([
                 math.perm(j, a) * x ** (j - a) if j >= a else np.zeros_like(x)
                 for j in range(self.degree + 1)
-            ], axis=1)
+            ], axis=-1)
         cols = []
         for j in range(1, self.degree + 1):
             # cos^(a) and sin^(a) cycle through +-cos and +-sin
@@ -671,16 +678,16 @@ class Feature(_FeatureLeaf):
             c, s = np.cos(w * x), np.sin(w * x)
             cols.append(w**a * (c, -s, -c, s)[a % 4])
             cols.append(w**a * (s, c, -s, -c)[a % 4])
-        return np.stack(cols, axis=1)
+        return np.stack(cols, axis=-1)
 
 
 def _inner(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # A @ B.T summed one column at a time, so an entry does not depend on
     # the shape of the block it sits in: BLAS picks dot, gemv or gemm by
     # shape, and these round differently
-    acc = A[:, 0, None] * B[None, :, 0]
-    for j in range(1, A.shape[1]):
-        acc += A[:, j, None] * B[None, :, j]
+    acc = A[..., :, 0, None] * B[..., None, :, 0]
+    for j in range(1, A.shape[-1]):
+        acc += A[..., :, j, None] * B[..., None, :, j]
     return acc
 
 
@@ -801,7 +808,7 @@ class TensorProduct(Kernel):
         acc = None
         offset = 0
         for c in self.factors:
-            block = _pairwise(c, X[:, offset : offset + c.dim], Y[:, offset : offset + c.dim])
+            block = _pairwise(c, X[..., offset : offset + c.dim], Y[..., offset : offset + c.dim])
             acc = block if acc is None else acc * block
             offset += c.dim
         return acc
@@ -811,7 +818,7 @@ class TensorProduct(Kernel):
         blocks, offset = [], 0
         for c in self.factors:
             axes = slice(offset, offset + c.dim)
-            blocks.append((axes, c.jet(X[:, axes], Y[:, axes], alpha[axes], beta[axes])))
+            blocks.append((axes, c.jet(X[..., axes], Y[..., axes], alpha[axes], beta[axes])))
             offset += c.dim
         out = {}
         for a, b in _pairs(alpha, beta):
@@ -894,7 +901,7 @@ class Warp(Kernel):
         for side, (points, index) in enumerate(((X, alpha), (Y, beta))):
             for axis, top in enumerate(index):
                 if top:
-                    z = points[:, axis].reshape((-1, 1) if side == 0 else (1, -1))
+                    z = points[..., :, axis, None] if side == 0 else points[..., None, :, axis]
                     dw = [self.family.derivative(z, k) for k in range(1, top + 1)]
                     jet = _chain_rule(jet, side, axis, dw)
         return jet

@@ -44,7 +44,7 @@ __all__ = [
 _K_NODES = 128
 _K_TAIL = 40.0
 _K_KAPPA_MIN = 0.1
-_K_CHUNK = 512  # arguments per (chunk, node) temporary
+_K_CHUNK = 64  # arguments per (chunk, node) temporary
 _MATERN_SMALL = 1e-10  # below this rho the Matern profile is its expansion
 
 

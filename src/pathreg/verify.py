@@ -20,9 +20,10 @@ ratio of at most 0.75; a divergent or non-Cauchy quotient sequence (the
 integer-order Matern case drifts logarithmically) rejects the order.
 
 The lags are h = l_min 2^-j, l_min being the expression's smallest
-lengthscale (1 when it has none), and quotients and deviations are taken in
-units of l_min, so a lengthscale moves neither the window nor the noise
-floors relative to the kernel.
+lengthscale (1 when it has none; a lengthscale under affine warps counts
+divided by their |a|), and quotients and deviations are taken in units of
+l_min, so a lengthscale moves neither the window nor the noise floors
+relative to the kernel.
 
 Stationary and isotropic kernels reduce to one lag profile phi(t) =
 k(t e_1, 0): every stationary expression is isotropic or 1-D.  Its
@@ -39,13 +40,15 @@ is what the nodes declare (``lag_exists``), and caps the detected order.
 
 General (non-stationary) kernels are checked along each axis at eight
 fixed probe points, whose coordinates are the ticks linspace(0.25, 1.25, 8)
-shifted cyclically per axis.  A probe's quotient lattices for one order
-are one ``pairwise`` block over their union, and its deviation series is
-the second difference of the exact partials d^(n e, n e) k
-(:func:`pathreg.kernels.partials`) over the points x and x + h e, one
-block call for every lag; block entries equal the single-point values
-bitwise.  The noise estimate is eps times the magnitudes summed into the
-four corners, as on the stationary path.  Quotients and deviations are
+shifted cyclically per axis.  Every probe's and axis's quotient lattices
+{x + j h e} for one order are one batched kernel call, and the deviation
+series is the second difference of the exact partials d^(n e, n e) k
+(:func:`pathreg.kernels.partials`) over the points x and x + h e: per
+axis, one batched call over every probe and lag takes just the four
+corners (x+h, x+h), (x+h, x), (x, x+h) and (x, x), as single pairs.
+Batched entries equal the single-point values bitwise.  The noise estimate
+is eps times the magnitudes summed into the four corners, as on the
+stationary path.  Quotients and deviations are
 numpy tables over the lags, a row per probe (and axis, for quotients; one
 row for a stationary expression); the all-probe deviation is their column
 maximum, and each probe's row gives its slope.
@@ -73,15 +76,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import (
+    Affine,
     DomainError,
     Kernel,
     KernelError,
     ParameterError,
     Stationary,
+    Warp,
+    _as_points,
     _check_int,
+    _pairwise,
     classify,
     pairwise,
-    partials,
 )
 from .regularity import RegularityReport, _collapse, infer_regularity, report_to_dict
 
@@ -222,16 +228,16 @@ def _as_multiindex(alpha, dim: int) -> np.ndarray:
     return arr
 
 
-def _derivative_block(expr: Kernel, X: np.ndarray, Y: np.ndarray, alpha):
-    """d^(alpha,alpha) k between the point sets X and Y, with its noise
-    scale: at alpha = 0 the kernel values of ``pairwise`` (which the exact
-    partials of order 0 need not equal bitwise), each scaled 1 as the
-    rounding of one evaluation; otherwise the exact partials with their
-    term magnitudes."""
-    if not np.any(alpha):
-        values = pairwise(expr, X, Y)
+def _derivative_block(expr: Kernel, X: np.ndarray, Y: np.ndarray, alpha: tuple):
+    """d^(alpha,alpha) k between the point sets X and Y, of shapes
+    (..., n, d) and (..., m, d), with its noise scale: at alpha = 0 the
+    kernel values (which the exact partials of order 0 need not equal
+    bitwise), each scaled 1 as the rounding of one evaluation; otherwise
+    the exact partials with their term magnitudes."""
+    if not any(alpha):
+        values = _pairwise(expr, X, Y)
         return values, np.ones_like(values)
-    return partials(expr, X, Y, alpha, alpha)
+    return expr.jet(X, Y, alpha, alpha)[alpha, alpha]
 
 
 def _lag_derivatives(expr: Kernel, t, m: int):
@@ -334,7 +340,7 @@ def _quotient_sequences(expr: Kernel, n: int):
     floors relative to the kernel; tables of values and noise, a row per
     sequence.  A stationary expression has one sequence, whose lattice
     {d h} comes from one lag-profile call; a general one has one per probe
-    point and axis."""
+    point and axis, every lattice from one batched call."""
     ell = _min_lengthscale(expr)
     steps = 2.0 ** -np.arange(_WINDOW[0], _WINDOW[0] + 9)
     # offsets[i, j] = j (ell s_i), the lattice points of step s_i
@@ -343,15 +349,12 @@ def _quotient_sequences(expr: Kernel, n: int):
         rows = _lag_profile(expr, offsets.ravel()).reshape(offsets.shape)
         lag = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
         return _ms_quotients(rows[:, lag][None], n, steps)
-    union, where = np.unique(offsets, return_inverse=True)
-    where = where.reshape(offsets.shape)
-    lattices = []
-    for x in _probe_points(expr):
-        for axis in range(expr.dim):
-            pts = x + union[:, None] * _unit(expr.dim, axis)
-            block = pairwise(expr, pts, pts)
-            lattices.append(block[where[:, :, None], where[:, None, :]])
-    return _ms_quotients(np.stack(lattices), n, steps)
+    # pts[p, a, i, j] = x_p + j (ell s_i) e_a, so the batch of blocks
+    # k(pts, pts) holds each probe's and axis's lattices, probe first
+    probes = _probe_points(expr)
+    pts = probes[:, None, None, None, :] + offsets[:, :, None] * np.eye(expr.dim)[:, None, None, :]
+    lattices = _pairwise(expr, pts, pts)
+    return _ms_quotients(lattices.reshape(-1, *lattices.shape[2:]), n, steps)
 
 
 def _lag_profile(expr: Kernel, t: np.ndarray) -> np.ndarray:
@@ -362,14 +365,21 @@ def _lag_profile(expr: Kernel, t: np.ndarray) -> np.ndarray:
 
 def _min_lengthscale(expr: Kernel) -> float:
     """Smallest lengthscale in the expression, or 1 when it has none: the
-    probe lags scale with it, so a lengthscale never moves the window."""
+    probe lags scale with it, so a lengthscale never moves the window.  A
+    lengthscale under affine warps x -> a x + b counts divided by their
+    |a|, as the leaf at lengthscale l / |a| is the same kernel; under a = 0
+    the child is constant and its lengthscales count for none."""
     scales = []
-    stack = [expr]
+    stack = [(expr, 1.0)]
     while stack:
-        node = stack.pop()
+        node, stretch = stack.pop()
+        if isinstance(node, Warp) and isinstance(node.family, Affine):
+            if node.family.a == 0.0:
+                continue
+            stretch *= abs(node.family.a)
         if hasattr(node, "lengthscale"):
-            scales.append(node.lengthscale)
-        stack.extend(node.children)
+            scales.append(node.lengthscale / stretch)
+        stack.extend((c, stretch) for c in node.children)
     return min(scales, default=1.0)
 
 
@@ -426,7 +436,8 @@ def _deviation_series(expr: Kernel, n: int):
     one exact lag-derivative call over every h and the origin, with noise
     eps times the magnitudes summed into the two values.  A general kernel
     has a row per probe point, the largest diagonal second difference over
-    the axes there.
+    the axes there; each axis takes the four corners of every probe and
+    lag as a batch of single pairs in one call.
     """
     ell = _min_lengthscale(expr)
     h = ell * 2.0 ** -np.arange(_WINDOW[0], _WINDOW[1] + 1)
@@ -442,18 +453,25 @@ def _deviation_series(expr: Kernel, n: int):
     probes = _probe_points(expr)
     best = np.zeros((len(probes), h.size))
     noise = np.zeros_like(best)
-    for p, x in enumerate(probes):
-        for axis in range(expr.dim):
-            e = _unit(expr.dim, axis)
-            pts = np.vstack([x, x + h[:, None] * e])
-            values, scale = _derivative_block(expr, pts, pts, n * e)
-            # each lag's four corners, summed left to right; an inf or NaN sum is skipped
-            with np.errstate(over="ignore", invalid="ignore"):
-                val = values.diagonal()[1:] - values[1:, 0] - values[0, 1:] + values[0, 0]
-                corners = scale.diagonal()[1:] + scale[1:, 0] + scale[0, 1:] + scale[0, 0]
-            finite = np.isfinite(val)
-            best[p] = np.maximum(best[p], np.where(finite, np.abs(val), 0.0))
-            noise[p] = np.fmax(noise[p], np.where(finite, _EPS * corners, 0.0))
+    # pts[:, 0] is each probe x and pts[:, i] its point x + h_i e; the pairs
+    # (x + h, x + h), (x + h, x), (x, x + h) for every lag, then (x, x)
+    lag = np.arange(1, h.size + 1)
+    left, right = np.r_[lag, lag, 0 * lag, 0], np.r_[lag, 0 * lag, lag, 0]
+    for axis in range(expr.dim):
+        e = _unit(expr.dim, axis)
+        pts = np.concatenate([probes[:, None, :], probes[:, None, :] + h[:, None] * e], axis=1)
+        alpha = tuple(n * int(i == axis) for i in range(expr.dim))
+        block = _derivative_block(expr, pts[:, left, None], pts[:, right, None], alpha)
+        # (probes, 3 lags + 1) corners, each lag's four summed left to right;
+        # an inf or NaN sum is skipped
+        values, scale = (b[..., 0, 0] for b in block)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, s = (b[:, :-1].reshape(-1, 3, h.size) for b in (values, scale))
+            val = v[:, 0] - v[:, 1] - v[:, 2] + values[:, -1:]
+            corners = s[:, 0] + s[:, 1] + s[:, 2] + scale[:, -1:]
+        finite = np.isfinite(val)
+        best = np.maximum(best, np.where(finite, np.abs(val), 0.0))
+        noise = np.fmax(noise, np.where(finite, _EPS * corners, 0.0))
     with np.errstate(over="ignore"):  # inf, as floats give
         return h, unit * best, unit * noise
 
@@ -570,9 +588,9 @@ def derivative_kernel_matrix(expr: Kernel, alpha, X, Y=None) -> np.ndarray:
     derivative of order 2 alpha of the lag profile at h.  With Y given, the
     cross matrix between X and Y is returned instead.
     """
-    alpha = _as_multiindex(alpha, expr.dim)
-    X = np.asarray(X, dtype=float)
-    Y = X if Y is None else np.asarray(Y, dtype=float)
+    alpha = tuple(_as_multiindex(alpha, expr.dim).tolist())
+    X = _as_points(X, expr.dim)
+    Y = X if Y is None else _as_points(Y, expr.dim)
     return _derivative_block(expr, X, Y, alpha)[0]
 
 

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from pathreg.dsl import print_kernel
 from pathreg.kernels import (
     LEAVES,
+    WARPS,
     AbsPower,
     Affine,
     Conic,
@@ -30,6 +32,8 @@ from pathreg.kernels import (
     Warp,
     Wendland,
     Wiener,
+    _indices,
+    _pairwise,
     classify,
     eval_kernel,
     eval_radial,
@@ -253,3 +257,52 @@ def test_fold_owns_its_values(leaf):
         assert not np.shares_memory(values, x) and not np.shares_memory(values, y)
         assert x.tobytes() == X.tobytes() and y.tobytes() == Y.tobytes()
         assert values.tobytes() == want.tobytes()
+
+
+# --- leading batch dimensions ---------------------------------------------------
+
+# every leaf class (both feature families, and 2-D leaves), every combinator
+# and a warp over every family, alone and inside a tensor
+BATCH_EXAMPLES = [
+    *LEAF_EXAMPLES,
+    Feature("monomials", 3), Matern(nu=0.5, input_dim=2), Wendland(2, 1), Linear(input_dim=2),
+    Polynomial(m=2, input_dim=2),
+    Conic((Matern(nu=2.5), Linear(), Wiener()), (1.0, 2.0, 0.5)),
+    Product((SquaredExponential(), Periodic(), Polynomial(m=1))),
+    TensorProduct((Matern(nu=0.5), Matern(nu=1.5))),
+    TensorProduct((Wendland(1, 2), Warp(Feature("trig", 1), AbsPower(0.5)), Linear(input_dim=2))),
+    Warp(Matern(nu=1.5), Affine(2.0, 0.5)),
+    Warp(Matern(nu=1.5), AbsPower(0.5)),
+    Warp(Conic((Wiener(), RationalQuadratic(a=1.0)), (1.0, 1.0)), Affine(-0.5, 3.0)),
+    Warp(Matern(nu=2.5, input_dim=2), AbsPower(0.25)),
+]
+
+
+def _batch_points(dim, batch, n, m):
+    # points in (0.1, 2], with a repeated point in each member so that the
+    # zero lag, where some partials do not exist, is among the entries
+    rng = np.random.default_rng(7)
+    X = rng.uniform(0.1, 2.0, size=(*batch, n, dim))
+    Y = rng.uniform(0.1, 2.0, size=(*batch, m, dim))
+    Y[..., 0, :] = X[..., -1, :]
+    return X, Y
+
+
+@pytest.mark.parametrize("expr", BATCH_EXAMPLES, ids=print_kernel)
+@pytest.mark.parametrize("batch, n, m", [((3,), 4, 3), ((2, 2), 1, 1), ((5,), 1, 1), ((2, 1, 2), 2, 5)])
+def test_batched_members_equal_their_2d_calls(expr, batch, n, m):
+    kinds = {type(k) for k in BATCH_EXAMPLES}
+    assert set(LEAVES) | {Conic, Product, TensorProduct, Warp} <= kinds
+    assert {type(k.family) for k in BATCH_EXAMPLES if isinstance(k, Warp)} == set(WARPS)
+    X, Y = _batch_points(expr.dim, batch, n, m)
+    alpha, beta = (2,) * expr.dim, (1,) * expr.dim
+    values = _pairwise(expr, X, Y)
+    jet = expr.jet(X, Y, alpha, beta)
+    assert values.shape == (*batch, n, m)
+    assert set(jet) == {(a, b) for a in _indices(alpha) for b in _indices(beta)}
+    for member in np.ndindex(*batch):
+        assert values[member].tobytes() == _pairwise(expr, X[member], Y[member]).tobytes()
+        single = expr.jet(X[member], Y[member], alpha, beta)
+        for key, (value, scale) in jet.items():
+            assert value[member].tobytes() == single[key][0].tobytes(), (member, key)
+            assert scale[member].tobytes() == single[key][1].tobytes(), (member, key)

@@ -108,12 +108,24 @@ class TestBesselK:
         ],
     )
     def test_repeated_arguments_match_scalar_bitwise(self, f, low, nus):
-        distinct = np.r_[low, 1e-12, np.geomspace(1e-6, 80.0, 198)]
-        rho = np.random.default_rng(11).permutation(np.repeat(distinct, 4)).reshape(8, 100)
+        # the distinct arguments fit one chunk, the array does not
+        distinct = np.r_[low, 1e-12, np.geomspace(1e-6, 80.0, 48)]
+        rho = np.random.default_rng(11).permutation(np.repeat(distinct, 4)).reshape(8, 25)
         assert rho.size > specfun._K_CHUNK > len(np.unique(rho))
         for nu in nus:
             scalar = np.array([f(nu, r) for r in rho.ravel().tolist()]).reshape(rho.shape)
             assert f(nu, rho).tobytes() == scalar.tobytes()
+
+    # each argument's nodes are summed on their own, so no value depends on
+    # how many arguments share a chunk
+    @pytest.mark.parametrize("f", [specfun.bessel_k, specfun.matern_radial])
+    def test_values_do_not_depend_on_the_chunk(self, f, monkeypatch):
+        rho = np.r_[np.geomspace(1e-6, 700.0, 300), np.linspace(0.01, 40.0, 211)]
+        results = []
+        for chunk in (1, 7, 64, 512):
+            monkeypatch.setattr(specfun, "_K_CHUNK", chunk)
+            results.append(b"".join(f(nu, rho).tobytes() for nu in (0.3, 0.5, 2.0, 2.5)))
+        assert all(r == results[0] for r in results[1:])
 
     # the whole argument range at once, including large orders at large
     # arguments, where the terms of the large-argument expansion grow before

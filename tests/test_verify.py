@@ -787,6 +787,123 @@ class TestBatchedQuotients:
             assert quotient_pairs(expr, n) == [_scalar_quotients(expr, n)], n
 
 
+# --- the general path against its per-probe loops ---------------------------
+
+
+def _per_probe_quotients(expr, n):
+    # one pairwise block per probe and axis over the union of its lattices
+    ell = V._min_lengthscale(expr)
+    steps = 2.0 ** -np.arange(V._WINDOW[0], V._WINDOW[0] + 9)
+    offsets = np.arange(n + 1)[None, :] * (ell * steps)[:, None]
+    union, where = np.unique(offsets, return_inverse=True)
+    where = where.reshape(offsets.shape)
+    lattices = []
+    for x in V._probe_points(expr):
+        for axis in range(expr.dim):
+            pts = x + union[:, None] * V._unit(expr.dim, axis)
+            block = pairwise(expr, pts, pts)
+            lattices.append(block[where[:, :, None], where[:, None, :]])
+    return V._ms_quotients(np.stack(lattices), n, steps)
+
+
+def _per_probe_deviations(expr, n):
+    # one block of kernel values or partials per probe and axis over the
+    # probe x and every x + h e, of which the four corners are read
+    ell = V._min_lengthscale(expr)
+    h = ell * 2.0 ** -np.arange(V._WINDOW[0], V._WINDOW[1] + 1)
+    probes = V._probe_points(expr)
+    best = np.zeros((len(probes), h.size))
+    noise = np.zeros_like(best)
+    for p, x in enumerate(probes):
+        for axis in range(expr.dim):
+            e = V._unit(expr.dim, axis)
+            pts = np.vstack([x, x + h[:, None] * e])
+            if n:
+                values, scale = partials(expr, pts, pts, n * e, n * e)
+            else:
+                values = pairwise(expr, pts, pts)
+                scale = np.ones_like(values)
+            with np.errstate(over="ignore", invalid="ignore"):
+                val = values.diagonal()[1:] - values[1:, 0] - values[0, 1:] + values[0, 0]
+                corners = scale.diagonal()[1:] + scale[1:, 0] + scale[0, 1:] + scale[0, 0]
+            finite = np.isfinite(val)
+            best[p] = np.maximum(best[p], np.where(finite, np.abs(val), 0.0))
+            noise[p] = np.fmax(noise[p], np.where(finite, V._EPS * corners, 0.0))
+    unit = ell ** (2 * n)
+    return h, unit * best, unit * noise
+
+
+class TestGeneralPathReference:
+    """The general path takes every probe's and axis's lattice in one
+    batched call and the deviation's corners as batched single pairs; its
+    tables must equal the per-probe block loops bitwise."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            TENSOR_2D,
+            "tensor(matern(nu=1.5,dim=2), wendland(d=1,n=1))",
+            "warp(matern(nu=1.5), abs_power(beta=0.5))",
+            "warp(matern(nu=2.5,lengthscale=0.5), affine(a=2,b=0.5))",
+            "feature(family=trig,degree=2)",
+            "feature(family=monomials,degree=3)",
+            "poly(m=2)",
+            "wiener() + linear()",
+            "linear(dim=2)",
+        ],
+    )
+    def test_tables_match_the_per_probe_loops(self, text):
+        expr = parse_kernel(text)
+        for n in range(4):
+            for batched, looped in [
+                (V._quotient_sequences(expr, n), _per_probe_quotients(expr, n)),
+                (V._deviation_series(expr, n), _per_probe_deviations(expr, n)),
+            ]:
+                assert len(batched) == len(looped)
+                for got, want in zip(batched, looped):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
+
+
+class TestAffineStretch:
+    """k(a x + b, a y + b) for a leaf at lengthscale l is the leaf at l / |a|,
+    so the probe window follows l / |a|; at a = 100 the window once sat far
+    above the kernel's scale and verify failed it at total 0.975."""
+
+    @pytest.mark.parametrize(
+        "text, order",
+        [
+            *[(f"warp(matern(nu=1.5), affine(a={a}, b=0))", 1.5) for a in ("100", "1e3", "1e6", "-100")],
+            ("warp(matern(nu=1.5,lengthscale=10), affine(a=1e3, b=0.5))", 1.5),
+            ("warp(matern(nu=0.5), affine(a=1e4, b=0))", 0.5),
+            ("warp(warp(matern(nu=0.5), affine(a=100, b=0)), affine(a=100, b=1))", 0.5),
+            ("warp(se(), affine(a=1e5, b=0))", math.inf),
+        ],
+    )
+    def test_stretched_leaves_pass(self, text, order):
+        report = verify_regularity(parse_kernel(text))
+        assert report.verdict == "pass"
+        assert report.note is None
+        if order == math.inf:
+            assert report.smooth_to_order == CFG.max_order
+        else:
+            assert report.detected_total == pytest.approx(order, abs=CFG.tol)
+
+    @pytest.mark.parametrize(
+        "text, ell",
+        [
+            ("warp(matern(nu=1.5,lengthscale=2), affine(a=-4, b=1))", 0.5),
+            ("warp(se(lengthscale=3) + matern(nu=0.5,lengthscale=0.1), affine(a=0.5, b=0))", 0.2),
+            ("warp(warp(se(), affine(a=10, b=0)), affine(a=-10, b=0))", 0.01),
+            # a = 0 makes its child constant: its lengthscales count for none
+            ("warp(se(lengthscale=1e-3), affine(a=0, b=1)) + se(lengthscale=2)", 2.0),
+            ("warp(se(lengthscale=1e-3), affine(a=0, b=1))", 1.0),
+            ("warp(matern(nu=1.5,lengthscale=0.5), abs_power(beta=0.5))", 0.5),
+        ],
+    )
+    def test_window_lengthscale(self, text, ell):
+        assert V._min_lengthscale(parse_kernel(text)) == ell
+
+
 class TestBeyondProbeRange:
     def test_narrow_window_gives_explicit_fail(self, monkeypatch):
         monkeypatch.setattr(V, "_WINDOW", (4, 6))
