@@ -30,9 +30,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
+from ._base import replace
 from .dsl import ParseError, parse_kernel, print_kernel
 from .kernels import Kernel, KernelError, ParameterError, pairwise
 from .regularity import infer_regularity, report_to_dict

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import MISSING, dataclass
 
+from ._base import MISSING, record
 from .kernels import (
     LEAVES,
     WARPS,
@@ -60,7 +60,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # 'number' | 'name' | 'sym' | 'end'
     text: str

@@ -5,8 +5,9 @@ A kernel expression is an immutable tree of leaf kernels and combinators
 pure values: evaluation, structural classification and printing never
 mutate them, so they are safe to share across threads.
 
-Each leaf is one dataclass below, listed in ``LEAVES``, and that class is
-the only place the leaf is described.  It declares
+Each leaf is one frozen record class below (``_base.record``), listed in
+``LEAVES``, and that class is the only place the leaf is described.  It
+declares
 
 * its DSL name, ``name``;
 * its parameters, which are its fields: a field without a default is
@@ -31,8 +32,8 @@ the only place the leaf is described.  It declares
   takes from the declarations above: from ``lag_terms`` on points of one
   coordinate where it declares them, otherwise from G^(k)(u).
 
-Each warp family is declared in the same way, by one dataclass listed in
-``WARPS`` whose fields are its parameters under the same rules.  It
+Each warp family is declared in the same way, by one record class listed
+in ``WARPS`` whose fields are its parameters under the same rules.  It
 declares its DSL name, ``name``; its componentwise Holder order,
 ``order``; the map itself, ``__call__``; and its k-th derivative at
 coordinates z, ``derivative(z, k)`` for k >= 1, NaN where it has none.
@@ -73,13 +74,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import ClassVar
 
-from . import specfun
+from ._base import LazyModule, field, fields, record
 
-np = specfun._LazyNumpy(globals())
+# parsing, inference and printing load neither numpy nor specfun
+np = LazyModule(globals(), "np", "numpy")
+specfun = LazyModule(globals(), "specfun", f"{__package__}.specfun")
 
 __all__ = [
     "KernelError",
@@ -176,27 +178,27 @@ def _check_int(name: str, value, minimum: int) -> int:
 # --- structural classes ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class StructureClass:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class General(StructureClass):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Stationary(StructureClass):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Isotropic(Stationary):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Kernel:
     """Base class of all kernel expression nodes.  A node's input dimension
     is its first child's unless its class declares another."""
@@ -246,7 +248,7 @@ class Parametric:
             object.__setattr__(self, f.name, value)
 
 
-@dataclass(frozen=True)
+@record
 class Leaf(Kernel, Parametric):
     """Base class of the leaf kernels; the module docstring lists what a
     leaf declares."""
@@ -279,7 +281,7 @@ class Leaf(Kernel, Parametric):
         return _quadratic_jet(self, t, alpha, beta)
 
 
-@dataclass(frozen=True)
+@record
 class Matern(Leaf):
     nu: float
     lengthscale: float = 1.0
@@ -322,7 +324,7 @@ class Matern(Leaf):
         return nu / self.lengthscale**2, g, [np.abs(gk) for gk in g]
 
 
-@dataclass(frozen=True)
+@record
 class Wendland(Leaf):
     d: int
     n: int = field(metadata={"minimum": 0})
@@ -389,10 +391,12 @@ class Wendland(Leaf):
         return 0.5 / self.lengthscale**2, g, magnitude
 
 
-_wendland_polynomial = functools.lru_cache(maxsize=None)(specfun.wendland_polynomial)
+@functools.lru_cache(maxsize=None)
+def _wendland_polynomial(d: int, n: int) -> specfun.PiecewisePolynomial:
+    return specfun.wendland_polynomial(d, n)
 
 
-@dataclass(frozen=True)
+@record
 class SquaredExponential(Leaf):
     lengthscale: float = 1.0
     input_dim: int = field(default=1, metadata={"dsl": "dim"})
@@ -412,7 +416,7 @@ class SquaredExponential(Leaf):
         return 1.0 / ell2, [(-1.0) ** k * e for k in range(m + 1)], [e] * (m + 1)
 
 
-@dataclass(frozen=True)
+@record
 class RationalQuadratic(Leaf):
     a: float
     lengthscale: float = 1.0
@@ -510,7 +514,7 @@ def _pairs(alpha, beta) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     return [(a, b) for a in _indices(alpha) for b in _indices(beta)]
 
 
-@dataclass(frozen=True)
+@record
 class Periodic(Leaf):
     """exp(-sin(pi (x - y) / lengthscale)^2) on the real line."""
 
@@ -548,7 +552,7 @@ def _check_wiener_domain(X: np.ndarray) -> None:
         raise DomainError("the Wiener kernel is defined on strictly positive inputs")
 
 
-@dataclass(frozen=True)
+@record
 class Wiener(Leaf):
     """min(x, y) on the open positive half-line."""
 
@@ -591,7 +595,7 @@ class _FeatureLeaf(Leaf):
         }
 
 
-@dataclass(frozen=True)
+@record
 class Linear(_FeatureLeaf):
     input_dim: int = field(default=1, metadata={"dsl": "dim"})
 
@@ -608,7 +612,7 @@ class Linear(_FeatureLeaf):
         return np.zeros_like(P)
 
 
-@dataclass(frozen=True)
+@record
 class Polynomial(_FeatureLeaf):
     m: int
     input_dim: int = field(default=1, metadata={"dsl": "dim"})
@@ -647,7 +651,7 @@ class Polynomial(_FeatureLeaf):
 FEATURE_FAMILIES = ("monomials", "trig")
 
 
-@dataclass(frozen=True)
+@record
 class Feature(_FeatureLeaf):
     """Explicit feature-map kernel phi(x)^T phi(y) over a built-in family.
 
@@ -700,7 +704,7 @@ LEAVES = (
 # --- combinators ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class _Pointwise(Kernel):
     """Base class of Conic and Product, whose children take the same points."""
 
@@ -714,7 +718,7 @@ class _Pointwise(Kernel):
         return np.logical_and.reduce([c.lag_exists(m) for c in self.children])
 
 
-@dataclass(frozen=True)
+@record
 class Conic(_Pointwise):
     terms: tuple[Kernel, ...]
     weights: tuple[float, ...]
@@ -743,7 +747,7 @@ class Conic(_Pointwise):
         }
 
 
-@dataclass(frozen=True)
+@record
 class Product(_Pointwise):
     factors: tuple[Kernel, ...]
 
@@ -785,7 +789,7 @@ def _minus(a: tuple, b: tuple) -> tuple:
     return tuple(p - q for p, q in zip(a, b))
 
 
-@dataclass(frozen=True)
+@record
 class TensorProduct(Kernel):
     factors: tuple[Kernel, ...]
 
@@ -830,7 +834,7 @@ class TensorProduct(Kernel):
 # --- warp families --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Affine(Parametric):
     """x -> a x + b, smooth."""
 
@@ -847,7 +851,7 @@ class Affine(Parametric):
         return np.full_like(z, self.a if k == 1 else 0.0)
 
 
-@dataclass(frozen=True)
+@record
 class AbsPower(Parametric):
     """x -> |x|^beta, beta in (0, 1], of Holder order beta."""
 
@@ -873,7 +877,7 @@ class AbsPower(Parametric):
 WARPS = (Affine, AbsPower)
 
 
-@dataclass(frozen=True)
+@record
 class Warp(Kernel):
     """Child kernel evaluated at inputs warped componentwise by a family
     instance from ``WARPS``."""

@@ -25,6 +25,8 @@ The inference is a recursive fold with the following rules:
   split as n + gamma and the warp order as n_w + delta (both with the
   fractional part in (0, 1]), the result is m + gamma' * delta' where
   m = min(n, n_w) and gamma', delta' are the orders above m clipped to 1;
+  an affine warp with a = 0 maps every point to b, so its paths are
+  constant and the order is infinite and sharp;
 * leaves report the order their class declares (``path_order``); feature
   leaves declare theirs as sufficient only.
 
@@ -37,11 +39,11 @@ non-integer s and s - 1 for integer s, taken per entry and then minimised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
-from .kernels import Conic, Kernel, Product, TensorProduct, Warp
+from ._base import record, replace
+from .kernels import Affine, Conic, Kernel, Product, TensorProduct, Warp
 
 __all__ = [
     "Order",
@@ -63,7 +65,7 @@ def order_to_json(order: Order):
     return "inf" if order == math.inf else float(order)
 
 
-@dataclass(frozen=True)
+@record
 class Regularity:
     """Sample-path order along one axis, with sharpness and log flags."""
 
@@ -79,7 +81,7 @@ class Regularity:
         return ", ".join(parts)
 
 
-@dataclass(frozen=True)
+@record
 class RegularityReport:
     """``per_axis`` has one entry per tensor factor, or one for a kernel
     that is no tensor product, not one per input axis."""
@@ -151,6 +153,10 @@ def _infer(expr: Kernel, lines: list[str]) -> tuple[Regularity, ...]:
         return tuple(axes)
     if isinstance(expr, Warp):
         child = _collapse(_infer(expr.child, lines))
+        if isinstance(expr.family, Affine) and expr.family.a == 0.0:
+            lines.append("warp(affine): a = 0 maps every point to b, so the paths are constant "
+                         "-> order inf, sharp")
+            return (Regularity(math.inf, sharp=True),)
         warp_order = expr.family.order
         if child.order == math.inf and warp_order == math.inf:
             lines.append("warp: smooth warp of a smooth kernel -> order inf, sufficient-only")

@@ -98,12 +98,12 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._base import field, record
 from .dsl import print_kernel
 from .kernels import (
     Kernel,
@@ -151,7 +151,7 @@ class FactorizationError(KernelError):
     """The Gram matrix stayed indefinite within the jitter budget."""
 
 
-@dataclass(frozen=True)
+@record
 class Axis:
     start: float
     stop: float
@@ -173,7 +173,7 @@ class Axis:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
+@record
 class Grid:
     """Evaluation grid; 2-D grids flatten row-major (first axis outer)."""
 
@@ -212,7 +212,7 @@ class Grid:
         return np.column_stack([xx.ravel(), yy.ravel()])
 
 
-@dataclass(frozen=True)
+@record
 class PathSamples:
     """Draws on a grid, one row per sample, with generation provenance."""
 

@@ -14,8 +14,9 @@ scalar results bitwise equal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._base import LazyModule, record
 
 __all__ = [
     "gamma",
@@ -48,23 +49,9 @@ _K_CHUNK = 64  # arguments per (chunk, node) temporary
 _MATERN_SMALL = 1e-10  # below this rho the Matern profile is its expansion
 
 
-class _LazyNumpy:
-    """numpy, imported on the first attribute taken from it: that access
-    binds numpy itself as ``np`` in the namespace ``scope``, so the calls
-    after it look numpy up directly.  A module that only builds and reads
-    kernel expressions (parsing, inference, printing) never loads numpy."""
-
-    def __init__(self, scope: dict):
-        self._scope = scope
-
-    def __getattr__(self, name: str):
-        import numpy
-
-        self._scope["np"] = numpy
-        return getattr(numpy, name)
-
-
-np = _LazyNumpy(globals())
+# numpy is imported on first use, so ``gamma`` and the Wendland
+# polynomials need none
+np = LazyModule(globals(), "np", "numpy")
 
 
 def gamma(x: float) -> float:
@@ -152,7 +139,7 @@ def matern_radial(nu: float, r):
     return float(out[0]) if scalar else out.reshape(np.shape(r))
 
 
-@dataclass(frozen=True)
+@record
 class PiecewisePolynomial:
     """Polynomial on [0, 1] with exact rational coefficients, zero beyond 1.
 

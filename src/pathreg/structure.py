@@ -29,10 +29,10 @@ short grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._base import record
 from .sampling import Axis, PathSamples
 from .verify import _MIN_FIT_POINTS, ExponentFit, _trimmed_fit
 
@@ -52,7 +52,7 @@ _MAX_M = 4
 _SATURATION_MARGIN = 0.35
 
 
-@dataclass(frozen=True)
+@record
 class EstimateResult:
     s_hat: float | None
     lower_bound: float | None

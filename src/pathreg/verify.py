@@ -71,10 +71,10 @@ above are fixed, and a log-corrected target is met within max(tol, 0.25);
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._base import field, record
 from .kernels import (
     Affine,
     DomainError,
@@ -134,7 +134,7 @@ class BeyondProbeRange(KernelError):
     ``verify_regularity`` reports it as a failing verdict."""
 
 
-@dataclass(frozen=True)
+@record
 class VerifyConfig:
     """tol finite and >= 0, max_order an integer >= 0; else ParameterError."""
 
@@ -147,7 +147,7 @@ class VerifyConfig:
             raise ParameterError(f"parameter tol must be finite and >= 0, got {self.tol!r}", "tol")
 
 
-@dataclass(frozen=True)
+@record
 class ExponentFit:
     """Least-squares line through (log h, log deviation)."""
 
@@ -158,7 +158,7 @@ class ExponentFit:
     residual_max: float
 
 
-@dataclass(frozen=True)
+@record
 class VerifyReport:
     detected_order_n: int
     exponent_fit: ExponentFit | None

@@ -11,6 +11,8 @@ import pytest
 import pathreg
 from pathreg.cli import main
 
+from test_verify import STATIONARY_LEAVES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -303,6 +305,19 @@ class TestAnalyzeExamples:
         code, out, _ = run(capsys, "analyze", "-k", "wiener()", "--format", "csv")
         assert code == 0
         assert "per_axis.0.order,0.5" in out.replace(" ", "")
+
+    # affine(a=0, b) maps every point to b, so the warped paths are constant
+    # and the order is infinite; it once reported the child's order
+    @pytest.mark.parametrize("leaf", [leaf for leaf, _order, _log in STATIONARY_LEAVES])
+    def test_constant_affine_warp_is_smooth(self, capsys, leaf):
+        text = f"warp({leaf}lengthscale=1), affine(a=0, b=0.5))"
+        code, payload, _ = run_json(capsys, "analyze", "-k", text)
+        assert code == 0
+        assert payload["per_axis"] == [{"order": "inf", "sharp": True, "log_corrected": False}]
+        assert payload["derivation"][-2].startswith("warp(affine): a = 0 maps every point to b")
+        code, payload, _ = run_json(capsys, "verify", "-k", text)
+        assert code == 0
+        assert payload["verdict"] == "pass" and payload["smooth_to_order"] == 3
 
 
 class TestSample:

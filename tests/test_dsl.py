@@ -1,6 +1,5 @@
 """Parser and canonical printer for the kernel DSL."""
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -8,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from pathreg._base import fields
 from pathreg.cli import main
 from pathreg.dsl import ParseError, parse_kernel, print_kernel
 from pathreg.kernels import (
@@ -392,7 +392,7 @@ def test_leaf_registry_matches_readme_table():
             assert type(classify(expr)) is structure
             assert Regularity(*expr.path_order) == Regularity(*order)
         # the full source names every parameter of the leaf
-        assert len(dataclasses.fields(cls)) == full.count("=")
+        assert len(fields(cls)) == full.count("=")
 
 
 # The README warp families: per DSL name, a warp naming every parameter
@@ -412,4 +412,4 @@ def test_warp_registry_matches_readme():
         assert print_kernel(expr) == source
         assert parse_kernel(print_kernel(expr)) == expr
         assert expr.family.order == order
-        assert len(dataclasses.fields(cls)) == source.count("=")
+        assert len(fields(cls)) == source.count("=")

@@ -59,7 +59,8 @@ EXPORTS = {
 }
 
 # runs each argv (a JSON list of argv lists) through cli.main and prints
-# the exit codes, the outputs and the numpy and pathreg modules then loaded
+# the exit codes, the outputs and the numpy, dataclasses, inspect and
+# pathreg modules then loaded
 _RUN_CLI = """
 import contextlib, io, json, sys
 from pathreg.cli import main
@@ -69,7 +70,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     runs.append([code, out.getvalue()])
-loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("pathreg"))
+loaded = sorted(m for m in sys.modules
+                if m in ("numpy", "dataclasses", "inspect") or m.startswith("pathreg"))
 print(json.dumps({"runs": runs, "loaded": loaded}))
 """
 
@@ -102,8 +104,9 @@ class TestCommandsLoadWhatTheyRun:
         argvs.append(["analyze", "-k", "matern(nu=2.5) + wiener()", "--format", "csv"])
         argvs.append(["analyze", "-k", "matern(nu=-1)"])
         runs, loaded = _cold_cli(argvs)
-        assert loaded == {"pathreg", "pathreg.cli", "pathreg.dsl", "pathreg.kernels",
-                          "pathreg.regularity", "pathreg.specfun"}
+        # no numpy, no specfun, and no dataclasses (with inspect, ast and dis)
+        assert loaded == {"pathreg", "pathreg._base", "pathreg.cli", "pathreg.dsl",
+                          "pathreg.kernels", "pathreg.regularity"}
         # the same bytes as a run in this process, where numpy is loaded
         assert "numpy" in sys.modules
         assert runs == [_warm_cli(argv) for argv in argvs]

@@ -1,6 +1,5 @@
 """Numeric verification: differences, derivatives, exponent fits, verdicts."""
 
-import dataclasses
 import inspect
 import math
 import warnings
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from pathreg import verify as V
+from pathreg._base import fields
 from pathreg.dsl import parse_kernel, print_kernel
 from pathreg.kernels import DomainError, ParameterError, eval_kernel, pairwise, partials
 from pathreg.verify import (
@@ -30,7 +30,7 @@ CFG = VerifyConfig()
 def test_verify_config_fields():
     # the lag window, the probe design, the fit calibration and the floor of
     # the log tolerance are module constants; the CLI sets the rest
-    assert [f.name for f in dataclasses.fields(VerifyConfig)] == ["tol", "max_order"]
+    assert [f.name for f in fields(VerifyConfig)] == ["tol", "max_order"]
 
 
 @pytest.mark.parametrize(
