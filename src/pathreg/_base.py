@@ -4,8 +4,10 @@ modules.
 ``record`` makes a class a frozen value record, as the standard library's
 ``dataclass(frozen=True)`` does, without importing that module (which
 loads ``inspect`` and with it ``ast``, ``dis`` and ``tokenize``) and
-without compiling source text for each method of each class.  Those two
-took about 20 ms of a cold ``pathreg analyze``.
+without compiling source text for each method of each class: the methods'
+code is compiled once per field count, whatever the count, and each class
+takes a copy renamed to its fields.  Those two took about 20 ms of a cold
+``pathreg analyze``.
 
 A record's fields are the annotations of its class body, after the fields
 of its record base classes, except those annotated ``ClassVar``; a field's
@@ -28,8 +30,9 @@ builds a changed copy through ``__init__``, so its checks run again.
 
 from __future__ import annotations
 
+import functools
 import sys
-from types import MappingProxyType
+from types import CodeType, MappingProxyType
 
 __all__ = ["MISSING", "Field", "field", "fields", "record", "replace", "LazyModule"]
 
@@ -96,9 +99,7 @@ def record(cls):
     if any(f.default is MISSING for f in all_fields[len(all_fields) - len(defaults):]):
         raise TypeError(f"{cls.__qualname__}: a required field follows a field with a default")
 
-    if len(names) >= len(_METHODS):
-        raise TypeError(f"{cls.__qualname__}: a record has at most {len(_METHODS) - 1} fields")
-    methods = _METHODS[len(names)](hasattr(cls, "__post_init__"))
+    methods = _methods(len(names), hasattr(cls, "__post_init__"))
     for method in methods:
         _rename(method, names, cls)
     methods[0].__defaults__ = defaults or None
@@ -122,18 +123,43 @@ def _refuse_delete(self, name):
 
 
 # The methods of a record of k fields are those a frozen dataclass would
-# generate, written out below once for each k with the placeholders f0, f1,
-# ... for the fields.  ``_rename`` puts the field names in place of the
-# placeholders in a copy of each method's code: as parameters, so Python
-# itself binds positional and keyword arguments and defaults and names a
-# missing or unexpected one; as attribute names; and as string constants.
-# So a record's methods run the same instructions as written-out ones, at
-# the same cost.
-_PLACEHOLDERS = ("f0", "f1", "f2", "f3", "f4", "f5", "f6")
+# generate, written by ``_template`` with the placeholders f0, f1, ... for
+# the fields and compiled once per field count.  ``_rename`` puts the field names
+# in place of the placeholders in a copy of each method's code: as
+# parameters, so Python itself binds positional and keyword arguments and
+# defaults and names a missing or unexpected one; as attribute names; and as
+# string constants.  So a record's methods run the same instructions as
+# written-out ones, at the same cost.
+@functools.cache
+def _template(k: int, post_init: bool) -> CodeType:
+    """The code defining ``__init__``, ``__eq__`` and ``__hash__`` over the
+    placeholders f0 ... f(k-1), calling ``__post_init__`` if ``post_init``."""
+    ps = [f"f{i}" for i in range(k)]
+    mine = "".join(f"self.{p}, " for p in ps)
+    theirs = "".join(f"other.{p}, " for p in ps)
+    source = "\n".join([
+        f"def __init__(self, {', '.join(ps)}):",
+        *(f"    _set(self, {p!r}, {p})" for p in ps),
+        "    self.__post_init__()" if post_init else "    pass",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return ({mine}) == ({theirs})",
+        "    return NotImplemented",
+        "def __hash__(self):",
+        f"    return hash(({mine}))",
+    ])
+    return compile(source, f"<record of {k} fields>", "exec")
+
+
+def _methods(k: int, post_init: bool):
+    """New ``__init__``, ``__eq__`` and ``__hash__`` functions of k fields."""
+    scope = {"__name__": __name__, "_set": _set}
+    exec(_template(k, post_init), scope)
+    return scope["__init__"], scope["__eq__"], scope["__hash__"]
 
 
 def _rename(method, names: tuple[str, ...], cls) -> None:
-    rename = dict(zip(_PLACEHOLDERS, names))
+    rename = {f"f{i}": name for i, name in enumerate(names)}
     code = method.__code__
     method.__code__ = code.replace(
         co_varnames=tuple(rename.get(n, n) for n in code.co_varnames),
@@ -141,168 +167,6 @@ def _rename(method, names: tuple[str, ...], cls) -> None:
         co_consts=tuple(rename.get(c, c) if isinstance(c, str) else c for c in code.co_consts),
     )
     method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
-
-
-def _methods0(post_init: bool):
-    def __init__(self):
-        if post_init:
-            self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-    return __init__, __eq__, __hash__
-
-
-def _methods1(post_init: bool):
-    def __init__(self, f0):
-        _set(self, "f0", f0)
-        if post_init:
-            self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.f0,) == (other.f0,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.f0,))
-
-    return __init__, __eq__, __hash__
-
-
-def _methods2(post_init: bool):
-    def __init__(self, f0, f1):
-        _set(self, "f0", f0)
-        _set(self, "f1", f1)
-        if post_init:
-            self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.f0, self.f1) == (other.f0, other.f1)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.f0, self.f1))
-
-    return __init__, __eq__, __hash__
-
-
-def _methods3(post_init: bool):
-    def __init__(self, f0, f1, f2):
-        _set(self, "f0", f0)
-        _set(self, "f1", f1)
-        _set(self, "f2", f2)
-        if post_init:
-            self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.f0, self.f1, self.f2) == (other.f0, other.f1, other.f2)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.f0, self.f1, self.f2))
-
-    return __init__, __eq__, __hash__
-
-
-def _methods4(post_init: bool):
-    def __init__(self, f0, f1, f2, f3):
-        _set(self, "f0", f0)
-        _set(self, "f1", f1)
-        _set(self, "f2", f2)
-        _set(self, "f3", f3)
-        if post_init:
-            self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.f0, self.f1, self.f2, self.f3) == (other.f0, other.f1, other.f2, other.f3)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.f0, self.f1, self.f2, self.f3))
-
-    return __init__, __eq__, __hash__
-
-
-def _methods5(post_init: bool):
-    def __init__(self, f0, f1, f2, f3, f4):
-        _set(self, "f0", f0)
-        _set(self, "f1", f1)
-        _set(self, "f2", f2)
-        _set(self, "f3", f3)
-        _set(self, "f4", f4)
-        if post_init:
-            self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.f0, self.f1, self.f2, self.f3, self.f4) == (
-                other.f0, other.f1, other.f2, other.f3, other.f4)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.f0, self.f1, self.f2, self.f3, self.f4))
-
-    return __init__, __eq__, __hash__
-
-
-def _methods6(post_init: bool):
-    def __init__(self, f0, f1, f2, f3, f4, f5):
-        _set(self, "f0", f0)
-        _set(self, "f1", f1)
-        _set(self, "f2", f2)
-        _set(self, "f3", f3)
-        _set(self, "f4", f4)
-        _set(self, "f5", f5)
-        if post_init:
-            self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.f0, self.f1, self.f2, self.f3, self.f4, self.f5) == (
-                other.f0, other.f1, other.f2, other.f3, other.f4, other.f5)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5))
-
-    return __init__, __eq__, __hash__
-
-
-def _methods7(post_init: bool):
-    def __init__(self, f0, f1, f2, f3, f4, f5, f6):
-        _set(self, "f0", f0)
-        _set(self, "f1", f1)
-        _set(self, "f2", f2)
-        _set(self, "f3", f3)
-        _set(self, "f4", f4)
-        _set(self, "f5", f5)
-        _set(self, "f6", f6)
-        if post_init:
-            self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.f0, self.f1, self.f2, self.f3, self.f4, self.f5, self.f6) == (
-                other.f0, other.f1, other.f2, other.f3, other.f4, other.f5, other.f6)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.f0, self.f1, self.f2, self.f3, self.f4, self.f5, self.f6))
-
-    return __init__, __eq__, __hash__
-
-
-_METHODS = (_methods0, _methods1, _methods2, _methods3, _methods4, _methods5, _methods6, _methods7)
 
 
 class LazyModule:

@@ -927,8 +927,12 @@ def _chain_rule(jet: dict, side: int, axis: int, dw: list) -> dict:
             index = list(key[side])
             index[axis] = k
             source = (tuple(index), key[1]) if side == 0 else (key[0], tuple(index))
-            value = value + bell[j][k] * jet[source][0]
-            scale = scale + bell_abs[j][k] * jet[source][1]
+            # a coefficient whose every part is 0 adds nothing, even where
+            # F^(k) does not exist: so affine(a=0, b), which makes the kernel
+            # constant in this coordinate, gives it exact zero partials
+            zero = bell_abs[j][k] == 0.0
+            value = value + np.where(zero, 0.0, bell[j][k] * jet[source][0])
+            scale = scale + np.where(zero, 0.0, bell_abs[j][k] * jet[source][1])
         out[key] = (value, scale)
     return out
 

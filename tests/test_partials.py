@@ -269,6 +269,19 @@ def test_abs_power_undefined_at_zero():
     assert np.isnan(partials(expr, [0.0], [0.3], [1], [0])[0][0, 0])
 
 
+# affine(a=0, b) maps every point to b: the warped kernel is constant, so
+# its partials are 0, also where the child's partials at lag 0 do not exist
+@pytest.mark.parametrize("leaf", ["matern(nu=0.5)", "matern(nu=2.5)"])
+def test_constant_affine_warp_has_zero_partials(leaf):
+    expr = parse_kernel(f"warp({leaf}, affine(a=0, b=0.5))")
+    X = np.array([[0.1], [0.5], [0.9]])
+    for alpha, beta in [((1,), (1,)), ((1,), (0,)), ((0,), (2,)), ((3,), (3,))]:
+        values, scale = partials(expr, X, X, alpha, beta)
+        assert np.array_equal(values, np.zeros((3, 3))), (alpha, beta)
+        assert np.array_equal(scale, np.zeros((3, 3))), (alpha, beta)
+    assert np.allclose(partials(expr, X, X, (0,), (0,))[0], 1.0, rtol=1e-14, atol=0.0)
+
+
 def test_stationary_lag_column():
     # the derivative Gram's lag column is (-1)^|alpha| phi^(2|alpha|)(h)
     from pathreg import verify as V

@@ -136,3 +136,51 @@ def test_base_fields_come_first():
         @record
         class Bad(Base):
             w: int
+
+
+def test_records_of_many_fields():
+    @record
+    class Base:
+        a: int
+        b: int
+        c: int = 3
+
+    @record
+    class Wide(Base):
+        d: int = 4
+        e: int = 5
+        f: int = 6
+        g: int = 7
+        h: int = 8
+        i: int = field(default=9, metadata={"note": "last"})
+
+        def __post_init__(self):
+            if self.a < 0:
+                raise ValueError("a must be >= 0")
+
+    names = [f.name for f in fields(Wide)]
+    assert names == ["a", "b", "c", "d", "e", "f", "g", "h", "i"]
+    by_position = Wide(*range(1, 10))
+    assert [getattr(by_position, n) for n in names] == list(range(1, 10))
+    by_name = Wide(b=2, a=1, i=9, h=8, g=7, f=6, e=5, d=4, c=3)
+    assert by_name == by_position and hash(by_name) == hash(by_position)
+    assert Wide(1, 2) == by_position and Wide(1, 2, i=10) != by_position
+    assert Wide(1, 2) != Base(1, 2) and Base(1, 2) != Wide(1, 2)
+    assert repr(Wide(1, 2)) == (
+        "test_records_of_many_fields.<locals>.Wide(a=1, b=2, c=3, d=4, e=5, f=6, g=7, h=8, i=9)"
+    )
+    assert Wide.__init__.__qualname__.endswith("Wide.__init__")
+    with pytest.raises(TypeError, match=r"__init__\(\) missing 1 required positional argument: 'b'"):
+        Wide(1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'j'"):
+        Wide(1, 2, j=10)
+    with pytest.raises(TypeError):
+        Wide(*range(10))
+    with pytest.raises(ValueError, match="a must be >= 0"):
+        Wide(-1, 2)
+    changed = replace(by_position, h=80)
+    assert changed.h == 80 and changed.i == 9 and changed != by_position
+    with pytest.raises(ValueError, match="a must be >= 0"):
+        replace(by_position, a=-1)
+    with pytest.raises(AttributeError):
+        by_position.i = 0
