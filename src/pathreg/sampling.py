@@ -492,6 +492,12 @@ def _brownian_draws(ticks: np.ndarray):
     return draw
 
 
+def _zero_draws(n: int):
+    """Draw operator of the zero covariance on n points: every draw is 0,
+    with no jitter."""
+    return lambda normals, count: (np.zeros((count, n)), 0.0)
+
+
 def _lower_factor(draw, n: int):
     """(L, jitter_used) of a draw operator, from its draws of the identity:
     every product with an off-diagonal zero of I is an exact zero, and the
@@ -554,7 +560,9 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     dense Gram: ``build_gram``'s at alpha = 0, which folds a sum's or
     product's Gram from its children's, else the pointwise derivative
     Gram, which is not split by children, and _add_rows adds
-    L^T into zeroed draws as one block.  Each operator holds one table of
+    L^T into zeroed draws as one block.  A lag column or Gram that is
+    exactly zero (a derivative of constant paths) draws zeros, with
+    jitter 0.  Each operator holds one table of
     ``count`` draws, which the Kronecker and Wiener operators fill with the
     normals and overwrite.
     """
@@ -594,8 +602,14 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
         cross = partial(pairwise, expr)
         dense_gram = partial(build_gram, expr, grid)
     if grid.dim == 1 and isinstance(classify(expr), Stationary):
-        return _toeplitz_draws(_half_lag_table(grid, cross))
-    lower, jitter = cholesky_with_jitter(dense_gram())
+        column = _half_lag_table(grid, cross)
+        return _toeplitz_draws(column) if column.any() else _zero_draws(column.shape[0])
+    gram = dense_gram()
+    # a positive semidefinite matrix with a zero diagonal is zero; the
+    # whole matrix is read only when the diagonal is
+    if not gram.diagonal().any() and not gram.any():
+        return _zero_draws(gram.shape[0])
+    lower, jitter = cholesky_with_jitter(gram)
 
     def draw(normals, count):
         draws = np.zeros((count, lower.shape[0]))

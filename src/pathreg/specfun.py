@@ -1,7 +1,8 @@
 """Special functions backing the kernel catalogue.
 
 Provides the modified Bessel function of the second kind K_nu, evaluated
-for every order and argument by one trapezoidal rule on its integral
+at the half-integer orders n + 1/2 (n <= 20) by their elementary closed
+form and at every other order by one trapezoidal rule on its integral
 representation, the Matern radial profile built on it, a gamma function
 that rejects poles, and exact-rational Wendland radial polynomials
 constructed by repeated integration.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from ._base import LazyModule, record
 
@@ -46,6 +48,7 @@ _K_NODES = 128
 _K_TAIL = 40.0
 _K_KAPPA_MIN = 0.1
 _K_CHUNK = 64  # arguments per (chunk, node) temporary
+_K_HALF_MAX = 20  # orders n + 1/2 up to this n take the closed form
 _MATERN_SMALL = 1e-10  # below this rho the Matern profile is its expansion
 
 
@@ -78,19 +81,59 @@ def _validate_bessel_args(nu: float, rho: np.ndarray) -> None:
 def bessel_k(nu: float, rho):
     """Modified Bessel function of the second kind, K_nu(rho).
 
-    nu must be non-negative; rho positive (scalar or ndarray).  Relative
-    error is at or below 1e-13 for nu in [0, 20] and rho in [1e-6, 700]
-    (near 1e-14 for nu <= 12); beyond rho ~ 705 the value underflows to
-    zero.
+    nu must be non-negative; rho positive (scalar or ndarray).  The
+    half-integer orders nu = n + 1/2, n <= 20, take the closed form
+    (DLMF 10.49.12)
 
-    An array is evaluated once per distinct argument and the values are
-    gathered back: a value depends on (nu, rho) alone, so this changes no
-    bit.
+        K_(n+1/2)(rho) = sqrt(pi / (2 rho)) e^(-rho)
+                         sum_(k<=n) (n+k)! / (k! (n-k)!) (2 rho)^(-k),
+
+    elementwise, within 1e-14 relative for rho in [1e-6, 700]; it follows
+    e^(-rho), so it is subnormal from rho ~ 705 and zero from rho ~ 742.
+    Every other order takes the trapezoidal rule, whose relative error is
+    at or below 1e-13 for nu in [0, 20] and rho in [1e-6, 700] (near 1e-14
+    for nu <= 12), and which is subnormal from rho ~ 705 and zero from
+    rho ~ 738.5; an array is evaluated there once per distinct argument
+    and the values are gathered back.  A value depends on (nu, rho) alone,
+    so array and scalar results are bitwise equal.
     """
     nu = float(nu)
     arr = np.asarray(rho, dtype=float)
     _validate_bessel_args(nu, arr)
-    distinct, inverse = np.unique(arr.ravel(), return_inverse=True)
+    n = nu - 0.5
+    if n == int(n) and 0 <= n <= _K_HALF_MAX:
+        out = _bessel_k_half(int(n), arr.ravel())
+    else:
+        out = _bessel_k_rule(nu, arr.ravel())
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+@lru_cache(maxsize=_K_HALF_MAX + 1)
+def _half_coefficients(n: int) -> tuple[float, ...]:
+    # (n+k)! / (k! (n-k)!) for k = n down to 0, from the exact integers;
+    # term k + 1 is term k times (n+k+1)(n-k) / (k+1), an exact division
+    terms = [1]
+    for k in range(n):
+        terms.append(terms[-1] * (n + k + 1) * (n - k) // (k + 1))
+    return tuple(float(c) for c in reversed(terms))
+
+
+def _bessel_k_half(n: int, rho: np.ndarray) -> np.ndarray:
+    """K_(n+1/2) at the 1-D array rho by its closed form, Horner's rule in
+    x = 1/(2 rho); every term is positive, so nothing cancels."""
+    x = 0.5 / rho
+    coeffs = _half_coefficients(n)
+    s = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        s *= x
+        s += c
+    return np.sqrt(np.pi * x) * s * np.exp(-rho)
+
+
+def _bessel_k_rule(nu: float, rho: np.ndarray) -> np.ndarray:
+    """K_nu at the 1-D array rho by the trapezoidal rule, once per distinct
+    argument."""
+    distinct, inverse = np.unique(rho, return_inverse=True)
     out = np.empty_like(distinct)
     k = np.arange(_K_NODES)
     for lo in range(0, distinct.size, _K_CHUNK):
@@ -102,8 +145,7 @@ def bessel_k(nu: float, rho):
         f = np.exp(a + nu * t) + np.exp(a - nu * t)  # 2 cosh(nu t) e^a
         f[:, 0] *= 0.5
         out[lo:lo + _K_CHUNK] = 0.5 * step[:, 0] * np.exp(-r[:, 0]) * f.sum(axis=1)
-    out = out[inverse]
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return out[inverse]
 
 
 def matern_radial(nu: float, r):

@@ -176,33 +176,47 @@ class VerifyReport:
 
 
 def loglog_fit(points) -> ExponentFit:
-    """Ordinary least squares on (log h, log value); needs >= 4 positive points."""
+    """Ordinary least squares on (log h, log value); needs >= 4 positive points.
+
+    A fit has a few points, so it is taken on Python floats: logs by
+    ``math.log`` and every sum by ``math.fsum``, which rounds it once.  A
+    log that is not finite (an abscissa not positive and finite, an infinite
+    or NaN value) makes slope, intercept and residual NaN, and r^2 0.0
+    unless the values are equal and finite.
+    """
     pts = sorted(((float(h), float(v)) for h, v in points), reverse=True)
     if len(pts) < 4:
         raise ValueError(f"loglog_fit needs at least 4 points, got {len(pts)}")
-    hs = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
-    if np.any(vs <= 0.0):
+    if any(v <= 0.0 for _, v in pts):
         raise ValueError("loglog_fit needs strictly positive values")
-    if len(set(hs.tolist())) != len(hs):
+    hs = [h for h, _ in pts]
+    if len(set(hs)) != len(hs):
         raise ValueError("loglog_fit needs distinct abscissae")
-    x = np.log(hs)
-    y = np.log(vs)
-    xm, ym = x.mean(), y.mean()
-    sxx = float(np.sum((x - xm) ** 2))
-    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
-    intercept = float(ym - slope * xm)
-    resid = y - (intercept + slope * x)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - ym) ** 2))
+    n = len(pts)
+    x = [_log(h) for h in hs]
+    y = [_log(v) for _, v in pts]
+    xm, ym = math.fsum(x) / n, math.fsum(y) / n
+    dx = [a - xm for a in x]
+    dy = [b - ym for b in y]
+    slope = math.fsum([a * b for a, b in zip(dx, dy)]) / math.fsum([a * a for a in dx])
+    intercept = ym - slope * xm
+    resid = [b - (intercept + slope * a) for a, b in zip(x, y)]
+    ss_res = math.fsum([r * r for r in resid])
+    ss_tot = math.fsum([b * b for b in dy])
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     return ExponentFit(
         slope=slope,
         intercept=intercept,
         r_squared=r2,
-        scales=tuple(hs.tolist()),
-        residual_max=float(np.max(np.abs(resid))),
+        scales=tuple(hs),
+        residual_max=max(abs(r) for r in resid),
     )
+
+
+def _log(v: float) -> float:
+    # NaN where the log is not finite, so that fsum propagates it (it
+    # raises on inf - inf) and every fitted quantity is NaN
+    return math.log(v) if 0.0 < v < math.inf else math.nan
 
 
 # --- exact kernel derivatives ------------------------------------------------
@@ -495,11 +509,11 @@ def _trimmed_fit(h: np.ndarray, v: np.ndarray) -> ExponentFit:
     """loglog_fit of the values v at the distinct lags h, refitted without
     the smallest h while the largest residual exceeds _RESIDUAL_CAP and
     more than _MIN_FIT_POINTS points remain."""
-    fit = loglog_fit(zip(h, v))
-    while fit.residual_max > _RESIDUAL_CAP and h.size > _MIN_FIT_POINTS:
-        keep = h > h.min()
-        h, v = h[keep], v[keep]
-        fit = loglog_fit(zip(h, v))
+    points = sorted(zip(h.tolist(), v.tolist()), reverse=True)
+    fit = loglog_fit(points)
+    while fit.residual_max > _RESIDUAL_CAP and len(points) > _MIN_FIT_POINTS:
+        points.pop()
+        fit = loglog_fit(points)
     return fit
 
 

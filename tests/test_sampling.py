@@ -870,21 +870,24 @@ class TestDerivativePaths:
             sample_derivative_paths(isotropic, (2, 1), grid, 2, 1)
 
     # affine(a=0, b) makes the paths constant, so their derivative Gram is
-    # exactly zero whatever the child's roughness, and a draw from it is
-    # refused alike for a rough child and a smooth one
+    # exactly zero whatever the child's roughness, and the derivative
+    # process is drawn as exact zeros with no jitter, for a rough child and
+    # a smooth one alike, on its own and as a tensor factor
     @pytest.mark.parametrize("leaf", ["matern(nu=0.5)", "matern(nu=2.5)"])
     def test_constant_affine_warp_has_a_zero_derivative_gram(self, leaf):
         grid = Grid((Axis(0.0, 1.0, 17),))
         expr = parse_kernel(f"warp({leaf}, affine(a=0, b=0.5))")
         gram = derivative_kernel_matrix(expr, 1, grid.points())
         assert np.array_equal(gram, np.zeros((17, 17)))
-        smooth = parse_kernel("warp(matern(nu=2.5), affine(a=0, b=0.5))")
-        with pytest.raises(KernelError) as expected:
-            sample_derivative_paths(smooth, 1, grid, 2, 1)
-        with pytest.raises(KernelError) as refused:
-            sample_derivative_paths(expr, 1, grid, 2, 1)
-        assert str(refused.value) == str(expected.value)
-        assert "nan" not in str(refused.value)
+        samples = sample_derivative_paths(expr, 1, grid, 3, 1)
+        assert samples.samples.tobytes() == np.zeros((3, 17)).tobytes()
+        assert samples.jitter_used == 0.0
+        assert samples.alpha == (1,)
+        field = Grid((Axis(0.0, 1.0, 9), Axis(0.0, 1.0, 5)))
+        tensor = parse_kernel(f"tensor(warp({leaf}, affine(a=0, b=0.5)), se())")
+        fields = sample_derivative_paths(tensor, (1, 0), field, 2, 1)
+        assert fields.samples.tobytes() == np.zeros((2, 45)).tobytes()
+        assert fields.jitter_used == 0.0
 
     # a bad count is reported before the kernel is judged
     def test_count_checked_before_the_gate(self):

@@ -153,10 +153,10 @@ class TestBesselK:
         np.testing.assert_allclose(specfun.bessel_k(nu, rho), ref, rtol=1e-13, atol=0.0)
 
     def test_cutoff_floor_inactive_from_order_0_1(self):
-        # the curvature floor never binds for nu >= 0.1, so those values
-        # are those of the unfloored rule bitwise
+        # the curvature floor never binds for nu >= 0.1, so the values of
+        # the orders the rule serves are those of the unfloored rule bitwise
         rho = np.geomspace(1e-6, 700.0, 50)
-        for nu in (0.1, 0.5, 2.5):
+        for nu in (0.1, 0.7, 2.3):
             r = rho[:, None]
             k = np.arange(specfun._K_NODES)
             step = (np.arcsinh(nu / r) + np.sqrt(2.0 * specfun._K_TAIL / np.hypot(r, nu))) / (
@@ -168,6 +168,39 @@ class TestBesselK:
             f[:, 0] *= 0.5
             unfloored = 0.5 * step[:, 0] * np.exp(-rho) * f.sum(axis=1)
             assert specfun.bessel_k(nu, rho).tobytes() == unfloored.tobytes()
+
+    # the half-integer orders n + 1/2, n <= 20, take the closed form
+    # sqrt(pi / (2 rho)) e^-rho sum_k (n+k)! / (k! (n-k)!) (2 rho)^-k
+    @pytest.mark.parametrize("n", range(21))
+    def test_half_integer_orders_match_oracle(self, n):
+        rho = np.geomspace(1e-6, 700.0, 120)
+        with mpmath.workdps(30):
+            ref = np.array([mp_besselk(n + 0.5, r) for r in rho])
+        np.testing.assert_allclose(specfun.bessel_k(n + 0.5, rho), ref, rtol=1e-14, atol=0.0)
+
+    def test_half_integer_orders_satisfy_the_recurrence(self):
+        # K_(nu+1) = K_(nu-1) + (2 nu / rho) K_nu, K_(-1/2) = K_(1/2): every
+        # term is positive, so the sum is as accurate as its terms
+        rho = np.geomspace(1e-6, 700.0, 200)
+        k = {n: specfun.bessel_k(n + 0.5, rho) for n in range(21)}
+        k[-1] = k[0]
+        for n in range(20):
+            np.testing.assert_allclose(
+                k[n + 1], k[n - 1] + (2 * n + 1) / rho * k[n], rtol=1e-14, atol=0.0
+            )
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 20])
+    def test_half_integer_scalar_matches_array_bitwise(self, n):
+        rho = np.r_[1e-6, np.geomspace(1e-3, 80.0, 37), 700.0, 720.0, 746.0]
+        scalar = np.array([specfun.bessel_k(n + 0.5, r) for r in rho.tolist()])
+        assert specfun.bessel_k(n + 0.5, rho).tobytes() == scalar.tobytes()
+        assert specfun.bessel_k(n + 0.5, rho[::-1]).tobytes() == scalar[::-1].tobytes()
+
+    def test_half_integer_underflow_follows_exp(self):
+        # the closed form is subnormal from rho ~ 705 and 0 from ~ 742
+        for n in (0, 2, 20):
+            assert 0.0 < specfun.bessel_k(n + 0.5, 720.0) < 1e-308
+            assert specfun.bessel_k(n + 0.5, 750.0) == 0.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):

@@ -113,6 +113,102 @@ class TestLogLogFit:
         with pytest.raises(ValueError):
             loglog_fit([(0.5, 1.0), (0.5, 2.0), (0.125, 1.0), (0.0625, 1.0)])
 
+    # point sets shaped like verify's (dyadic lags l 2^-j, j in [4, 12],
+    # at any lengthscale) and the estimator's (dyadic grid lags from 4 dx),
+    # with log-normal scatter so that the residuals are not rounding noise
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_numpy_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            m = int(rng.integers(4, 10))
+            if rng.random() < 0.5:
+                j = np.sort(rng.choice(np.arange(4, 13), m, replace=False))
+                h = 10 ** rng.uniform(-3, 3) * 2.0**-j
+                slope = rng.uniform(0.05, 2.0)
+            else:
+                n = int(rng.choice([257, 1025, 4097]))
+                steps = [4 * 2**i for i in range(12) if 4 * 2**i <= (n - 1) // 8]
+                h = np.sort(rng.choice(steps, min(m, len(steps)), replace=False)) / (n - 1)
+                slope = rng.uniform(0.2, 5.8)
+            scatter = rng.normal(0.0, 10 ** rng.uniform(-3, -0.7), h.size)
+            v = 10 ** rng.uniform(-30, 5) * h**slope * np.exp(scatter)
+            points = list(zip(h.tolist(), v.tolist()))
+            ref, fit = _numpy_loglog_fit(points), loglog_fit(points)
+            assert fit.scales == ref.scales
+            assert fit.slope == pytest.approx(ref.slope, rel=1e-13, abs=0.0)
+            # the logs are rounded to their own ulp, which bounds how well
+            # quantities in their units (or r^2, a ratio of sums) can agree
+            unit = max(1.0, max(abs(math.log(x)) for p in points for x in p))
+            for name in ("intercept", "r_squared", "residual_max"):
+                got, want = getattr(fit, name), getattr(ref, name)
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-13 * unit), name
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [],
+            [(0.5, 1.0), (0.25, 1.0), (0.125, 1.0)],
+            [(0.5, 1.0), (0.25, 0.0), (0.125, 1.0), (0.0625, 1.0)],
+            [(0.5, 1.0), (0.25, -math.inf), (0.125, 1.0), (0.0625, 1.0)],
+            [(0.5, 1.0), (0.5, 2.0), (0.125, 1.0), (0.0625, 1.0)],
+            [(0.5, -1.0), (0.5, 2.0), (0.125, 1.0)],
+        ],
+    )
+    def test_rejects_what_the_numpy_fit_rejects(self, points):
+        with pytest.raises(ValueError) as expected:
+            _numpy_loglog_fit(points)
+        with pytest.raises(ValueError) as raised:
+            loglog_fit(points)
+        assert str(raised.value) == str(expected.value)
+
+    # a log that is not finite gives the NaN fit numpy's arithmetic gives
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.5, 1.0), (0.25, math.inf), (0.125, 3.0), (0.0625, 4.0)],
+            [(0.5, 1.0), (0.25, math.nan), (0.125, 3.0), (0.0625, 4.0)],
+            [(0.5, 1.0), (0.0, 2.0), (0.125, 3.0), (0.0625, 4.0)],
+            [(0.5, 1.0), (0.0, 1.0), (0.125, 1.0), (0.0625, 1.0)],
+            [(math.inf, 1.0), (0.25, 2.0), (0.125, 3.0), (0.0625, 4.0)],
+        ],
+    )
+    def test_non_finite_logs_match_the_numpy_fit(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = _numpy_loglog_fit(points)
+        fit = loglog_fit(points)
+        assert repr(fit) == repr(ref)
+
+
+def _numpy_loglog_fit(points):
+    # the numpy implementation loglog_fit had, kept as its reference
+    pts = sorted(((float(h), float(v)) for h, v in points), reverse=True)
+    if len(pts) < 4:
+        raise ValueError(f"loglog_fit needs at least 4 points, got {len(pts)}")
+    hs = np.array([p[0] for p in pts])
+    vs = np.array([p[1] for p in pts])
+    if np.any(vs <= 0.0):
+        raise ValueError("loglog_fit needs strictly positive values")
+    if len(set(hs.tolist())) != len(hs):
+        raise ValueError("loglog_fit needs distinct abscissae")
+    x = np.log(hs)
+    y = np.log(vs)
+    xm, ym = x.mean(), y.mean()
+    sxx = float(np.sum((x - xm) ** 2))
+    slope = float(np.sum((x - xm) * (y - ym)) / sxx)
+    intercept = float(ym - slope * xm)
+    resid = y - (intercept + slope * x)
+    ss_res = float(np.sum(resid**2))
+    ss_tot = float(np.sum((y - ym) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
+    return V.ExponentFit(
+        slope=slope,
+        intercept=intercept,
+        r_squared=r2,
+        scales=tuple(hs.tolist()),
+        residual_max=float(np.max(np.abs(resid))),
+    )
+
 
 class TestSecondDifference:
     def test_wiener_equals_lag(self):
