@@ -302,24 +302,21 @@ class Matern(Leaf):
         return np.array([self.nu > j / 2.0 for j in range(m + 1)])
 
     def quadratic(self, t: np.ndarray, m: int):
-        """G(u) = c z^nu K_nu(z) with u = z^2 / 2, so by DLMF 10.29.4
-        G^(k)(u) = c (-1)^k z^(nu-k) K_(nu-k)(z), with K_(-mu) = K_mu, one
-        Bessel call per distinct order; at the origin it is the limit
-        c (-1)^k 2^(nu-k-1) Gamma(nu-k), finite for k < nu."""
+        """G(u) = c (z/2)^nu K_nu(z) with u = z^2 / 2 and c = 2 / Gamma(nu),
+        so by DLMF 10.29.4 G^(k)(u) = c (-1/2)^k (z/2)^(nu-k) K_|nu-k|(z),
+        every k from one ``specfun.bessel_ladder``; at the origin it is the
+        limit c (-1/2)^k Gamma(nu-k) / 2, finite for k < nu."""
         nu = self.nu
         z = math.sqrt(2.0 * nu) * t / self.lengthscale
         pos = z > 0.0
-        c = 2.0 ** (1.0 - nu) / specfun.gamma(nu)
-        bessel: dict[float, np.ndarray] = {}
+        c = 2.0 / specfun.gamma(nu)
+        ladder = specfun.bessel_ladder(nu, m, z[pos])
         g = []
         for k in range(m + 1):
-            order = abs(nu - k)
-            if order not in bessel:
-                bessel[order] = specfun.bessel_k(order, z[pos])
             gk = np.full_like(t, np.inf)
-            gk[pos] = (-1.0) ** k * c * z[pos] ** (nu - k) * bessel[order]
+            gk[pos] = (-0.5) ** k * c * ladder[k]
             if k < nu:
-                gk[~pos] = (-1.0) ** k * c * 2.0 ** (nu - k - 1.0) * math.gamma(nu - k)
+                gk[~pos] = (-0.5) ** k * c * 0.5 * math.gamma(nu - k)
             g.append(gk)
         return nu / self.lengthscale**2, g, [np.abs(gk) for gk in g]
 
@@ -410,10 +407,11 @@ class SquaredExponential(Leaf):
         return np.exp(-(q * q))
 
     def quadratic(self, t: np.ndarray, m: int):
-        # G(u) = e^-u, u = t^2 / ell^2
+        # G(u) = e^-u, u = t^2 / ell^2; 1 / ell^2 first raises where ell^2 underflows
         ell2 = self.lengthscale**2
+        a = 1.0 / ell2
         e = np.exp(-(t * t) / ell2)
-        return 1.0 / ell2, [(-1.0) ** k * e for k in range(m + 1)], [e] * (m + 1)
+        return a, [(-1.0) ** k * e for k in range(m + 1)], [e] * (m + 1)
 
 
 @record
@@ -431,14 +429,15 @@ class RationalQuadratic(Leaf):
         return (1.0 + q * q) ** (-self.a)
 
     def quadratic(self, t: np.ndarray, m: int):
-        # G(u) = (1 + u)^-a, u = t^2 / ell^2
+        # G(u) = (1 + u)^-a, u = t^2 / ell^2; 1 / ell^2 first, as for se
         ell2 = self.lengthscale**2
+        scale = 1.0 / ell2
         base = 1.0 + t * t / ell2
         g, rising = [], 1.0
         for k in range(m + 1):
             g.append(rising * base ** (-self.a - k))
             rising *= -self.a - k
-        return 1.0 / ell2, g, [np.abs(gk) for gk in g]
+        return scale, g, [np.abs(gk) for gk in g]
 
 
 def _lag_jet(leaf: Leaf, t: np.ndarray, alpha: int, beta: int) -> dict:

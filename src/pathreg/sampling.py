@@ -593,7 +593,7 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
                 f"derivative order |alpha|={sum(alpha)} is not below the sample-path order "
                 f"{order}; the derivative process does not exist"
             )
-        cross = partial(derivative_kernel_matrix, expr, alpha)
+        cross = partial(_derivative_cross, expr, alpha)
         dense_gram = partial(_assemble_gram, expr, grid, cross)
     elif isinstance(expr, Wiener):
         # the gate above admits the Wiener kernel only at alpha = 0
@@ -617,6 +617,13 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
         return draws, jitter
 
     return draw
+
+
+def _derivative_cross(expr: Kernel, alpha: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    try:  # an extreme lengthscale takes the partials' float scale factors out of range
+        return derivative_kernel_matrix(expr, alpha, X, Y)
+    except ArithmeticError as exc:
+        raise KernelError(f"the derivative covariance leaves the float range: {exc!r}") from exc
 
 
 def _sample(expr: Kernel, grid: Grid, count: int, seed: int, alpha: tuple):

@@ -889,6 +889,30 @@ class TestDerivativePaths:
         assert fields.samples.tobytes() == np.zeros((2, 45)).tobytes()
         assert fields.jitter_used == 0.0
 
+    # at an extreme lengthscale the exact partials' Python-float scale
+    # factors leave the float range: one KernelError, not a bare
+    # OverflowError or ZeroDivisionError
+    @pytest.mark.parametrize(
+        "text",
+        [f"{leaf}lengthscale=1e200)" for leaf in ("se(", "rq(a=1,", "matern(nu=2.5,", "wendland(d=1,n=1,")]
+        + [f"{leaf}lengthscale=1e-200)" for leaf in ("se(", "rq(a=1,", "matern(nu=2.5,")],
+    )
+    def test_extreme_lengthscale_is_a_kernel_error(self, text):
+        grid = Grid((Axis(0.0, 1.0, 17),))
+        with pytest.raises(KernelError, match="derivative covariance leaves the float range"):
+            sample_derivative_paths(parse_kernel(text), 1, grid, 2, 1)
+
+    # inside the range, tiny derivative processes still draw: the first
+    # derivative's variance at lengthscale 1e150 is about 1e-300
+    @pytest.mark.parametrize("text", ["se(lengthscale=1e150)", "matern(nu=2.5,lengthscale=1e150)"])
+    def test_large_lengthscale_draws_tiny_derivatives(self, text):
+        grid = Grid((Axis(0.0, 1.0, 17),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples = sample_derivative_paths(parse_kernel(text), 1, grid, 2, 1).samples
+        assert np.all(np.isfinite(samples))
+        assert 1e-152 < np.max(np.abs(samples)) < 1e-148
+
     # a bad count is reported before the kernel is judged
     def test_count_checked_before_the_gate(self):
         grid = Grid((Axis(0.25, 1.25, 17),))

@@ -153,10 +153,11 @@ class TestBesselK:
         np.testing.assert_allclose(specfun.bessel_k(nu, rho), ref, rtol=1e-13, atol=0.0)
 
     def test_cutoff_floor_inactive_from_order_0_1(self):
-        # the curvature floor never binds for nu >= 0.1, so the values of
-        # the orders the rule serves are those of the unfloored rule bitwise
+        # the curvature floor never binds for nu >= 0.1, so the rule's
+        # values at the base orders it serves are those of the unfloored
+        # rule bitwise
         rho = np.geomspace(1e-6, 700.0, 50)
-        for nu in (0.1, 0.7, 2.3):
+        for nu in (0.1, 0.7, 1.3):
             r = rho[:, None]
             k = np.arange(specfun._K_NODES)
             step = (np.arcsinh(nu / r) + np.sqrt(2.0 * specfun._K_TAIL / np.hypot(r, nu))) / (
@@ -167,10 +168,33 @@ class TestBesselK:
             f = np.exp(a + nu * t) + np.exp(a - nu * t)
             f[:, 0] *= 0.5
             unfloored = 0.5 * step[:, 0] * np.exp(-rho) * f.sum(axis=1)
-            assert specfun.bessel_k(nu, rho).tobytes() == unfloored.tobytes()
+            assert specfun._bessel_k_rule(nu, rho).tobytes() == unfloored.tobytes()
 
-    # the half-integer orders n + 1/2, n <= 20, take the closed form
-    # sqrt(pi / (2 rho)) e^-rho sum_k (n+k)! / (k! (n-k)!) (2 rho)^-k
+    # every order is two base orders below 2 and the upward recurrence,
+    # whose terms are positive, so large orders lose nothing: verify's
+    # order-3 quotients of matern(nu=20) break at errors near 1e-13
+    @pytest.mark.parametrize("nu", [0.1, 0.7, 1.0, 1.3, 2.0, 3.3, 5.0, 8.3, 12.0, 14.2, 20.0])
+    def test_ladder_matches_oracle(self, nu):
+        rho = np.geomspace(1e-6, 700.0, 200)
+        with mpmath.workdps(30):
+            ref = np.array([mp_besselk(nu, r) for r in rho])
+        np.testing.assert_allclose(specfun.bessel_k(nu, rho), ref, rtol=1e-14, atol=0.0)
+
+    # the ladder's orders nu - k below 0 come from the downward recurrence,
+    # (rho/2)^-a K_a for a = k - nu; the Matern jets read them past k = nu
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 2.5, 2.7, 4.0])
+    def test_ladder_orders_match_oracle(self, nu):
+        rho = np.geomspace(1e-3, 300.0, 60)
+        ladder = specfun.bessel_ladder(nu, 6, rho)
+        assert len(ladder) == 7
+        with mpmath.workdps(30):
+            for k, g in enumerate(ladder):
+                s = mpmath.mpf(nu) - k
+                ref = [float((mpmath.mpf(r) / 2) ** s * mpmath.besselk(abs(s), r)) for r in rho]
+                np.testing.assert_allclose(g, ref, rtol=1e-14, atol=0.0, err_msg=f"k={k}")
+
+    # the half-integer orders n + 1/2, n <= 20, climb from the elementary
+    # base (rho/2)^(1/2) K_(1/2) = sqrt(pi) e^-rho / 2
     @pytest.mark.parametrize("n", range(21))
     def test_half_integer_orders_match_oracle(self, n):
         rho = np.geomspace(1e-6, 700.0, 120)
@@ -239,6 +263,43 @@ class TestMaternRadial:
         assert specfun.matern_radial(1.5, 1.0) == pytest.approx(0.4833577245965, abs=1e-9)
         expected = (1 + math.sqrt(5) * 0.7 + 5 / 3 * 0.49) * math.exp(-math.sqrt(5) * 0.7)
         assert specfun.matern_radial(2.5, 0.7) == pytest.approx(expected, rel=1e-9)
+
+    # (rho/2)^nu K_nu is finite where (rho/2)^nu or K_nu alone leaves the
+    # float range: near the origin at nu = 100.3 (K overflows) and far out
+    # at nu = 150.5 ((rho/2)^nu overflows), up to nu = 170.5 below Gamma's
+    # overflow, while e^-rho at the farthest r stays normal
+    @pytest.mark.parametrize("nu, far", [(100.3, 40.0), (150.5, 40.0), (170.5, 30.0)])
+    def test_large_orders_against_oracle(self, nu, far):
+        r = [1e-3, 0.0138, 0.5, 3.0, far]
+        with mpmath.workdps(40):
+            m = mpmath.mpf(nu)
+            ref = [
+                2 ** (1 - m) / mpmath.gamma(m) * x**m * mpmath.besselk(m, x)
+                for x in (mpmath.sqrt(2 * m) * mpmath.mpf(v) for v in r)
+            ]
+        got = specfun.matern_radial(nu, np.array(r))
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, np.array(ref, dtype=float), rtol=1e-12, atol=0.0)
+
+    # a base value that underflows to 0 keeps every order 0, so far out the
+    # profile is 0 at any order, not 0 * inf
+    def test_far_out_profile_is_zero(self):
+        r = np.array([1e100, 1e130, 1e160, 1e200, 1e300])
+        for nu in (0.3, 2.5, 3.0, 8.3):
+            assert specfun.matern_radial(nu, r).tolist() == [0.0] * 5
+
+    # Gamma(nu) in the normaliser 2 / Gamma(nu) overflows first, so a huge
+    # order fails with the gamma function's error before any Bessel value
+    # is made
+    def test_huge_order_fails_in_the_normaliser(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the ladder ran")
+
+        monkeypatch.setattr(specfun, "bessel_ladder", refuse)
+        with pytest.raises(OverflowError, match="math range error"):
+            specfun.matern_radial(1000.0, np.array([0.5]))
+        with pytest.raises(OverflowError, match="math range error"):
+            pairwise(parse_kernel("matern(nu=1000)"), [[0.0]], [[0.5]])
 
     def test_large_order_beyond_former_asymptotic_radius(self):
         nu = 12.0

@@ -721,6 +721,20 @@ class TestStationarySweep:
             assert max(totals) - min(totals) <= 1e-10
 
 
+class TestLargeMaternOrders:
+    """Matern orders past 8 reach n = 3, the top order probed, with the
+    verdict they promise: their Bessel values come from the ladder's
+    upward recurrence, which loses nothing to cancellation."""
+
+    @pytest.mark.parametrize("ell", ["0.1", "1", "10"])
+    @pytest.mark.parametrize("nu", ["8.3", "10", "12", "14.2", "16", "18.7", "20"])
+    def test_promised_verdict(self, nu, ell):
+        report = verify_regularity(parse_kernel(f"matern(nu={nu},lengthscale={ell})"))
+        assert report.note is None
+        assert report.detected_order_n == 3
+        assert report.verdict == ("log-flagged" if float(nu).is_integer() else "pass")
+
+
 def _mp_profile(expr):
     # the lag profile phi(t) of a stationary expression in mpmath
     import mpmath as mp
@@ -763,6 +777,9 @@ LAG_DERIVATIVE_CASES = [
     "matern(nu=2.5)",
     "matern(nu=3,lengthscale=0.3)",
     "matern(nu=3.5,lengthscale=10)",
+    "matern(nu=0.3,lengthscale=0.5)",
+    "matern(nu=2.7)",
+    "matern(nu=8.3,lengthscale=2)",
     "wendland(d=1,n=0)",
     "wendland(d=1,n=2,lengthscale=1.5)",
     "wendland(d=3,n=1)",
