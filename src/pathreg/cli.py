@@ -15,7 +15,7 @@ atomically.
 
 Each command imports only the modules it runs.  ``analyze`` parses, infers
 and prints without loading numpy; ``verify`` adds numpy and ``verify``;
-``sample`` adds ``sampling``, which loads ``verify``; ``estimate`` and
+``sample`` adds numpy and ``sampling``, but not ``verify``; ``estimate`` and
 ``report`` add ``sampling`` and ``structure``, except ``report
 --no-sample``, which loads ``sampling`` only to write its JSON and never
 loads ``structure``.  A cold start pays for no module its command does not

@@ -8,15 +8,18 @@ Grammar (whitespace-insensitive)::
     call   := name '(' kwargs? ')'
             | 'tensor(' expr (',' expr)+ ')'
             | 'warp(' expr ',' call ')'
+            | 'deriv(' expr (',' integer)+ ')'
     kwargs := name '=' (number | name) (',' name '=' (number | name))*
 
 Leaf names are those of the classes in ``kernels.LEAVES`` (matern,
 wendland, se, rq, periodic, wiener, linear, poly, feature), the call that
 ends a warp names one of ``kernels.WARPS`` (affine, abs_power), and the
-parameters of either are its class's fields.  A leading ``number '*'`` on
-a term is a conic weight and must be positive and finite; numeric
-literals are not kernels on their own.  ``parse_kernel`` and ``print_kernel`` round-trip: parsing
-the printed form reproduces a structurally equal tree.
+parameters of either are its class's fields.  ``deriv`` takes one order
+>= 0 per input and builds ``kernels.derivative``, which splits a tensor
+into its factors' derivatives.  A leading ``number '*'`` on a term is a
+conic weight and must be positive and finite; numeric literals are not
+kernels on their own.  ``parse_kernel`` and ``print_kernel`` round-trip:
+parsing the printed form reproduces a structurally equal tree.
 """
 
 from __future__ import annotations
@@ -29,12 +32,14 @@ from .kernels import (
     LEAVES,
     WARPS,
     Conic,
+    Derivative,
     Kernel,
     Leaf,
     ParameterError,
     Product,
     TensorProduct,
     Warp,
+    derivative,
     leaf_params,
 )
 
@@ -229,6 +234,23 @@ class _Parser:
             family = self.parse_params(fam_tok, _WARPS, "warp family")
             self.expect(")")
             return Warp(child, family)
+        if name_tok.text == "deriv":
+            self.expect("(")
+            child = self.parse_expr()
+            orders = []
+            while self.peek().text == ",":
+                self.advance()
+                tok = self.advance()
+                if tok.kind != "number" or not float(tok.text).is_integer() or float(tok.text) < 0:
+                    raise ParseError("a derivative order must be a non-negative integer", tok.pos)
+                orders.append(tok)
+            # the first order past the inputs, or the closing parenthesis
+            past = orders[child.dim:] + [self.expect(")")]
+            if len(orders) != child.dim:
+                raise ParseError(
+                    f"deriv takes one order per input ({child.dim}), got {len(orders)}", past[0].pos
+                )
+            return derivative(child, [int(float(t.text)) for t in orders])
         return self.parse_params(name_tok, _LEAVES, "kernel name")
 
     def parse_params(self, name_tok: _Token, classes: dict, what: str):
@@ -317,4 +339,6 @@ def print_kernel(expr: Kernel) -> str:
         return f"tensor({', '.join(print_kernel(c) for c in expr.factors)})"
     if isinstance(expr, Warp):
         return f"warp({print_kernel(expr.child)}, {_print_params(expr.family)})"
+    if isinstance(expr, Derivative):
+        return f"deriv({print_kernel(expr.child)}, {', '.join(map(str, expr.alpha))})"
     raise TypeError(f"not a kernel expression: {expr!r}")

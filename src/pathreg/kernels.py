@@ -1,7 +1,7 @@
 """Covariance kernel expression trees and their evaluation semantics.
 
 A kernel expression is an immutable tree of leaf kernels and combinators
-(conic combination, product, tensor product, coordinate warp).  Trees are
+(conic combination, product, tensor product, warp, derivative).  Trees are
 pure values: evaluation, structural classification and printing never
 mutate them, so they are safe to share across threads.
 
@@ -45,8 +45,10 @@ The DSL's parser and printer, ``classify``, evaluation,
 Evaluation is exact recursion over the tree: a conic node is the weighted
 sum of its children, a product node the pointwise product (both combined
 in place by ``_fold``, with which ``sampling.build_gram`` folds Grams), a
-tensor node the product over factor blocks of the input coordinates, and
-a warp node the child evaluated at the warped points.
+tensor node the product over factor blocks of the input coordinates, a
+warp node the child evaluated at the warped points, and a derivative node
+``Derivative(child, alpha)`` the child's exact partial d_x^alpha d_y^alpha,
+the covariance of the child's derivative process.
 
 Mixed partials are exact recursion too.  A node's jet on point sets X and
 Y up to multi-indices (alpha, beta) maps every pair (a, b) with a <= alpha
@@ -56,10 +58,12 @@ eps * magnitude bounds its rounding); NaN marks a partial that does not
 exist there.  A conic node sums its children's jets, a product node
 combines them by the bivariate Leibniz rule, a tensor node multiplies its
 factors' jets over their coordinate blocks, and a warp node applies Faa di
-Bruno's formula per coordinate to its child's jet at the warped points.
+Bruno's formula per coordinate to its child's jet at the warped points,
+and a derivative node re-keys its child's jet at orders shifted by alpha.
 Conic and product nodes share one check that their children agree on the
 input dimension, which is the first child's, and one ``lag_exists``: a lag
-derivative exists at the origin where all their children's do.
+derivative exists at the origin where all their children's do, and a
+derivative node's where its child's of order 2|alpha| higher does.
 
 Values (``cross``) and jets broadcast over leading batch dimensions: points
 of shapes (..., n, d) and (..., m, d) give (..., n, m) matrices, and each
@@ -109,6 +113,8 @@ __all__ = [
     "AbsPower",
     "WARPS",
     "Warp",
+    "Derivative",
+    "derivative",
     "StructureClass",
     "General",
     "Stationary",
@@ -910,6 +916,62 @@ class Warp(Kernel):
         return jet
 
 
+@record
+class Derivative(Kernel):
+    """d_x^alpha d_y^alpha of the child: the covariance of its derivatives."""
+
+    child: Kernel
+    alpha: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _as_multiindex(self.alpha, self.child.dim))
+
+    @property
+    def children(self) -> tuple[Kernel, ...]:
+        return (self.child,)
+
+    def cross(self, X, Y):
+        a = self.alpha
+        return self.child.jet(X, Y, a, a)[a, a][0]
+
+    def jet(self, X, Y, alpha, beta):
+        # the child's partials at orders shifted by alpha
+        def up(index):
+            return tuple(p + q for p, q in zip(index, self.alpha))
+
+        jet = self.child.jet(X, Y, up(alpha), up(beta))
+        return {(a, b): jet[up(a), up(b)] for a, b in _pairs(alpha, beta)}
+
+    def lag_exists(self, m: int) -> np.ndarray:
+        top = 2 * sum(self.alpha)
+        return self.child.lag_exists(m + top)[top:]
+
+
+def derivative(expr: Kernel, alpha) -> Kernel:
+    """d_x^alpha d_y^alpha k of expr: expr itself at alpha = 0, a tensor of
+    its factors' derivatives, each at its own part of alpha, so that it
+    keeps its per-axis factorisation, and otherwise a ``Derivative``."""
+    alpha = _as_multiindex(alpha, expr.dim)
+    if not any(alpha):
+        return expr
+    if isinstance(expr, TensorProduct):
+        ends = itertools.accumulate(c.dim for c in expr.factors)
+        parts = (derivative(c, alpha[end - c.dim:end]) for c, end in zip(expr.factors, ends))
+        return TensorProduct(tuple(parts))
+    return Derivative(expr, alpha)
+
+
+def _as_multiindex(alpha, dim: int) -> tuple[int, ...]:
+    # a scalar stands for (alpha,) in 1-D, and 0 for the zero index of any dim
+    try:
+        index = tuple(int(a) for a in alpha)
+    except TypeError:
+        index = (int(alpha),) if dim == 1 or int(alpha) else (0,) * dim
+    if len(index) != dim or min(index) < 0:
+        raise DomainError(f"a multi-index is {dim} non-negative integers, got {alpha!r}")
+    return index
+
+
 def _chain_rule(jet: dict, side: int, axis: int, dw: list) -> dict:
     """Faa di Bruno's formula on one coordinate of one argument (side 0 is
     x, 1 is y): d^j/dz^j F(w(z)) = sum_k B_(j,k)(w', w'', ...) F^(k)(w(z)),
@@ -955,9 +1017,13 @@ def classify(expr: Kernel) -> StructureClass:
     """Syntactic structural class of an expression.
 
     Leaves declare theirs; conic combinations and products of stationary
-    (isotropic) children are stationary (isotropic); warps and tensor
-    products, wherever they sit in the tree, are general.
+    (isotropic) children are stationary (isotropic); a derivative of a
+    stationary child with one input is stationary; warps, tensor products
+    and other derivatives, wherever they sit in the tree, are general.
     """
+    if isinstance(expr, Derivative):
+        one_d = expr.dim == 1 and isinstance(classify(expr.child), Stationary)
+        return Stationary() if one_d else General()
     if isinstance(expr, _Pointwise):
         classes = [classify(c) for c in expr.children]
         if all(isinstance(c, Isotropic) for c in classes):
@@ -1073,4 +1139,4 @@ def eval_stationary(expr: Kernel, h):
         raise DomainError(
             f"expected a lag vector of dimension {expr.dim}, got shape {np.shape(h)}"
         )
-    return float(_fold(expr, lambda leaf: leaf.lag(arr[None, :]))[0])
+    return float(_pairwise(expr, arr[None, :], np.zeros((1, expr.dim)))[0, 0])

@@ -27,6 +27,11 @@ The inference is a recursive fold with the following rules:
   m = min(n, n_w) and gamma', delta' are the orders above m clipped to 1;
   an affine warp with a = 0 maps every point to b, so its paths are
   constant and the order is infinite and sharp;
+* derivatives d_x^alpha d_y^alpha k: the child order minus |alpha|, which
+  must be positive for the derivative process to exist (else KernelError),
+  with the child's flags in 1-D, where each derivative lowers the order by
+  exactly one, and sufficient-only with more inputs, along whose
+  undifferentiated axes the order may drop by less;
 * leaves report the order their class declares (``path_order``); feature
   leaves declare theirs as sufficient only.
 
@@ -43,7 +48,7 @@ from fractions import Fraction
 from typing import Union
 
 from ._base import record, replace
-from .kernels import Affine, Conic, Kernel, Product, TensorProduct, Warp
+from .kernels import Affine, Conic, Derivative, Kernel, KernelError, Product, TensorProduct, Warp
 
 __all__ = [
     "Order",
@@ -174,6 +179,16 @@ def _infer(expr: Kernel, lines: list[str]) -> tuple[Regularity, ...]:
             f"order {_order_str(order)}, sufficient-only"
         )
         return (Regularity(order, sharp=False, log_corrected=log),)
+    if isinstance(expr, Derivative):
+        child, top = _collapse(_infer(expr.child, lines)), sum(expr.alpha)
+        if not child.order > top:
+            raise KernelError(
+                f"derivative order |alpha|={top} is not below the sample-path order "
+                f"{_order_str(child.order)}; the derivative process does not exist"
+            )
+        reg = replace(child, order=child.order - top, sharp=child.sharp and expr.dim == 1)
+        lines.append(f"deriv: child order minus |alpha|={top} -> {reg.describe()}")
+        return (reg,)
     reg = Regularity(*expr.path_order)
     name = type(expr).__name__.lower()
     lines.append(f"{name} leaf: {reg.describe()}")

@@ -27,14 +27,8 @@ layer's ``_fold``, the rule by which ``pairwise`` combines their values, so
 its stationary leaves take the lag table too.  Other non-stationary
 expressions are evaluated point by point in row blocks.
 
-Derivative paths, draws of GP(0, d^(alpha,alpha) k), follow every rule
-below with the exact derivative covariance in place of the kernel: one
-builder makes the draw operators of both, alpha = 0 being the kernel,
-and it refuses an alpha that the sample-path order inferred for the
-kernel (for a tensor, each factor's) does not exceed.  A stationary
-derivative Gram comes from a lag table the same way, but a non-stationary
-sum or product is not split term by term at alpha != 0, since the
-derivative covariance of a product is not the product of the children's.
+Derivative paths are the paths of ``kernels.derivative(k, alpha)``, drawn
+by every rule below once ``regularity`` has judged that they exist.
 
 On a 1-D grid that Gram is Toeplitz, and sampling never builds it, nor its
 factor: the kernel is evaluated at the lags k * spacing, k = 0..n-1 (the
@@ -62,11 +56,9 @@ Top-level tensor-product kernels on matching 2-D grids are factorised per
 axis: the Gram is the Kronecker product of the per-axis Grams, so its
 Cholesky factor is the Kronecker product of the per-axis factors and a draw
 is the two-sided product L1 Z L2^T, taken one field at a time over that
-field's own normals.  The derivative covariance of a tensor
-is the product of its factors' derivative covariances, so a derivative
-draw factorises each axis at its own component of alpha.  This is an exact
-algebraic identity, not an approximation; it exists because a dense
-16384^2 factorisation does not fit the acceptance-time budget on one core.
+field's own normals.  This is an exact algebraic identity, not an
+approximation; it exists because a dense 16384^2 factorisation does not
+fit the acceptance-time budget on one core.
 
 A samples file is a CSV written with a binary twin beside it, ``<stem>.npy``,
 holding the same float64 draws, and a JSON sidecar ``<stem>.json`` with
@@ -103,7 +95,7 @@ from functools import partial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._base import field, record
+from ._base import record
 from .dsl import print_kernel
 from .kernels import (
     Kernel,
@@ -114,10 +106,10 @@ from .kernels import (
     _check_wiener_domain,
     _fold,
     classify,
+    derivative,
     pairwise,
 )
 from .regularity import infer_regularity
-from .verify import derivative_kernel_matrix, _as_multiindex
 
 __all__ = [
     "Axis",
@@ -221,15 +213,10 @@ class PathSamples:
     kernel: str
     seed: int
     jitter_used: float
-    alpha: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         if self.samples.shape[1] != self.grid.n_points:
             raise ValueError("sample matrix does not match the grid size")
-        alpha = tuple(int(a) for a in self.alpha) or tuple(0 for _ in range(self.grid.dim))
-        if len(alpha) != self.grid.dim:
-            raise ValueError("derivative multi-index does not match the grid dimension")
-        object.__setattr__(self, "alpha", alpha)
 
     @property
     def count(self) -> int:
@@ -252,15 +239,13 @@ def build_gram(expr: Kernel, grid: Grid) -> np.ndarray:
     if expr.dim != grid.dim:
         raise KernelError(f"kernel has dimension {expr.dim} but the grid is {grid.dim}-D")
     if isinstance(classify(expr), Stationary):
-        return _assemble_gram(expr, grid, partial(pairwise, expr))
-    return _fold(expr, lambda node: _assemble_gram(node, grid, partial(pairwise, node)))
+        return _assemble_gram(expr, grid)
+    return _fold(expr, lambda node: _assemble_gram(node, grid))
 
 
-def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
-    # cross(X, Y) is the matrix of a covariance between point sets X and Y;
-    # it is a function of X - Y alone whenever expr is stationary
+def _assemble_gram(expr: Kernel, grid: Grid) -> np.ndarray:
     if isinstance(classify(expr), Stationary):
-        return _lag_gram(grid, cross)
+        return _lag_gram(expr, grid)
     pts = grid.points()
     n = pts.shape[0]
     gram = np.empty((n, n))
@@ -268,7 +253,7 @@ def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         # an entry does not depend on its block: evaluate from the diagonal on
-        gram[lo:hi, lo:] = cross(pts[lo:hi], pts[lo:])
+        gram[lo:hi, lo:] = pairwise(expr, pts[lo:hi], pts[lo:])
         # mirror the strict upper triangle in place: the rows above this
         # block hold its left part, its own rows the diagonal block's
         gram[lo:hi, :lo] = gram[:lo, lo:hi].T
@@ -279,29 +264,29 @@ def _assemble_gram(expr: Kernel, grid: Grid, cross) -> np.ndarray:
     return gram
 
 
-def _half_lag_table(grid: Grid, cross) -> np.ndarray:
-    """cross(lags, origin) of a stationary covariance on the half of the
+def _half_lag_table(expr: Kernel, grid: Grid) -> np.ndarray:
+    """k(lags, origin) of a stationary expression on the half of the
     grid's lag lattice from its centre on, row-major; on a 1-D grid, the
     lags k * spacing, k = 0..n-1, give the Toeplitz Gram's first column."""
     shape = tuple(2 * n - 1 for n in grid.shape)
     size = math.prod(shape)
     steps = np.unravel_index(np.arange(size // 2, size), shape)
     lags = np.column_stack([(k - (a.count - 1)) * a.spacing for k, a in zip(steps, grid.axes)])
-    return cross(lags, np.zeros((1, grid.dim)))[:, 0]
+    return pairwise(expr, lags, np.zeros((1, grid.dim)))[:, 0]
 
 
-def _lag_gram(grid: Grid, cross) -> np.ndarray:
-    """Gram of a stationary covariance cross(X, Y) from its values at the grid lags.
+def _lag_gram(expr: Kernel, grid: Grid) -> np.ndarray:
+    """Gram of a stationary expression from its values at the grid lags.
 
     The lag lattice has steps k_a in (-n_a, n_a) per axis.  Flattened
-    row-major it is symmetric about its centre, so the covariance is taken
+    row-major it is symmetric about its centre, so the kernel is taken
     on the half from the centre on and the other half is its mirror image:
     table[k] == table[-k] bitwise.  Then G[i, j] = table[n - 1 + i - j] =
     table[n - 1 - i + j], which is entry (n - 1 - i, j) of the table's
     sliding windows of the grid's shape; the same view serves 1-D and 2-D
     grids.
     """
-    half = _half_lag_table(grid, cross)
+    half = _half_lag_table(expr, grid)
     table = np.concatenate([half[:0:-1], half]).reshape(tuple(2 * n - 1 for n in grid.shape))
     windows = sliding_window_view(table, grid.shape)[(slice(None, None, -1),) * grid.dim]
     return np.ascontiguousarray(windows).reshape(grid.n_points, grid.n_points)
@@ -534,20 +519,17 @@ def _seeded_normals(seed: int):
     return normals
 
 
-def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
-    """Draw operator of the derivative covariance d^(alpha,alpha) k on the
-    grid (the kernel itself at alpha = 0): a function of a normal source
-    and a count that returns (z L^T, jitter_used), z the source's first
-    ``count`` rows of n normals and L the lower Cholesky factor of the
-    jittered Gram.  A normal source is a function normals(r0, r1, k0, k1)
-    of the block z[r0:r1, k0:k1] of a table of normals, a new array that
-    the operator may overwrite; only _add_rows asks for the rows past
+def _factorise(expr: Kernel, grid: Grid):
+    """Draw operator of the kernel on the grid: a function of a normal
+    source and a count that returns (z L^T, jitter_used), z the source's
+    first ``count`` rows of n normals and L the lower Cholesky factor of
+    the jittered Gram.  A normal source is a function normals(r0, r1, k0,
+    k1) of the block z[r0:r1, k0:k1] of a table of normals, a new array
+    that the operator may overwrite; only _add_rows asks for the rows past
     ``count``, which pad a product's last block of _DRAW_BLOCK draws.
 
-    KernelError at alpha != 0 unless the inferred order exceeds |alpha|.
-    A top-level tensor product is not judged whole: it gates and factorises
-    each axis by these rules, with that axis's component of alpha; its Gram
-    is the Kronecker product of the axes' Grams, so L is the Kronecker
+    A top-level tensor product is factorised per axis by these rules; its
+    Gram is the Kronecker product of the axes' Grams, so L is the Kronecker
     product of their factors (each the draws of the identity) and a draw is
     the two-sided product L1 Z L2^T, taken one field at a time in the
     normals' own table.  A stationary expression on a 1-D grid streams its
@@ -556,13 +538,11 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     draws' normals of those columns just then and multiplying it through
     one tile of at most 1024 columns, and the Wiener kernel takes running
     sums of its Brownian increments in place; neither holds an n x n
-    array.  Anything else is z L^T with L from cholesky_with_jitter of the
-    dense Gram: ``build_gram``'s at alpha = 0, which folds a sum's or
-    product's Gram from its children's, else the pointwise derivative
-    Gram, which is not split by children, and _add_rows adds
-    L^T into zeroed draws as one block.  A lag column or Gram that is
-    exactly zero (a derivative of constant paths) draws zeros, with
-    jitter 0.  Each operator holds one table of
+    array.  Anything else is z L^T with L from cholesky_with_jitter of
+    ``build_gram``'s dense Gram, and _add_rows adds L^T into zeroed draws
+    as one block.  A lag column or Gram that leaves the float range is a
+    KernelError, and one that is exactly zero (a derivative of constant
+    paths) draws zeros, with jitter 0.  Each operator holds one table of
     ``count`` draws, which the Kronecker and Wiener operators fill with the
     normals and overwrite.
     """
@@ -571,8 +551,8 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     # two factors of one input each, since the grid is at most 2-D
     if isinstance(expr, TensorProduct):
         (l1, j1), (l2, j2) = (
-            _lower_factor(_factorise(f, Grid((axis,)), (a,)), axis.count)
-            for f, axis, a in zip(expr.factors, grid.axes, alpha)
+            _lower_factor(_factorise(f, Grid((axis,))), axis.count)
+            for f, axis in zip(expr.factors, grid.axes)
         )
         n1, n2 = grid.shape
 
@@ -586,30 +566,25 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
             return z, max(j1, j2)
 
         return draw
-    if any(alpha):
-        order = infer_regularity(expr).order
-        if not order > sum(alpha):
-            raise KernelError(
-                f"derivative order |alpha|={sum(alpha)} is not below the sample-path order "
-                f"{order}; the derivative process does not exist"
-            )
-        cross = partial(_derivative_cross, expr, alpha)
-        dense_gram = partial(_assemble_gram, expr, grid, cross)
-    elif isinstance(expr, Wiener):
-        # the gate above admits the Wiener kernel only at alpha = 0
+    if isinstance(expr, Wiener):
         return _brownian_draws(grid.axes[0].ticks())
-    else:
-        cross = partial(pairwise, expr)
-        dense_gram = partial(build_gram, expr, grid)
-    if grid.dim == 1 and isinstance(classify(expr), Stationary):
-        column = _half_lag_table(grid, cross)
-        return _toeplitz_draws(column) if column.any() else _zero_draws(column.shape[0])
-    gram = dense_gram()
-    # a positive semidefinite matrix with a zero diagonal is zero; the
-    # whole matrix is read only when the diagonal is
-    if not gram.diagonal().any() and not gram.any():
-        return _zero_draws(gram.shape[0])
-    lower, jitter = cholesky_with_jitter(gram)
+    lag_column = grid.dim == 1 and isinstance(classify(expr), Stationary)
+    try:  # partials at an extreme lengthscale leave the float range
+        with np.errstate(all="ignore"):  # which the check below reports, not numpy
+            table = _half_lag_table(expr, grid) if lag_column else build_gram(expr, grid)
+        # min and max propagate inf and NaN, with no temporary of the table's size
+        bounds = table.min(), table.max()
+        if not all(map(math.isfinite, bounds)):
+            raise OverflowError("a covariance value is not finite")
+    except ArithmeticError as exc:
+        raise KernelError(
+            f"the kernel or derivative covariance leaves the float range: {exc!r}"
+        ) from exc
+    if bounds == (0.0, 0.0):
+        return _zero_draws(table.shape[0])
+    if lag_column:
+        return _toeplitz_draws(table)
+    lower, jitter = cholesky_with_jitter(table)
 
     def draw(normals, count):
         draws = np.zeros((count, lower.shape[0]))
@@ -619,45 +594,25 @@ def _factorise(expr: Kernel, grid: Grid, alpha: tuple):
     return draw
 
 
-def _derivative_cross(expr: Kernel, alpha: tuple, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    try:  # an extreme lengthscale takes the partials' float scale factors out of range
-        return derivative_kernel_matrix(expr, alpha, X, Y)
-    except ArithmeticError as exc:
-        raise KernelError(f"the derivative covariance leaves the float range: {exc!r}") from exc
-
-
-def _sample(expr: Kernel, grid: Grid, count: int, seed: int, alpha: tuple):
+def _sample(expr: Kernel, grid: Grid, count: int, seed: int) -> PathSamples:
     if count < 1:
         raise ValueError("count must be >= 1")
-    rows, jitter = _factorise(expr, grid, alpha)(_seeded_normals(seed), count)
-    return PathSamples(
-        grid=grid,
-        samples=rows,
-        kernel=print_kernel(expr),
-        seed=int(seed),
-        jitter_used=jitter,
-        alpha=alpha,
-    )
+    # the one check that a derivative process exists
+    infer_regularity(expr)
+    rows, jitter = _factorise(expr, grid)(_seeded_normals(seed), count)
+    return PathSamples(grid, rows, print_kernel(expr), int(seed), jitter)
 
 
 def sample_paths(expr: Kernel, grid: Grid, count: int, seed: int) -> PathSamples:
-    """Draw centred GP sample paths on the grid; rows are independent draws."""
-    return _sample(expr, grid, count, seed, (0,) * grid.dim)
+    """Draw centred GP sample paths on the grid; rows are independent draws.
+    KernelError where a derivative in the expression does not exist."""
+    return _sample(expr, grid, count, seed)
 
 
 def sample_derivative_paths(expr: Kernel, alpha, grid: Grid, count: int, seed: int) -> PathSamples:
-    """Draw from the derivative process GP(0, d^(alpha,alpha) k).
-
-    The sample-path order inferred for the kernel must exceed |alpha|, else
-    the requested derivative outruns the differentiability of the paths;
-    for a top-level tensor product, each factor's order must exceed its
-    own part of alpha; the draw-operator builder checks this, after the
-    grid's dimension.  The derivative kernel is the exact mixed partial
-    d^(alpha,alpha) k of ``derivative_kernel_matrix``, not a difference of
-    sampled paths, and it is factorised as the kernel is.
-    """
-    alpha = tuple(int(a) for a in _as_multiindex(alpha, expr.dim))
-    return _sample(expr, grid, count, seed, alpha)
+    """Draw from the derivative process GP(0, d^(alpha,alpha) k): the paths
+    of ``kernels.derivative(expr, alpha)``."""
+    return _sample(derivative(expr, alpha), grid, count, seed)
 
 
 # --- serialisation ----------------------------------------------------------
@@ -921,7 +876,6 @@ def write_sidecar(samples: PathSamples, path: str, twin: dict) -> None:
             ],
         },
         "jitter_used": samples.jitter_used,
-        "alpha": list(samples.alpha),
     }
     meta["twin"] = {**twin, "sidecar_sha256": _meta_sha256(meta)}
     _write_json(meta, path)
@@ -940,7 +894,7 @@ def _read_sidecar(path: str):
         return None
     try:
         grid = Grid(tuple(Axis(**a) for a in meta["grid"]["axes"]))
-        provenance = {k: meta[k] for k in ("kernel", "seed", "jitter_used", "alpha")}
+        provenance = {k: meta[k] for k in ("kernel", "seed", "jitter_used")}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed samples sidecar: {exc!r}") from None
     twin = meta.get("twin")
@@ -984,8 +938,8 @@ def read_samples_csv(path: str) -> PathSamples:
 
     The grid is reconstructed from the coordinate columns, which must form
     a uniform row-major 1-D or 2-D grid; blank lines (ASCII whitespace) are
-    skipped, and a ``#`` line is an error, not a comment.  Provenance (kernel, seed, jitter,
-    derivative multi-index) comes from the sidecar when one exists, and its
+    skipped, and a ``#`` line is an error, not a comment.  Provenance (kernel,
+    seed, jitter) comes from the sidecar when one exists, and its
     grid must match the CSV's; without a sidecar the seed reads -1 and the
     jitter NaN.
     """

@@ -77,16 +77,15 @@ import numpy as np
 from ._base import field, record
 from .kernels import (
     Affine,
-    DomainError,
     Kernel,
     KernelError,
     ParameterError,
     Stationary,
     Warp,
-    _as_points,
     _check_int,
     _pairwise,
     classify,
+    derivative,
     pairwise,
 )
 from .regularity import RegularityReport, _collapse, infer_regularity, report_to_dict
@@ -226,20 +225,6 @@ def _unit(dim: int, i: int) -> np.ndarray:
     e = np.zeros(dim)
     e[i] = 1.0
     return e
-
-
-def _as_multiindex(alpha, dim: int) -> np.ndarray:
-    arr = np.asarray(alpha, dtype=int)
-    if arr.ndim == 0:
-        if dim == 1:
-            arr = arr.reshape(1)
-        elif int(arr) == 0:
-            arr = np.zeros(dim, dtype=int)
-    if arr.shape != (dim,):
-        raise DomainError(f"multi-index must have length {dim}, got shape {arr.shape}")
-    if np.any(arr < 0):
-        raise DomainError("multi-index entries must be non-negative")
-    return arr
 
 
 def _derivative_block(expr: Kernel, X: np.ndarray, Y: np.ndarray, alpha: tuple):
@@ -593,19 +578,10 @@ def verify_regularity(expr: Kernel, cfg: VerifyConfig | None = None) -> VerifyRe
 
 
 def derivative_kernel_matrix(expr: Kernel, alpha, X, Y=None) -> np.ndarray:
-    """Gram matrix of the derivative kernel d^(alpha,alpha) k on points X.
-
-    Its entries are the exact mixed partials of :func:`pathreg.kernels.partials`
-    (the derivative-process law is tested against this matrix, so it is
-    deliberately not obtained by differencing sampled paths).  For a
-    stationary kernel the entry at lag h is (-1)^|alpha| times the
-    derivative of order 2 alpha of the lag profile at h.  With Y given, the
-    cross matrix between X and Y is returned instead.
-    """
-    alpha = tuple(_as_multiindex(alpha, expr.dim).tolist())
-    X = _as_points(X, expr.dim)
-    Y = X if Y is None else _as_points(Y, expr.dim)
-    return _derivative_block(expr, X, Y, alpha)[0]
+    """Gram matrix of the derivative kernel d^(alpha,alpha) k on points X,
+    the exact partials of ``kernels.derivative(expr, alpha)``; with Y
+    given, the cross matrix between X and Y."""
+    return pairwise(derivative(expr, alpha), X, X if Y is None else Y)
 
 
 def verify_to_dict(report: VerifyReport) -> dict:

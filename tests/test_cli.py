@@ -105,6 +105,21 @@ class TestExitCodes:
         assert code == 3
         assert "kernel has dimension 2 but the grid is 1-D" in err
 
+    # a derivative that does not exist is judged where the order is
+    # inferred, before any draw: one error line, exit 3
+    @pytest.mark.parametrize("kernel", ["deriv(matern(nu=0.5), 1)", "deriv(wiener(), 1)",
+                                        "deriv(tensor(matern(nu=2.5), matern(nu=0.5)), 1, 1)"])
+    @pytest.mark.parametrize("command", ["analyze", "verify", "sample", "report"])
+    def test_derivative_that_does_not_exist_is_3(self, capsys, tmp_path, kernel, command):
+        flags = ["--grid", "0.25:1.25:17", "--count", "2", "--seed", "1", "--out", str(tmp_path / "d")]
+        if command in ("analyze", "verify"):
+            flags = []
+        code, out, err = run(capsys, command, "-k", kernel, *flags)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: derivative order |alpha|=1 is not below the sample-path order 1/2")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     # a 2-D kernel that is no tensor product takes a dense Gram, 2 GiB on
     # the desk grid; the Gram builder raises here as numpy would there
     @pytest.mark.parametrize(
@@ -681,6 +696,27 @@ class TestReport:
         assert run(capsys, "report", *argv) == expected
         assert expected[:2] == (code, "")
         assert list(tmp_path.iterdir()) == []
+
+    # a derivative process is one more kernel: report verifies, draws and
+    # estimates it, and its samples name it
+    def test_derivative_report(self, capsys, tmp_path):
+        prefix = str(tmp_path / "d")
+        argv = ["-k", "deriv(matern(nu=2.5), 1)", "--grid", "0.25:1.25:1025", "--count", "100",
+                "--seed", "42", "--out", prefix]
+        code, payload, _ = run_json(capsys, "report", *argv)
+        assert code == 0
+        assert payload["kernel"] == "deriv(matern(nu=2.5), 1)"
+        assert payload["analyze"]["per_axis"] == [
+            {"order": 1.5, "sharp": True, "log_corrected": False}
+        ]
+        assert payload["verify"]["verdict"] == "pass"
+        assert abs(payload["verify"]["detected"]["total"] - 1.5) <= 0.15
+        assert abs(payload["estimate"]["s_hat"] - 1.5) <= 0.2
+        with open(f"{prefix}_samples.json") as fh:
+            assert json.load(fh)["kernel"] == "deriv(matern(nu=2.5), 1)"
+        code, estimate, _ = run_json(capsys, "estimate", "--samples", f"{prefix}_samples.csv")
+        assert code == 0
+        assert estimate["s_hat"] == payload["estimate"]["s_hat"]
 
     def test_no_sample_skips_estimation(self, capsys, tmp_path):
         code, payload, _ = run_json(

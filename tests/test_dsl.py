@@ -16,6 +16,7 @@ from pathreg.kernels import (
     AbsPower,
     Affine,
     Conic,
+    Derivative,
     Feature,
     General,
     Isotropic,
@@ -194,6 +195,35 @@ def test_print_parse_round_trip(expr):
     assert parse_kernel(print_kernel(expr)) == expr
 
 
+# deriv builds kernels.derivative: order 0 is the kernel itself, and a
+# tensor product's derivative is the tensor of its factors' derivatives,
+# each at its own part of alpha, nested tensors included
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("deriv(se(), 0)", SquaredExponential()),
+        ("deriv(se(dim=2), 0, 0)", SquaredExponential(input_dim=2)),
+        ("deriv(matern(nu=2.5), 2)", Derivative(Matern(2.5), (2,))),
+        ("deriv(2*se() + linear(), 1)", Derivative(Conic((SquaredExponential(), Linear()), (2, 1)), (1,))),
+        ("deriv(tensor(matern(nu=1.5), se()), 1, 0)",
+         TensorProduct((Derivative(Matern(1.5), (1,)), SquaredExponential()))),
+        ("deriv(tensor(matern(nu=2.5, dim=2), se()), 1, 1, 1)",
+         TensorProduct((Derivative(Matern(2.5, input_dim=2), (1, 1)),
+                        Derivative(SquaredExponential(), (1,))))),
+        ("deriv(tensor(tensor(se(), se()), se()), 0, 2, 0)",
+         TensorProduct((TensorProduct((SquaredExponential(), Derivative(SquaredExponential(), (2,)))),
+                        SquaredExponential()))),
+        ("deriv(deriv(se(), 1), 2)", Derivative(Derivative(SquaredExponential(), (1,)), (2,))),
+        ("warp(deriv(se(), 1), affine(a=2, b=0)) * se()",
+         Product((Warp(Derivative(SquaredExponential(), (1,)), Affine(2, 0)), SquaredExponential()))),
+    ],
+)
+def test_deriv_builds_the_derivative(source, expected):
+    expr = parse_kernel(source)
+    assert expr == expected
+    assert parse_kernel(print_kernel(expr)) == expr
+
+
 # Canonical print and `analyze` JSON of every leaf at its defaults and away
 # from them, both warp families and one composite: source text, printed
 # form, per-axis (order, sharp, log_corrected), Sobolev order, and the
@@ -256,6 +286,25 @@ GOLDEN_ANALYZE = [
      [(0.09, False, False)], 0,
      ["matern leaf: order 3/10, sharp",
       "warp(abs_power): n=0, gamma=3/10, delta=3/10 -> order 9/100, sufficient-only"]),
+    # a derivative's order is its child's minus |alpha|, sharp and
+    # log-corrected as the child is in 1-D and sufficient-only with more
+    # inputs; a tensor's derivative is its factors' derivatives
+    ("deriv(matern(nu=2.5), 1)", "deriv(matern(nu=2.5), 1)", [(1.5, True, False)], 1,
+     ["matern leaf: order 5/2, sharp", "deriv: child order minus |alpha|=1 -> order 3/2, sharp"]),
+    ("deriv(matern(nu=3), 2)", "deriv(matern(nu=3), 2)", [(1.0, True, True)], 0,
+     ["matern leaf: order 3, sharp, log-corrected",
+      "deriv: child order minus |alpha|=2 -> order 1, sharp, log-corrected"]),
+    ("deriv(matern(nu=2.5, dim=2), 1, 0)", "deriv(matern(nu=2.5, dim=2), 1, 0)",
+     [(1.5, False, False)], 1,
+     ["matern leaf: order 5/2, sharp",
+      "deriv: child order minus |alpha|=1 -> order 3/2, sufficient-only"]),
+    ("deriv(tensor(matern(nu=1.5), se()), 1, 2)", "tensor(deriv(matern(nu=1.5), 1), deriv(se(), 2))",
+     [(0.5, True, False), ("inf", True, False)], 0,
+     ["matern leaf: order 3/2, sharp",
+      "deriv: child order minus |alpha|=1 -> order 1/2, sharp",
+      "squaredexponential leaf: order inf, sharp",
+      "deriv: child order minus |alpha|=2 -> order inf, sharp",
+      "tensor: per-axis orders [1/2, inf], sharpness preserved per axis"]),
 ]
 
 
@@ -319,6 +368,20 @@ GOLDEN_ERRORS = [
      "factor of input dimension 3 where the first has 1 at offset 16"),
     ("matern(nu=0.5, nu=1)", ParseError, "duplicate parameter 'nu' at offset 15"),
     ("matern(nu=-1, dim=1.5)", ParseError, "parameter 'dim' must be an integer at offset 18"),
+    # one non-negative integer order per input: a missing order is reported
+    # at the closing parenthesis, an extra one at itself
+    ("deriv(se())", ParseError, "deriv takes one order per input (1), got 0 at offset 10"),
+    ("deriv(se(), 1, 1)", ParseError, "deriv takes one order per input (1), got 2 at offset 15"),
+    ("deriv(se(dim=2), 1)", ParseError, "deriv takes one order per input (2), got 1 at offset 18"),
+    ("deriv(tensor(se(), se()), 1, 0, 2)", ParseError,
+     "deriv takes one order per input (2), got 3 at offset 32"),
+    ("deriv(se(), -1)", ParseError, "a derivative order must be a non-negative integer at offset 12"),
+    ("deriv(se(), 1.5)", ParseError, "a derivative order must be a non-negative integer at offset 12"),
+    ("deriv(se(), 1e999)", ParseError,
+     "a derivative order must be a non-negative integer at offset 12"),
+    ("deriv(se(), n)", ParseError, "a derivative order must be a non-negative integer at offset 12"),
+    ("deriv(se(), )", ParseError, "a derivative order must be a non-negative integer at offset 12"),
+    ("deriv(se() 1)", ParseError, "expected ')' at offset 11"),
 ]
 
 

@@ -13,6 +13,7 @@ from pathreg.kernels import (
     AbsPower,
     Affine,
     Conic,
+    Derivative,
     DomainError,
     Feature,
     General,
@@ -35,6 +36,7 @@ from pathreg.kernels import (
     _indices,
     _pairwise,
     classify,
+    derivative,
     eval_kernel,
     eval_radial,
     eval_stationary,
@@ -107,6 +109,15 @@ class TestRadialAndStationary:
         )
         assert eval_stationary(expr, 1.0) == pytest.approx(1.0, rel=1e-12)
 
+    # d_x d_y e^-(x-y)^2 = (2 - 4 h^2) e^-h^2 at lag h = x - y
+    def test_derivative_lag_profile(self):
+        expr = Derivative(SquaredExponential(), (1,))
+        for h in (0.0, 0.37, -1.2):
+            assert eval_stationary(expr, h) == pytest.approx(
+                (2.0 - 4.0 * h * h) * math.exp(-h * h), rel=1e-14, abs=1e-300
+            )
+            assert eval_stationary(expr, h) == pairwise(expr, [[h]], [[0.0]])[0, 0]
+
 
 class TestClassify:
     def test_leaf_table(self):
@@ -134,6 +145,48 @@ class TestClassify:
         assert type(classify(expr)) is General
         assert type(classify(Conic((expr,), (2.0,)))) is General
         assert type(classify(Product((expr, expr)))) is General
+
+
+class TestDerivative:
+    # a derivative of a stationary child is stationary (never isotropic)
+    # with one input, and general otherwise
+    @pytest.mark.parametrize(
+        "child, alpha, structure",
+        [
+            (SquaredExponential(), (1,), Stationary),
+            (Product((Periodic(), Matern(2.5))), (1,), Stationary),
+            (SquaredExponential(input_dim=2), (1, 0), General),
+            (Linear(), (1,), General),
+            (Warp(SquaredExponential(), Affine(2.0, 0.0)), (1,), General),
+        ],
+    )
+    def test_classify(self, child, alpha, structure):
+        assert type(classify(Derivative(child, alpha))) is structure
+
+    # the lag profile is (-1)^|alpha| phi^(2 alpha): its j-th derivative
+    # exists at the origin where the child's (j + 2|alpha|)-th does
+    def test_lag_exists_shifts_the_childs(self):
+        assert Derivative(Matern(2.5), (1,)).lag_exists(3).tolist() == [True, True, True, False]
+        assert Derivative(Matern(1.5), (1,)).lag_exists(2).tolist() == [True, False, False]
+        assert Derivative(Wendland(1, 2), (2,)).lag_exists(2).tolist() == [True, False, False]
+
+    def test_constructor(self):
+        se, m = SquaredExponential(), Matern(1.5)
+        assert derivative(se, 0) is se
+        assert derivative(TensorProduct((se, m)), 0) == TensorProduct((se, m))
+        assert derivative(se, 2) == Derivative(se, (2,))
+        assert derivative(TensorProduct((se, m)), (0, 1)) == TensorProduct((se, Derivative(m, (1,))))
+        assert Derivative(se, 1).alpha == (1,)
+        assert Derivative(SquaredExponential(input_dim=2), np.array([1, 0])).alpha == (1, 0)
+        assert derivative(SquaredExponential(input_dim=2), 0) == SquaredExponential(input_dim=2)
+
+    @pytest.mark.parametrize("alpha", [(1,), 1, (1, 0, 0), (1, -1), -1])
+    def test_multi_index_checked(self, alpha):
+        message = f"a multi-index is 2 non-negative integers, got {alpha!r}"
+        for build in (derivative, Derivative):
+            with pytest.raises(DomainError) as err:
+                build(SquaredExponential(input_dim=2), alpha)
+            assert str(err.value) == message
 
 
 class TestValidation:

@@ -37,6 +37,13 @@ SCALE_COMPOSITES = [
     "matern(nu=1.5) + wiener()",
 ]
 
+# derivative processes, which analyze reads as it reads any kernel
+DERIVATIVES = [
+    "deriv(matern(nu=2.5), 1)",
+    "deriv(tensor(matern(nu=1.5), se()), 1, 2)",
+    "deriv(matern(nu=2.5,dim=2), 1, 0)",
+]
+
 # every name the package exports, by the module that defines it
 EXPORTS = {
     "dsl": ["ParseError", "parse_kernel", "print_kernel"],
@@ -100,7 +107,7 @@ def _warm_cli(argv):
 
 class TestCommandsLoadWhatTheyRun:
     def test_analyze_loads_no_numpy(self):
-        argvs = [["analyze", "-k", k] for k in VERIFY_CATALOGUE + SCALE_COMPOSITES]
+        argvs = [["analyze", "-k", k] for k in VERIFY_CATALOGUE + SCALE_COMPOSITES + DERIVATIVES]
         argvs.append(["analyze", "-k", "matern(nu=2.5) + wiener()", "--format", "csv"])
         argvs.append(["analyze", "-k", "matern(nu=-1)"])
         runs, loaded = _cold_cli(argvs)
@@ -118,6 +125,17 @@ class TestCommandsLoadWhatTheyRun:
         assert [code for code, _out in runs] == [0, 0]
         assert {"numpy", "pathreg.verify"} <= loaded
         assert not loaded & {"pathreg.sampling", "pathreg.structure"}
+
+    # sampling judges a derivative by inferring its order, not through verify
+    def test_sample_loads_no_verify(self, tmp_path):
+        draws = [("matern(nu=1.5)", "0.25:1.25:33"), (DERIVATIVES[0], "0.25:1.25:33"),
+                 ("deriv(tensor(matern(nu=1.5), se()), 1, 0)", "0:1:9,0:1:8")]
+        argvs = [["sample", "-k", k, "--grid", grid, "--count", "2", "--seed", "1",
+                  "--out", str(tmp_path / f"s{i}")] for i, (k, grid) in enumerate(draws)]
+        runs, loaded = _cold_cli(argvs)
+        assert [code for code, _out in runs] == [0, 0, 0]
+        assert {"numpy", "pathreg.sampling"} <= loaded
+        assert not loaded & {"pathreg.verify", "pathreg.structure"}
 
     # counting a field's columns needs no np.unique, which loads numpy.ma
     # (about 0.9 MB) on first use

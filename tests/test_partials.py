@@ -119,6 +119,14 @@ def _sym(expr, xs, ys, signs):
         )
     if isinstance(expr, K.Wiener):
         return sp.Min(xs[0], ys[0])
+    if isinstance(expr, K.Derivative):
+        # differentiated in coordinates of its own, which a warp above it
+        # replaces by the warped ones
+        us, vs = ([sp.Dummy(positive=True) for _ in range(expr.dim)] for _side in "xy")
+        out = _sym(expr.child, us, vs, signs)
+        for u, v, a in zip(us, vs, expr.alpha):
+            out = sp.diff(out, u, a, v, a)
+        return out.subs({**dict(zip(us, xs)), **dict(zip(vs, ys))}, simultaneous=True)
     t = [a - b for a, b in zip(xs, ys)]
     if len(t) == 1:
         r = sp.Symbol("r", real=True)
@@ -207,6 +215,10 @@ OFF_DIAGONAL = [
     "matern(nu=1.5) * se()",
     "linear() * feature(family=trig,degree=1) * periodic()",
     "warp(matern(nu=1.5) * linear(), abs_power(beta=0.5)) + 3*se()",
+    "deriv(matern(nu=3.5,lengthscale=2), 1)",
+    "deriv(se(lengthscale=0.8), 2)",
+    "deriv(matern(nu=2.5,dim=2), 1, 0)",
+    "deriv(linear() * se(), 1) + warp(deriv(periodic(), 1), abs_power(beta=0.5))",
 ]
 
 
@@ -240,6 +252,9 @@ ON_DIAGONAL = [
     ("tensor(matern(nu=1.5), se())", 2),
     ("2*matern(nu=2.5) + wendland(d=1,n=1)", 2),
     ("matern(nu=2.5) * periodic()", 4),
+    ("deriv(matern(nu=2.5), 1)", 2),
+    ("deriv(matern(nu=3.5,lengthscale=0.5), 2)", 2),
+    ("deriv(wendland(d=1,n=2), 1) + se()", 2),
 ]
 
 
@@ -330,7 +345,12 @@ def test_one_coordinate_jet_is_the_lag_profile(text):
 def _stationary_composites():
     from test_verify import CATALOGUE_COMPOSITES
 
-    texts = [text for text, _n in CATALOGUE_COMPOSITES] + ["matern(nu=2.5) * periodic()"]
+    texts = [text for text, _n in CATALOGUE_COMPOSITES] + [
+        "matern(nu=2.5) * periodic()",
+        "deriv(matern(nu=2.5), 1)",
+        "deriv(matern(nu=3.5) * periodic(), 1)",
+        "deriv(wendland(d=1,n=2), 1) + se()",
+    ]
     return [t for t in texts if isinstance(K.classify(parse_kernel(t)), K.Stationary)]
 
 

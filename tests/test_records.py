@@ -27,6 +27,7 @@ def _instances():
         k.Product((k.Matern(0.5), k.Periodic())),
         k.TensorProduct((k.Linear(), k.Wiener())),
         k.Affine(2.0, 0.5), k.AbsPower(0.5), k.Warp(k.Wiener(), k.Affine(2.0, 0.5)),
+        k.Derivative(k.Matern(2.5), (1,)),
         dsl._Token("name", "matern", 0), reg, report, specfun.PiecewisePolynomial((1, 2)),
         structure.EstimateResult(1.5, None, fit, 1), verify.VerifyConfig(), fit,
         verify.VerifyReport(1, fit, report, "pass"), sampling.Axis(0.0, 1.0, 3), grid,
@@ -48,7 +49,7 @@ def test_every_record_class_has_an_instance():
         cls for module in modules for cls in vars(module).values()
         if isinstance(cls, type) and "__record_fields__" in vars(cls)
     }
-    assert len(records) == 33
+    assert len(records) == 34
     assert {type(x) for x in _instances()} | _ABSTRACT == records
 
 

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 
 from pathreg.dsl import parse_kernel
-from pathreg.kernels import Conic, Matern, Product, TensorProduct, Wendland
+from pathreg.kernels import (
+    Conic,
+    Derivative,
+    KernelError,
+    Matern,
+    Product,
+    SquaredExponential,
+    TensorProduct,
+    Wendland,
+)
 from pathreg.regularity import Regularity, infer_regularity, report_to_dict
 
 from conftest import kernel_trees
@@ -99,6 +108,51 @@ class TestCombinators:
     def test_log_flag_propagates_through_min(self):
         r = infer_regularity(parse_kernel("matern(nu=1) + se()"))
         assert r.order == 1 and r.per_axis[0].log_corrected
+
+
+class TestDerivatives:
+    # the child's order minus |alpha|, its flags kept in 1-D
+    @pytest.mark.parametrize(
+        "text, order, sharp, log",
+        [
+            ("deriv(matern(nu=2.5), 1)", Fraction(3, 2), True, False),
+            ("deriv(matern(nu=4), 3)", Fraction(1), True, True),
+            ("deriv(wendland(d=1,n=2), 2)", Fraction(1, 2), True, False),
+            ("deriv(matern(nu=1.5) + se(), 1)", Fraction(1, 2), False, False),
+            ("deriv(deriv(se(), 1), 2)", math.inf, True, False),
+            ("deriv(matern(nu=2.5,dim=2), 1, 1)", Fraction(1, 2), False, False),
+            ("deriv(se(dim=2), 0, 1)", math.inf, False, False),
+        ],
+    )
+    def test_order_is_the_childs_minus_alpha(self, text, order, sharp, log):
+        (reg,) = infer_regularity(parse_kernel(text)).per_axis
+        assert reg == Regularity(order, sharp, log)
+
+    # the one check that a derivative process exists, wherever the node sits
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("deriv(matern(nu=1.5), 2)", "|alpha|=2 is not below the sample-path order 3/2"),
+            ("deriv(wiener(), 1)", "|alpha|=1 is not below the sample-path order 1/2"),
+            ("se() + 2*deriv(matern(nu=2.5), 1) * deriv(matern(nu=1), 1)",
+             "|alpha|=1 is not below the sample-path order 1;"),
+            ("deriv(deriv(matern(nu=2.5), 1), 2)", "|alpha|=2 is not below the sample-path order 3/2"),
+            ("deriv(tensor(matern(nu=2.5), matern(nu=0.5)), 2, 1)",
+             "|alpha|=1 is not below the sample-path order 1/2"),
+        ],
+    )
+    def test_gate(self, text, message):
+        with pytest.raises(KernelError) as err:
+            infer_regularity(parse_kernel(text))
+        assert str(err.value).startswith(f"derivative order {message}")
+        assert str(err.value).endswith("; the derivative process does not exist")
+
+    # a node built on a whole tensor, not by kernels.derivative, has one
+    # entry: the lowest factor order minus |alpha|, sufficient-only
+    def test_node_over_a_tensor(self):
+        tensor = TensorProduct((Matern(2.5), SquaredExponential()))
+        (reg,) = infer_regularity(Derivative(tensor, (1, 0))).per_axis
+        assert reg == Regularity(Fraction(3, 2), False)
 
 
 class TestSobolev:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from pathreg import sampling
 from pathreg.cli import main
 from pathreg.dsl import parse_kernel
-from pathreg.kernels import DomainError, KernelError, Stationary, classify, pairwise
+from pathreg.kernels import DomainError, KernelError, Stationary, classify, derivative, pairwise
 from pathreg.sampling import (
     _DRAW_BLOCK,
     Axis,
@@ -97,47 +97,50 @@ class TestBuildGram:
         gram = build_gram(expr, grid)
         assemble = sampling._assemble_gram
 
-        def triangle_sum(expr, grid, cross):
+        def triangle_sum(expr, grid):
             if isinstance(classify(expr), Stationary):
-                return assemble(expr, grid, cross)
+                return assemble(expr, grid)
             pts = grid.points()
             n = pts.shape[0]
             full = np.empty((n, n))
             for lo in range(0, n, sampling._GRAM_BLOCK_ROWS):
-                full[lo : lo + sampling._GRAM_BLOCK_ROWS] = cross(
-                    pts[lo : lo + sampling._GRAM_BLOCK_ROWS], pts
+                full[lo : lo + sampling._GRAM_BLOCK_ROWS] = pairwise(
+                    expr, pts[lo : lo + sampling._GRAM_BLOCK_ROWS], pts
                 )
             return np.triu(full) + np.triu(full, 1).T
 
         monkeypatch.setattr(sampling, "_assemble_gram", triangle_sum)
         assert gram.tobytes() == build_gram(expr, grid).tobytes()
 
-    def test_pointwise_mirror_copies_upper_triangle(self):
+    def test_pointwise_mirror_copies_upper_triangle(self, monkeypatch):
         # kernel values are symmetric bitwise, so an asymmetric cross shows
         # which triangle is kept, across several row blocks
         grid = Grid((Axis(-1.0, 1.0, 2 * sampling._GRAM_BLOCK_ROWS + 52),))
         pts = grid.points()
 
-        def cross(X, Y):
+        def cross(expr, X, Y):
             return X[:, 0, None] - 2.0 * Y[None, :, 0]
 
-        full = cross(pts, pts)
-        gram = sampling._assemble_gram(parse_kernel("linear()"), grid, cross)
+        full = cross(None, pts, pts)
+        monkeypatch.setattr(sampling, "pairwise", cross)
+        gram = sampling._assemble_gram(parse_kernel("linear()"), grid)
         assert gram.tobytes() == (np.triu(full) + np.triu(full, 1).T).tobytes()
 
     # each row block evaluates its entries from the diagonal block on, about
     # half the Gram; evaluating whole rows and mirroring over the left part
     # evaluated all n^2 entries
-    def test_pointwise_gram_evaluates_upper_part(self):
+    def test_pointwise_gram_evaluates_upper_part(self, monkeypatch):
         grid = Grid((Axis(0.25, 1.25, 1025),))
         expr = parse_kernel("linear()")
         entries = []
 
-        def cross(X, Y):
+        def cross(expr, X, Y):
             entries.append(X.shape[0] * Y.shape[0])
             return pairwise(expr, X, Y)
 
-        gram = sampling._assemble_gram(expr, grid, cross)
+        monkeypatch.setattr(sampling, "pairwise", cross)
+        gram = sampling._assemble_gram(expr, grid)
+        monkeypatch.undo()
         n = grid.n_points
         rows = min(sampling._GRAM_BLOCK_ROWS, -(-n // 8))
         assert sum(entries) <= (n * n + n * rows) // 2
@@ -447,9 +450,7 @@ class TestToeplitzCholesky:
     def test_derivative_jitter_equals_dense(self):
         expr = parse_kernel("matern(nu=1.5)")
         grid = Grid((Axis(0.25, 1.25, 2049),))
-        gram = sampling._assemble_gram(
-            expr, grid, lambda X, Y: derivative_kernel_matrix(expr, 1, X, Y=Y)
-        )
+        gram = sampling._assemble_gram(derivative(expr, 1), grid)
         _lower, jitter = cholesky_with_jitter(gram)
         assert sample_derivative_paths(expr, 1, grid, 1, 0).jitter_used == jitter
 
@@ -498,7 +499,7 @@ class TestToeplitzCholesky:
     )
     def test_brownian_factor_matches_dense(self, grid, rel):
         expr = parse_kernel("wiener()")
-        draw = sampling._factorise(expr, grid, (0,))
+        draw = sampling._factorise(expr, grid)
         lower, jitter = sampling._lower_factor(draw, grid.n_points)
         dense, dense_jitter = cholesky_with_jitter(build_gram(expr, grid))
         assert jitter == dense_jitter == 0.0
@@ -514,7 +515,7 @@ class TestToeplitzCholesky:
     def test_dense_draws_are_factor_products(self, n):
         expr = parse_kernel("linear() + se()")
         grid = Grid((Axis(0.0, 1.0, n),))
-        draw = sampling._factorise(expr, grid, (0,))
+        draw = sampling._factorise(expr, grid)
         lower, jitter = sampling._lower_factor(draw, n)
         dense, dense_jitter = cholesky_with_jitter(build_gram(expr, grid))
         assert jitter == dense_jitter
@@ -613,9 +614,7 @@ class TestSamplePaths:
             return source(r0, r1, k0, k1)
 
         count = _DRAW_BLOCK + 1
-        draws, _jitter = sampling._factorise(parse_kernel(text), grid, (0,) * grid.dim)(
-            normals, count
-        )
+        draws, _jitter = sampling._factorise(parse_kernel(text), grid)(normals, count)
         assert asked == [(0, count)]
         assert draws.shape == (count, grid.n_points)
 
@@ -727,7 +726,7 @@ class TestSamplePaths:
         else:
             samples = sample_derivative_paths(expr, alpha, grid, _DRAW_BLOCK + 3, 9)
         l1, l2 = (
-            sampling._lower_factor(sampling._factorise(f, Grid((axis,)), (a,)), axis.count)[0]
+            sampling._lower_factor(sampling._factorise(derivative(f, a), Grid((axis,))), axis.count)[0]
             for f, axis, a in zip(expr.factors, grid.axes, alpha)
         )
         z = np.stack(
@@ -816,8 +815,8 @@ class TestDerivativePaths:
 
         # only the sampled grid's operator: a tensor's axes are factorised
         # by nested calls on their own 1-D grids
-        def keep(expr, on, alpha):
-            draw = factorise(expr, on, alpha)
+        def keep(expr, on):
+            draw = factorise(expr, on)
             if on is grid:
                 factors.append(draw)
             return draw
@@ -847,7 +846,7 @@ class TestDerivativePaths:
         expr = parse_kernel(text)
         expected = sample_paths(expr, grid, 3, 4)
         samples = sample_derivative_paths(expr, 0, grid, 3, 4)
-        assert samples.alpha == (0,) * grid.dim
+        assert samples.kernel == expected.kernel == text
         assert np.array_equal(samples.samples, expected.samples)
         assert samples.jitter_used == expected.jitter_used
 
@@ -856,7 +855,9 @@ class TestDerivativePaths:
     def test_tensor_gate_is_per_axis(self):
         grid = Grid((Axis(0.0, 1.0, 6), Axis(0.0, 1.0, 5)))
         tensor = parse_kernel("tensor(matern(nu=1.5), matern(nu=1.5))")
-        assert sample_derivative_paths(tensor, (1, 1), grid, 2, 1).alpha == (1, 1)
+        assert sample_derivative_paths(tensor, (1, 1), grid, 2, 1).kernel == (
+            "tensor(deriv(matern(nu=1.5), 1), deriv(matern(nu=1.5), 1))"
+        )
         with pytest.raises(KernelError, match=r"\|alpha\|=2 is not below .* order 3/2"):
             sample_derivative_paths(tensor, (2, 0), grid, 2, 1)
         with pytest.raises(KernelError, match=r"\|alpha\|=2 is not below .* order 3/2"):
@@ -865,7 +866,9 @@ class TestDerivativePaths:
         with pytest.raises(KernelError, match=r"\|alpha\|=1 is not below .* order 1/2"):
             sample_derivative_paths(rough_second, (1, 1), grid, 2, 1)
         isotropic = parse_kernel("matern(nu=2.5,dim=2)")
-        assert sample_derivative_paths(isotropic, (1, 1), grid, 2, 1).alpha == (1, 1)
+        assert sample_derivative_paths(isotropic, (1, 1), grid, 2, 1).kernel == (
+            "deriv(matern(nu=2.5, dim=2), 1, 1)"
+        )
         with pytest.raises(KernelError, match=r"\|alpha\|=3 is not below .* order 5/2"):
             sample_derivative_paths(isotropic, (2, 1), grid, 2, 1)
 
@@ -882,7 +885,7 @@ class TestDerivativePaths:
         samples = sample_derivative_paths(expr, 1, grid, 3, 1)
         assert samples.samples.tobytes() == np.zeros((3, 17)).tobytes()
         assert samples.jitter_used == 0.0
-        assert samples.alpha == (1,)
+        assert samples.kernel == f"deriv(warp({leaf}, affine(a=0, b=0.5)), 1)"
         field = Grid((Axis(0.0, 1.0, 9), Axis(0.0, 1.0, 5)))
         tensor = parse_kernel(f"tensor(warp({leaf}, affine(a=0, b=0.5)), se())")
         fields = sample_derivative_paths(tensor, (1, 0), field, 2, 1)
@@ -895,7 +898,10 @@ class TestDerivativePaths:
     @pytest.mark.parametrize(
         "text",
         [f"{leaf}lengthscale=1e200)" for leaf in ("se(", "rq(a=1,", "matern(nu=2.5,", "wendland(d=1,n=1,")]
-        + [f"{leaf}lengthscale=1e-200)" for leaf in ("se(", "rq(a=1,", "matern(nu=2.5,")],
+        + [
+            f"{leaf}lengthscale=1e-200)"
+            for leaf in ("se(", "rq(a=1,", "matern(nu=2.5,", "wendland(d=1,n=1,")
+        ],
     )
     def test_extreme_lengthscale_is_a_kernel_error(self, text):
         grid = Grid((Axis(0.0, 1.0, 17),))
@@ -919,6 +925,56 @@ class TestDerivativePaths:
         with pytest.raises(ValueError, match="count must be >= 1"):
             sample_derivative_paths(parse_kernel("matern(nu=0.5)"), 1, grid, 0, 1)
 
+    # a derivative anywhere in the expression is judged before any draw
+    @pytest.mark.parametrize(
+        "text",
+        ["deriv(wiener(), 1)", "se() + deriv(matern(nu=0.5), 1)", "se() * deriv(matern(nu=1.5), 2)"],
+    )
+    def test_sample_paths_gate(self, text, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("factorised a derivative that does not exist")
+
+        monkeypatch.setattr(sampling, "_factorise", unreachable)
+        with pytest.raises(KernelError, match="the derivative process does not exist"):
+            sample_paths(parse_kernel(text), Grid((Axis(0.25, 1.25, 17),)), 2, 1)
+
+    # the derivative process is the paths of kernels.derivative, drawn by
+    # the body sample_paths runs too, not through sample_paths itself, so a
+    # traced run counts each draw once
+    @pytest.mark.parametrize(
+        "text, alpha, grid",
+        [
+            ("matern(nu=1.5)", 1, Grid((Axis(0.25, 1.25, 65),))),
+            ("tensor(matern(nu=1.5), matern(nu=2.5))", (1, 0), Grid((Axis(0.0, 1.0, 9),) * 2)),
+            ("matern(nu=2.5,dim=2)", (1, 1), Grid((Axis(0.0, 1.0, 9),) * 2)),
+        ],
+    )
+    def test_derivative_paths_are_the_derivative_kernels(self, text, alpha, grid, monkeypatch):
+        expr = parse_kernel(text)
+        expected = sample_paths(derivative(expr, alpha), grid, 3, 4)
+
+        def unreachable(*args):
+            raise AssertionError("sample_derivative_paths called sample_paths")
+
+        monkeypatch.setattr(sampling, "sample_paths", unreachable)
+        samples = sample_derivative_paths(expr, alpha, grid, 3, 4)
+        assert samples.samples.tobytes() == expected.samples.tobytes()
+        assert (samples.kernel, samples.jitter_used) == (expected.kernel, expected.jitter_used)
+
+    # a Gram or lag column that overflows in numpy is the same KernelError
+    # as a partial that leaves the float range in Python floats, for the
+    # kernel's paths as for its derivatives
+    @pytest.mark.parametrize(
+        "text, grid",
+        [
+            ("poly(m=200)", Grid((Axis(1.0, 100.0, 9),))),
+            ("poly(m=200,dim=2)", Grid((Axis(1.0, 100.0, 5),) * 2)),
+        ],
+    )
+    def test_non_finite_covariance_is_a_kernel_error(self, text, grid):
+        with pytest.raises(KernelError, match="covariance leaves the float range"):
+            sample_paths(parse_kernel(text), grid, 2, 1)
+
     def test_engine_gate_blocks_rough_kernels(self):
         grid = Grid((Axis(0.25, 1.25, 17),))
         with pytest.raises(KernelError):
@@ -927,7 +983,7 @@ class TestDerivativePaths:
     def test_matern_derivative_draws_exist(self):
         grid = Grid((Axis(0.25, 1.25, 33),))
         samples = sample_derivative_paths(parse_kernel("matern(nu=1.5)"), 1, grid, 3, 1)
-        assert samples.alpha == (1,)
+        assert samples.kernel == "deriv(matern(nu=1.5), 1)"
         assert samples.samples.shape == (3, 33)
 
     def test_se_second_derivative_variance(self):
@@ -1096,9 +1152,29 @@ class TestSerialisation:
         self._write_twinless_sidecar(samples, str(tmp_path / "d.json"))
         loaded = read_samples_csv(str(tmp_path / "d.csv"))
         assert loaded.grid == grid
-        assert (loaded.kernel, loaded.seed, loaded.alpha) == ("se()", 5, (1,))
+        assert (loaded.kernel, loaded.seed) == ("deriv(se(), 1)", 5)
         assert loaded.jitter_used == samples.jitter_used
         assert np.array_equal(loaded.samples, samples.samples)
+
+    # a sidecar written before derivatives were kernels has an "alpha" key,
+    # which is ignored: its kernel text names the kernel that was drawn
+    @pytest.mark.parametrize("twin", [True, False])
+    def test_sidecar_with_alpha_still_loads(self, tmp_path, twin):
+        grid = Grid((Axis(0.25, 1.25, 33),))
+        samples = sample_derivative_paths(parse_kernel("se()"), 1, grid, 3, 5)
+        path = tmp_path / "d.csv"
+        write_samples(samples, str(path))
+        if not twin:
+            (tmp_path / "d.npy").unlink()
+        meta = json.loads((tmp_path / "d.json").read_text())
+        meta["alpha"] = [1]
+        meta["twin"]["sidecar_sha256"] = sampling._meta_sha256(meta)
+        (tmp_path / "d.json").write_text(json.dumps(meta))
+        loaded = read_samples_csv(str(path))
+        assert (loaded.kernel, loaded.seed) == ("deriv(se(), 1)", 5)
+        assert loaded.jitter_used == samples.jitter_used
+        assert loaded.samples.tobytes() == samples.samples.tobytes()
+        assert not hasattr(loaded, "alpha")
 
     def test_sidecar_grid_must_match(self, tmp_path):
         grid = Grid((Axis(0.0, 1.0, 17),))
@@ -1120,7 +1196,7 @@ class TestSerialisation:
         assert meta["seed"] == 11
         assert meta["grid"]["axes"][0]["count"] == 5
         assert meta["jitter_used"] == samples.jitter_used
-        assert meta["alpha"] == [0]
+        assert set(meta) == {"kernel", "seed", "grid", "jitter_used", "twin"}
         assert set(meta["twin"]) == {"csv_sha256", "npy_sha256", "sidecar_sha256"}
         assert (meta["twin"]["csv_sha256"], meta["twin"]["npy_sha256"]) == ("c", "n")
 
@@ -1146,7 +1222,7 @@ def _assert_same(a, b) -> None:
     assert a.samples.dtype == b.samples.dtype == np.float64
     assert a.samples.tobytes() == b.samples.tobytes()
     assert a.grid == b.grid
-    assert (a.kernel, a.seed, a.alpha) == (b.kernel, b.seed, b.alpha)
+    assert (a.kernel, a.seed) == (b.kernel, b.seed)
     assert a.jitter_used == b.jitter_used or (math.isnan(a.jitter_used) and math.isnan(b.jitter_used))
 
 

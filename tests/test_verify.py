@@ -735,6 +735,32 @@ class TestLargeMaternOrders:
         assert report.verdict == ("log-flagged" if float(nu).is_integer() else "pass")
 
 
+# derivative processes are kernels like any other: a 1-D stationary one
+# is probed through its lag profile (-1)^|alpha| phi^(2 alpha), a tensor's
+# through its probe points.  (kernel at lengthscale {ell}, predicted order,
+# detected n)
+DERIVATIVE_KERNELS = [
+    ("deriv(matern(nu=2.5,lengthscale={ell}), 1)", 1.5, 1),
+    ("deriv(matern(nu=3.5,lengthscale={ell}), 2)", 1.5, 1),
+    ("deriv(matern(nu=1.5,lengthscale={ell}), 1)", 0.5, 0),
+    ("deriv(se(lengthscale={ell}), 2)", math.inf, 3),
+    ("deriv(tensor(matern(nu=1.5,lengthscale={ell}), matern(nu=2.5,lengthscale={ell})), 1, 1)", 0.5, 0),
+]
+
+
+@pytest.mark.parametrize("ell", ["0.1", "1", "10"])
+@pytest.mark.parametrize("text, order, n", DERIVATIVE_KERNELS)
+def test_derivative_kernels_pass(text, order, n, ell):
+    report = verify_regularity(parse_kernel(text.format(ell=ell)))
+    assert report.note is None
+    assert report.verdict == "pass"
+    assert report.detected_order_n == n
+    if order == math.inf:
+        assert report.smooth_to_order == CFG.max_order
+    else:
+        assert report.detected_total == pytest.approx(order, abs=CFG.tol)
+
+
 def _mp_profile(expr):
     # the lag profile phi(t) of a stationary expression in mpmath
     import mpmath as mp
